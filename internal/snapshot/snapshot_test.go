@@ -105,11 +105,12 @@ func TestReadBareV1(t *testing.T) {
 	}
 }
 
-// TestGoldenV1Compat pins byte-for-byte compatibility with the v1
-// serialization: the checked-in golden file must load, and
-// re-serializing the identical build must reproduce it exactly. If
-// this fails, the on-disk format changed — readers in the wild would
-// break.
+// TestGoldenV1Compat pins byte-for-byte stability of the v1 format:
+// the checked-in golden file must load, and saving what was loaded must
+// reproduce it exactly. If this fails, the on-disk format changed —
+// readers in the wild would break. Build determinism (the same seed
+// giving the same synopsis) is a separate property, pinned by
+// internal/core's golden synopsis test.
 func TestGoldenV1Compat(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "v1-golden.json"))
 	if err != nil {
@@ -119,16 +120,12 @@ func TestGoldenV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden v1 file rejected: %v", err)
 	}
-	s := buildSyn(42)
-	if !marginal.Equal(s.Query([]int{0, 1}), loaded.Query([]int{0, 1}), 1e-9) {
-		t.Error("golden query differs from identical rebuild")
-	}
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := loaded.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), golden) {
-		t.Fatalf("v1 serialization changed: rebuilt %d bytes != golden %d bytes", buf.Len(), len(golden))
+		t.Fatalf("v1 serialization changed: re-saved %d bytes != golden %d bytes", buf.Len(), len(golden))
 	}
 }
 
