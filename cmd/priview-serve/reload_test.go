@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"priview"
+	"priview/internal/admission"
 	"priview/internal/core"
 	"priview/internal/server"
 	"priview/internal/snapshot"
@@ -101,7 +102,7 @@ func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 	// must wrap the new synopsis in a fresh cache.
 	cc := cacheConfig{entries: 64, bytes: 1 << 20}
 	swap := server.NewSwappable(cc.wrap(syn))
-	handler := server.NewWithOptions(swap, server.Options{MaxK: 6})
+	handler := server.New(swap, server.Options{MaxK: 6})
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
@@ -204,8 +205,9 @@ func TestLoadSynopsisAcceptsV2(t *testing.T) {
 
 // TestReloadRaceServesCleanly is the hot-reload race proof behind the
 // SIGHUP contract: 12 query workers hammer the full middleware stack
-// (recovery, shedding disabled so every answer must be a real 200,
-// per-request deadline) while the main goroutine reloads the store 30
+// (recovery, an admission controller whose concurrency floor exceeds
+// the worker count so it never queues or sheds and every answer must
+// be a real 200, per-request deadline) while the main goroutine reloads the store 30
 // times, half of them onto a freshly published snapshot. Run under
 // -race this doubles as the data-race check on the swap/cache
 // handoff; any non-200 — a 5xx from a torn swap most of all — fails.
@@ -225,9 +227,10 @@ func TestReloadRaceServesCleanly(t *testing.T) {
 	}
 	cc := cacheConfig{entries: 128, bytes: 1 << 20}
 	swap := server.NewSwappable(cc.wrap(syn))
-	handler := server.NewWithOptions(swap, server.Options{
+	handler := server.New(swap, server.Options{
 		MaxK:         6,
 		QueryTimeout: 10 * time.Second,
+		Admission:    admission.Config{MinLimit: 16, MaxLimit: 16},
 	})
 	srv := httptest.NewServer(handler)
 	defer srv.Close()

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"priview/internal/admission"
 	"priview/internal/registry"
 	"priview/internal/server"
 	"priview/internal/snapshot"
@@ -69,6 +70,10 @@ func newRegistryChaosFixture(t *testing.T) *registryChaosFixture {
 		QueryTimeout: time.Second,
 		Logger:       log.New(io.Discard, "", 0),
 		Telemetry:    tel,
+		// The admission limit is pinned above the test's concurrency, so
+		// the router itself never queues or sheds — isolation must come
+		// from the registry.
+		Admission: admission.Config{MinLimit: 32, MaxLimit: 32},
 	})
 	ts := httptest.NewServer(m)
 	t.Cleanup(ts.Close)

@@ -378,23 +378,6 @@ func (reg *Registry) Ready() bool {
 	return reg.scanned
 }
 
-// Stats returns every release's observability snapshot, sorted by
-// name — the periodic log line and debugging surface.
-func (reg *Registry) Stats() []ReleaseStats {
-	reg.mu.Lock()
-	rels := make([]*release, 0, len(reg.rel))
-	for _, rl := range reg.rel {
-		rels = append(rels, rl)
-	}
-	reg.mu.Unlock()
-	out := make([]ReleaseStats, 0, len(rels))
-	for _, rl := range rels {
-		out = append(out, rl.stats())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Reconcile rescans the registry root once: new directories are
 // registered cold, vanished ones are retired (in-flight leases finish;
 // new queries get 404), and loaded releases whose newest snapshot

@@ -10,7 +10,6 @@ import (
 
 	"priview/internal/admission"
 	"priview/internal/core"
-	"priview/internal/marginal"
 	"priview/internal/qcache"
 	"priview/internal/reconstruct"
 	"priview/internal/server"
@@ -197,10 +196,14 @@ func newRelease(reg *Registry, name string, st *snapshot.Store) *release {
 
 // lease pins one admitted query to the querier that was current at
 // acquire time: a reload or eviction mid-query cannot change the
-// answer underneath the caller. The embedded Querier is that pinned
-// querier; Close returns the bulkhead permit exactly once.
+// answer underneath the caller. The embedded server.Pinned holds that
+// querier and forwards its optional query surfaces (batching, the
+// brownout cache-only lookup, the default estimator). A batch runs
+// under the lease's one bulkhead permit — its internal parallelism is
+// bounded by the server's BatchWorkers, not by the tenant's permit
+// count. Close returns the permit exactly once.
 type lease struct {
-	server.Querier
+	server.Pinned
 	rl     *release
 	closed atomic.Bool
 }
@@ -209,39 +212,6 @@ func (l *lease) Close() {
 	if l.closed.CompareAndSwap(false, true) && l.rl.inflight != nil {
 		<-l.rl.inflight
 	}
-}
-
-// QueryCached forwards the brownout cache-only lookup to the pinned
-// querier. The forward must be explicit: the embedded Querier is an
-// interface value, so optional interfaces like server.CacheOnlyQuerier
-// do not surface through it via type assertion on the lease.
-func (l *lease) QueryCached(attrs []int, method core.ReconstructMethod) (*marginal.Table, bool) {
-	if cq, ok := l.Querier.(server.CacheOnlyQuerier); ok {
-		return cq.QueryCached(attrs, method)
-	}
-	return nil, false
-}
-
-// QueryBatch forwards the batched query surface to the pinned querier
-// (explicitly, for the same reason as QueryCached), falling back to the
-// sequential loop for queriers that cannot batch. The whole batch runs
-// under this lease's one bulkhead permit — a batch is one admitted
-// request, its internal parallelism bounded by the server's
-// BatchWorkers, not by the tenant's permit count.
-func (l *lease) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
-	if bq, ok := l.Querier.(server.BatchQuerier); ok {
-		return bq.QueryBatch(ctx, reqs, opt)
-	}
-	return server.QueryBatchSequential(ctx, l.Querier, reqs)
-}
-
-// DefaultMethod forwards the configured default estimator; CME when the
-// pinned querier exposes none.
-func (l *lease) DefaultMethod() core.ReconstructMethod {
-	if dm, ok := l.Querier.(server.DefaultMethoder); ok {
-		return dm.DefaultMethod()
-	}
-	return core.CME
 }
 
 // acquire runs the tenant's admission ladder — rate limit, then
@@ -272,7 +242,7 @@ func (rl *release) acquire(ctx context.Context) (server.Lease, error) {
 		}
 		return nil, err
 	}
-	return &lease{Querier: q, rl: rl}, nil
+	return &lease{Pinned: server.Pinned{Querier: q}, rl: rl}, nil
 }
 
 // ensure returns the release's current querier, driving the breaker

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"runtime"
 	"time"
 
 	"priview/internal/attrset"
@@ -20,7 +19,7 @@ import (
 // BatchQuerier is the batched query surface: answer many marginal
 // requests in one call, deduplicating identical requests and sharing
 // solver precompute across them. *core.Synopsis implements it; wrappers
-// (CachedQuerier, Swappable, registry leases) forward it explicitly.
+// (CachedQuerier, Pinned and the leases embedding it) forward it explicitly.
 type BatchQuerier interface {
 	QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error)
 }
@@ -115,15 +114,6 @@ type batchErrorResponse struct {
 	Errors []batchErrorItem `json:"errors"`
 }
 
-// batchEnv extends serveEnv with the batch handler's knobs. ov may be
-// nil in tests that drive the handler bare.
-type batchEnv struct {
-	serveEnv
-	ov       *overload
-	maxBatch int
-	workers  int // QueryBatch worker bound; ≤ 0 = GOMAXPROCS
-}
-
 // parseBatch validates and canonicalizes a decoded batch against q,
 // collecting every per-index problem instead of stopping at the first.
 // The returned requests are only meaningful when items is empty.
@@ -199,37 +189,31 @@ func writeBatchError(w http.ResponseWriter, logger *log.Logger, items []batchErr
 
 // uniqueSolves counts the distinct (attribute set, method) pairs in
 // reqs — the work QueryBatch actually performs after deduplication —
-// and the distinct methods present, for the deadline gate and the
-// service-time observation.
-func uniqueSolves(reqs []core.BatchRequest) (n int, methods map[core.ReconstructMethod]bool) {
+// per estimator, for the deadline gate and the service-time
+// observation; n is their total.
+func uniqueSolves(reqs []core.BatchRequest) (n int, solves map[core.ReconstructMethod]int) {
 	type key struct {
 		mask   attrset.Set
 		method core.ReconstructMethod
 	}
 	seen := make(map[key]bool, len(reqs))
-	methods = make(map[core.ReconstructMethod]bool)
+	solves = make(map[core.ReconstructMethod]int)
 	for _, r := range reqs {
 		k := key{mask: attrset.MustFromAttrs(r.Attrs), method: r.Method}
 		if !seen[k] {
 			seen[k] = true
 			n++
-			methods[r.Method] = true
+			solves[r.Method]++
 		}
 	}
-	return n, methods
+	return n, solves
 }
 
 // serveMarginals validates, solves and answers one batched marginal
-// request against q. Shared between the singleton Server and the
-// multi-tenant router, which resolves q per release.
-//
-// The deadline gate lives here rather than in the deadlined middleware:
-// a batch's expected service time scales with its deduplicated size
-// divided by the solver parallelism, which is only known after the body
-// is parsed — gating a 200-query batch against one query's EWMA would
-// admit doomed batches, and the converse would 504 every batch a single
-// query's estimate happens to exceed.
-func serveMarginals(w http.ResponseWriter, r *http.Request, q Querier, env batchEnv) {
+// request against the resolved release q. Its deadline gate is sized
+// to the parsed batch: the deduplicated solves spread over the batch's
+// solver parallelism, which is only known after the body is parsed.
+func (m *Multi) serveMarginals(w http.ResponseWriter, r *http.Request, q Querier) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
@@ -252,54 +236,29 @@ func serveMarginals(w http.ResponseWriter, r *http.Request, q Querier, env batch
 		http.Error(w, "queries is required (non-empty array)", http.StatusBadRequest)
 		return
 	}
-	if len(req.Queries) > env.maxBatch {
-		http.Error(w, fmt.Sprintf("at most %d queries per batch", env.maxBatch), http.StatusBadRequest)
+	if len(req.Queries) > m.opt.MaxBatch {
+		http.Error(w, fmt.Sprintf("at most %d queries per batch", m.opt.MaxBatch), http.StatusBadRequest)
 		return
 	}
-	reqs, items := parseBatch(req, q, env.maxK)
+	reqs, items := parseBatch(req, q, m.opt.MaxK)
 	if len(items) > 0 {
-		writeBatchError(w, env.logger, items)
+		writeBatchError(w, m.opt.Logger, items)
 		return
 	}
-	workers := env.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n, methods := uniqueSolves(reqs)
-	if env.svc != nil {
-		// Size-scaled deadline gate: the batch needs ~(sum of per-solve
-		// estimates) / workers of wall clock; a budget below that is
-		// doomed and fast-fails like the single-query gate.
-		var est time.Duration
-		for _, br := range reqs {
-			est += env.svc.Estimate(int(br.Method))
-		}
-		need := est / time.Duration(workers)
-		if deadline, ok := r.Context().Deadline(); ok && need > 0 {
-			if remain := time.Until(deadline); remain < need {
-				if env.ov != nil {
-					env.ov.deadlineRejected.Add(1)
-					w.Header().Set("Retry-After", retryAfterSeconds(env.ov.opt.RetryAfter))
-				}
-				http.Error(w, fmt.Sprintf("remaining deadline %v below expected batch service time %v (%d solves)",
-					remain.Round(time.Millisecond), need.Round(time.Millisecond), n),
-					http.StatusGatewayTimeout)
-				return
-			}
-		}
+	n, solves := uniqueSolves(reqs)
+	if !m.ov.admitDeadline(w, r, solves, m.opt.BatchWorkers) {
+		return
 	}
 	// Input is validated; from here every failure is the server's, not
 	// the client's (solver-level validation cannot fire: the parse above
 	// is strictly stricter). The trace rides the context down through
 	// qcache and core, which record their stage timings into it.
 	ctx, tr := telemetry.StartTrace(r.Context())
-	if env.tel != nil {
-		defer env.tel.finishTrace(tr, env.logger, env.slow, r.URL.Path, func() string {
-			return fmt.Sprintf("batch=%d solves=%d", len(reqs), n)
-		})
-	}
+	defer m.tel.finishTrace(tr, m.opt.Logger, m.opt.SlowQuery, r.URL.Path, func() string {
+		return fmt.Sprintf("batch=%d solves=%d", len(reqs), n)
+	})
 	start := time.Now()
-	results, err := queryBatch(ctx, q, reqs, core.BatchOptions{Workers: env.workers})
+	results, err := queryBatch(ctx, q, reqs, core.BatchOptions{Workers: m.opt.BatchWorkers})
 	if err != nil {
 		var be *core.BatchError
 		switch {
@@ -308,35 +267,25 @@ func serveMarginals(w http.ResponseWriter, r *http.Request, q Querier, env batch
 			for i, it := range be.Items {
 				items[i] = batchErrorItem{Index: it.Index, Error: it.Err.Error()}
 			}
-			writeBatchError(w, env.logger, items)
+			writeBatchError(w, m.opt.Logger, items)
 		case errors.Is(err, reconstruct.ErrDeadline) || errors.Is(err, context.DeadlineExceeded):
 			http.Error(w, "batch deadline exceeded", http.StatusGatewayTimeout)
 		case errors.Is(err, reconstruct.ErrCanceled) || errors.Is(err, context.Canceled):
 			w.WriteHeader(statusClientClosedRequest)
 		default:
-			env.logger.Printf("server: batch of %d failed: %v", len(reqs), err)
+			m.opt.Logger.Printf("server: batch of %d failed: %v", len(reqs), err)
 			http.Error(w, "internal error", http.StatusInternalServerError)
 		}
 		return
 	}
-	if (env.svc != nil || env.tel != nil) && n > 0 {
-		// Normalize the batch's wall clock back to a per-solve service
-		// time so batches and singles feed one EWMA: n solves across w
-		// workers take ~n/w solve-times of wall clock. The solve-time
-		// histograms get the same normalized value for the same reason.
-		weff := workers
-		if weff > n {
-			weff = n
-		}
-		perSolve := time.Duration(int64(time.Since(start)) * int64(weff) / int64(n))
-		for m := range methods {
-			if env.svc != nil {
-				env.svc.Observe(int(m), perSolve)
-			}
-			if env.tel != nil {
-				env.tel.observeSolve(m, perSolve)
-			}
-		}
+	// Normalize the batch's wall clock back to a per-solve service time
+	// so batches and singles feed one EWMA: n solves across p goroutines
+	// take ~n/p solve-times of wall clock. The solve-time histograms get
+	// the same normalized value for the same reason.
+	p := parallelism(m.opt.BatchWorkers, n)
+	perSolve := time.Duration(int64(time.Since(start)) * int64(p) / int64(n))
+	for method := range solves {
+		m.observeSolve(method, perSolve)
 	}
 	resp := marginalsResponse{Results: make([]marginalResponse, len(results))}
 	degraded := 0
@@ -353,7 +302,7 @@ func serveMarginals(w http.ResponseWriter, r *http.Request, q Querier, env batch
 		}
 	}
 	if degraded > 0 {
-		env.logger.Printf("server: batch of %d answered with %d degraded members", len(reqs), degraded)
+		m.opt.Logger.Printf("server: batch of %d answered with %d degraded members", len(reqs), degraded)
 	}
-	writeJSON(w, env.logger, resp)
+	writeJSON(w, m.opt.Logger, resp)
 }

@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"priview/internal/admission"
+	"priview/internal/core"
+	"priview/internal/marginal"
+	"priview/internal/qcache"
 	"priview/internal/reconstruct"
 	"priview/internal/telemetry"
 )
@@ -70,8 +73,47 @@ type Lease interface {
 	Close()
 }
 
-// Resolver is the registry surface the multi-tenant router serves from.
-// internal/registry implements it.
+// Pinned is a Lease over one resolved Querier with nothing to return
+// on Close; leases that hold a permit embed it and override Close. It
+// forwards the optional query surfaces — BatchQuerier,
+// CacheOnlyQuerier, DefaultMethoder, CacheStatser — explicitly: a
+// struct embedding the bare Querier interface would hide them from the
+// handlers' type assertions.
+type Pinned struct{ Querier }
+
+// Close implements Lease.
+func (Pinned) Close() {}
+
+// QueryBatch implements BatchQuerier, falling back to the sequential
+// loop for queriers that cannot batch.
+func (p Pinned) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
+	return queryBatch(ctx, p.Querier, reqs, opt)
+}
+
+// QueryCached implements CacheOnlyQuerier; a querier with no cache
+// never hits.
+func (p Pinned) QueryCached(attrs []int, method core.ReconstructMethod) (*marginal.Table, bool) {
+	if cq, ok := p.Querier.(CacheOnlyQuerier); ok {
+		return cq.QueryCached(attrs, method)
+	}
+	return nil, false
+}
+
+// DefaultMethod implements DefaultMethoder; CME when the querier
+// exposes no default.
+func (p Pinned) DefaultMethod() core.ReconstructMethod { return defaultMethod(p.Querier) }
+
+// CacheStats implements CacheStatser; enabled is false when the
+// querier maintains no cache.
+func (p Pinned) CacheStats() (qcache.Stats, bool) {
+	if cs, ok := p.Querier.(CacheStatser); ok {
+		return cs.CacheStats()
+	}
+	return qcache.Stats{}, false
+}
+
+// Resolver is the registry surface the router serves from.
+// internal/registry implements it; New supplies a one-release resolver.
 type Resolver interface {
 	// Acquire resolves name to a loaded release and takes one bulkhead
 	// permit, lazily loading the release on first hit. The returned
@@ -87,18 +129,17 @@ type Resolver interface {
 	Ready() bool
 }
 
-// Multi is the multi-tenant HTTP front: named-release routes
-// (/v1/{release}/marginal|info|stats) resolved through a Resolver, with
-// the legacy unprefixed routes aliasing a configured default release.
-// The failure-model middleware (panic recovery, global shedding,
-// per-request deadline) is identical to the singleton Server's; the
-// per-release bulkheads, breakers and quotas live behind Acquire.
+// Multi is the HTTP front: named-release routes
+// (/v1/{release}/marginal|marginals|info|stats) resolved through a
+// Resolver, with the legacy unprefixed routes aliasing a configured
+// default release. Every marginal request passes panic recovery, the
+// admission controller and the per-request deadline; per-release
+// bulkheads, breakers and quotas live behind Acquire.
 type Multi struct {
 	res      Resolver
 	def      string // default release for legacy routes; "" = none
 	mux      *http.ServeMux
 	opt      Options
-	inflight chan struct{} // global shed, on top of per-release bulkheads
 	ov       *overload
 	tel      *Metrics
 	draining atomic.Bool
@@ -106,7 +147,7 @@ type Multi struct {
 
 // NewMulti returns a router serving every release res resolves.
 // defaultRelease, when non-empty, is the release the legacy unprefixed
-// /v1/marginal, /v1/info and /v1/stats routes alias.
+// /v1/marginal, /v1/marginals, /v1/info and /v1/stats routes alias.
 func NewMulti(res Resolver, defaultRelease string, opt Options) *Multi {
 	if opt.MaxK <= 0 {
 		opt.MaxK = 12
@@ -125,46 +166,39 @@ func NewMulti(res Resolver, defaultRelease string, opt Options) *Multi {
 		reg = telemetry.NewRegistry()
 	}
 	m := &Multi{res: res, def: defaultRelease, mux: http.NewServeMux(), opt: opt, ov: newOverload(opt), tel: NewMetrics(reg)}
-	if opt.MaxInflight > 0 && m.ov.ctrl == nil {
-		m.inflight = make(chan struct{}, opt.MaxInflight)
-	}
 	m.tel.instrumentOverload(m.ov)
-	// Routes are instrumented under their registered patterns, so the
-	// route label stays a closed set — release names never reach it
-	// (they label the registry's per-release series instead). Legacy
-	// aliases get their own instrumented wrapper under their own
-	// pattern; /metrics is deliberately uninstrumented.
+	// /metrics is deliberately uninstrumented: a scrape should not
+	// perturb the series it reads.
 	m.mux.Handle("/metrics", m.recovered(reg.Handler()))
-	m.mux.Handle("/healthz", m.tel.instrumented("/healthz", m.recovered(http.HandlerFunc(m.handleHealth))))
-	m.mux.Handle("/readyz", m.tel.instrumented("/readyz", m.recovered(http.HandlerFunc(m.handleReady))))
-	m.mux.Handle("/v1/releases", m.tel.instrumented("/v1/releases", m.recovered(http.HandlerFunc(m.handleReleases))))
-	// Named-release routes plus the legacy aliases. Order of middleware
-	// matches the singleton server: shed before arming the deadline.
-	inner := m.ov.deadlined(http.HandlerFunc(m.handleMarginal))
-	var marginal http.Handler
-	if m.ov.ctrl != nil {
-		marginal = m.recovered(m.ov.admitted(inner, m.tryCacheOnly))
-	} else {
-		marginal = m.recovered(m.shedding(inner))
-	}
-	m.mux.Handle("/v1/{release}/marginal", m.tel.instrumented("/v1/{release}/marginal", marginal))
-	m.mux.Handle("/v1/marginal", m.tel.instrumented("/v1/marginal", marginal))
-	innerBatch := m.ov.deadlined(http.HandlerFunc(m.handleMarginals))
-	var marginals http.Handler
-	if m.ov.ctrl != nil {
-		marginals = m.recovered(m.ov.admitted(innerBatch, m.tryCacheOnly))
-	} else {
-		marginals = m.recovered(m.shedding(innerBatch))
-	}
-	m.mux.Handle("/v1/{release}/marginals", m.tel.instrumented("/v1/{release}/marginals", marginals))
-	m.mux.Handle("/v1/marginals", m.tel.instrumented("/v1/marginals", marginals))
-	info := m.recovered(http.HandlerFunc(m.handleInfo))
-	m.mux.Handle("/v1/{release}/info", m.tel.instrumented("/v1/{release}/info", info))
-	m.mux.Handle("/v1/info", m.tel.instrumented("/v1/info", info))
-	stats := m.recovered(http.HandlerFunc(m.handleStats))
-	m.mux.Handle("/v1/{release}/stats", m.tel.instrumented("/v1/{release}/stats", stats))
-	m.mux.Handle("/v1/stats", m.tel.instrumented("/v1/stats", stats))
+	m.handle("/healthz", http.HandlerFunc(m.handleHealth))
+	m.handle("/readyz", http.HandlerFunc(m.handleReady))
+	m.handle("/v1/releases", http.HandlerFunc(m.handleReleases))
+	// Admission precedes the armed deadline: a request refused for
+	// capacity consumes none of its reconstruction budget. The deadline
+	// gate itself runs in the handlers, once the request is parsed.
+	m.handleRelease("marginal", m.ov.admitted(m.ov.deadlined(m.leased("marginal", m.serveMarginal)), m.tryCacheOnly))
+	m.handleRelease("marginals", m.ov.admitted(m.ov.deadlined(m.leased("marginals", m.serveMarginals)), m.tryCacheOnly))
+	m.handleRelease("info", m.leased("info", m.serveInfo))
+	m.handleRelease("stats", http.HandlerFunc(m.handleStats))
 	return m
+}
+
+// handle mounts h at pattern behind panic recovery — the health probes
+// too: a panicking Querier reachable from any route must answer 500,
+// not kill the response mid-flight. The per-route instrumentation sits
+// outermost so recovered panics count as the 500s they answer, and
+// routes are labelled by pattern, so the route label stays a closed
+// set — release names never reach it (they label the registry's
+// per-release series instead).
+func (m *Multi) handle(pattern string, h http.Handler) {
+	m.mux.Handle(pattern, m.tel.instrumented(pattern, m.recovered(h)))
+}
+
+// handleRelease mounts h on the named-release route /v1/{release}/op
+// and on its legacy alias /v1/op.
+func (m *Multi) handleRelease(op string, h http.Handler) {
+	m.handle("/v1/{release}/"+op, h)
+	m.handle("/v1/"+op, h)
 }
 
 // Metrics exposes the router's telemetry handle set (the same object
@@ -177,16 +211,13 @@ func (m *Multi) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m.mux.ServeHTTP(w, r)
 }
 
-// SetDraining flips the draining state (see Server.SetDraining).
+// SetDraining flips the draining state: while draining, /healthz and
+// /readyz answer 503 so load balancers take the instance out of
+// rotation before Shutdown closes the listener. Safe for concurrent use.
 func (m *Multi) SetDraining(v bool) { m.draining.Store(v) }
 
-// Draining reports whether the router is refusing its health probe.
+// Draining reports whether the router is refusing its health probes.
 func (m *Multi) Draining() bool { return m.draining.Load() }
-
-// AdmissionStats snapshots the router-wide overload-control counters
-// (the same object /v1/releases serves), or nil when no overload
-// machinery has engaged. For operator logging.
-func (m *Multi) AdmissionStats() *admission.Stats { return m.ov.stats() }
 
 // releaseName resolves which release a request addresses: the {release}
 // path segment, or the configured default for legacy routes. ok is
@@ -196,6 +227,27 @@ func (m *Multi) releaseName(r *http.Request) (string, bool) {
 		return name, true
 	}
 	return m.def, m.def != ""
+}
+
+// leased resolves the request's release and answers it with serve
+// against the acquired lease, which is closed when serve returns. op
+// names the route in the 404 a legacy route draws without a default
+// release.
+func (m *Multi) leased(op string, serve func(http.ResponseWriter, *http.Request, Querier)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		name, ok := m.releaseName(r)
+		if !ok {
+			http.Error(w, "no default release configured; use /v1/{release}/"+op, http.StatusNotFound)
+			return
+		}
+		lease, err := m.res.Acquire(r.Context(), name)
+		if err != nil {
+			m.writeResolveError(w, r, err)
+			return
+		}
+		defer lease.Close()
+		serve(w, r, lease)
+	})
 }
 
 // tryCacheOnly is the brownout hook: resolve the release and answer the
@@ -243,60 +295,6 @@ func (m *Multi) writeResolveError(w http.ResponseWriter, r *http.Request, err er
 	}
 }
 
-func (m *Multi) handleMarginal(w http.ResponseWriter, r *http.Request) {
-	name, ok := m.releaseName(r)
-	if !ok {
-		http.Error(w, "no default release configured; use /v1/{release}/marginal", http.StatusNotFound)
-		return
-	}
-	lease, err := m.res.Acquire(r.Context(), name)
-	if err != nil {
-		m.writeResolveError(w, r, err)
-		return
-	}
-	defer lease.Close()
-	serveMarginal(w, r, lease, m.env())
-}
-
-func (m *Multi) env() serveEnv {
-	return serveEnv{maxK: m.opt.MaxK, logger: m.opt.Logger, svc: m.ov.svc, tel: m.tel, slow: m.opt.SlowQuery}
-}
-
-func (m *Multi) handleMarginals(w http.ResponseWriter, r *http.Request) {
-	name, ok := m.releaseName(r)
-	if !ok {
-		http.Error(w, "no default release configured; use /v1/{release}/marginals", http.StatusNotFound)
-		return
-	}
-	lease, err := m.res.Acquire(r.Context(), name)
-	if err != nil {
-		m.writeResolveError(w, r, err)
-		return
-	}
-	defer lease.Close()
-	serveMarginals(w, r, lease, batchEnv{
-		serveEnv: m.env(),
-		ov:       m.ov,
-		maxBatch: m.opt.MaxBatch,
-		workers:  m.opt.BatchWorkers,
-	})
-}
-
-func (m *Multi) handleInfo(w http.ResponseWriter, r *http.Request) {
-	name, ok := m.releaseName(r)
-	if !ok {
-		http.Error(w, "no default release configured; use /v1/{release}/info", http.StatusNotFound)
-		return
-	}
-	lease, err := m.res.Acquire(r.Context(), name)
-	if err != nil {
-		m.writeResolveError(w, r, err)
-		return
-	}
-	defer lease.Close()
-	serveInfo(w, r, lease, m.opt.MaxK, m.opt.Logger)
-}
-
 // handleStats serves the per-release observability snapshot. Unlike
 // marginal and info it never loads or touches the release — stats on a
 // cold, broken or saturated tenant must always answer, that being the
@@ -320,13 +318,13 @@ func (m *Multi) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // releasesResponse lists the registered releases plus the router-wide
-// admission snapshot (omitted for a legacy semaphore configuration).
-// The admission stats live here rather than on the per-release stats
-// route because the controller gates the whole router, not one tenant.
+// admission snapshot. The admission stats live here rather than on the
+// per-release stats route because the controller gates the whole
+// router, not one tenant.
 type releasesResponse struct {
-	Default   string           `json:"default,omitempty"`
-	Releases  []string         `json:"releases"`
-	Admission *admission.Stats `json:"admission,omitempty"`
+	Default   string          `json:"default,omitempty"`
+	Releases  []string        `json:"releases"`
+	Admission admission.Stats `json:"admission"`
 }
 
 func (m *Multi) handleReleases(w http.ResponseWriter, r *http.Request) {
@@ -341,27 +339,35 @@ func (m *Multi) handleReleases(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, m.opt.Logger, releasesResponse{Default: m.def, Releases: names, Admission: m.ov.stats()})
 }
 
+// refuseDraining answers a health probe 503 while draining. Like the
+// shed path, the refusal carries a backoff hint; without it retrying
+// clients hammer an instance that is trying to go away.
+func (m *Multi) refuseDraining(w http.ResponseWriter) bool {
+	if !m.draining.Load() {
+		return false
+	}
+	w.Header().Set("Retry-After", retryAfterSeconds(m.opt.RetryAfter))
+	http.Error(w, "draining", http.StatusServiceUnavailable)
+	return true
+}
+
 func (m *Multi) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if m.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(m.opt.RetryAfter))
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	if m.refuseDraining(w) {
 		return
 	}
 	//lint:ignore errdiscard health-probe response; a client that hung up cannot be told about it
 	fmt.Fprintln(w, "ok")
 }
 
-// handleReady answers 200 only when the registry has completed its
+// handleReady answers 200 only when the resolver has completed its
 // initial scan and the instance is not draining — the gate a load
 // balancer checks before routing traffic to a fresh replica, distinct
 // from the liveness probe (/healthz) that merely proves the process
 // responds.
 func (m *Multi) handleReady(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if m.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(m.opt.RetryAfter))
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	if m.refuseDraining(w) {
 		return
 	}
 	if !m.res.Ready() {
@@ -373,10 +379,10 @@ func (m *Multi) handleReady(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// recovered and shedding mirror the singleton Server's middleware; the
-// multi router keeps its own copies because its shedding is the
-// *global* backstop — per-release bulkheads are the Resolver's job.
-// The deadline middleware is the shared overload.deadlined.
+// recovered converts handler panics into 500s with a logged stack.
+// Panics are internal failures; without this they would tear down the
+// whole connection (net/http's default) or, worse, be mislabeled as
+// client errors.
 func (m *Multi) recovered(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -386,22 +392,5 @@ func (m *Multi) recovered(h http.Handler) http.Handler {
 			}
 		}()
 		h.ServeHTTP(w, r)
-	})
-}
-
-func (m *Multi) shedding(h http.Handler) http.Handler {
-	if m.inflight == nil {
-		return h
-	}
-	retryAfter := retryAfterSeconds(m.opt.RetryAfter)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case m.inflight <- struct{}{}:
-			defer func() { <-m.inflight }()
-			h.ServeHTTP(w, r)
-		default:
-			w.Header().Set("Retry-After", retryAfter)
-			http.Error(w, "server at capacity, retry later", http.StatusTooManyRequests)
-		}
 	})
 }

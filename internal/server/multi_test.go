@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -196,9 +197,11 @@ func TestMultiReleasesEndpoint(t *testing.T) {
 	}
 }
 
-// TestMultiGlobalShedding proves the router-level inflight cap is the
-// backstop above per-release bulkheads: the second concurrent request
-// sheds with 429 + Retry-After.
+// TestMultiGlobalShedding proves the router's admission controller is
+// the backstop above per-release bulkheads: with MaxInflight 1 (a
+// concurrency ceiling of 1 and a queue of 1), the second concurrent
+// request waits in the queue and the third sheds with 429 +
+// Retry-After. Both admitted requests then complete.
 func TestMultiGlobalShedding(t *testing.T) {
 	_, _, syn := cachedTestSetup(t)
 	gate := make(chan struct{})
@@ -208,31 +211,41 @@ func TestMultiGlobalShedding(t *testing.T) {
 	ts := httptest.NewServer(m)
 	defer ts.Close()
 
-	errc := make(chan error, 1)
-	go func() {
-		resp, err := http.Get(ts.URL + "/v1/a/marginal?attrs=0,1")
+	errc := make(chan error, 2)
+	bgGet := func(path string) {
+		resp, err := http.Get(ts.URL + path)
 		if err == nil {
 			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("%s = %d, want 200", path, resp.StatusCode)
+			}
 		}
 		errc <- err
-	}()
+	}
+	go bgGet("/v1/a/marginal?attrs=0,1")
 	// Wait until the first request is parked inside the querier, holding
-	// the only inflight slot.
+	// the only slot; the second then occupies the only queue place.
 	gate <- struct{}{}
+	go bgGet("/v1/a/marginal?attrs=1,2")
+	waitUntil(t, "second request queued", func() bool { return m.ov.ctrl.Stats().QueueDepth == 1 })
 	resp, err := http.Get(ts.URL + "/v1/a/marginal?attrs=2,3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("second concurrent request = %d, want 429", resp.StatusCode)
+		t.Errorf("third concurrent request = %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("shed response carries no Retry-After")
 	}
 	gate <- struct{}{} // release the parked request
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	gate <- struct{}{} // the queued one is admitted and parks in turn
+	gate <- struct{}{}
+	for i := 0; i < 2; i++ {
+		if err := <-errc; err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -248,4 +261,32 @@ func (g *gatedQuerier) QueryMethodContext(ctx context.Context, attrs []int, meth
 	<-g.gate
 	<-g.gate
 	return g.Querier.QueryMethodContext(ctx, attrs, method)
+}
+
+// TestPinnedForwardsOptionalSurfaces: a lease built on Pinned keeps the
+// optional query surfaces of the querier it pins visible to type
+// assertions, where a struct embedding the bare Querier would hide
+// them.
+func TestPinnedForwardsOptionalSurfaces(t *testing.T) {
+	cq, _, _ := cachedTestSetup(t)
+	var lease Lease = Pinned{cq}
+	if _, err := lease.QueryMethodContext(context.Background(), []int{0, 1}, core.CME); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := lease.(BatchQuerier); !ok {
+		t.Error("Pinned hides BatchQuerier")
+	}
+	if _, ok := lease.(DefaultMethoder); !ok {
+		t.Error("Pinned hides DefaultMethoder")
+	}
+	if co, ok := lease.(CacheOnlyQuerier); !ok {
+		t.Error("Pinned hides CacheOnlyQuerier")
+	} else if _, hit := co.QueryCached([]int{0, 1}, core.CME); !hit {
+		t.Error("QueryCached missed the key the query above cached")
+	}
+	if cs, ok := lease.(CacheStatser); !ok {
+		t.Error("Pinned hides CacheStatser")
+	} else if st, enabled := cs.CacheStats(); !enabled || st.Misses != 1 {
+		t.Errorf("CacheStats = %+v (enabled=%v), want the pinned cache's one miss", st, enabled)
+	}
 }

@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"priview/internal/admission"
+	"priview/internal/core"
 	"priview/internal/telemetry"
 )
 
@@ -54,19 +56,17 @@ func parseDeadlineMs(v string) (time.Duration, bool) {
 	return d, true
 }
 
-// overload bundles the overload-control machinery shared by the
-// singleton Server and the multi-tenant router: the adaptive admission
-// controller (nil when Options.Admission is unset, in which case the
-// owner keeps its legacy instant-shed semaphore), the per-method
-// service-time EWMA feeding the deadline gate, and the brownout
-// detector. The counters are the middleware-owned half of the
-// admission.Stats snapshot; they start standalone and
-// Metrics.instrumentOverload swaps them for registry-backed series
-// before traffic, so /metrics and the JSON stats read one set of
-// numbers.
+// overload bundles the overload-control machinery in front of every
+// marginal request: the adaptive admission controller (the router's
+// only load shedder), the per-method service-time EWMA feeding the
+// deadline gate, and the brownout detector. The counters are the
+// middleware-owned half of the admission.Stats snapshot; they start
+// standalone and Metrics.instrumentOverload swaps them for
+// registry-backed series before traffic, so /metrics and the JSON stats
+// read one set of numbers.
 type overload struct {
 	opt   Options
-	ctrl  *admission.Controller // nil = legacy semaphore shedding
+	ctrl  *admission.Controller
 	svc   *admission.ServiceTime
 	brown *admission.Brownout // nil = brownout disabled
 
@@ -75,30 +75,37 @@ type overload struct {
 	brownoutRejected *telemetry.Counter
 }
 
+// newOverload builds the machinery from opt, whose defaults the router
+// has already filled in.
 func newOverload(opt Options) *overload {
+	cfg := opt.Admission
+	// MaxInflight keeps its meaning as the hard concurrency ceiling; the
+	// controller searches below it and queues up to it. The controller's
+	// default floor of 2 would lift a ceiling of 1, so it yields too.
+	if opt.MaxInflight > 0 {
+		if cfg.MinLimit <= 0 {
+			cfg.MinLimit = min(2, opt.MaxInflight)
+		}
+		if cfg.MaxLimit <= 0 {
+			cfg.MaxLimit = opt.MaxInflight
+		}
+		if cfg.MaxQueue <= 0 {
+			cfg.MaxQueue = opt.MaxInflight
+		}
+	}
+	if cfg.RetryAfterBase <= 0 {
+		cfg.RetryAfterBase = opt.RetryAfter
+	}
 	o := &overload{
 		opt:              opt,
+		ctrl:             admission.NewController(cfg),
 		svc:              admission.NewServiceTime(nil),
 		deadlineRejected: telemetry.NewCounter(),
 		brownoutServed:   telemetry.NewCounter(),
 		brownoutRejected: telemetry.NewCounter(),
 	}
-	if opt.Admission != nil {
-		cfg := *opt.Admission
-		// MaxInflight keeps its meaning as the hard concurrency ceiling;
-		// the controller searches below it and queues up to it.
-		if opt.MaxInflight > 0 {
-			if cfg.MaxLimit <= 0 {
-				cfg.MaxLimit = opt.MaxInflight
-			}
-			if cfg.MaxQueue <= 0 {
-				cfg.MaxQueue = opt.MaxInflight
-			}
-		}
-		o.ctrl = admission.NewController(cfg)
-		if opt.Brownout != nil {
-			o.brown = admission.NewBrownout(*opt.Brownout)
-		}
+	if opt.Brownout != nil {
+		o.brown = admission.NewBrownout(*opt.Brownout)
 	}
 	return o
 }
@@ -107,15 +114,12 @@ func newOverload(opt Options) *overload {
 // request first feeds the brownout detector; while a brownout is
 // active, non-priority requests are offered to tryCacheOnly before
 // consuming an admission slot, so cache hits stay cheap exactly when
-// capacity is scarce. tryCacheOnly may be nil (no degraded mode).
-// Callers must only install this middleware when the controller is
-// enabled.
+// capacity is scarce.
 func (o *overload) admitted(h http.Handler, tryCacheOnly func(http.ResponseWriter, *http.Request) bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if o.brown != nil {
 			o.brown.Note(o.ctrl.Overloaded())
-			if o.brown.Active() && r.Header.Get(PriorityHeader) != PriorityHigh &&
-				tryCacheOnly != nil && tryCacheOnly(w, r) {
+			if o.brown.Active() && r.Header.Get(PriorityHeader) != PriorityHigh && tryCacheOnly(w, r) {
 				return
 			}
 		}
@@ -149,10 +153,9 @@ func (o *overload) writeAcquireError(w http.ResponseWriter, err error) {
 
 // deadlined arms the per-request reconstruction budget: the smaller of
 // the server's QueryTimeout and the client's propagated remaining
-// deadline. A request whose budget cannot cover the EWMA estimate of
-// its method's service time is doomed — it would burn a solver slot
-// only to time out — so it is rejected in microseconds with 504 +
-// Retry-After instead.
+// deadline. The gate that rejects requests the budget cannot cover is
+// admitDeadline, which the handlers run once they have parsed what the
+// request will cost.
 func (o *overload) deadlined(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		budget := o.opt.QueryTimeout
@@ -163,27 +166,51 @@ func (o *overload) deadlined(h http.Handler) http.Handler {
 			h.ServeHTTP(w, r)
 			return
 		}
-		// The estimate gate only applies to single GET queries: a batch
-		// POST carries its method mix in the body, so serveMarginals runs
-		// the size-scaled gate itself after parsing — gating a batch
-		// against one query's estimate here would be wrong in both
-		// directions.
-		if r.Method == http.MethodGet {
-			if method, ok := parseMethod(r.URL.Query().Get("method")); ok {
-				if est := o.svc.Estimate(int(method)); est > 0 && budget < est {
-					o.deadlineRejected.Add(1)
-					w.Header().Set("Retry-After", retryAfterSeconds(o.opt.RetryAfter))
-					http.Error(w, fmt.Sprintf("remaining deadline %v below expected %s service time %v",
-						budget.Round(time.Millisecond), method, est.Round(time.Millisecond)),
-						http.StatusGatewayTimeout)
-					return
-				}
-			}
-		}
 		ctx, cancel := context.WithTimeout(r.Context(), budget)
 		defer cancel()
 		h.ServeHTTP(w, r.WithContext(ctx))
 	})
+}
+
+// admitDeadline is the deadline gate, shared by the single and batch
+// handlers. solves counts the distinct solves the request needs per
+// estimator; they fan over parallelism(workers, n) goroutines, so the
+// request needs about (sum of per-solve EWMA estimates) / parallelism
+// of wall clock. A request whose remaining deadline is below that is
+// doomed — it would burn solver slots only to time out — so it is
+// rejected in microseconds with 504 + Retry-After and admitDeadline
+// returns false.
+func (o *overload) admitDeadline(w http.ResponseWriter, r *http.Request, solves map[core.ReconstructMethod]int, workers int) bool {
+	deadline, ok := r.Context().Deadline()
+	if !ok {
+		return true
+	}
+	var est time.Duration
+	n := 0
+	for method, k := range solves {
+		est += time.Duration(k) * o.svc.Estimate(int(method))
+		n += k
+	}
+	need := est / time.Duration(parallelism(workers, n))
+	remain := time.Until(deadline)
+	if need <= 0 || remain >= need {
+		return true
+	}
+	o.deadlineRejected.Add(1)
+	w.Header().Set("Retry-After", retryAfterSeconds(o.opt.RetryAfter))
+	http.Error(w, fmt.Sprintf("remaining deadline %v below expected service time %v (%d solves)",
+		remain.Round(time.Millisecond), need.Round(time.Millisecond), n),
+		http.StatusGatewayTimeout)
+	return false
+}
+
+// parallelism is how many goroutines n distinct solves actually run on
+// under a worker bound of workers (≤ 0 selects GOMAXPROCS).
+func parallelism(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, n))
 }
 
 // serveCacheOnly answers r from q's memoized cache alone — the brownout
@@ -198,12 +225,8 @@ func (o *overload) serveCacheOnly(w http.ResponseWriter, r *http.Request, q Quer
 	if r.Method != http.MethodGet {
 		return false
 	}
-	attrs, err := parseAttrs(r.URL.Query().Get("attrs"))
-	if err != nil || len(attrs) > o.opt.MaxK {
-		return false
-	}
-	method, ok := parseMethod(r.URL.Query().Get("method"))
-	if !ok {
+	attrs, method, err := parseMarginalQuery(r, q, o.opt.MaxK)
+	if err != nil {
 		return false
 	}
 	if cq, ok := q.(CacheOnlyQuerier); ok {
@@ -287,19 +310,12 @@ func (o *overload) serveCacheOnlyBatch(w http.ResponseWriter, r *http.Request, q
 }
 
 // stats merges the middleware-owned counters into the controller's
-// snapshot. nil when the adaptive controller is disabled and the
-// deadline gate has rejected nothing — the stats surfaces omit the
-// admission object entirely for a plain legacy configuration.
-func (o *overload) stats() *admission.Stats {
-	var st admission.Stats
-	if o.ctrl != nil {
-		st = o.ctrl.Stats()
-	} else if o.deadlineRejected.Value() == 0 {
-		return nil
-	}
+// snapshot.
+func (o *overload) stats() admission.Stats {
+	st := o.ctrl.Stats()
 	st.DeadlineRejected = o.deadlineRejected.Value()
 	st.BrownoutServed = o.brownoutServed.Value()
 	st.BrownoutRejected = o.brownoutRejected.Value()
 	st.BrownoutActive = o.brown != nil && o.brown.Active()
-	return &st
+	return st
 }

@@ -14,8 +14,8 @@ import (
 // GET /metrics and hands out the interned handles the subsystems write
 // through. One Metrics per telemetry.Registry; constructing it twice
 // over the same registry is safe because family registration is
-// idempotent, so the singleton Server, the multi-tenant router, the
-// release registry and the client can all share one scrape surface.
+// idempotent, so the router, the release registry and the client can
+// all share one scrape surface.
 //
 // Naming follows the Prometheus conventions DESIGN.md §15 pins down:
 // everything is prefixed priview_, counters end in _total, and every
@@ -206,23 +206,18 @@ func (w *statusWriter) class() int {
 	return s / 100
 }
 
-// instrumentOverload swaps the overload middleware's counters for the
-// registry-backed series and, when the adaptive controller is enabled,
-// swaps its counters too and refreshes the admission gauges at scrape
-// time. Call before the owning server handles traffic — the swaps are
-// unsynchronized by design (see qcache.Instrument).
+// instrumentOverload swaps the overload middleware's and the admission
+// controller's counters for the registry-backed series and refreshes
+// the admission gauges at scrape time. Call before the owning router
+// handles traffic — the swaps are unsynchronized by design (see
+// qcache.Instrument).
 func (m *Metrics) instrumentOverload(o *overload) {
 	o.deadlineRejected = m.deadlineRejected
 	o.brownoutServed = m.brownoutServed
 	o.brownoutRejected = m.brownoutRejected
-	if o.ctrl != nil {
-		o.ctrl.Instrument(m.admAdmitted, m.admQueued, m.admShed, m.admCoDel, m.admSojourn)
-	}
+	o.ctrl.Instrument(m.admAdmitted, m.admQueued, m.admShed, m.admCoDel, m.admSojourn)
 	m.Registry.OnScrape(func() {
 		st := o.stats()
-		if st == nil {
-			return
-		}
 		m.admLimit.Set(st.Limit)
 		m.admInflight.Set(float64(st.Inflight))
 		m.admQueue.Set(float64(st.QueueDepth))
