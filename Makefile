@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch check
+.PHONY: all build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch bench-smoke check
 
 all: build
 
@@ -87,6 +87,16 @@ bench:
 bench-batch:
 	$(GO) test -run='^$$' -bench='BenchmarkAllThreeWaySequential|BenchmarkAllThreeWayBatch' -benchmem -benchtime=$(BENCHTIME) ./internal/core/
 
+# The repo benchmark (bench/, its own module) at smoke size: vet, then
+# every bench test at full size — TestBenchSmoke builds priview and
+# priview-serve from this tree, starts priview-serve -synopsis, drives
+# every workload untraced and traced, and checks every answer and every
+# /metrics series the benchmark scrapes. A serving change that breaks
+# either fails here rather than in the post-merge benchmark.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 # Short coverage-guided fuzz runs over the untrusted-input decoders:
 # snapshot container parsing and the audit-over-load pipeline. Ten
 # seconds per target keeps the gate fast; longer campaigns can raise
@@ -105,4 +115,4 @@ audit:
 	$(GO) run ./cmd/priview build -in $$tmp/data.txt -eps 1.0 -snapshot -out $$tmp/syn.json && \
 	$(GO) run ./cmd/priview audit $$tmp/syn.json
 
-check: build vet lint race chaos chaos-registry chaos-overload fuzz-short audit
+check: build vet lint race chaos chaos-registry chaos-overload fuzz-short audit bench-smoke
