@@ -15,16 +15,15 @@ var DefBuckets = []float64{
 }
 
 // Histogram counts observations into fixed buckets, lock-free: one
-// atomic add on the bucket, one on the total count, and a CAS loop on
-// the float sum. Bounds are upper-inclusive (`le`) and the +Inf bucket
-// is implicit. Observation allocates nothing — the bucket search is a
-// bounded linear scan over a slice that is immutable after construction
-// (typical ladders have ≤ 20 steps, where linear beats binary and stays
-// trivially allocation-free).
+// atomic add on the bucket and a CAS loop on the float sum; the total
+// count is the sum of the buckets. Bounds are upper-inclusive (`le`)
+// and the +Inf bucket is implicit. Observation allocates nothing — the
+// bucket search is a bounded linear scan over a slice that is immutable
+// after construction (typical ladders have ≤ 20 steps, where linear
+// beats binary and stays trivially allocation-free).
 type Histogram struct {
 	bounds  []float64 // ascending, finite; +Inf implicit
 	counts  []atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
 
@@ -71,7 +70,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.counts[idx].Add(1)
-	h.count.Add(1)
 	//lint:ignore ctxflow bounded CAS retry between two atomic loads under finite contention; no request context reaches this path
 	for {
 		old := h.sumBits.Load()
@@ -87,19 +85,26 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// snapshot returns per-bucket (non-cumulative) counts, the total count
-// and the sum, reading each atomically. The counts are not a consistent
-// cut across buckets — Prometheus scrapes tolerate that — but each
-// value is itself coherent.
+// snapshot returns per-bucket (non-cumulative) counts, their total and
+// the sum, reading each atomically. The counts are not a consistent cut
+// across buckets — Prometheus scrapes tolerate that — but the total is
+// summed from the same loads, so the +Inf bucket always equals _count.
 func (h *Histogram) snapshot() (buckets []uint64, count uint64, sum float64) {
 	buckets = make([]uint64, len(h.counts))
 	for i := range h.counts {
 		buckets[i] = h.counts[i].Load()
+		count += buckets[i]
 	}
-	return buckets, h.count.Load(), h.Sum()
+	return buckets, count, h.Sum()
 }
