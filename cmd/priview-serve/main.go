@@ -15,12 +15,14 @@
 //	GET /v1/info                          release metadata
 //	GET /v1/marginal?attrs=1,5,9          reconstruct a marginal
 //	GET /v1/marginal?attrs=1,5&method=CLN alternative estimator
-//	GET /v1/stats                         query-cache and admission counters
-//	GET /v1/releases                      the one release, "default"
+//	GET /v1/stats                         the release's lifecycle and cache counters
+//	GET /v1/releases                      the one release, "default", and admission counters
 //	GET /metrics                          Prometheus text exposition (all subsystems)
 //
-// Both single-tenant modes serve their synopsis through the same router
-// as multi-tenant mode, as the release "default".
+// Every mode serves through one router and one release lifecycle
+// (internal/registry): both single-tenant modes are a registry holding
+// the one release "default", loaded, checksummed and audited before the
+// listener opens.
 //
 // Multi-tenant mode (-registry-root): every subdirectory of the root
 // is a named release (its own snapshot store), served on
@@ -39,21 +41,27 @@
 // -cache-bytes budget; at most -max-loaded synopses stay resident
 // (LRU-evicted past that, re-warmed from their hot cache keys on
 // return). SIGHUP — and every -reconcile-interval — rescans the root:
-// new directories serve, removed ones 404, releases with a newer
-// snapshot hot-reload through keep-last-good.
+// new directories serve, removed ones 404.
+//
+// Reload: in every mode, SIGHUP and every -reconcile-interval check each
+// loaded release's source and hot-reload it, through keep-last-good,
+// when its version changed: a store's newest snapshot name, or the
+// -synopsis file's size and modification time. An unchanged source is
+// not reloaded. Queries never drop — if a reload fails, the last good
+// synopsis keeps serving.
 //
 // Query cache: because a synopsis is immutable, repeated (attrs,
 // method) queries are memoized (-cache-entries / -cache-bytes bound
 // the cache, per release in registry mode; set both ≤ 0 to disable).
 // -warm k precomputes every ≤k-way marginal in the background after
-// each load, so the first real queries hit the cache.
+// each load, and each reload first replays the hot keys of the cache it
+// replaces, so the first real queries hit the cache.
 //
 // Durability: every synopsis is checksum-verified and audited against
 // the release invariants before it serves a single query. In store and
 // registry modes the newest verifiable snapshot is served; corrupt
 // snapshots are quarantined to *.corrupt and loading falls back to an
-// older good one. SIGHUP hot-reloads without dropping queries — if a
-// reload fails, the last good synopsis keeps serving.
+// older good one. A -synopsis file is never renamed.
 //
 // Failure model: -query-timeout bounds each reconstruction (504 on
 // expiry); the adaptive admission controller queues bursts and sheds
@@ -67,6 +75,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -79,9 +88,6 @@ import (
 	"time"
 
 	"priview/internal/admission"
-	"priview/internal/audit"
-	"priview/internal/core"
-	"priview/internal/qcache"
 	"priview/internal/registry"
 	"priview/internal/server"
 	"priview/internal/snapshot"
@@ -105,7 +111,7 @@ func main() {
 	tenantInflight := flag.Int("tenant-inflight", 32, "registry mode: per-release concurrent queries before that release sheds with 429 (<0 disables)")
 	breakerFailures := flag.Int("breaker-failures", 3, "registry mode: consecutive load failures that trip a release's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 10*time.Second, "registry mode: how long a tripped breaker fast-fails before admitting a probe")
-	reconcileInterval := flag.Duration("reconcile-interval", time.Minute, "registry mode: background rescan period (0 disables; SIGHUP always rescans)")
+	reconcileInterval := flag.Duration("reconcile-interval", time.Minute, "background rescan period (0 disables; SIGHUP always rescans)")
 	admissionTarget := flag.Duration("admission-target-delay", 25*time.Millisecond, "admission control: CoDel target queue delay; queries queue up to this sojourn before shedding starts (must be > 0)")
 	tenantRPS := flag.Float64("tenant-rps", 0, "registry mode: per-release token-bucket rate limit in requests/second, scaled by -tenant-weights (0 disables)")
 	tenantWeights := flag.String("tenant-weights", "", `registry mode: comma-separated name=weight fairness overrides (e.g. "gold=4,best-effort=0.5"); weight scales a release's rate limit and inflight carve`)
@@ -156,60 +162,43 @@ func main() {
 	if err != nil {
 		log.Fatalf("priview-serve: %v", err)
 	}
-	var handler *server.Multi
-	var onHUP func()
+	ropt := registry.Options{
+		MaxLoaded:        orDisabled(*maxLoaded),
+		CacheEntries:     orDisabled(*cacheEntries),
+		CacheBytes:       orDisabled64(*cacheBytes),
+		MaxInflight:      orDisabled(*tenantInflight),
+		BreakerThreshold: *breakerFailures,
+		BreakerCooldown:  *breakerCooldown,
+		WarmK:            *warm,
+		TenantRPS:        *tenantRPS,
+		Weights:          weights,
+		Metrics:          server.NewMetrics(tel),
+	}
+	var reg *registry.Registry
+	def := *defaultRelease
 	if *registryRoot != "" {
-		reg, err := registry.New(*registryRoot, registry.Options{
-			MaxLoaded:        orDisabled(*maxLoaded),
-			CacheEntries:     orDisabled(*cacheEntries),
-			CacheBytes:       orDisabled64(*cacheBytes),
-			MaxInflight:      orDisabled(*tenantInflight),
-			BreakerThreshold: *breakerFailures,
-			BreakerCooldown:  *breakerCooldown,
-			WarmK:            *warm,
-			TenantRPS:        *tenantRPS,
-			Weights:          weights,
-			Metrics:          server.NewMetrics(tel),
-		})
+		reg, err = registry.New(*registryRoot, ropt)
 		if err != nil {
 			log.Fatalf("priview-serve: %v", err)
 		}
-		defer reg.Close()
 		if err := reg.Reconcile(ctx); err != nil {
 			log.Fatalf("priview-serve: initial registry scan: %v", err)
 		}
-		if *reconcileInterval > 0 {
-			go reg.Run(ctx, *reconcileInterval)
-		}
-		handler = server.NewMulti(reg, *defaultRelease, opt)
-		onHUP = func() {
-			if err := reg.Reconcile(ctx); err != nil {
-				log.Printf("priview-serve: registry rescan failed: %v", err)
-			}
-		}
 		log.Printf("serving registry %s (%d releases, default %q) on %s",
-			*registryRoot, len(reg.Releases()), *defaultRelease, *addr)
+			*registryRoot, len(reg.Releases()), def, *addr)
 	} else {
-		src := &source{path: *synPath, dir: *storeDir}
-		syn, from, err := src.load()
+		reg, err = openSingle(ctx, *synPath, *storeDir, ropt)
 		if err != nil {
 			log.Fatalf("priview-serve: %v", err)
 		}
-		cc := cacheConfig{entries: *cacheEntries, bytes: *cacheBytes, warmK: *warm, metrics: server.NewMetrics(tel)}
-		swap := server.NewSwappable(cc.wrap(syn))
-		handler = server.New(swap, opt)
-		if dg := syn.Design(); dg != nil {
-			log.Printf("serving synopsis %s (ε=%g, from %s) on %s", dg.Name(), syn.Epsilon(), from, *addr)
-		} else {
-			log.Printf("serving synopsis (ε=%g, from %s) on %s", syn.Epsilon(), from, *addr)
-		}
-		cc.warmAsync(ctx, swap.Current())
-		onHUP = func() {
-			if err := reload(ctx, src, swap, cc); err != nil {
-				log.Printf("priview-serve: reload failed, keeping last good synopsis: %v", err)
-			}
-		}
+		def = server.DefaultRelease
+		log.Printf("serving %s%s as release %q on %s", *synPath, *storeDir, def, *addr)
 	}
+	defer reg.Close()
+	if *reconcileInterval > 0 {
+		go reg.Run(ctx, *reconcileInterval)
+	}
+	handler := server.NewMulti(reg, def, opt)
 
 	srv := &http.Server{
 		Addr:              *addr,
@@ -227,7 +216,9 @@ func main() {
 			// Listener failed before any signal (e.g. port in use).
 			log.Fatalf("priview-serve: %v", err)
 		case <-hup:
-			onHUP()
+			if err := reg.Reconcile(ctx); err != nil {
+				log.Printf("priview-serve: reconcile failed: %v", err)
+			}
 		case <-ctx.Done():
 			stop() // a second signal kills immediately via the default handler
 			log.Printf("signal received, draining for up to %v", *drainTimeout)
@@ -259,104 +250,31 @@ func orDisabled64(v int64) int64 {
 	return v
 }
 
-// source is where the served synopsis comes from: a single file or a
-// snapshot store directory. Every load is checksum-verified (v2) and
-// audited against the release invariants before it is served.
-type source struct {
-	path string // single-file mode
-	dir  string // snapshot-store mode
-}
-
-// load returns a verified synopsis and a description of where it came
-// from.
-func (s *source) load() (*core.Synopsis, string, error) {
-	if s.dir != "" {
-		st, err := snapshot.NewStore(s.dir, 0)
+// openSingle builds the one-release registry behind -synopsis (a file
+// source) or -store (a snapshot store) and loads it once, so a missing,
+// corrupt or audit-failing synopsis fails startup before the listener
+// opens.
+func openSingle(ctx context.Context, synPath, storeDir string, opt registry.Options) (*registry.Registry, error) {
+	var src snapshot.Source = snapshot.FileSource(synPath)
+	if storeDir != "" {
+		st, err := snapshot.NewStore(storeDir, 0)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		res, err := st.Load()
-		if err != nil {
-			return nil, "", err
-		}
-		for i, q := range res.Quarantined {
-			log.Printf("priview-serve: quarantined corrupt snapshot %s: %v", q, res.Errs[i])
-		}
-		return res.Synopsis, res.Path, nil
+		src = st
 	}
-	syn, err := loadSynopsis(s.path)
+	reg := registry.Single(server.DefaultRelease, src, opt)
+	lease, err := reg.Acquire(ctx, server.DefaultRelease)
 	if err != nil {
-		return nil, "", err
-	}
-	return syn, s.path, nil
-}
-
-// reload hot-swaps the served synopsis from the source. On failure the
-// previous synopsis keeps serving untouched. The reloaded synopsis gets
-// a fresh cache — qcache keys carry no synopsis identity, so reusing
-// the old cache would serve the previous release's answers — and is
-// re-warmed in the background.
-func reload(ctx context.Context, src *source, swap *server.Swappable, cc cacheConfig) error {
-	syn, from, err := src.load()
-	if err != nil {
-		return err
-	}
-	q := cc.wrap(syn)
-	swap.Swap(q)
-	log.Printf("priview-serve: reloaded synopsis from %s (ε=%g, total=%g)", from, syn.Epsilon(), syn.Total())
-	cc.warmAsync(ctx, q)
-	return nil
-}
-
-// cacheConfig carries the query-cache flags. With both bounds ≤ 0 the
-// cache is disabled and synopses are served bare.
-type cacheConfig struct {
-	entries int
-	bytes   int64
-	warmK   int
-	metrics *server.Metrics // warm-progress + cache gauge surface (nil in tests)
-}
-
-// wrap layers a fresh query cache over a loaded synopsis (or returns it
-// bare when the cache is disabled). Each call builds a new cache: one
-// cache must never outlive the synopsis it memoizes.
-func (cc cacheConfig) wrap(syn *core.Synopsis) server.Querier {
-	if cc.entries <= 0 && cc.bytes <= 0 {
-		return syn
-	}
-	cq := server.NewCachedQuerier(syn, qcache.New(cc.entries, cc.bytes))
-	if cc.metrics != nil {
-		// Reloads build fresh caches; swapping each onto the same
-		// interned handles keeps the exported series cumulative.
-		cc.metrics.InstrumentCache(server.DefaultRelease, cq)
-	}
-	return cq
-}
-
-// warmAsync precomputes all ≤warmK-way marginals into q's cache in the
-// background, logging a summary when done. A no-op unless -warm is set
-// and q is cache-backed.
-func (cc cacheConfig) warmAsync(ctx context.Context, q server.Querier) {
-	cq, ok := q.(*server.CachedQuerier)
-	if !ok || cc.warmK <= 0 {
-		return
-	}
-	var wp *server.WarmProgress // nil is inert, so the paths stay merged
-	if cc.metrics != nil {
-		wp = cc.metrics.WarmProgress(server.DefaultRelease)
-	}
-	go func() {
-		start := time.Now()
-		wp.Begin()
-		warmed, skipped, err := cq.WarmWithProgress(ctx, cc.warmK, 0, wp.Update)
-		wp.End(warmed, skipped)
-		if err != nil {
-			log.Printf("priview-serve: cache warming stopped after %d marginals (%d skipped): %v", warmed, skipped, err)
-			return
+		reg.Close()
+		var ue *server.UnavailableError
+		if errors.As(err, &ue) {
+			err = errors.New(ue.Reason) // startup does not retry, so drop the Retry-After hint
 		}
-		log.Printf("priview-serve: warmed %d marginals (≤%d-way, %d degraded keys skipped) in %v",
-			warmed, cc.warmK, skipped, time.Since(start).Round(time.Millisecond))
-	}()
+		return nil, err
+	}
+	lease.Close()
+	return reg, nil
 }
 
 // parseWeights parses the -tenant-weights "name=weight,..." list.
@@ -387,26 +305,4 @@ func shutdown(srv *http.Server, handler *server.Multi, drain time.Duration) erro
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	return srv.Shutdown(ctx)
-}
-
-// loadSynopsis reads a synopsis published by `priview build` (bare v1
-// or checksummed v2), then audits it against the release invariants —
-// a synopsis that fails is refused, not served.
-func loadSynopsis(path string) (*core.Synopsis, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	syn, err := snapshot.Read(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	report := audit.Check(syn, audit.Options{})
-	if err := report.Err(); err != nil {
-		return nil, fmt.Errorf("%s failed its release audit: %w", path, err)
-	}
-	return syn, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"os"
@@ -16,7 +17,9 @@ import (
 	"priview/internal/chaos"
 	"priview/internal/core"
 	"priview/internal/marginal"
+	"priview/internal/registry"
 	"priview/internal/server"
+	"priview/internal/snapshot"
 )
 
 // buildSynopsisFile publishes a tiny synopsis the way `priview build`
@@ -46,17 +49,33 @@ func buildSynopsisFile(t *testing.T) string {
 	return path
 }
 
-// TestServeSmoke drives the command's own plumbing end to end: load a
-// published synopsis from disk, wrap it in the query cache and the
-// hot-reload swap the way main does, assemble the router, and answer
-// health, readiness, marginal and stats queries over a real TCP socket.
-func TestServeSmoke(t *testing.T) {
-	syn, err := loadSynopsis(buildSynopsisFile(t))
+// quietRegistryOpts are the registry options the tests serve with: a
+// small cache, no telemetry, no log noise.
+func quietRegistryOpts() registry.Options {
+	return registry.Options{CacheEntries: 128, CacheBytes: 1 << 20, Logger: log.New(io.Discard, "", 0)}
+}
+
+// releaseStats reads the single release's lifecycle and cache counters.
+func releaseStats(t *testing.T, reg *registry.Registry) registry.ReleaseStats {
+	t.Helper()
+	v, err := reg.ReleaseStats(server.DefaultRelease)
 	if err != nil {
-		t.Fatalf("loadSynopsis: %v", err)
+		t.Fatal(err)
 	}
-	cc := cacheConfig{entries: 128, bytes: 1 << 20}
-	srv := &http.Server{Handler: server.New(server.NewSwappable(cc.wrap(syn)), server.Options{MaxK: 8})}
+	return v.(registry.ReleaseStats)
+}
+
+// TestServeSmoke drives the command's own plumbing end to end: load a
+// published synopsis from disk into the one-release registry the way
+// main does, assemble the router, and answer health, readiness,
+// marginal, stats and releases queries over a real TCP socket.
+func TestServeSmoke(t *testing.T) {
+	reg, err := openSingle(context.Background(), buildSynopsisFile(t), "", quietRegistryOpts())
+	if err != nil {
+		t.Fatalf("openSingle: %v", err)
+	}
+	defer reg.Close()
+	srv := &http.Server{Handler: server.NewMulti(reg, server.DefaultRelease, server.Options{MaxK: 8})}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -107,28 +126,49 @@ func TestServeSmoke(t *testing.T) {
 	if code != http.StatusOK {
 		t.Errorf("/v1/stats: status %d, body %q", code, body)
 	}
-	for _, want := range []string{`"cache":true`, `"hits":1`, `"misses":1`, `"admission":{`} {
+	for _, want := range []string{`"name":"default"`, `"loaded":true`, `"cache":true`, `"hits":1`, `"misses":1`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/v1/stats body %q missing %s", body, want)
 		}
 	}
+	code, body = get("/v1/releases")
+	if code != http.StatusOK {
+		t.Errorf("/v1/releases: status %d, body %q", code, body)
+	}
+	for _, want := range []string{`"releases":["default"]`, `"admission":{`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/v1/releases body %q missing %s", body, want)
+		}
+	}
 }
 
-// TestCacheConfigDisabled: both bounds ≤ 0 serve the synopsis bare.
+// TestCacheConfigDisabled: both cache flags ≤ 0 serve the synopsis
+// bare; either bound alone keeps the cache on.
 func TestCacheConfigDisabled(t *testing.T) {
-	syn, err := loadSynopsis(buildSynopsisFile(t))
-	if err != nil {
-		t.Fatalf("loadSynopsis: %v", err)
-	}
-	cc := cacheConfig{entries: 0, bytes: 0}
-	if q := cc.wrap(syn); q != server.Querier(syn) {
-		t.Errorf("disabled cacheConfig wrapped the synopsis in %T", q)
+	path := buildSynopsisFile(t)
+	for _, tc := range []struct {
+		entries int
+		bytes   int64
+		want    bool
+	}{{0, 0, false}, {0, 1 << 20, true}, {128, 0, true}} {
+		opt := quietRegistryOpts()
+		opt.CacheEntries, opt.CacheBytes = orDisabled(tc.entries), orDisabled64(tc.bytes)
+		reg, err := openSingle(context.Background(), path, "", opt)
+		if err != nil {
+			t.Fatalf("openSingle: %v", err)
+		}
+		if got := releaseStats(t, reg).Cache; got != tc.want {
+			t.Errorf("-cache-entries %d -cache-bytes %d: cache %v, want %v", tc.entries, tc.bytes, got, tc.want)
+		}
+		reg.Close()
 	}
 }
 
+// TestLoadSynopsisMissingFile: a missing -synopsis file fails startup
+// before the listener opens.
 func TestLoadSynopsisMissingFile(t *testing.T) {
-	if _, err := loadSynopsis(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Fatal("loadSynopsis on a missing file should fail")
+	if _, err := openSingle(context.Background(), filepath.Join(t.TempDir(), "nope.json"), "", quietRegistryOpts()); err == nil {
+		t.Fatal("openSingle on a missing file should fail")
 	}
 }
 
@@ -157,16 +197,16 @@ func (g *gatedQuerier) QueryMethodContext(ctx context.Context, attrs []int, meth
 // in-flight marginal query runs to completion rather than being cut,
 // and Serve returns http.ErrServerClosed.
 func TestGracefulShutdownDrains(t *testing.T) {
-	syn, err := loadSynopsis(buildSynopsisFile(t))
+	syn, err := snapshot.ReadFileFS(snapshot.OS{}, buildSynopsisFile(t))
 	if err != nil {
-		t.Fatalf("loadSynopsis: %v", err)
+		t.Fatal(err)
 	}
 	gated := &gatedQuerier{
 		Querier: &chaos.SlowSynopsis{Querier: syn, Delay: 10 * time.Millisecond},
 		arrived: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	handler := server.New(server.NewSwappable(gated), server.Options{MaxK: 8, QueryTimeout: 30 * time.Second})
+	handler := server.New(gated, server.Options{MaxK: 8, QueryTimeout: 30 * time.Second})
 	srv := &http.Server{Handler: handler}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

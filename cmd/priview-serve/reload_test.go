@@ -18,6 +18,7 @@ import (
 	"priview"
 	"priview/internal/admission"
 	"priview/internal/core"
+	"priview/internal/registry"
 	"priview/internal/server"
 	"priview/internal/snapshot"
 )
@@ -50,6 +51,20 @@ func getJSON(t *testing.T, url string, out interface{}) int {
 	return resp.StatusCode
 }
 
+// serveSingle opens src's one-release registry the way main does and
+// serves it over httptest.
+func serveSingle(t *testing.T, synPath, storeDir string, opt server.Options) (*registry.Registry, *httptest.Server) {
+	t.Helper()
+	reg, err := openSingle(context.Background(), synPath, storeDir, quietRegistryOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reg.Close)
+	srv := httptest.NewServer(server.NewMulti(reg, server.DefaultRelease, opt))
+	t.Cleanup(srv.Close)
+	return reg, srv
+}
+
 // TestStoreModeServesNewestSnapshot exercises -store end to end:
 // loading picks the newest snapshot, and the audit gate runs.
 func TestStoreModeServesNewestSnapshot(t *testing.T) {
@@ -65,24 +80,35 @@ func TestStoreModeServesNewestSnapshot(t *testing.T) {
 	if _, err := st.Save(want); err != nil {
 		t.Fatal(err)
 	}
-	src := &source{dir: dir}
-	syn, from, err := src.load()
-	if err != nil {
-		t.Fatal(err)
+	reg, srv := serveSingle(t, "", dir, server.Options{MaxK: 6})
+	if s := releaseStats(t, reg); s.Snapshot != "snapshot-000002.json" {
+		t.Fatalf("loaded %s, want the newest snapshot", s.Snapshot)
 	}
-	if filepath.Base(from) != "snapshot-000002.json" {
-		t.Fatalf("loaded %s, want the newest snapshot", from)
+	var info struct {
+		Total float64 `json:"total"`
 	}
-	if math.Abs(syn.Total()-want.Total()) > 1e-9 {
-		t.Fatalf("total %v, want %v", syn.Total(), want.Total())
+	if code := getJSON(t, srv.URL+"/v1/info", &info); code != http.StatusOK {
+		t.Fatalf("/v1/info: status %d", code)
+	}
+	if math.Abs(info.Total-want.Total()) > 1e-9 {
+		t.Fatalf("total %v, want %v", info.Total, want.Total())
+	}
+}
+
+// TestEmptyStoreFailsStartup: -store over a directory with no snapshot
+// fails before the listener opens.
+func TestEmptyStoreFailsStartup(t *testing.T) {
+	if _, err := openSingle(context.Background(), "", t.TempDir(), quietRegistryOpts()); err == nil {
+		t.Fatal("openSingle served an empty store")
 	}
 }
 
 // TestHotReloadKeepsServingThroughCorruption is the serving half of the
-// durability contract: a SIGHUP-triggered reload that encounters a
-// corrupt newest snapshot falls back to the good one; a reload with the
-// whole store corrupted fails without touching the served synopsis. At
-// no point does any query fail.
+// durability contract: a reload onto a new snapshot serves it from a
+// fresh cache; a reload whose newest snapshots are corrupt quarantines
+// them and falls back to an older good one; a reload with the whole
+// store corrupted fails without touching the served synopsis. At no
+// point does any query fail.
 func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 	dir := t.TempDir()
 	st, err := snapshot.NewStore(dir, 10)
@@ -93,18 +119,10 @@ func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 	if _, err := st.Save(first); err != nil {
 		t.Fatal(err)
 	}
-	src := &source{dir: dir}
-	syn, _, err := src.load()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Serve with the query cache on, the default deployment: each reload
-	// must wrap the new synopsis in a fresh cache.
-	cc := cacheConfig{entries: 64, bytes: 1 << 20}
-	swap := server.NewSwappable(cc.wrap(syn))
-	handler := server.New(swap, server.Options{MaxK: 6})
-	srv := httptest.NewServer(handler)
-	defer srv.Close()
+	// must give the new synopsis a fresh cache.
+	reg, srv := serveSingle(t, "", dir, server.Options{MaxK: 6})
+	ctx := context.Background()
 
 	failed := 0
 	query := func() (total float64) {
@@ -127,34 +145,62 @@ func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reload(context.Background(), src, swap, cc); err != nil {
-		t.Fatalf("reload: %v", err)
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatalf("reconcile: %v", err)
 	}
 	if got := query(); math.Abs(got-second.Total()) > 1e-6 {
 		t.Fatalf("after reload total = %v, want %v", got, second.Total())
 	}
-	// The reloaded synopsis answers from a fresh cache: exactly the one
-	// miss from the query above, nothing inherited from the old cache.
-	if st, enabled := swap.CacheStats(); !enabled || st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("cache after reload = %+v (enabled=%v), want a fresh cache with 1 miss", st, enabled)
+	// The reloaded synopsis answers from a fresh cache, which the reload
+	// seeds by replaying the old cache's one hot key. Once that replay
+	// lands, the key has been solved exactly once on the new synopsis and
+	// answered once more from it: one miss, and one hit or join. An
+	// inherited cache would show the old miss plus two hits.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		cs := releaseStats(t, reg).CacheStats
+		if cs.Hits+cs.Coalesced >= 1 || time.Now().After(deadline) {
+			if cs.Misses != 1 || cs.Hits+cs.Coalesced != 1 || cs.Entries != 1 {
+				t.Fatalf("cache after reload = %+v, want a fresh cache: 1 miss, 1 hit or join, 1 entry", cs)
+			}
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Corrupt the newest snapshot; reload must fall back to the first.
-	if err := os.WriteFile(secondPath, []byte(`{"format":"priview-synopsis-v2","checksum":"sha256:00","payload":{}}`), 0o644); err != nil {
+	// Corrupt the served snapshot and publish a corrupt newer one: the
+	// reload quarantines both and falls back to the first.
+	garbage := []byte(`{"format":"priview-synopsis-v2","checksum":"sha256:00","payload":{}}`)
+	if err := os.WriteFile(secondPath, garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := reload(context.Background(), src, swap, cc); err != nil {
-		t.Fatalf("reload with fallback available: %v", err)
+	thirdPath, err := st.Save(buildSyn(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(thirdPath, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatalf("reconcile with fallback available: %v", err)
 	}
 	if got := query(); math.Abs(got-first.Total()) > 1e-6 {
 		t.Fatalf("after corrupt reload total = %v, want fallback %v", got, first.Total())
 	}
-	if _, err := os.Stat(secondPath + ".corrupt"); err != nil {
-		t.Fatalf("corrupt snapshot not quarantined: %v", err)
+	for _, p := range []string{secondPath, thirdPath} {
+		if _, err := os.Stat(p + ".corrupt"); err != nil {
+			t.Fatalf("corrupt snapshot not quarantined: %v", err)
+		}
+	}
+	if s := releaseStats(t, reg); s.Reloads != 2 || s.ReloadFailures != 0 {
+		t.Fatalf("reloads %d, failures %d; want 2, 0", s.Reloads, s.ReloadFailures)
 	}
 
-	// Corrupt everything; reload fails but the last good synopsis keeps
-	// serving.
+	// Publish once more and corrupt everything; the reload fails but the
+	// last good synopsis keeps serving.
+	if _, err := st.Save(buildSyn(t, 6)); err != nil {
+		t.Fatal(err)
+	}
 	names, err := st.Snapshots()
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +210,11 @@ func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := reload(context.Background(), src, swap, cc); err == nil {
-		t.Fatal("reload succeeded with a fully corrupt store")
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s := releaseStats(t, reg); s.ReloadFailures != 1 || s.Reloads != 2 {
+		t.Fatalf("fully corrupt store: reloads %d, failures %d; want 2, 1", s.Reloads, s.ReloadFailures)
 	}
 	if got := query(); math.Abs(got-first.Total()) > 1e-6 {
 		t.Fatalf("after failed reload total = %v, want unchanged %v", got, first.Total())
@@ -175,9 +224,59 @@ func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 	}
 }
 
+// TestSynopsisReloadOnlyWhenRewritten pins the -synopsis reload rule:
+// a reconcile over an unchanged file reloads nothing and keeps the
+// warm cache, while a rewritten file is served after the next one.
+func TestSynopsisReloadOnlyWhenRewritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "syn.json")
+	if err := snapshot.WriteFile(snapshot.OS{}, path, buildSyn(t, 7)); err != nil {
+		t.Fatal(err)
+	}
+	reg, srv := serveSingle(t, path, "", server.Options{MaxK: 6})
+	ctx := context.Background()
+	var body struct {
+		Total float64 `json:"total"`
+	}
+	if code := getJSON(t, srv.URL+"/v1/marginal?attrs=0,1", &body); code != http.StatusOK {
+		t.Fatalf("query: status %d", code)
+	}
+
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s := releaseStats(t, reg); s.Reloads != 0 || s.LoadAttempts != 1 || s.CacheStats.Entries != 1 {
+		t.Fatalf("unchanged file: reloads %d, loads %d, cache entries %d; want 0, 1, 1",
+			s.Reloads, s.LoadAttempts, s.CacheStats.Entries)
+	}
+
+	next := buildSyn(t, 8)
+	if err := snapshot.WriteFile(snapshot.OS{}, path, next); err != nil {
+		t.Fatal(err)
+	}
+	// The version is size plus modification time; step the time past any
+	// coarse filesystem timestamp tick so a same-size rewrite within one
+	// tick cannot hide the change.
+	later := time.Now().Add(2 * time.Second)
+	if err := os.Chtimes(path, later, later); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s := releaseStats(t, reg); s.Reloads != 1 {
+		t.Fatalf("rewritten file: reloads %d, want 1", s.Reloads)
+	}
+	if code := getJSON(t, srv.URL+"/v1/marginal?attrs=0,1", &body); code != http.StatusOK {
+		t.Fatalf("query after reload: status %d", code)
+	}
+	if math.Abs(body.Total-next.Total()) > 1e-6 {
+		t.Fatalf("after rewrite total = %v, want %v", body.Total, next.Total())
+	}
+}
+
 // TestLoadSynopsisRefusesAuditFailure proves the startup audit gate: a
-// structurally valid file whose views are mutually inconsistent is
-// refused.
+// structurally valid file whose views are mutually inconsistent fails
+// startup before the listener opens.
 func TestLoadSynopsisRefusesAuditFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
 	// Views disagree on attribute 1's marginal: 30/10 vs 20/20.
@@ -186,8 +285,8 @@ func TestLoadSynopsisRefusesAuditFailure(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadSynopsis(path); err == nil {
-		t.Fatal("loadSynopsis served an audit-failing synopsis")
+	if _, err := openSingle(context.Background(), path, "", quietRegistryOpts()); err == nil {
+		t.Fatal("openSingle served an audit-failing synopsis")
 	}
 }
 
@@ -198,19 +297,22 @@ func TestLoadSynopsisAcceptsV2(t *testing.T) {
 	if err := snapshot.WriteFile(snapshot.OS{}, path, buildSyn(t, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadSynopsis(path); err != nil {
+	reg, err := openSingle(context.Background(), path, "", quietRegistryOpts())
+	if err != nil {
 		t.Fatalf("v2 snapshot rejected: %v", err)
 	}
+	reg.Close()
 }
 
 // TestReloadRaceServesCleanly is the hot-reload race proof behind the
 // SIGHUP contract: 12 query workers hammer the full middleware stack
 // (recovery, an admission controller whose concurrency floor exceeds
 // the worker count so it never queues or sheds and every answer must
-// be a real 200, per-request deadline) while the main goroutine reloads the store 30
-// times, half of them onto a freshly published snapshot. Run under
-// -race this doubles as the data-race check on the swap/cache
-// handoff; any non-200 — a 5xx from a torn swap most of all — fails.
+// be a real 200, per-request deadline) while the main goroutine
+// publishes a new snapshot and reconciles 30 times, so all 30 reload
+// (each replaying the hot keys into its fresh cache). Run under -race
+// this doubles as the data-race check on the install/cache handoff;
+// any non-200 — a 5xx from a torn install most of all — fails.
 func TestReloadRaceServesCleanly(t *testing.T) {
 	dir := t.TempDir()
 	st, err := snapshot.NewStore(dir, 3)
@@ -220,20 +322,11 @@ func TestReloadRaceServesCleanly(t *testing.T) {
 	if _, err := st.Save(buildSyn(t, 10)); err != nil {
 		t.Fatal(err)
 	}
-	src := &source{dir: dir}
-	syn, _, err := src.load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := cacheConfig{entries: 128, bytes: 1 << 20}
-	swap := server.NewSwappable(cc.wrap(syn))
-	handler := server.New(swap, server.Options{
+	reg, srv := serveSingle(t, "", dir, server.Options{
 		MaxK:         6,
 		QueryTimeout: 10 * time.Second,
 		Admission:    admission.Config{MinLimit: 16, MaxLimit: 16},
 	})
-	srv := httptest.NewServer(handler)
-	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -274,18 +367,19 @@ func TestReloadRaceServesCleanly(t *testing.T) {
 	}
 
 	for i := 0; i < 30; i++ {
-		if i%2 == 0 {
-			if _, err := st.Save(buildSyn(t, int64(20+i))); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := st.Save(buildSyn(t, int64(20+i))); err != nil {
+			t.Fatal(err)
 		}
-		if err := reload(ctx, src, swap, cc); err != nil {
-			t.Fatalf("reload %d: %v", i, err)
+		if err := reg.Reconcile(ctx); err != nil {
+			t.Fatalf("reconcile %d: %v", i, err)
 		}
 	}
 	close(stop)
 	wg.Wait()
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d queries failed across 30 hot reloads, want 0", n)
+	}
+	if s := releaseStats(t, reg); s.Reloads != 30 || s.ReloadFailures != 0 {
+		t.Fatalf("reloads %d, failures %d; want 30, 0", s.Reloads, s.ReloadFailures)
 	}
 }

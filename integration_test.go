@@ -58,7 +58,7 @@ func TestCuratorWorkflow(t *testing.T) {
 	}
 
 	// Step 4: serve and query via HTTP.
-	ts := httptest.NewServer(server.New(server.NewSwappable(loaded), server.Options{}))
+	ts := httptest.NewServer(server.New(loaded, server.Options{}))
 	defer ts.Close()
 	client := server.NewClient(ts.URL, nil)
 	attrs := []int{2, 9, 18, 27}

@@ -51,7 +51,7 @@ func (l *TenantLoader) SetPoison(v bool) {
 }
 
 // Load implements registry.Loader.
-func (l *TenantLoader) Load(ctx context.Context, release string, st *snapshot.Store) (*snapshot.LoadResult, error) {
+func (l *TenantLoader) Load(ctx context.Context, release string, src snapshot.Source) (*snapshot.LoadResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func (l *TenantLoader) Load(ctx context.Context, release string, st *snapshot.St
 			return nil, ctx.Err()
 		}
 	}
-	res, err := st.Load()
+	res, err := src.Load()
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,14 @@
-// Package registry serves many named synopsis releases from one
-// process with hard failure isolation between them — the multi-tenant
-// counterpart to cmd/priview-serve's single-synopsis mode.
+// Package registry is the one release lifecycle behind priview-serve:
+// load, checksum, audit, a fresh query cache, warm, and keep-last-good
+// hot reload. It serves many named synopsis releases from one process
+// with hard failure isolation between them (New, over a root
+// directory), or one fixed release (Single, for -synopsis and -store).
 //
 // Each subdirectory of the registry root is a release (a tenant): a
 // snapshot.Store directory owned by that tenant alone. A release is
 // loaded lazily on its first query, through a per-release singleflight
 // so a thundering herd runs one load, and every release keeps its own
-// query cache and hot-swap cell. The isolation primitives are:
+// query cache. The isolation primitives are:
 //
 //   - Circuit breaker: after BreakerThreshold consecutive load or
 //     audit failures the release fast-fails with 503 + Retry-After for
@@ -27,7 +29,7 @@
 //     back up from those keys when re-admitted.
 //   - Reconciliation: a background rescan registers new release
 //     directories, retires vanished ones, and hot-reloads releases
-//     whose newest snapshot changed, through the keep-last-good path —
+//     whose source's version changed, through the keep-last-good path —
 //     a failed reload never takes down a serving tenant.
 //
 // The package implements server.Resolver; server.NewMulti routes
@@ -41,6 +43,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"priview/internal/audit"
@@ -49,24 +52,25 @@ import (
 	"priview/internal/snapshot"
 )
 
-// Loader produces a verified synopsis for one release. The default
-// loader is the release's snapshot.Store (newest verifiable snapshot,
-// quarantine on corruption); the chaos suite injects slow and
-// poisoning loaders to prove the breaker. Whatever the loader returns
-// is re-audited by the registry before it serves — a loader cannot
-// smuggle an invariant-violating synopsis past the gate.
+// Loader produces a synopsis for one release from its source. The
+// default loader reads the release's snapshot.Source (for a store: the
+// newest verifiable snapshot, quarantining corrupt ones); the chaos
+// suite injects slow and poisoning loaders to prove the breaker.
+// Whatever the loader returns is audited by the registry before it
+// serves — a loader cannot smuggle an invariant-violating synopsis past
+// the gate.
 type Loader interface {
-	Load(ctx context.Context, release string, st *snapshot.Store) (*snapshot.LoadResult, error)
+	Load(ctx context.Context, release string, src snapshot.Source) (*snapshot.LoadResult, error)
 }
 
-// storeLoader is the default Loader: the release's own store.
-type storeLoader struct{}
+// sourceLoader is the default Loader: the release's own source.
+type sourceLoader struct{}
 
-func (storeLoader) Load(ctx context.Context, _ string, st *snapshot.Store) (*snapshot.LoadResult, error) {
+func (sourceLoader) Load(ctx context.Context, _ string, src snapshot.Source) (*snapshot.LoadResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return st.Load()
+	return src.Load()
 }
 
 // Options configures a Registry. The zero value is usable: every knob
@@ -78,8 +82,8 @@ type Options struct {
 	// default (8); negative disables eviction.
 	MaxLoaded int
 	// CacheEntries bounds each release's query cache by entry count.
-	// 0 means the default (1024); negative disables per-release
-	// caches entirely.
+	// 0 means the default (1024); negative lifts the entry bound. The
+	// caches are off only when CacheBytes is negative too.
 	CacheEntries int
 	// CacheBytes is the GLOBAL byte budget shared by all release
 	// caches. Each resident release gets an equal carve
@@ -126,7 +130,7 @@ type Options struct {
 	// 0 means the default (1s).
 	RetryAfter time.Duration
 	// Loader overrides how releases are loaded (nil = the release's
-	// snapshot store).
+	// own snapshot.Source).
 	Loader Loader
 	// FS is the filesystem the registry and its stores use (nil = the
 	// real one); the chaos suite injects fault-carrying filesystems.
@@ -180,7 +184,7 @@ func (o Options) withDefaults() Options {
 		o.RetryAfter = time.Second
 	}
 	if o.Loader == nil {
-		o.Loader = storeLoader{}
+		o.Loader = sourceLoader{}
 	}
 	if o.FS == nil {
 		o.FS = snapshot.OS{}
@@ -220,9 +224,10 @@ func (o Options) perReleaseBytes() int64 {
 }
 
 // Registry maps release names to their serving state and implements
-// server.Resolver. One Registry serves one root directory.
+// server.Resolver. One Registry serves one root directory, or one fixed
+// release (Single).
 type Registry struct {
-	root    string
+	root    string // "" for a Single registry: nothing to scan
 	opt     Options
 	loadSem chan struct{}    // shared load concurrency; breaker-open tenants never enter
 	budget  *qcache.Budget   // global cache byte pool; nil when disabled
@@ -230,10 +235,11 @@ type Registry struct {
 	bg      context.Context
 	cancel  context.CancelFunc
 
-	mu       sync.Mutex
-	rel      map[string]*release
-	scanned  bool // initial Reconcile completed — the /readyz gate
-	touchSeq int64
+	touchSeq atomic.Int64 // recency stamps for the LRU eviction scan, taken on every acquire
+
+	mu      sync.Mutex
+	rel     map[string]*release
+	scanned bool // initial Reconcile completed — the /readyz gate
 }
 
 // Lock ordering: Registry.mu strictly before release.mu. Any path
@@ -246,6 +252,24 @@ func New(root string, opt Options) (*Registry, error) {
 	if err := opt.FS.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: creating root %s: %w", root, err)
 	}
+	return newRegistry(root, opt), nil
+}
+
+// Single returns a registry serving one fixed release, name, from src —
+// the priview-serve -synopsis and -store deployments. It scans no root:
+// Reconcile only reloads the release when src's version changes, and
+// any other name is unknown. The release has no bulkhead or rate limit,
+// and MaxLoaded is 1 so its cache keeps the whole CacheBytes. It loads
+// lazily like any release; acquire it once to load it up front.
+func Single(name string, src snapshot.Source, opt Options) *Registry {
+	opt.MaxLoaded, opt.MaxInflight, opt.TenantRPS = 1, -1, 0
+	reg := newRegistry("", opt.withDefaults())
+	reg.rel[name] = newRelease(reg, name, src)
+	reg.scanned = true
+	return reg
+}
+
+func newRegistry(root string, opt Options) *Registry {
 	reg := &Registry{
 		root:    root,
 		opt:     opt,
@@ -259,7 +283,7 @@ func New(root string, opt Options) (*Registry, error) {
 		reg.fams = newReleaseFamilies(opt.Metrics.Registry)
 	}
 	reg.bg, reg.cancel = context.WithCancel(context.Background())
-	return reg, nil
+	return reg
 }
 
 // Close stops the registry's background work (cache warming). Serving
@@ -301,10 +325,10 @@ func (reg *Registry) Acquire(ctx context.Context, name string) (server.Lease, er
 	return rl.acquire(ctx)
 }
 
-// lookup finds a registered release, falling back to lazy discovery:
-// if root/name exists as a directory it is registered cold on the
-// spot, so a release dropped into the root serves before the next
-// reconcile tick.
+// lookup finds a registered release, falling back (except in a Single
+// registry) to lazy discovery: if root/name exists as a directory it is
+// registered cold on the spot, so a release dropped into the root
+// serves before the next reconcile tick.
 func (reg *Registry) lookup(name string) (*release, error) {
 	reg.mu.Lock()
 	rl, ok := reg.rel[name]
@@ -312,7 +336,7 @@ func (reg *Registry) lookup(name string) (*release, error) {
 	if ok {
 		return rl, nil
 	}
-	if !validName(name) {
+	if reg.root == "" || !validName(name) {
 		return nil, server.ErrUnknownRelease
 	}
 	// Probe the root for a directory with this name. ReadDir (not
@@ -378,20 +402,24 @@ func (reg *Registry) Ready() bool {
 	return reg.scanned
 }
 
-// Reconcile rescans the registry root once: new directories are
-// registered cold, vanished ones are retired (in-flight leases finish;
-// new queries get 404), and loaded releases whose newest snapshot
-// changed are hot-reloaded through the keep-last-good path. The
-// serving path never blocks on a reconcile.
+// Reconcile brings the registry up to date once. A root registry first
+// rescans its root: new directories are registered cold, vanished ones
+// are retired (in-flight leases finish; new queries get 404). Then
+// every loaded release whose source's version changed is hot-reloaded
+// through the keep-last-good path. The serving path never blocks on a
+// reconcile.
 func (reg *Registry) Reconcile(ctx context.Context) error {
-	entries, err := reg.opt.FS.ReadDir(reg.root)
-	if err != nil {
-		return fmt.Errorf("registry: scanning %s: %w", reg.root, err)
-	}
-	present := make(map[string]bool)
-	for _, e := range entries {
-		if e.IsDir() && validName(e.Name()) {
-			present[e.Name()] = true
+	var present map[string]bool // nil for a Single registry: nothing to scan
+	if reg.root != "" {
+		entries, err := reg.opt.FS.ReadDir(reg.root)
+		if err != nil {
+			return fmt.Errorf("registry: scanning %s: %w", reg.root, err)
+		}
+		present = make(map[string]bool)
+		for _, e := range entries {
+			if e.IsDir() && validName(e.Name()) {
+				present[e.Name()] = true
+			}
 		}
 	}
 	var live, gone []*release
@@ -404,7 +432,7 @@ func (reg *Registry) Reconcile(ctx context.Context) error {
 		}
 	}
 	for name, rl := range reg.rel {
-		if present[name] {
+		if present == nil || present[name] {
 			live = append(live, rl)
 		} else {
 			delete(reg.rel, name)
@@ -446,17 +474,6 @@ func (reg *Registry) Run(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// nextTouch issues a monotonically increasing recency stamp; releases
-// record their latest on every acquire, giving the eviction scan a
-// race-free LRU order without taking any release's lock.
-func (reg *Registry) nextTouch() int64 {
-	reg.mu.Lock()
-	reg.touchSeq++
-	t := reg.touchSeq
-	reg.mu.Unlock()
-	return t
-}
-
 // noteLoaded enforces the residency bound after justLoaded became
 // resident: while more than MaxLoaded synopses are in memory, the
 // least recently used one (never the one just admitted) is evicted
@@ -494,11 +511,12 @@ func (reg *Registry) noteLoaded(justLoaded *release) {
 	}
 }
 
-// auditGate re-checks a loaded synopsis against the release
-// invariants. The default store loader already audits internally, but
-// the gate is applied to every loader uniformly so an injected loader
-// (or a future custom one) cannot hand the serving path a synopsis
-// that violates the invariants — chaos proves this with NaN poison.
+// auditGate checks a loaded synopsis against the release invariants.
+// It is the one audit of a snapshot.FileSource load; a store already
+// audits inside its fallback walk, but the gate applies to every loader
+// uniformly so an injected loader (or a future custom one) cannot hand
+// the serving path a synopsis that violates the invariants — chaos
+// proves this with NaN poison.
 func auditGate(res *snapshot.LoadResult) error {
 	report := audit.Check(res.Synopsis, audit.Options{})
 	if err := report.Err(); err != nil {

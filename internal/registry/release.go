@@ -45,7 +45,7 @@ const maxHandoffKeys = 1024
 type release struct {
 	reg      *Registry
 	name     string
-	store    *snapshot.Store
+	src      snapshot.Source
 	inflight chan struct{}          // bulkhead permits (weight-scaled); nil = unbounded
 	bucket   *admission.TokenBucket // per-tenant rate limit; nil = disabled
 	weight   float64                // fairness weight scaling bucket and bulkhead
@@ -56,13 +56,13 @@ type release struct {
 	lastTouch  atomic.Int64
 
 	mu         sync.Mutex
-	loaded     bool
 	retired    bool
-	swap       *server.Swappable // nil until first successful load
-	cache      *qcache.Cache     // nil when caching disabled or evicted
-	loadedPath string            // snapshot file currently served
-	loading    chan struct{}     // non-nil while a load is in flight (singleflight)
-	warmMasks  []qcache.Key      // hot keys saved at eviction, replayed on re-admit
+	q          server.Querier // the serving querier; nil while not resident
+	cache      *qcache.Cache  // q's cache; nil when caching is disabled or q is nil
+	loadedPath string         // snapshot file currently served
+	version    string         // source version currently served
+	loading    chan struct{}  // non-nil while a load is in flight (singleflight)
+	warmMasks  []qcache.Key   // hot keys saved at eviction, replayed on re-admit
 
 	state        breakerState
 	consecFails  int
@@ -167,8 +167,8 @@ func standaloneCounters() counters {
 	}
 }
 
-func newRelease(reg *Registry, name string, st *snapshot.Store) *release {
-	rl := &release{reg: reg, name: name, store: st, weight: reg.opt.weightFor(name)}
+func newRelease(reg *Registry, name string, src snapshot.Source) *release {
+	rl := &release{reg: reg, name: name, src: src, weight: reg.opt.weightFor(name)}
 	if reg.fams != nil {
 		rl.c = reg.fams.interned(name)
 		// Registered once per release name: the hook follows the current
@@ -258,10 +258,9 @@ func (rl *release) ensure(ctx context.Context) (server.Querier, error) {
 			rl.mu.Unlock()
 			return nil, server.ErrUnknownRelease
 		}
-		if rl.loaded {
-			q := rl.swap.Current()
+		if q := rl.q; q != nil {
 			rl.mu.Unlock()
-			rl.lastTouch.Store(rl.reg.nextTouch())
+			rl.lastTouch.Store(rl.reg.touchSeq.Add(1))
 			return q, nil
 		}
 		now := rl.reg.opt.Now()
@@ -318,30 +317,16 @@ func (rl *release) ensure(ctx context.Context) (server.Querier, error) {
 	}
 }
 
-// lead runs the singleflight load as its leader: shared-semaphore
-// admission, the loader, the audit gate, then publish-or-strike.
+// lead runs the singleflight load as its leader: one verified load,
+// then install-or-strike.
 func (rl *release) lead(ctx context.Context, ch chan struct{}) (server.Querier, error) {
-	reg := rl.reg
 	rl.c.LoadAttempts.Add(1)
-	var res *snapshot.LoadResult
-	var err error
-	// Breaker-open tenants return before this point, so a broken
-	// tenant in fast-fail never occupies a shared load slot.
-	select {
-	case reg.loadSem <- struct{}{}:
-		res, err = reg.opt.Loader.Load(ctx, rl.name, rl.store)
-		<-reg.loadSem
-	case <-ctx.Done():
-		err = reconstruct.ContextErr(ctx)
-	}
+	res, err := rl.load(ctx)
 	if err == nil {
-		for i, q := range res.Quarantined {
-			reg.opt.Logger.Printf("registry: %s: quarantined corrupt snapshot %s: %v", rl.name, q, res.Errs[i])
+		if q := rl.install(res); q != nil {
+			return q, nil
 		}
-		err = auditGate(res)
-	}
-	if err == nil {
-		return rl.publish(res), nil
+		return nil, server.ErrUnknownRelease
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, reconstruct.ErrCanceled) {
 		// The client went away mid-load — not the tenant's fault, so no
@@ -357,55 +342,105 @@ func (rl *release) lead(ctx context.Context, ch chan struct{}) (server.Querier, 
 	return nil, rl.strike(ch, err)
 }
 
-// publish installs a freshly loaded synopsis as the serving state:
-// fresh cache (keys carry no synopsis identity, so caches never
-// survive a data change), breaker closed, residency enforced, warm
-// handoff scheduled.
-func (rl *release) publish(res *snapshot.LoadResult) server.Querier {
+// load is the one verified-load step, shared by first admission and
+// hot reload: a shared load slot, the loader, the quarantine log, then
+// the audit gate. Whatever it returns without error is safe to serve.
+func (rl *release) load(ctx context.Context) (*snapshot.LoadResult, error) {
+	reg := rl.reg
+	var res *snapshot.LoadResult
+	var err error
+	// Breaker-open tenants return before this point, so a broken
+	// tenant in fast-fail never occupies a shared load slot.
+	select {
+	case reg.loadSem <- struct{}{}:
+		res, err = reg.opt.Loader.Load(ctx, rl.name, rl.src)
+		<-reg.loadSem
+	case <-ctx.Done():
+		err = reconstruct.ContextErr(ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range res.Quarantined {
+		reg.opt.Logger.Printf("registry: %s: quarantined corrupt snapshot %s: %v", rl.name, q, res.Errs[i])
+	}
+	if err := auditGate(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// install is the one install step, shared by first admission and hot
+// reload: it makes a verified load the serving state and ends the
+// in-flight load. The synopsis gets a fresh cache (keys carry no
+// synopsis identity, so a cache never outlives the synopsis it
+// memoizes); the breaker closes; residency is enforced; and a
+// background warm replays the hot keys of the cache being replaced, or
+// of the one an eviction saved. It returns nil, installing nothing,
+// when the release was retired while the load ran.
+func (rl *release) install(res *snapshot.LoadResult) server.Querier {
 	reg := rl.reg
 	var cache *qcache.Cache
 	var q server.Querier = res.Synopsis
-	if reg.opt.CacheEntries > 0 {
+	if reg.opt.CacheEntries > 0 || reg.opt.CacheBytes > 0 { // a cache unless both bounds are disabled
 		cache = qcache.NewShared(reg.opt.CacheEntries, reg.opt.perReleaseBytes(), reg.budget)
 		cq := server.NewCachedQuerier(res.Synopsis, cache)
 		if reg.opt.Metrics != nil {
-			// Each publish builds a fresh cache; swapping it onto the
-			// release's interned handles keeps the exported series
-			// cumulative over the release's lifetime.
+			// Swapping each fresh cache onto the release's interned
+			// handles keeps the exported series cumulative over the
+			// release's lifetime.
 			reg.opt.Metrics.InstrumentCache(rl.name, cq)
 		}
 		q = cq
 	}
 	rl.mu.Lock()
-	if rl.swap == nil {
-		rl.swap = server.NewSwappable(q)
-	} else {
-		rl.swap.Swap(q)
+	ch := rl.loading
+	rl.loading = nil
+	if rl.retired {
+		rl.mu.Unlock()
+		close(ch)
+		return nil
+	}
+	verb := "loaded"
+	if rl.q != nil {
+		verb = "reloaded"
 	}
 	readmitted := rl.warmMasks != nil
 	handoff := rl.warmMasks
+	if rl.cache != nil {
+		handoff = hotKeys(rl.cache)
+		rl.cache.Purge()
+	}
 	rl.warmMasks = nil
-	rl.cache = cache
-	rl.loaded = true
-	rl.loadedPath = res.Path
+	rl.q, rl.cache = q, cache
+	rl.loadedPath, rl.version = res.Path, res.Version
 	rl.state = stateClosed
 	rl.consecFails = 0
 	rl.probing = false
 	rl.backoff = 0
 	rl.backoffUntil = time.Time{}
 	rl.lastErr = ""
-	ch := rl.loading
-	rl.loading = nil
 	rl.mu.Unlock()
 	rl.loadedFlag.Store(true)
-	rl.lastTouch.Store(reg.nextTouch())
+	rl.lastTouch.Store(reg.touchSeq.Add(1))
 	if readmitted {
 		rl.c.Readmits.Add(1)
 	}
 	close(ch)
+	reg.opt.Logger.Printf("registry: %s: %s %s (ε=%g)", rl.name, verb, res.Path, res.Synopsis.Epsilon())
 	reg.noteLoaded(rl)
 	rl.warmAsync(q, handoff)
 	return q
+}
+
+// hotKeys returns up to maxHandoffKeys of c's hottest keys, the warm
+// handoff a replacement cache is seeded from.
+func hotKeys(c *qcache.Cache) []qcache.Key {
+	keys := c.Keys()
+	if len(keys) > maxHandoffKeys {
+		keys = keys[:maxHandoffKeys]
+	}
+	return keys
 }
 
 // strike records a load failure: backoff doubles, and at the
@@ -485,20 +520,15 @@ func (rl *release) consecFailsApprox() int {
 func (rl *release) evict() {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	if !rl.loaded || rl.retired {
+	if rl.q == nil || rl.retired {
 		return
 	}
 	if rl.cache != nil {
-		keys := rl.cache.Keys()
-		if len(keys) > maxHandoffKeys {
-			keys = keys[:maxHandoffKeys]
-		}
-		rl.warmMasks = keys
+		rl.warmMasks = hotKeys(rl.cache)
 		rl.cache.Purge()
 	}
 	rl.cache = nil
-	rl.swap = nil
-	rl.loaded = false
+	rl.q = nil
 	rl.loadedPath = ""
 	rl.loadedFlag.Store(false)
 	rl.c.Evictions.Add(1)
@@ -514,8 +544,7 @@ func (rl *release) retire() {
 		rl.cache.Purge()
 	}
 	rl.cache = nil
-	rl.swap = nil
-	rl.loaded = false
+	rl.q = nil
 	rl.loadedFlag.Store(false)
 }
 
@@ -525,10 +554,7 @@ func (rl *release) retire() {
 func (rl *release) currentQuerier() server.Querier {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	if !rl.loaded || rl.swap == nil {
-		return nil
-	}
-	return rl.swap.Current()
+	return rl.q
 }
 
 // warmAsync pre-fills q's cache in the background: first the handoff
@@ -575,44 +601,28 @@ func (rl *release) warmAsync(q server.Querier, handoff []qcache.Key) {
 	}()
 }
 
-// maybeReload checks whether the release's newest on-disk snapshot
-// differs from the one being served and, if so, hot-reloads it through
-// keep-last-good: the old synopsis serves until the new one has passed
-// checksum + audit, and a failed reload changes nothing but a counter.
-// Cold releases stay cold (lazy loading is the admission path).
+// maybeReload hot-reloads the release when its source's version
+// differs from the one being served, through keep-last-good: the old
+// synopsis serves until the new one has passed checksum + audit, and a
+// failed reload changes nothing but a counter and the last error. Cold
+// releases stay cold (lazy loading is the admission path).
 func (rl *release) maybeReload(ctx context.Context) {
-	names, err := rl.store.Snapshots()
-	if err != nil || len(names) == 0 {
+	version, err := rl.src.Version()
+	if err != nil {
 		return
 	}
-	newest := names[0]
 	rl.mu.Lock()
-	if !rl.loaded || rl.retired || rl.loading != nil || filepath.Base(rl.loadedPath) == newest {
+	if rl.q == nil || rl.retired || rl.loading != nil || rl.version == version {
 		rl.mu.Unlock()
 		return
 	}
 	ch := make(chan struct{})
 	rl.loading = ch
-	oldCache := rl.cache
 	rl.mu.Unlock()
 
-	reg := rl.reg
-	var res *snapshot.LoadResult
-	select {
-	case reg.loadSem <- struct{}{}:
-		res, err = reg.opt.Loader.Load(ctx, rl.name, rl.store)
-		<-reg.loadSem
-	case <-ctx.Done():
-		err = reconstruct.ContextErr(ctx)
-	}
-	if err == nil {
-		for i, q := range res.Quarantined {
-			reg.opt.Logger.Printf("registry: %s: quarantined corrupt snapshot %s: %v", rl.name, q, res.Errs[i])
-		}
-		err = auditGate(res)
-	}
+	res, err := rl.load(ctx)
 	if err != nil {
-		reg.opt.Logger.Printf("registry: %s: reload failed, keeping last good synopsis: %v", rl.name, err)
+		rl.reg.opt.Logger.Printf("registry: %s: reload failed, keeping last good synopsis: %v", rl.name, err)
 		rl.c.ReloadFailures.Add(1)
 		rl.mu.Lock()
 		rl.lastErr = err.Error()
@@ -621,51 +631,9 @@ func (rl *release) maybeReload(ctx context.Context) {
 		close(ch)
 		return
 	}
-	var cache *qcache.Cache
-	var q server.Querier = res.Synopsis
-	if reg.opt.CacheEntries > 0 {
-		cache = qcache.NewShared(reg.opt.CacheEntries, reg.opt.perReleaseBytes(), reg.budget)
-		cq := server.NewCachedQuerier(res.Synopsis, cache)
-		if reg.opt.Metrics != nil {
-			reg.opt.Metrics.InstrumentCache(rl.name, cq)
-		}
-		q = cq
+	if rl.install(res) != nil {
+		rl.c.Reloads.Add(1)
 	}
-	// The old cache's hot keys seed the new one; its entries must not
-	// survive (qcache keys carry no synopsis identity).
-	var handoff []qcache.Key
-	if oldCache != nil {
-		handoff = oldCache.Keys()
-		if len(handoff) > maxHandoffKeys {
-			handoff = handoff[:maxHandoffKeys]
-		}
-		oldCache.Purge()
-	}
-	rl.mu.Lock()
-	if rl.retired {
-		rl.loading = nil
-		rl.mu.Unlock()
-		close(ch)
-		return
-	}
-	if rl.swap == nil {
-		// Evicted while the reload was in flight; treat as a fresh
-		// admission.
-		rl.swap = server.NewSwappable(q)
-	} else {
-		rl.swap.Swap(q)
-	}
-	rl.cache = cache
-	rl.loaded = true
-	rl.loadedPath = res.Path
-	rl.loading = nil
-	rl.mu.Unlock()
-	rl.loadedFlag.Store(true)
-	rl.c.Reloads.Add(1)
-	close(ch)
-	reg.opt.Logger.Printf("registry: %s: reloaded snapshot %s (ε=%g)", rl.name, newest, res.Synopsis.Epsilon())
-	reg.noteLoaded(rl)
-	rl.warmAsync(q, handoff)
 }
 
 // ReleaseStats is the observability snapshot served on
@@ -712,7 +680,7 @@ func (rl *release) stats() ReleaseStats {
 	}
 	s := ReleaseStats{
 		Name:                rl.name,
-		Loaded:              rl.loaded,
+		Loaded:              rl.q != nil,
 		Breaker:             breaker,
 		ConsecutiveFailures: rl.consecFails,
 		LastError:           rl.lastErr,

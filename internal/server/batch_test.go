@@ -167,7 +167,7 @@ func TestMarginalsDefaultMethodFromSynopsis(t *testing.T) {
 	data := synth.MSNBC(3000, 21)
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg, Method: core.CLN}, noise.NewStream(22))
-	s := New(NewSwappable(syn), Options{})
+	s := New(syn, Options{})
 	rec := postMarginals(t, s, "/v1/marginals", map[string]interface{}{
 		"queries": []map[string]interface{}{{"attrs": []int{0, 4}}},
 	})
@@ -190,7 +190,7 @@ func TestMarginalsDefaultMethodFromSynopsis(t *testing.T) {
 // budget below that one solve is still refused.
 func TestMarginalsDeadlineGateCountsDistinctSolves(t *testing.T) {
 	_, syn := testServer(t)
-	s := New(NewSwappable(syn), Options{BatchWorkers: 2, Logger: discardLogger()})
+	s := New(syn, Options{BatchWorkers: 2, Logger: discardLogger()})
 	s.ov.svc.Observe(int(core.CME), 100*time.Millisecond)
 	queries := make([]map[string]interface{}, 64)
 	for i := range queries {
@@ -414,7 +414,7 @@ func TestBrownoutServesCachedBatchesOnly(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
-	s := New(NewSwappable(cached), Options{
+	s := New(cached, Options{
 		RetryAfter: time.Second,
 		Logger:     discardLogger(),
 		Admission:  admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},

@@ -39,7 +39,7 @@ func benchMarginal(b *testing.B, handler *Multi) {
 // BenchmarkServerMarginalUncached is the serving path before this
 // change: every request re-runs the solve.
 func BenchmarkServerMarginalUncached(b *testing.B) {
-	handler := New(NewSwappable(benchServerSynopsis(b)), Options{})
+	handler := New(benchServerSynopsis(b), Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	benchMarginal(b, handler)
@@ -50,7 +50,7 @@ func BenchmarkServerMarginalUncached(b *testing.B) {
 // cost is HTTP + JSON, not reconstruction.
 func BenchmarkServerMarginalCached(b *testing.B) {
 	cq := NewCachedQuerier(benchServerSynopsis(b), qcache.New(1024, 64<<20))
-	handler := New(NewSwappable(cq), Options{})
+	handler := New(cq, Options{})
 	// Warm the one hot key.
 	req := httptest.NewRequest(http.MethodGet, benchServerPath, nil)
 	rec := httptest.NewRecorder()

@@ -12,8 +12,7 @@ import (
 
 // CacheStatser is implemented by Queriers that maintain a query cache;
 // the /v1/stats endpoint reads it. enabled is false when the underlying
-// querier keeps no cache (e.g. a Swappable currently holding a bare
-// synopsis).
+// querier keeps no cache (e.g. a Pinned lease over a bare synopsis).
 type CacheStatser interface {
 	CacheStats() (stats qcache.Stats, enabled bool)
 }

@@ -255,10 +255,9 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Error("bare synopsis reports a cache")
 	}
 
-	// With a cache (behind a Swappable, as priview-serve wires it).
+	// With a cache.
 	cq, _, _ := cachedTestSetup(t)
-	swap := NewSwappable(cq)
-	cs := New(swap, Options{})
+	cs := New(cq, Options{})
 	for i := 0; i < 3; i++ {
 		if rec := get(t, cs, "/v1/marginal?attrs=0,4,8"); rec.Code != http.StatusOK {
 			t.Fatalf("marginal status = %d", rec.Code)
@@ -293,7 +292,7 @@ func TestCachedServerRaceStress(t *testing.T) {
 	cq, counting, syn := cachedTestSetup(t)
 	// The admission limit is pinned above the worker count, so every
 	// request is admitted and the test checks the cache alone.
-	s := New(NewSwappable(cq), Options{Admission: admission.Config{MinLimit: 16, MaxLimit: 16}})
+	s := New(cq, Options{Admission: admission.Config{MinLimit: 16, MaxLimit: 16}})
 	attrSets := []string{"0,4,8", "1,5", "0,4,8", "2,6,7", "0,4,8", "3"}
 	methods := []string{"CME", "CLN", "CLP", "CME-dual"}
 	const workers = 12

@@ -115,7 +115,7 @@ func TestAdaptiveAdmissionQueuesThenSheds(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	hq.hold.Store(true)
-	s := New(NewSwappable(hq), Options{
+	s := New(hq, Options{
 		RetryAfter: time.Second,
 		Logger:     discardLogger(),
 		Admission:  admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
@@ -183,7 +183,7 @@ func TestAdaptiveAdmissionQueuesThenSheds(t *testing.T) {
 // with ample budget still runs.
 func TestDeadlineGateFastFails504(t *testing.T) {
 	_, syn := testServer(t)
-	s := New(NewSwappable(syn), Options{QueryTimeout: 5 * time.Second, Logger: discardLogger()})
+	s := New(syn, Options{QueryTimeout: 5 * time.Second, Logger: discardLogger()})
 	s.ov.svc.Observe(int(core.CME), 200*time.Millisecond)
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs=0,1", nil)
@@ -228,7 +228,7 @@ func TestDeadlineHeaderArmsBudget(t *testing.T) {
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 1), release: make(chan struct{})}
 	hq.hold.Store(true)
 	defer close(hq.release)
-	s := New(NewSwappable(hq), Options{Logger: discardLogger()})
+	s := New(hq, Options{Logger: discardLogger()})
 
 	start := time.Now()
 	req := httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs=0,1", nil)
@@ -250,7 +250,7 @@ func TestBrownoutServesCacheHitsOnly(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
-	s := New(NewSwappable(cached), Options{
+	s := New(cached, Options{
 		RetryAfter: time.Second,
 		Logger:     discardLogger(),
 		Admission:  admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},

@@ -42,7 +42,7 @@ func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 // magnitude — not after the solver's full iteration budget.
 func TestQueryTimeoutReturns504(t *testing.T) {
 	slow := &chaos.SlowSynopsis{Querier: buildSynopsis(t), Delay: 10 * time.Second}
-	s := server.New(server.NewSwappable(slow), server.Options{
+	s := server.New(slow, server.Options{
 		QueryTimeout: 30 * time.Millisecond,
 		Logger:       quietLogger(),
 	})
@@ -89,7 +89,7 @@ func TestLoadSheddingReturns429(t *testing.T) {
 		arrived: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	s := server.New(server.NewSwappable(parked), server.Options{
+	s := server.New(parked, server.Options{
 		MaxInflight: 1,
 		RetryAfter:  time.Second,
 		Logger:      quietLogger(),
@@ -199,7 +199,7 @@ func (panicQuerier) QueryMethodContext(context.Context, []int, core.ReconstructM
 // TestPanicReturns500: internal panics are server bugs and must report
 // as 500, never as the 400 "query failed" the old handler produced.
 func TestPanicReturns500(t *testing.T) {
-	s := server.New(server.NewSwappable(panicQuerier{buildSynopsis(t)}), server.Options{Logger: quietLogger()})
+	s := server.New(panicQuerier{buildSynopsis(t)}, server.Options{Logger: quietLogger()})
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs=0,1", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -213,7 +213,7 @@ func TestPanicReturns500(t *testing.T) {
 // TestValidationStays400: the 400 path is reserved for input errors and
 // must be unaffected by the failure-model middleware.
 func TestValidationStays400(t *testing.T) {
-	s := server.New(server.NewSwappable(buildSynopsis(t)), server.Options{
+	s := server.New(buildSynopsis(t), server.Options{
 		QueryTimeout: time.Second,
 		MaxInflight:  4,
 		Logger:       quietLogger(),
@@ -235,7 +235,7 @@ func TestValidationStays400(t *testing.T) {
 // TestHealthzDraining: the liveness probe flips to 503 while draining
 // and back once draining is cleared.
 func TestHealthzDraining(t *testing.T) {
-	s := server.New(server.NewSwappable(buildSynopsis(t)), server.Options{})
+	s := server.New(buildSynopsis(t), server.Options{})
 	probe := func() int {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
@@ -262,7 +262,7 @@ func TestHealthzDraining(t *testing.T) {
 // connection level, the retrying client still completes every query,
 // and the transport's counters prove faults were actually injected.
 func TestClientRecoversFromInjectedFaults(t *testing.T) {
-	s := server.New(server.NewSwappable(buildSynopsis(t)), server.Options{})
+	s := server.New(buildSynopsis(t), server.Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -293,7 +293,7 @@ func TestClientRecoversFromInjectedFaults(t *testing.T) {
 func TestClientRecoversFromInjectedStatuses(t *testing.T) {
 	var mu sync.Mutex
 	failures := 2
-	s := server.New(server.NewSwappable(buildSynopsis(t)), server.Options{})
+	s := server.New(buildSynopsis(t), server.Options{})
 	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		shouldFail := failures > 0
@@ -381,7 +381,7 @@ func TestEndToEndResilience(t *testing.T) {
 	var mu sync.Mutex
 	slowRequests := 2
 	var gate http.Handler = server.New(
-		server.NewSwappable(&flipQuerier{fast: syn, slow: &chaos.SlowSynopsis{Querier: syn, Delay: 10 * time.Second}, slowLeft: &slowRequests, mu: &mu}),
+		&flipQuerier{fast: syn, slow: &chaos.SlowSynopsis{Querier: syn, Delay: 10 * time.Second}, slowLeft: &slowRequests, mu: &mu},
 		server.Options{QueryTimeout: 25 * time.Millisecond, Logger: quietLogger()},
 	)
 	ts := httptest.NewServer(gate)

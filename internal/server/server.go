@@ -5,8 +5,8 @@
 // engine suitable for public deployment.
 //
 // There is one router, Multi. NewMulti serves every release a Resolver
-// (internal/registry) resolves; New serves a single, hot-swappable
-// synopsis through the same router as the release named DefaultRelease.
+// (internal/registry) resolves; New serves one fixed Querier through the
+// same router as the release named DefaultRelease.
 //
 // The serving path has an explicit failure model: per-request deadlines
 // (504 on expiry), load shedding (429 + Retry-After when saturated),
@@ -112,26 +112,24 @@ type Options struct {
 	Logger *log.Logger
 }
 
-// DefaultRelease is the name New serves its synopsis under: the target
-// of the unprefixed routes, the one entry of /v1/releases, and the
-// release label of its cache series.
+// DefaultRelease is the name a single-release deployment serves its
+// synopsis under: the target of the unprefixed routes, the one entry of
+// /v1/releases, and the release label of its cache series.
 const DefaultRelease = "default"
 
-// New returns the router for one synopsis — the -synopsis and -store
-// deployments. s is served as the release DefaultRelease. Every request
-// is pinned to the querier current when it is resolved, so a hot reload
-// (s.Swap) never splits one answer across two synopses.
-func New(s *Swappable, opt Options) *Multi {
-	one := &oneRelease{s: s}
+// New returns the router for one fixed Querier, served as the release
+// DefaultRelease: the harness router tests use to put slow or faulty
+// queriers below HTTP. priview-serve serves its -synopsis and -store
+// releases through internal/registry instead, which adds loading,
+// auditing and hot reload.
+func New(q Querier, opt Options) *Multi {
+	one := &oneRelease{q: Pinned{q}}
 	m := NewMulti(one, DefaultRelease, opt)
 	one.admission = m.ov.stats
-	// Instrumentation precedes traffic: the handle swap below is
-	// deliberately unsynchronized. A reload's fresh cache is instrumented
-	// by whoever builds it, before the Swap.
-	if cq, ok := s.Current().(*CachedQuerier); ok {
+	if cq, ok := q.(*CachedQuerier); ok {
 		m.tel.InstrumentCache(DefaultRelease, cq)
 	}
-	m.tel.WatchCacheGauges(DefaultRelease, s.CacheStats)
+	m.tel.WatchCacheGauges(DefaultRelease, one.q.CacheStats)
 	return m
 }
 
@@ -139,7 +137,7 @@ func New(s *Swappable, opt Options) *Multi {
 // no bulkhead, breaker or quota, so the router's admission controller
 // is the only gate in front of it.
 type oneRelease struct {
-	s         *Swappable
+	q         Pinned
 	admission func() admission.Stats
 }
 
@@ -147,7 +145,7 @@ func (o *oneRelease) Acquire(_ context.Context, name string) (Lease, error) {
 	if name != DefaultRelease {
 		return nil, ErrUnknownRelease
 	}
-	return Pinned{o.s.Current()}, nil
+	return o.q, nil
 }
 
 // statsResponse is the one-release /v1/stats body: the query cache's
@@ -165,7 +163,7 @@ func (o *oneRelease) ReleaseStats(name string) (any, error) {
 		return nil, ErrUnknownRelease
 	}
 	resp := statsResponse{Admission: o.admission()}
-	resp.Stats, resp.Cache = o.s.CacheStats()
+	resp.Stats, resp.Cache = o.q.CacheStats()
 	return resp, nil
 }
 

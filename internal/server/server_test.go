@@ -20,7 +20,7 @@ func testServer(t *testing.T) (*Multi, *core.Synopsis) {
 	data := synth.MSNBC(5000, 1)
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(2))
-	return New(NewSwappable(syn), Options{}), syn
+	return New(syn, Options{}), syn
 }
 
 func get(t *testing.T, s *Multi, path string) *httptest.ResponseRecorder {
@@ -146,7 +146,7 @@ func TestMarginalMaxK(t *testing.T) {
 	data := synth.MSNBC(2000, 2)
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(3))
-	s := New(NewSwappable(syn), Options{MaxK: 2})
+	s := New(syn, Options{MaxK: 2})
 	if rec := get(t, s, "/v1/marginal?attrs=0,1,2"); rec.Code != http.StatusBadRequest {
 		t.Errorf("k=3 accepted with maxK=2: %d", rec.Code)
 	}

@@ -39,7 +39,7 @@ func TestStatsJSONGolden(t *testing.T) {
 	}
 
 	cq, _, _ := cachedTestSetup(t)
-	cs := New(NewSwappable(cq), Options{})
+	cs := New(cq, Options{})
 	if got := get(t, cs, "/v1/stats").Body.String(); got != cachedStatsGolden {
 		t.Errorf("cached /v1/stats changed:\n got  %q\n want %q", got, cachedStatsGolden)
 	}
@@ -85,7 +85,7 @@ func sampleValue(t *testing.T, fams map[string]*telemetry.ParsedFamily, family, 
 func TestMetricsEndpoint(t *testing.T) {
 	cq, _, _ := cachedTestSetup(t)
 	var logBuf bytes.Buffer
-	s := New(NewSwappable(cq), Options{
+	s := New(cq, Options{
 		SlowQuery: time.Nanosecond, // everything is slow: exercises the counter + log line
 		Logger:    log.New(&logBuf, "", 0),
 	})

@@ -117,3 +117,34 @@ func ReadFileFS(fsys FS, path string) (*core.Synopsis, error) {
 	}
 	return Decode(raw)
 }
+
+// FileSource is a Source over one snapshot file (v1 or v2), named by its
+// path. It reads and decodes only: it never quarantines the file, which
+// belongs to the operator, and runs no audit of its own — the server's
+// audit gate checks whatever it serves.
+type FileSource string
+
+// Version implements Source: the file's size and modification time. A
+// rewrite that keeps the size within one filesystem timestamp tick
+// goes unseen until the file is touched again.
+func (f FileSource) Version() (string, error) {
+	fi, err := os.Stat(string(f))
+	if err != nil {
+		return "", fmt.Errorf("snapshot: %w", err)
+	}
+	return fmt.Sprintf("%d@%d", fi.Size(), fi.ModTime().UnixNano()), nil
+}
+
+// Load implements Source. The version is read before the file, so a
+// rewrite racing the load shows up as a new version, never a missed one.
+func (f FileSource) Load() (*LoadResult, error) {
+	v, err := f.Version()
+	if err != nil {
+		return nil, err
+	}
+	syn, err := ReadFileFS(OS{}, string(f))
+	if err != nil {
+		return nil, err
+	}
+	return &LoadResult{Synopsis: syn, Path: string(f), Version: v}, nil
+}

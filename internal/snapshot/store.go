@@ -126,6 +126,30 @@ type LoadResult struct {
 	// Errs records why each quarantined file was rejected, parallel to
 	// Quarantined.
 	Errs []error
+	// Version is the source version of what was loaded (see Source).
+	Version string
+}
+
+// Source is where a served synopsis comes from: a Store directory or one
+// snapshot file. Load reads and verifies the synopsis to serve; Version
+// cheaply names what Load would read now, so a server reloads only when
+// it changes.
+type Source interface {
+	Load() (*LoadResult, error)
+	Version() (string, error)
+}
+
+// Version implements Source: the newest snapshot's name. A store with
+// no snapshots has no version.
+func (st *Store) Version() (string, error) {
+	names, err := st.Snapshots()
+	if err != nil {
+		return "", err
+	}
+	if len(names) == 0 {
+		return "", fmt.Errorf("snapshot: no snapshots in %s", st.dir)
+	}
+	return names[0], nil
 }
 
 // Load returns the newest snapshot that passes the checksum, core's
@@ -144,7 +168,7 @@ func (st *Store) Load() (*LoadResult, error) {
 		if err == nil {
 			report := audit.Check(syn, audit.Options{})
 			if aerr := report.Err(); aerr == nil {
-				res.Synopsis, res.Path, res.Report = syn, path, report
+				res.Synopsis, res.Path, res.Report, res.Version = syn, path, report, name
 				return res, nil
 			} else {
 				err = aerr
