@@ -10,8 +10,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# gofmt runs over the tracked files only, so build output such as
+# .bench_build/ never reaches it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # priview-lint is this repo's own static-analysis gate: five AST checks
 # (randsource, floatcmp, errdiscard, panicmsg, attrset) plus four

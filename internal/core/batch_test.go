@@ -127,9 +127,9 @@ func TestQueryBatchRejectsInvalid(t *testing.T) {
 	dg := covering.Groups(9, 4)
 	s := BuildSynopsis(data, Config{Epsilon: 1, Design: dg}, noise.NewStream(108))
 	reqs := []BatchRequest{
-		{Attrs: []int{0, 1}, Method: CME},         // valid
-		{Attrs: []int{2, 2}, Method: CME},         // duplicate attribute
-		{Attrs: []int{70}, Method: CME},           // out of mask range
+		{Attrs: []int{0, 1}, Method: CME},                // valid
+		{Attrs: []int{2, 2}, Method: CME},                // duplicate attribute
+		{Attrs: []int{70}, Method: CME},                  // out of mask range
 		{Attrs: []int{3}, Method: ReconstructMethod(99)}, // unknown method
 	}
 	_, err := s.QueryBatch(context.Background(), reqs, BatchOptions{})
