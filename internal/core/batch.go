@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -228,10 +229,20 @@ func (s *Synopsis) QueryBatch(ctx context.Context, reqs []BatchRequest, opt Batc
 	}
 	var next int64
 	var wg sync.WaitGroup
+	// A panicking solve must not kill the process from a goroutine no
+	// caller can recover: each worker catches it, and the first one is
+	// re-raised in the caller's goroutine once every worker has joined.
+	var panicOnce sync.Once
+	var panicMsg string
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicOnce.Do(func() { panicMsg = fmt.Sprintf("%v\n%s", p, debug.Stack()) })
+				}
+			}()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= len(uniques) {
@@ -245,6 +256,9 @@ func (s *Synopsis) QueryBatch(ctx context.Context, reqs []BatchRequest, opt Batc
 		}()
 	}
 	wg.Wait()
+	if panicMsg != "" {
+		panic(fmt.Sprintf("core: batch solve panicked: %s", panicMsg))
+	}
 	// A canceled batch reports the context sentinel and nothing else:
 	// solves that never ran hold the same sentinel, and partial tables
 	// are discarded rather than returned as clean.

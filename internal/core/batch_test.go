@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"priview/internal/attrset"
 	"priview/internal/covering"
 	"priview/internal/dataset/synth"
+	"priview/internal/marginal"
 	"priview/internal/noise"
 	"priview/internal/reconstruct"
 )
@@ -214,4 +216,28 @@ func TestQueryBatchEmpty(t *testing.T) {
 	if err != nil || res == nil || len(res) != 0 {
 		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
+}
+
+// TestQueryBatchRepanicsInCaller verifies a panicking solve reaches the
+// caller's goroutine, where a recovery (the server's 500 middleware)
+// can catch it, instead of killing the process from a worker. A nil
+// view makes every solve panic while it builds its constraints.
+func TestQueryBatchRepanicsInCaller(t *testing.T) {
+	s := &Synopsis{
+		cfg:      Config{Epsilon: 1, Design: covering.Groups(4, 2)},
+		views:    []*marginal.Table{nil},
+		rawViews: []*marginal.Table{nil},
+		total:    1,
+	}
+	reqs := []BatchRequest{{Attrs: []int{0}}, {Attrs: []int{1}}}
+	defer func() {
+		rec := recover()
+		if rec == nil {
+			t.Fatal("QueryBatch returned instead of re-raising the solve panic")
+		}
+		if msg, ok := rec.(string); !ok || !strings.HasPrefix(msg, "core: batch solve panicked: ") {
+			t.Errorf("panic value = %v, want the core-prefixed re-raise", rec)
+		}
+	}()
+	_, _ = s.QueryBatch(context.Background(), reqs, BatchOptions{Workers: 2})
 }
