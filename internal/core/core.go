@@ -198,46 +198,39 @@ func BuildSynopsis(data *dataset.Dataset, cfg Config, src noise.Source) *Synopsi
 	// Perturbation: each record contributes one count to each view, so
 	// the collection has L1 sensitivity w (Laplace) and L2 sensitivity
 	// √w (Gaussian).
-	perturb := func(*marginal.Table, noise.Source) {}
+	perturb := func(*marginal.Table) {}
 	if !cfg.NoNoise {
 		switch cfg.Noise {
 		case LaplaceNoise:
 			scale := noise.LaplaceMechScale(float64(w), cfg.Epsilon)
-			perturb = func(t *marginal.Table, s noise.Source) { t.AddLaplace(s, scale) }
+			perturb = func(t *marginal.Table) { t.AddLaplace(src, scale) }
 		case GaussianNoise:
 			if !(cfg.Delta > 0 && cfg.Delta < 1) {
 				panic("core: GaussianNoise requires Delta in (0,1)")
 			}
 			sigma := noise.GaussianMechSigma(math.Sqrt(float64(w)), cfg.Epsilon, cfg.Delta)
-			perturb = func(t *marginal.Table, s noise.Source) { t.AddGaussian(s, sigma) }
+			perturb = func(t *marginal.Table) { t.AddGaussian(src, sigma) }
 		default:
 			panic(fmt.Sprintf("core: unknown noise kind %d", int(cfg.Noise)))
 		}
 	}
-	if stream, ok := src.(*noise.Stream); ok && runtime.GOMAXPROCS(0) > 1 && w > 1 {
-		// Views are independent scans; with a derivable stream each view
-		// gets its own deterministic noise sub-stream, so the result is
-		// reproducible regardless of scheduling.
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i, block := range cfg.Design.Blocks {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, block []int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				t := data.Marginal(block)
-				perturb(t, stream.DeriveIndexed("view", i))
-				views[i] = t
-			}(i, block)
-		}
-		wg.Wait()
-	} else {
-		for i, block := range cfg.Design.Blocks {
-			t := data.Marginal(block)
-			perturb(t, src)
-			views[i] = t
-		}
+	// Views are independent scans, so they are counted in parallel; the
+	// noise is then drawn from src in block order, so one seed publishes
+	// one release whatever the CPU count.
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i, block := range cfg.Design.Blocks {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, block []int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			views[i] = data.Marginal(block)
+		}(i, block)
+	}
+	wg.Wait()
+	for _, t := range views {
+		perturb(t)
 	}
 	s := &Synopsis{cfg: cfg, rawViews: cloneViews(views), views: views}
 	s.postprocess()

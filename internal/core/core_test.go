@@ -261,9 +261,9 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-// Parallel view construction (multi-core path) must produce the same
-// deterministic noise per view as any scheduling: two builds with the
-// same seed agree exactly even when GOMAXPROCS varies.
+// BuildSynopsis counts views in parallel but draws their noise in block
+// order, so one seed publishes bit-identical views whatever GOMAXPROCS
+// is.
 func TestParallelBuildDeterministic(t *testing.T) {
 	data := synth.Kosarak(5000, 30)
 	dg := kosarakDesign(t)
@@ -272,24 +272,13 @@ func TestParallelBuildDeterministic(t *testing.T) {
 	runtime.GOMAXPROCS(1)
 	b := BuildSynopsis(data, Config{Epsilon: 1, Design: dg}, noise.NewStream(5))
 	runtime.GOMAXPROCS(old)
-	// Note: the single-core path consumes the stream sequentially, so
-	// a and b only agree when both use derived streams; with
-	// GOMAXPROCS=1 the serial path runs instead. Compare structure and
-	// totals rather than exact noise.
 	if len(a.Views()) != len(b.Views()) {
 		t.Fatal("view counts differ")
 	}
-	got := a.Query([]int{0, 9, 17, 30})
-	if got.Size() != 16 {
-		t.Fatal("parallel-build query broken")
-	}
-	// Two parallel builds with the same seed must agree exactly.
-	runtime.GOMAXPROCS(4)
-	c := BuildSynopsis(data, Config{Epsilon: 1, Design: dg}, noise.NewStream(5))
-	runtime.GOMAXPROCS(old)
 	for i := range a.Views() {
-		if !marginal.Equal(a.Views()[i], c.Views()[i], 0) {
-			t.Fatal("parallel builds with same seed disagree")
+		if !bitIdentical(a.RawViews()[i].Cells, b.RawViews()[i].Cells) ||
+			!bitIdentical(a.Views()[i].Cells, b.Views()[i].Cells) {
+			t.Fatalf("view %d differs between GOMAXPROCS 4 and 1 under one seed", i)
 		}
 	}
 }
