@@ -72,9 +72,17 @@ func TestConcurrentQueryMethodMixedEstimators(t *testing.T) {
 						t.Errorf("worker %d: unmaskable attrs %v", w, attrs)
 						return
 					}
-					got, err = cache.Do(ctx, key, func(ctx context.Context) (*marginal.Table, error) {
-						return syn.QueryMethodContext(ctx, attrs, m)
+					var rs []qcache.Result
+					rs, err = cache.DoBatch(ctx, []qcache.Key{key}, func(ctx context.Context, _ []qcache.Key) ([]qcache.Result, error) {
+						res, err := syn.QueryBatch(ctx, []core.BatchRequest{{Attrs: attrs, Method: m}}, core.BatchOptions{})
+						if err != nil {
+							return nil, err
+						}
+						return []qcache.Result{{Table: res[0].Table, Err: res[0].Err}}, nil
 					})
+					if err == nil {
+						got, err = rs[0].Table, rs[0].Err
+					}
 				}
 				if err != nil {
 					t.Errorf("worker %d (%s, %v): %v", w, m, attrs, err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"priview/internal/core"
-	"priview/internal/marginal"
 	"priview/internal/noise"
 	"priview/internal/qcache"
 )
@@ -57,8 +56,12 @@ func RunQCache(cfg Config) []QCacheRow {
 			if !ok {
 				panic("experiments: unkeyable query set")
 			}
-			if _, err := cache.Do(ctx, key, func(ctx context.Context) (*marginal.Table, error) {
-				return syn.QueryMethodContext(ctx, attrs, core.CME)
+			if _, err := cache.DoBatch(ctx, []qcache.Key{key}, func(ctx context.Context, _ []qcache.Key) ([]qcache.Result, error) {
+				t, err := syn.QueryMethodContext(ctx, attrs, core.CME)
+				if t == nil {
+					return nil, err
+				}
+				return []qcache.Result{{Table: t, Err: err}}, nil
 			}); err != nil {
 				panic(fmt.Sprintf("experiments: qcache query failed: %v", err))
 			}

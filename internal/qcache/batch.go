@@ -3,74 +3,80 @@ package qcache
 import (
 	"context"
 	"fmt"
+	"slices"
+	"time"
 
 	"priview/internal/marginal"
 	"priview/internal/reconstruct"
+	"priview/internal/telemetry"
 )
 
-// Result pairs one answer with its per-key error for batch lookups. The
-// error contract matches Do: a nil Err with a table is a clean answer
-// (cacheable), a non-nil Err with a table is a degraded answer (served,
-// never cached), and a nil table reports a failure for that key.
+// Result pairs one answer with its per-key error. A nil Err with a
+// table is a clean answer (cacheable), a non-nil Err with a table is a
+// degraded answer (served, never cached), and a nil table reports a
+// failure for that key.
 type Result struct {
 	Table *marginal.Table
 	Err   error
 }
 
-// DoBatch is Do for many keys at once. Each key resolves independently
-// — from the store, by joining an in-flight solve started by any other
-// caller (batch or single), or by becoming part of this call's leader
-// set — and compute is invoked once per round with exactly the keys
-// this caller leads, so a batch landing on a cold cache turns into one
-// batched solve instead of len(keys) sequential ones. Duplicate keys
-// in one call resolve to one solve and per-caller clones.
+// DoBatch returns the memoized table for every key, running compute
+// for the rest — the cache's one singleflight entry point; a single
+// query is a one-key call. Each key resolves independently: from the
+// store, by joining another caller's in-flight solve, or as one of this
+// call's leads, which compute solves together in one call per round.
+// Duplicate keys resolve to one solve and per-caller clones.
 //
-// The singleflight protocol is shared with Do: a flight started here
-// coalesces concurrent single queries and vice versa, and when a
-// joined flight's leader is canceled, this caller retries the key on
-// the next round (becoming its leader) as long as its own ctx is live.
+// compute receives the leader's ctx, must honor its cancellation, and
+// must return one Result per key in order. When a joined flight's
+// leader is canceled, this caller takes the key over next round as long
+// as its own ctx is live, so a canceled leader never poisons its
+// followers. Only clean members are stored: a degraded Result (Err
+// matching reconstruct.ErrNumerical) is passed through but never
+// cached. When ctx ends or compute fails as a whole, DoBatch returns
+// the error and no results, failing its in-flight leads so waiters
+// retry or fail on their own contexts.
 //
-// compute receives the missing keys and must return one Result per key
-// in order. The clean-only policy applies per member: a degraded
-// Result (Err matching reconstruct.ErrNumerical) is passed through to
-// waiters but never stored, so one poisoned member cannot pin a bad
-// table while the rest of the batch caches normally.
-//
-// When ctx ends — or compute fails as a whole, e.g. a canceled batch
-// solve — DoBatch returns the error and no results; its in-flight
-// leads are failed so waiters retry or fail on their own contexts.
+// A traced ctx records the outcomes of each round: cache.hit and
+// cache.join with the time since the call began, cache.fill with the
+// compute's wall clock.
 func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx context.Context, miss []Key) ([]Result, error)) ([]Result, error) {
-	// Distinct keys still unresolved; duplicates fan back out at the
-	// end.
-	pending := make([]Key, 0, len(keys))
-	seen := make(map[Key]bool, len(keys))
-	for _, k := range keys {
-		if !seen[k] {
-			seen[k] = true
-			pending = append(pending, k)
+	tr := telemetry.FromContext(ctx)
+	var begin time.Time
+	if tr != nil {
+		begin = time.Now()
+	}
+	out := make([]Result, len(keys))
+	// pending indexes the first occurrence of every distinct key still
+	// unresolved; duplicates copy it at the end. Scanning the keys rather
+	// than hashing them keeps a one-key call free of per-call maps.
+	pending := make([]int, 0, len(keys))
+	for i, k := range keys {
+		if slices.Index(keys[:i], k) < 0 {
+			pending = append(pending, i)
 		}
 	}
-	resolved := make(map[Key]Result, len(pending))
 	for len(pending) > 0 {
 		if err := reconstruct.ContextErr(ctx); err != nil {
 			return nil, err
 		}
-		var hitKeys []Key
-		var hitTables []*marginal.Table
-		var leads, joins []Key
+		hit := false
+		var leads []Key
+		var leadAt, joinAt []int
 		var leadFl, joinFl []*flight
 		c.mu.Lock()
-		for _, k := range pending {
+		for _, i := range pending {
+			k := keys[i]
 			if el, ok := c.items[k]; ok {
 				c.ll.MoveToFront(el)
 				c.hits.Inc()
-				hitKeys = append(hitKeys, k)
-				hitTables = append(hitTables, el.Value.(*entry).table)
+				out[i].Table = el.Value.(*entry).table // cloned below
+				hit = true
 				continue
 			}
 			if f, ok := c.flights[k]; ok {
 				c.coalesced.Inc()
-				joins = append(joins, k)
+				joinAt = append(joinAt, i)
 				joinFl = append(joinFl, f)
 				continue
 			}
@@ -78,26 +84,35 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 			c.flights[k] = f
 			c.misses.Inc()
 			leads = append(leads, k)
+			leadAt = append(leadAt, i)
 			leadFl = append(leadFl, f)
 		}
 		c.mu.Unlock()
-		// Safe to clone outside the lock: stored tables are never
-		// mutated, and eviction only drops the reference.
-		for i, k := range hitKeys {
-			resolved[k] = Result{Table: hitTables[i].Clone()}
+		if hit {
+			// A pending key holds a table only if it hit this round. Safe
+			// to clone outside the lock: stored tables are never mutated,
+			// and eviction only drops the reference.
+			for _, i := range pending {
+				if out[i].Table != nil {
+					out[i].Table = out[i].Table.Clone()
+				}
+			}
+			if tr != nil {
+				tr.Stage("cache.hit", time.Since(begin))
+			}
 		}
 		if len(leads) > 0 {
 			results, err := c.leadBatch(ctx, leads, leadFl, compute)
 			if err != nil {
 				return nil, err
 			}
-			for i, k := range leads {
-				resolved[k] = results[i]
+			for j, i := range leadAt {
+				out[i] = results[j]
 			}
 		}
-		var retry []Key
-		for i, k := range joins {
-			f := joinFl[i]
+		var retry []int
+		for j, i := range joinAt {
+			f := joinFl[j]
 			select {
 			case <-ctx.Done():
 				return nil, reconstruct.ContextErr(ctx)
@@ -106,26 +121,26 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 			if canceledErr(f.err) {
 				// The leader gave up before finishing; our context is
 				// live, so take the key over next round.
-				retry = append(retry, k)
+				retry = append(retry, i)
 				continue
 			}
-			if f.table == nil {
-				resolved[k] = Result{Err: f.err}
-			} else {
-				resolved[k] = Result{Table: f.table.Clone(), Err: f.err}
+			out[i].Err = f.err
+			if f.table != nil {
+				out[i].Table = f.table.Clone()
 			}
+		}
+		if len(joinAt) > 0 && tr != nil {
+			tr.Stage("cache.join", time.Since(begin))
 		}
 		pending = retry
 	}
-	out := make([]Result, len(keys))
-	used := make(map[Key]bool, len(resolved))
 	for i, k := range keys {
-		r := resolved[k]
-		if used[k] && r.Table != nil {
-			r = Result{Table: r.Table.Clone(), Err: r.Err}
+		if j := slices.Index(keys[:i], k); j >= 0 {
+			out[i] = out[j]
+			if out[j].Table != nil {
+				out[i].Table = out[j].Table.Clone()
+			}
 		}
-		used[k] = true
-		out[i] = r
 	}
 	return out, nil
 }
@@ -134,23 +149,25 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 // their flights: clean members are stored, degraded members passed
 // through uncached, and a whole-compute failure (or panic) fails every
 // flight so waiters never hang.
-func (c *Cache) leadBatch(ctx context.Context, leads []Key, fl []*flight, compute func(ctx context.Context, miss []Key) ([]Result, error)) (out []Result, err error) {
+func (c *Cache) leadBatch(ctx context.Context, leads []Key, fl []*flight, compute func(ctx context.Context, miss []Key) ([]Result, error)) ([]Result, error) {
 	completed := false
 	defer func() {
 		if !completed {
 			// compute panicked. Fail the flights so waiters don't hang,
 			// then let the panic propagate to this caller's recovery.
 			for i, f := range fl {
-				f.err = fmt.Errorf("qcache: leader panicked during batch compute")
+				f.err = fmt.Errorf("qcache: leader panicked during compute")
 				c.finish(leads[i], f, nil)
 			}
 		}
 	}()
+	fillStart := time.Now()
 	results, cerr := compute(ctx, leads)
+	completed = true
+	telemetry.FromContext(ctx).Stage("cache.fill", time.Since(fillStart))
 	if cerr == nil && len(results) != len(leads) {
 		cerr = fmt.Errorf("qcache: batch compute returned %d results for %d keys", len(results), len(leads))
 	}
-	completed = true
 	if cerr != nil {
 		for i, f := range fl {
 			f.err = cerr
@@ -158,13 +175,12 @@ func (c *Cache) leadBatch(ctx context.Context, leads []Key, fl []*flight, comput
 		}
 		return nil, cerr
 	}
-	out = make([]Result, len(leads))
 	for i, f := range fl {
 		r := results[i]
 		var shared *marginal.Table
 		if r.Table != nil {
 			// One immutable copy serves both the cache and the waiters;
-			// this caller keeps the original.
+			// this caller keeps the original, free to mutate.
 			shared = r.Table.Clone()
 		}
 		f.table, f.err = shared, r.Err
@@ -173,7 +189,6 @@ func (c *Cache) leadBatch(ctx context.Context, leads []Key, fl []*flight, comput
 			store = shared
 		}
 		c.finish(leads[i], f, store)
-		out[i] = r
 	}
-	return out, nil
+	return results, nil
 }

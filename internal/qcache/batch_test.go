@@ -12,6 +12,7 @@ import (
 	"priview/internal/marginal"
 	"priview/internal/qcache"
 	"priview/internal/reconstruct"
+	"priview/internal/telemetry"
 )
 
 // batchCompute returns a DoBatch compute that answers every miss with a
@@ -142,9 +143,9 @@ func TestDoBatchResultCountMismatch(t *testing.T) {
 	}
 }
 
-// TestDoBatchCoalescesWithDo verifies cross-protocol singleflight: a
-// single Do in flight is joined by a batch member (and not recomputed),
-// sharing one solve between the two protocols.
+// TestDoBatchCoalescesWithDo verifies a single query in flight (a
+// one-key call) is joined by a batch member and not recomputed, so the
+// two share one solve.
 func TestDoBatchCoalescesWithDo(t *testing.T) {
 	c := qcache.New(16, 0)
 	k := mustKey(t, []int{0, 2}, 1)
@@ -154,13 +155,13 @@ func TestDoBatchCoalescesWithDo(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := c.Do(context.Background(), k, func(context.Context) (*marginal.Table, error) {
+		_, err := do(c, context.Background(), k, func(context.Context) (*marginal.Table, error) {
 			close(started)
 			<-release
 			return table([]int{0, 2}, 7), nil
 		})
 		if err != nil {
-			t.Errorf("Do: %v", err)
+			t.Errorf("single query: %v", err)
 		}
 	}()
 	<-started
@@ -209,5 +210,29 @@ func TestDoBatchCanceled(t *testing.T) {
 		})
 	if res != nil || !errors.Is(err, reconstruct.ErrCanceled) {
 		t.Fatalf("res=%v err=%v", res, err)
+	}
+}
+
+// TestDoBatchRecordsCacheStages verifies a traced batch records its
+// cache stages: one cache.hit for the round that found stored keys and
+// one cache.fill for the one compute of its misses.
+func TestDoBatchRecordsCacheStages(t *testing.T) {
+	c := qcache.New(16, 0)
+	stored := mustKey(t, []int{0}, 0)
+	if _, err := do(c, context.Background(), stored, constant(table([]int{0}, 1))); err != nil {
+		t.Fatal(err)
+	}
+	ctx, tr := telemetry.StartTrace(context.Background())
+	var solved [][]qcache.Key
+	keys := []qcache.Key{stored, mustKey(t, []int{1}, 0), mustKey(t, []int{2}, 0)}
+	if _, err := c.DoBatch(ctx, keys, batchCompute(&solved)); err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, st := range tr.Stages() {
+		count[st.Name]++
+	}
+	if count["cache.hit"] != 1 || count["cache.fill"] != 1 || len(count) != 2 {
+		t.Errorf("stages = %+v, want one cache.hit and one cache.fill", tr.Stages())
 	}
 }

@@ -54,13 +54,13 @@ func BenchmarkQueryCached(b *testing.B) {
 	compute := func(ctx context.Context) (*marginal.Table, error) {
 		return syn.QueryMethodContext(ctx, attrs, core.CME)
 	}
-	if _, err := cache.Do(ctx, key, compute); err != nil {
+	if _, err := do(cache, ctx, key, compute); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cache.Do(ctx, key, compute); err != nil {
+		if _, err := do(cache, ctx, key, compute); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func BenchmarkQueryCachedParallel(b *testing.B) {
 	compute := func(ctx context.Context) (*marginal.Table, error) {
 		return syn.QueryMethodContext(ctx, attrs, core.CME)
 	}
-	if _, err := cache.Do(context.Background(), key, compute); err != nil {
+	if _, err := do(cache, context.Background(), key, compute); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -91,7 +91,7 @@ func BenchmarkQueryCachedParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		ctx := context.Background()
 		for pb.Next() {
-			if _, err := cache.Do(ctx, key, compute); err != nil {
+			if _, err := do(cache, ctx, key, compute); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,8 +11,8 @@ import (
 func fill(t *testing.T, c *qcache.Cache, attrs []int) qcache.Key {
 	t.Helper()
 	k := mustKey(t, attrs, 0)
-	if _, err := c.Do(context.Background(), k, constant(table(attrs, 1))); err != nil {
-		t.Fatalf("Do(%v): %v", attrs, err)
+	if _, err := do(c, context.Background(), k, constant(table(attrs, 1))); err != nil {
+		t.Fatalf("do(%v): %v", attrs, err)
 	}
 	return k
 }
@@ -84,7 +84,7 @@ func TestKeysMRUOrder(t *testing.T) {
 	k2 := fill(t, c, []int{1})
 	k3 := fill(t, c, []int{2})
 	// Touch k1 so it becomes most recent.
-	if _, err := c.Do(context.Background(), k1, constant(table([]int{0}, 1))); err != nil {
+	if _, err := do(c, context.Background(), k1, constant(table([]int{0}, 1))); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Keys()

@@ -29,9 +29,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
-	"time"
 
 	"priview/internal/attrset"
 	"priview/internal/marginal"
@@ -228,75 +226,6 @@ func (c *Cache) Instrument(hits, misses, evictions, coalesced *telemetry.Counter
 	c.hits, c.misses, c.evictions, c.coalesced = hits, misses, evictions, coalesced
 }
 
-// Do returns the memoized table for key, or runs compute to produce it.
-// Concurrent calls for the same key are coalesced into one compute; the
-// result is shared (each caller gets its own clone). compute receives
-// the leader's ctx and must honor its cancellation; when the leader is
-// canceled mid-solve, waiting callers whose own contexts are still live
-// retry — one becomes the new leader — so a canceled leader never
-// poisons its followers.
-//
-// Caching policy: only clean results (err == nil, non-nil table) are
-// stored. Degraded answers — compute returning both a table and an
-// error such as reconstruct.ErrNumerical — are passed through to every
-// waiter of that flight but not cached.
-func (c *Cache) Do(ctx context.Context, key Key, compute func(context.Context) (*marginal.Table, error)) (*marginal.Table, error) {
-	// The trace records which of the three cache outcomes this request
-	// took and how long it spent there; all three stage names feed the
-	// priview_stage_seconds histograms. tr is nil when the caller is not
-	// tracing (Stage is a nil-safe no-op).
-	tr := telemetry.FromContext(ctx)
-	var begin time.Time
-	if tr != nil {
-		begin = time.Now()
-	}
-	for {
-		if err := reconstruct.ContextErr(ctx); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			c.hits.Inc()
-			t := el.Value.(*entry).table
-			c.mu.Unlock()
-			if tr != nil {
-				tr.Stage("cache.hit", time.Since(begin))
-			}
-			// Safe to clone outside the lock: stored tables are never
-			// mutated, and eviction only drops the reference.
-			return t.Clone(), nil
-		}
-		if f, ok := c.flights[key]; ok {
-			c.coalesced.Inc()
-			c.mu.Unlock()
-			select {
-			case <-ctx.Done():
-				return nil, reconstruct.ContextErr(ctx)
-			case <-f.done:
-			}
-			if tr != nil {
-				tr.Stage("cache.join", time.Since(begin))
-			}
-			if canceledErr(f.err) {
-				// The leader gave up before finishing. Our context is
-				// live (or the next loop iteration reports it), so go
-				// around again and take over the solve.
-				continue
-			}
-			if f.table == nil {
-				return nil, f.err
-			}
-			return f.table.Clone(), f.err
-		}
-		f := &flight{done: make(chan struct{})}
-		c.flights[key] = f
-		c.misses.Inc()
-		c.mu.Unlock()
-		return c.lead(ctx, key, f, compute)
-	}
-}
-
 // Peek returns the stored table for key without computing anything and
 // without joining an in-flight solve — the lookup behind brownout's
 // cache-hits-only serving mode, where running a solve is exactly what
@@ -316,37 +245,6 @@ func (c *Cache) Peek(key Key) (*marginal.Table, bool) {
 	// Safe to clone outside the lock: stored tables are never mutated,
 	// and eviction only drops the reference.
 	return t.Clone(), true
-}
-
-// lead runs compute as the flight's leader and publishes the result to
-// the cache (clean results only) and to the flight's waiters.
-func (c *Cache) lead(ctx context.Context, key Key, f *flight, compute func(context.Context) (*marginal.Table, error)) (t *marginal.Table, err error) {
-	completed := false
-	defer func() {
-		if !completed {
-			// compute panicked. Fail the flight so waiters don't hang,
-			// then let the panic propagate to this caller's recovery.
-			f.err = fmt.Errorf("qcache: leader panicked during compute")
-			c.finish(key, f, nil)
-		}
-	}()
-	fillStart := time.Now()
-	t, err = compute(ctx)
-	completed = true
-	telemetry.FromContext(ctx).Stage("cache.fill", time.Since(fillStart))
-	var shared *marginal.Table
-	if t != nil {
-		// One immutable copy serves both the cache and the waiters;
-		// the leader's own caller keeps the original, free to mutate.
-		shared = t.Clone()
-	}
-	f.table, f.err = shared, err
-	var store *marginal.Table
-	if err == nil && shared != nil {
-		store = shared
-	}
-	c.finish(key, f, store)
-	return t, err
 }
 
 // finish retires the flight and, when store is non-nil, inserts it as a

@@ -27,6 +27,19 @@ func constant(t *marginal.Table) func(context.Context) (*marginal.Table, error) 
 	return func(context.Context) (*marginal.Table, error) { return t.Clone(), nil }
 }
 
+// do is a single query through the cache: a one-key DoBatch whose
+// compute answers the key's miss with compute.
+func do(c *qcache.Cache, ctx context.Context, key qcache.Key, compute func(context.Context) (*marginal.Table, error)) (*marginal.Table, error) {
+	rs, err := c.DoBatch(ctx, []qcache.Key{key}, func(ctx context.Context, _ []qcache.Key) ([]qcache.Result, error) {
+		t, err := compute(ctx)
+		return []qcache.Result{{Table: t, Err: err}}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0].Table, rs[0].Err
+}
+
 func mustKey(t *testing.T, attrs []int, method int) qcache.Key {
 	t.Helper()
 	k, ok := qcache.KeyFor(attrs, method)
@@ -63,12 +76,12 @@ func TestHitReturnsDefensiveClone(t *testing.T) {
 	ctx := context.Background()
 	key := mustKey(t, []int{0, 1}, 0)
 	src := table([]int{0, 1}, 1)
-	first, err := c.Do(ctx, key, constant(src))
+	first, err := do(c, ctx, key, constant(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.Cells[0] = math.Inf(1) // a hostile caller scribbles on its answer
-	second, err := c.Do(ctx, key, func(context.Context) (*marginal.Table, error) {
+	second, err := do(c, ctx, key, func(context.Context) (*marginal.Table, error) {
 		t.Fatal("second call must be a hit")
 		return nil, nil
 	})
@@ -79,7 +92,7 @@ func TestHitReturnsDefensiveClone(t *testing.T) {
 		t.Errorf("cached answer corrupted by caller mutation: %v", second)
 	}
 	second.Cells[1] = -1
-	third, err := c.Do(ctx, key, constant(src))
+	third, err := do(c, ctx, key, constant(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +110,7 @@ func TestLRUEvictsByEntryCount(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		attrs := []int{i}
-		_, err := c.Do(ctx, mustKey(t, attrs, 0), constant(table(attrs, 1)))
+		_, err := do(c, ctx, mustKey(t, attrs, 0), constant(table(attrs, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +120,7 @@ func TestLRUEvictsByEntryCount(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 entries, 1 eviction", st)
 	}
 	ran := false
-	_, err := c.Do(ctx, mustKey(t, []int{0}, 0), func(context.Context) (*marginal.Table, error) {
+	_, err := do(c, ctx, mustKey(t, []int{0}, 0), func(context.Context) (*marginal.Table, error) {
 		ran = true
 		return table([]int{0}, 1), nil
 	})
@@ -123,19 +136,19 @@ func TestLRUTouchOnHit(t *testing.T) {
 	c := qcache.New(2, 0)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := c.Do(ctx, mustKey(t, []int{i}, 0), constant(table([]int{i}, 1))); err != nil {
+		if _, err := do(c, ctx, mustKey(t, []int{i}, 0), constant(table([]int{i}, 1))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch {0} so {1} becomes the LRU victim.
-	if _, err := c.Do(ctx, mustKey(t, []int{0}, 0), constant(table([]int{0}, 1))); err != nil {
+	if _, err := do(c, ctx, mustKey(t, []int{0}, 0), constant(table([]int{0}, 1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Do(ctx, mustKey(t, []int{2}, 0), constant(table([]int{2}, 1))); err != nil {
+	if _, err := do(c, ctx, mustKey(t, []int{2}, 0), constant(table([]int{2}, 1))); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
-	_, err := c.Do(ctx, mustKey(t, []int{0}, 0), func(context.Context) (*marginal.Table, error) {
+	_, err := do(c, ctx, mustKey(t, []int{0}, 0), func(context.Context) (*marginal.Table, error) {
 		ran = true
 		return table([]int{0}, 1), nil
 	})
@@ -154,7 +167,7 @@ func TestBytesBound(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		attrs := []int{2 * i, 2*i + 1}
-		if _, err := c.Do(ctx, mustKey(t, attrs, 0), constant(table(attrs, 1))); err != nil {
+		if _, err := do(c, ctx, mustKey(t, attrs, 0), constant(table(attrs, 1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +190,7 @@ func TestOversizedTableNotCached(t *testing.T) {
 		return table([]int{0, 1}, 1), nil
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := c.Do(ctx, key, compute); err != nil {
+		if _, err := do(c, ctx, key, compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +213,7 @@ func TestDegradedServedNotCached(t *testing.T) {
 		return table([]int{0, 1}, float64(calls)), degraded
 	}
 	for i := 1; i <= 2; i++ {
-		got, err := c.Do(ctx, key, compute)
+		got, err := do(c, ctx, key, compute)
 		if !errors.Is(err, reconstruct.ErrNumerical) {
 			t.Fatalf("err = %v, want ErrNumerical passthrough", err)
 		}
@@ -223,7 +236,7 @@ func TestNilErrorResultNotCached(t *testing.T) {
 	boom := errors.New("solver exploded")
 	calls := 0
 	for i := 0; i < 2; i++ {
-		_, err := c.Do(ctx, key, func(context.Context) (*marginal.Table, error) {
+		_, err := do(c, ctx, key, func(context.Context) (*marginal.Table, error) {
 			calls++
 			return nil, boom
 		})
@@ -256,14 +269,14 @@ func TestSingleflightCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], errs[0] = c.Do(context.Background(), key, compute)
+		results[0], errs[0] = do(c, context.Background(), key, compute)
 	}()
 	<-entered
 	for i := 1; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Do(context.Background(), key, compute)
+			results[i], errs[i] = do(c, context.Background(), key, compute)
 		}(i)
 	}
 	// Wait until every follower is parked on the flight.
@@ -320,7 +333,7 @@ func TestCanceledLeaderHandsOff(t *testing.T) {
 	}
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := c.Do(leaderCtx, key, compute)
+		_, err := do(c, leaderCtx, key, compute)
 		leaderErr <- err
 	}()
 	<-entered
@@ -328,7 +341,7 @@ func TestCanceledLeaderHandsOff(t *testing.T) {
 	var followerGot *marginal.Table
 	go func() {
 		var err error
-		followerGot, err = c.Do(context.Background(), key, compute)
+		followerGot, err = do(c, context.Background(), key, compute)
 		followerDone <- err
 	}()
 	// Park the follower on the leader's flight, then cancel the leader.
@@ -361,7 +374,7 @@ func TestCanceledLeaderHandsOff(t *testing.T) {
 	if st := c.Stats(); st.Entries != 1 {
 		t.Errorf("entries = %d, want 1", st.Entries)
 	}
-	_, err := c.Do(context.Background(), key, func(context.Context) (*marginal.Table, error) {
+	_, err := do(c, context.Background(), key, func(context.Context) (*marginal.Table, error) {
 		t.Fatal("post-handoff lookup must hit")
 		return nil, nil
 	})
@@ -380,7 +393,7 @@ func TestCanceledFollowerReturnsPromptly(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	go func() {
-		_, err := c.Do(context.Background(), key, func(context.Context) (*marginal.Table, error) {
+		_, err := do(c, context.Background(), key, func(context.Context) (*marginal.Table, error) {
 			close(entered)
 			<-release
 			return table([]int{0}, 1), nil
@@ -393,7 +406,7 @@ func TestCanceledFollowerReturnsPromptly(t *testing.T) {
 	followerCtx, cancelFollower := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Do(followerCtx, key, func(context.Context) (*marginal.Table, error) {
+		_, err := do(c, followerCtx, key, func(context.Context) (*marginal.Table, error) {
 			return table([]int{0}, 1), nil
 		})
 		done <- err
@@ -427,7 +440,7 @@ func TestLeaderPanicDoesNotWedgeFollowers(t *testing.T) {
 				t.Error("leader panic swallowed")
 			}
 		}()
-		_, err := c.Do(context.Background(), key, func(context.Context) (*marginal.Table, error) {
+		_, err := do(c, context.Background(), key, func(context.Context) (*marginal.Table, error) {
 			close(entered)
 			<-release
 			panic("solver bug")
@@ -437,7 +450,7 @@ func TestLeaderPanicDoesNotWedgeFollowers(t *testing.T) {
 	<-entered
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Do(context.Background(), key, func(context.Context) (*marginal.Table, error) {
+		_, err := do(c, context.Background(), key, func(context.Context) (*marginal.Table, error) {
 			return nil, errors.New("follower should see the flight error, not recompute here")
 		})
 		done <- err
@@ -475,7 +488,7 @@ func TestConcurrentMixedKeysRace(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				attrs := []int{(w + i) % 6, 6 + i%3}
 				key := mustKey(t, attrs, i%2)
-				got, err := c.Do(context.Background(), key, func(context.Context) (*marginal.Table, error) {
+				got, err := do(c, context.Background(), key, func(context.Context) (*marginal.Table, error) {
 					return table(attrs, float64(key.Method)), nil
 				})
 				if err != nil {

@@ -161,8 +161,9 @@ func TestMarginalsInputGates(t *testing.T) {
 	}
 }
 
-// TestMarginalsDefaultMethodFromSynopsis verifies an unadorned batch
-// uses the synopsis's configured default estimator, not hardcoded CME.
+// TestMarginalsDefaultMethodFromSynopsis verifies an unadorned batch,
+// and an unadorned GET, use the synopsis's configured default
+// estimator, not hardcoded CME.
 func TestMarginalsDefaultMethodFromSynopsis(t *testing.T) {
 	data := synth.MSNBC(3000, 21)
 	dg := covering.Groups(9, 6)
@@ -180,6 +181,17 @@ func TestMarginalsDefaultMethodFromSynopsis(t *testing.T) {
 	}
 	if resp.Results[0].Method != "CLN" {
 		t.Errorf("method = %q, want the synopsis default CLN", resp.Results[0].Method)
+	}
+	rec = get(t, s, "/v1/marginal?attrs=0,4")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var single marginalResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &single); err != nil {
+		t.Fatal(err)
+	}
+	if single.Method != "CLN" {
+		t.Errorf("GET method = %q, want the synopsis default CLN", single.Method)
 	}
 }
 

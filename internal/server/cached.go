@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"priview/internal/core"
 	"priview/internal/marginal"
@@ -52,41 +53,36 @@ func NewCachedQuerier(q Querier, cache *qcache.Cache) *CachedQuerier {
 	return &CachedQuerier{Querier: q, cache: cache}
 }
 
-// QueryMethodContext implements Querier, serving repeated queries from
-// the cache.
+// QueryMethodContext implements Querier as a one-query QueryBatch, so a
+// single query takes the batch path through the cache.
 func (c *CachedQuerier) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
-	key, ok := qcache.KeyFor(attrs, int(method))
-	if !ok {
-		return c.Querier.QueryMethodContext(ctx, attrs, method)
+	res, err := c.QueryBatch(ctx, []core.BatchRequest{{Attrs: attrs, Method: method}}, core.BatchOptions{})
+	if err != nil {
+		return nil, err
 	}
-	return c.cache.Do(ctx, key, func(ctx context.Context) (*marginal.Table, error) {
-		return c.Querier.QueryMethodContext(ctx, attrs, method)
-	})
+	return res[0].Table, res[0].Err
 }
 
 // QueryBatch implements BatchQuerier over the cache: each member
-// resolves from the store, by joining an in-flight solve (batch or
-// single — the singleflight protocol is shared), or as part of one
-// batched solve of this call's misses against the inner Querier.
+// resolves from the store, by joining an in-flight solve, or as part of
+// one batched solve of this call's misses against the inner Querier.
 // Degraded members are served but never cached, clean members cache
 // normally. A member that cannot be keyed (an attribute ≥ 64 or a
-// duplicate) makes the whole batch bypass the cache, preserving the
-// inner QueryBatch's index-accurate validation errors.
+// duplicate) makes the whole batch bypass the cache, keeping the inner
+// QueryBatch's index-accurate validation errors.
 func (c *CachedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
 	keys := make([]qcache.Key, len(reqs))
-	byKey := make(map[qcache.Key]core.BatchRequest, len(reqs))
 	for i, r := range reqs {
 		k, ok := qcache.KeyFor(r.Attrs, int(r.Method))
 		if !ok {
 			return queryBatch(ctx, c.Querier, reqs, opt)
 		}
 		keys[i] = k
-		byKey[k] = r
 	}
 	rs, err := c.cache.DoBatch(ctx, keys, func(ctx context.Context, miss []qcache.Key) ([]qcache.Result, error) {
 		sub := make([]core.BatchRequest, len(miss))
 		for i, k := range miss {
-			sub[i] = byKey[k]
+			sub[i] = reqs[slices.Index(keys, k)]
 		}
 		res, err := queryBatch(ctx, c.Querier, sub, opt)
 		if err != nil {

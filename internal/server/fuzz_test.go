@@ -1,8 +1,15 @@
 package server
 
-import "testing"
+import (
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"testing"
 
-// FuzzParseAttrs hardens the query-string attribute parser.
+	"priview/internal/attrset"
+)
+
+// FuzzParseAttrs hardens the GET query-string attribute parser.
 func FuzzParseAttrs(f *testing.F) {
 	f.Add("1,2,3")
 	f.Add("")
@@ -12,10 +19,12 @@ func FuzzParseAttrs(f *testing.F) {
 	f.Add("999999999999999999999")
 	f.Add(" 7 , 8 ")
 	f.Fuzz(func(t *testing.T, raw string) {
-		attrs, err := parseAttrs(raw)
-		if err != nil {
+		r := httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs="+url.QueryEscape(raw), nil)
+		reqs, bad := parseMarginal(r, designlessQuerier{}, Options{MaxK: attrset.MaxAttr})
+		if bad != nil {
 			return
 		}
+		attrs := reqs[0].Attrs
 		if len(attrs) == 0 {
 			t.Fatal("success with empty attribute list")
 		}

@@ -176,8 +176,9 @@ func NewMulti(res Resolver, defaultRelease string, opt Options) *Multi {
 	// Admission precedes the armed deadline: a request refused for
 	// capacity consumes none of its reconstruction budget. The deadline
 	// gate itself runs in the handlers, once the request is parsed.
-	m.handleRelease("marginal", m.ov.admitted(m.ov.deadlined(m.leased("marginal", m.serveMarginal)), m.tryCacheOnly))
-	m.handleRelease("marginals", m.ov.admitted(m.ov.deadlined(m.leased("marginals", m.serveMarginals)), m.tryCacheOnly))
+	for _, rt := range []marginalRoute{marginalGET, marginalsPOST} {
+		m.handleRelease(rt.op, m.ov.admitted(m.ov.deadlined(m.leased(rt.op, m.serveMarginal(rt))), m.tryCacheOnly(rt)))
+	}
 	m.handleRelease("info", m.leased("info", m.serveInfo))
 	m.handleRelease("stats", http.HandlerFunc(m.handleStats))
 	return m
@@ -250,22 +251,24 @@ func (m *Multi) leased(op string, serve func(http.ResponseWriter, *http.Request,
 	})
 }
 
-// tryCacheOnly is the brownout hook: resolve the release and answer the
-// marginal from its memoized cache alone. Resolution failures return
-// false — the normal path owns the 404/503/429 mapping, and a request
-// that would fail resolution must fail identically in and out of
-// brownout.
-func (m *Multi) tryCacheOnly(w http.ResponseWriter, r *http.Request) bool {
-	name, ok := m.releaseName(r)
-	if !ok {
-		return false
+// tryCacheOnly is the brownout hook of route rt: resolve the release
+// and answer the request from its memoized cache alone. Resolution
+// failures return false — the normal path owns the 404/503/429 mapping,
+// and a request that would fail resolution must fail identically in
+// and out of brownout.
+func (m *Multi) tryCacheOnly(rt marginalRoute) func(http.ResponseWriter, *http.Request) bool {
+	return func(w http.ResponseWriter, r *http.Request) bool {
+		name, ok := m.releaseName(r)
+		if !ok {
+			return false
+		}
+		lease, err := m.res.Acquire(r.Context(), name)
+		if err != nil {
+			return false
+		}
+		defer lease.Close()
+		return m.ov.serveCacheOnly(w, r, lease, rt)
 	}
-	lease, err := m.res.Acquire(r.Context(), name)
-	if err != nil {
-		return false
-	}
-	defer lease.Close()
-	return m.ov.serveCacheOnly(w, r, lease)
 }
 
 // writeResolveError maps a Resolver error onto the HTTP failure model.

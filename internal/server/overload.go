@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -172,24 +171,23 @@ func (o *overload) deadlined(h http.Handler) http.Handler {
 	})
 }
 
-// admitDeadline is the deadline gate, shared by the single and batch
-// handlers. solves counts the distinct solves the request needs per
-// estimator; they fan over parallelism(workers, n) goroutines, so the
-// request needs about (sum of per-solve EWMA estimates) / parallelism
-// of wall clock. A request whose remaining deadline is below that is
-// doomed — it would burn solver slots only to time out — so it is
-// rejected in microseconds with 504 + Retry-After and admitDeadline
-// returns false.
-func (o *overload) admitDeadline(w http.ResponseWriter, r *http.Request, solves map[core.ReconstructMethod]int, workers int) bool {
+// admitDeadline is the deadline gate of both marginal routes. solves
+// counts the request's n distinct solves per estimator; they fan over
+// parallelism(workers, n) goroutines, so the request needs about (sum
+// of per-solve EWMA estimates) / parallelism of wall clock. A request
+// whose remaining deadline is below that is doomed — it would burn
+// solver slots only to time out — so it is rejected in microseconds
+// with 504 + Retry-After and admitDeadline returns false.
+func (o *overload) admitDeadline(w http.ResponseWriter, r *http.Request, solves solveCounts, n, workers int) bool {
 	deadline, ok := r.Context().Deadline()
 	if !ok {
 		return true
 	}
 	var est time.Duration
-	n := 0
 	for method, k := range solves {
-		est += time.Duration(k) * o.svc.Estimate(int(method))
-		n += k
+		if k > 0 {
+			est += time.Duration(k) * o.svc.Estimate(method)
+		}
 	}
 	need := est / time.Duration(parallelism(workers, n))
 	remain := time.Until(deadline)
@@ -213,36 +211,39 @@ func parallelism(workers, n int) int {
 	return max(1, min(workers, n))
 }
 
-// serveCacheOnly answers r from q's memoized cache alone — the brownout
-// serving mode. A malformed request returns false so the normal path
-// keeps ownership of input errors (400s must look identical in and out
-// of brownout). true means handled: served from cache, or refused 503 +
-// Retry-After on a miss.
-func (o *overload) serveCacheOnly(w http.ResponseWriter, r *http.Request, q Querier) bool {
-	if r.Method == http.MethodPost {
-		return o.serveCacheOnlyBatch(w, r, q)
-	}
-	if r.Method != http.MethodGet {
-		return false
-	}
-	attrs, method, err := parseMarginalQuery(r, q, o.opt.MaxK)
+// serveCacheOnly answers a request of route rt from q's memoized cache
+// alone — the brownout serving mode, one all-hits loop for both marginal
+// routes. The request is served only when every query is a cache hit:
+// one cold query means one solve, which is exactly what brownout exists
+// to avoid, so a miss is refused 503 + Retry-After. A request that does
+// not parse returns false so the normal path keeps ownership of input
+// errors (400s must look identical in and out of brownout); the body is
+// buffered and restored for it to re-read. true means handled.
+func (o *overload) serveCacheOnly(w http.ResponseWriter, r *http.Request, q Querier, rt marginalRoute) bool {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxMarginalsBody+1))
+	//lint:ignore errdiscard the original body is replaced either way
+	r.Body.Close()
+	r.Body = io.NopCloser(bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
-	if cq, ok := q.(CacheOnlyQuerier); ok {
-		if t, hit := cq.QueryCached(attrs, method); hit {
-			o.brownoutServed.Add(1)
-			writeJSON(w, o.opt.Logger, marginalResponse{
-				Attrs:  t.Attrs,
-				Method: method.String(),
-				Total:  t.Total(),
-				Cells:  t.Cells,
-			})
-			return true
-		}
+	reqs, bad := rt.parse(r, q, o.opt)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	if bad != nil {
+		return false
 	}
-	o.brownoutRejected.Add(1)
-	o.refuseBrownout(w)
+	cq, hit := q.(CacheOnlyQuerier)
+	results := make([]core.BatchResult, len(reqs))
+	for i := 0; hit && i < len(reqs); i++ {
+		results[i].Table, hit = cq.QueryCached(reqs[i].Attrs, reqs[i].Method)
+	}
+	if !hit {
+		o.brownoutRejected.Add(1)
+		o.refuseBrownout(w)
+		return true
+	}
+	o.brownoutServed.Add(1)
+	rt.write(w, o.opt.Logger, reqs, results)
 	return true
 }
 
@@ -255,58 +256,6 @@ func (o *overload) refuseBrownout(w http.ResponseWriter) {
 	}
 	w.Header().Set("Retry-After", retryAfterSeconds(hint))
 	http.Error(w, "brownout: serving cached answers only, retry later", http.StatusServiceUnavailable)
-}
-
-// serveCacheOnlyBatch is the brownout serving mode for the batch route:
-// the batch is served only when every member is a cache hit — one cold
-// member means one solve, which is exactly what brownout exists to
-// avoid — and refused 503 + Retry-After otherwise. The body is buffered
-// and restored so the normal path can re-read it whenever this returns
-// false (malformed input must draw the same 400 in and out of
-// brownout).
-func (o *overload) serveCacheOnlyBatch(w http.ResponseWriter, r *http.Request, q Querier) bool {
-	if !strings.HasSuffix(r.URL.Path, "/marginals") {
-		return false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxMarginalsBody+1))
-	//lint:ignore errdiscard the original body is replaced either way
-	r.Body.Close()
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	if err != nil || len(body) > maxMarginalsBody {
-		return false
-	}
-	var req marginalsRequest
-	if json.Unmarshal(body, &req) != nil || len(req.Queries) == 0 || len(req.Queries) > o.opt.MaxBatch {
-		return false
-	}
-	reqs, items := parseBatch(req, q, o.opt.MaxK)
-	if len(items) > 0 {
-		return false
-	}
-	cq, ok := q.(CacheOnlyQuerier)
-	if !ok {
-		o.brownoutRejected.Add(1)
-		o.refuseBrownout(w)
-		return true
-	}
-	resp := marginalsResponse{Results: make([]marginalResponse, len(reqs))}
-	for i, br := range reqs {
-		t, hit := cq.QueryCached(br.Attrs, br.Method)
-		if !hit {
-			o.brownoutRejected.Add(1)
-			o.refuseBrownout(w)
-			return true
-		}
-		resp.Results[i] = marginalResponse{
-			Attrs:  t.Attrs,
-			Method: br.Method.String(),
-			Total:  t.Total(),
-			Cells:  t.Cells,
-		}
-	}
-	o.brownoutServed.Add(1)
-	writeJSON(w, o.opt.Logger, resp)
-	return true
 }
 
 // stats merges the middleware-owned counters into the controller's

@@ -27,13 +27,9 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"log"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"priview/internal/admission"
@@ -41,7 +37,6 @@ import (
 	"priview/internal/covering"
 	"priview/internal/marginal"
 	"priview/internal/qcache"
-	"priview/internal/reconstruct"
 	"priview/internal/telemetry"
 )
 
@@ -208,152 +203,6 @@ func (m *Multi) serveInfo(w http.ResponseWriter, r *http.Request, q Querier) {
 		resp.Design = dg.Name()
 	}
 	writeJSON(w, m.opt.Logger, resp)
-}
-
-// marginalResponse is a reconstructed marginal table. Degraded marks
-// answers produced by the numerical fallback chain (a poisoned view or
-// an unstable solver was bypassed); the cells are finite and usable but
-// may come from a different estimator than requested.
-type marginalResponse struct {
-	Attrs    []int     `json:"attrs"`
-	Method   string    `json:"method"`
-	Total    float64   `json:"total"`
-	Cells    []float64 `json:"cells"`
-	Degraded bool      `json:"degraded,omitempty"`
-}
-
-// serveMarginal validates, reconstructs and answers one marginal query
-// against the resolved release q.
-func (m *Multi) serveMarginal(w http.ResponseWriter, r *http.Request, q Querier) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	attrs, method, err := parseMarginalQuery(r, q, m.opt.MaxK)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !m.ov.admitDeadline(w, r, map[core.ReconstructMethod]int{method: 1}, 1) {
-		return
-	}
-	// Input is validated; from here every failure is the server's, not
-	// the client's. Panics propagate to the recovery middleware (500).
-	// The trace rides the context down through qcache and core, which
-	// record their stage timings into it.
-	ctx, tr := telemetry.StartTrace(r.Context())
-	start := time.Now()
-	table, err := q.QueryMethodContext(ctx, attrs, method)
-	if err == nil || errors.Is(err, reconstruct.ErrNumerical) {
-		// Only completed solves feed the estimate; a timed-out query
-		// measures its own truncation, not the method's service time.
-		m.observeSolve(method, time.Since(start))
-	}
-	defer m.tel.finishTrace(tr, m.opt.Logger, m.opt.SlowQuery, r.URL.Path, func() string {
-		return fmt.Sprintf("attrs=%v method=%s", attrs, method)
-	})
-	switch {
-	case err == nil && table != nil:
-		writeJSON(w, m.opt.Logger, marginalResponse{
-			Attrs:  table.Attrs,
-			Method: method.String(),
-			Total:  table.Total(),
-			Cells:  table.Cells,
-		})
-	case errors.Is(err, reconstruct.ErrNumerical) && table != nil:
-		// The numerical fallback chain produced a finite answer; serve
-		// it (marked degraded) rather than failing the query.
-		m.opt.Logger.Printf("server: query attrs=%v method=%s degraded: %v", attrs, method, err)
-		writeJSON(w, m.opt.Logger, marginalResponse{
-			Attrs:    table.Attrs,
-			Method:   method.String(),
-			Total:    table.Total(),
-			Cells:    table.Cells,
-			Degraded: true,
-		})
-	case errors.Is(err, reconstruct.ErrDeadline) || errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
-	case errors.Is(err, reconstruct.ErrCanceled) || errors.Is(err, context.Canceled):
-		// The client went away; the status is for logs only.
-		w.WriteHeader(statusClientClosedRequest)
-	default:
-		m.opt.Logger.Printf("server: query attrs=%v method=%s failed: %v", attrs, method, err)
-		http.Error(w, "internal error", http.StatusInternalServerError)
-	}
-}
-
-// observeSolve feeds one completed solve's per-solve service time to
-// the deadline gate's estimate and to the solve-time histograms.
-func (m *Multi) observeSolve(method core.ReconstructMethod, d time.Duration) {
-	m.ov.svc.Observe(int(method), d)
-	m.tel.observeSolve(method, d)
-}
-
-// parseMarginalQuery validates a GET marginal request against the
-// release q: the attrs list, the MaxK bound, q's attribute range and
-// the method. The error text is the 400 body. The brownout path parses
-// with it too, so input errors look identical in and out of brownout.
-func parseMarginalQuery(r *http.Request, q Querier, maxK int) ([]int, core.ReconstructMethod, error) {
-	attrs, err := parseAttrs(r.URL.Query().Get("attrs"))
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(attrs) > maxK {
-		return nil, 0, fmt.Errorf("at most %d attributes per query", maxK)
-	}
-	if dg := q.Design(); dg != nil {
-		for _, a := range attrs {
-			if a < 0 || a >= dg.D {
-				return nil, 0, fmt.Errorf("attribute %d out of range (d=%d)", a, dg.D)
-			}
-		}
-	}
-	method, ok := parseMethod(r.URL.Query().Get("method"))
-	if !ok {
-		return nil, 0, errors.New("unknown method (want CME, CLN, LP, CLP or CME-dual)")
-	}
-	return attrs, method, nil
-}
-
-// parseMethod resolves the method query parameter to an estimator. All
-// five Fig. 3 estimators implemented by core are accepted; matching is
-// case-insensitive and CME-dual is also spellable without the hyphen.
-func parseMethod(raw string) (core.ReconstructMethod, bool) {
-	switch strings.ToUpper(raw) {
-	case "", "CME":
-		return core.CME, true
-	case "CLN":
-		return core.CLN, true
-	case "LP":
-		return core.LP, true
-	case "CLP":
-		return core.CLP, true
-	case "CMEDUAL", "CME-DUAL":
-		return core.CMEDual, true
-	}
-	return core.CME, false
-}
-
-func parseAttrs(raw string) ([]int, error) {
-	if raw == "" {
-		return nil, fmt.Errorf("attrs parameter is required (comma-separated indices)")
-	}
-	parts := strings.Split(raw, ",")
-	attrs := make([]int, 0, len(parts))
-	seen := map[int]bool{}
-	for _, p := range parts {
-		a, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad attribute %q", p)
-		}
-		if seen[a] {
-			return nil, fmt.Errorf("duplicate attribute %d", a)
-		}
-		seen[a] = true
-		attrs = append(attrs, a)
-	}
-	sort.Ints(attrs)
-	return attrs, nil
 }
 
 func writeJSON(w http.ResponseWriter, logger *log.Logger, v interface{}) {

@@ -81,53 +81,72 @@ func sampleValue(t *testing.T, fams map[string]*telemetry.ParsedFamily, family, 
 // stack and asserts every subsystem's series lands on one scrape
 // surface: per-route HTTP accounting, cache counters and gauges,
 // admission counters and gauges, solve and stage histograms, and the
-// slow-query path.
+// slow-query path. Both marginal routes run the miss-then-hit pair, and
+// each must record the cache.fill and cache.hit stages.
 func TestMetricsEndpoint(t *testing.T) {
-	cq, _, _ := cachedTestSetup(t)
-	var logBuf bytes.Buffer
-	s := New(cq, Options{
-		SlowQuery: time.Nanosecond, // everything is slow: exercises the counter + log line
-		Logger:    log.New(&logBuf, "", 0),
-	})
-
-	for i := 0; i < 2; i++ { // one miss, one hit
-		if rec := get(t, s, "/v1/marginal?attrs=0,4,8"); rec.Code != http.StatusOK {
-			t.Fatalf("marginal status = %d: %s", rec.Code, rec.Body.String())
-		}
-	}
-	if rec := get(t, s, "/v1/stats"); rec.Code != http.StatusOK {
-		t.Fatalf("stats status = %d", rec.Code)
-	}
-
-	fams := scrape(t, s)
-	checks := []struct {
-		family, sample string
-		labels         map[string]string
-		min            float64
+	routes := []struct {
+		name, route string
+		query       func(*Multi) *httptest.ResponseRecorder
 	}{
-		{"priview_http_requests_total", "priview_http_requests_total", map[string]string{"route": "/v1/marginal", "status": "2xx"}, 2},
-		{"priview_http_requests_total", "priview_http_requests_total", map[string]string{"route": "/v1/stats", "status": "2xx"}, 1},
-		{"priview_http_request_seconds", "priview_http_request_seconds_count", map[string]string{"route": "/v1/marginal", "status": "2xx"}, 2},
-		{"priview_qcache_hits_total", "priview_qcache_hits_total", map[string]string{"release": "default"}, 1},
-		{"priview_qcache_misses_total", "priview_qcache_misses_total", map[string]string{"release": "default"}, 1},
-		{"priview_qcache_entries", "priview_qcache_entries", map[string]string{"release": "default"}, 1},
-		{"priview_solve_seconds", "priview_solve_seconds_count", map[string]string{"method": "CME"}, 1},
-		{"priview_stage_seconds", "priview_stage_seconds_count", map[string]string{"stage": "reconstruct.cme"}, 1},
-		{"priview_stage_seconds", "priview_stage_seconds_count", map[string]string{"stage": "cache.hit"}, 1},
-		{"priview_admission_admitted_total", "priview_admission_admitted_total", nil, 2},
-		{"priview_admission_limit", "priview_admission_limit", nil, 1},
-		{"priview_slow_queries_total", "priview_slow_queries_total", nil, 2},
+		{"GET", "/v1/marginal", func(s *Multi) *httptest.ResponseRecorder {
+			return get(t, s, "/v1/marginal?attrs=0,4,8")
+		}},
+		{"POST", "/v1/marginals", func(s *Multi) *httptest.ResponseRecorder {
+			return postMarginals(t, s, "/v1/marginals", map[string]interface{}{
+				"queries": []map[string]interface{}{{"attrs": []int{0, 4, 8}}},
+			})
+		}},
 	}
-	for _, c := range checks {
-		if v := sampleValue(t, fams, c.family, c.sample, c.labels); v < c.min {
-			t.Errorf("%s%v = %v, want ≥ %v", c.sample, c.labels, v, c.min)
-		}
-	}
-	if !strings.Contains(logBuf.String(), "slow-query route=/v1/marginal") {
-		t.Errorf("slow-query log line missing; log = %q", logBuf.String())
-	}
-	if !strings.Contains(logBuf.String(), "stages=[") {
-		t.Errorf("slow-query line has no stage breakdown; log = %q", logBuf.String())
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			cq, _, _ := cachedTestSetup(t)
+			var logBuf bytes.Buffer
+			s := New(cq, Options{
+				SlowQuery: time.Nanosecond, // everything is slow: exercises the counter + log line
+				Logger:    log.New(&logBuf, "", 0),
+			})
+
+			for i := 0; i < 2; i++ { // one miss, one hit
+				if rec := rt.query(s); rec.Code != http.StatusOK {
+					t.Fatalf("marginal status = %d: %s", rec.Code, rec.Body.String())
+				}
+			}
+			if rec := get(t, s, "/v1/stats"); rec.Code != http.StatusOK {
+				t.Fatalf("stats status = %d", rec.Code)
+			}
+
+			fams := scrape(t, s)
+			checks := []struct {
+				family, sample string
+				labels         map[string]string
+				min            float64
+			}{
+				{"priview_http_requests_total", "priview_http_requests_total", map[string]string{"route": rt.route, "status": "2xx"}, 2},
+				{"priview_http_requests_total", "priview_http_requests_total", map[string]string{"route": "/v1/stats", "status": "2xx"}, 1},
+				{"priview_http_request_seconds", "priview_http_request_seconds_count", map[string]string{"route": rt.route, "status": "2xx"}, 2},
+				{"priview_qcache_hits_total", "priview_qcache_hits_total", map[string]string{"release": "default"}, 1},
+				{"priview_qcache_misses_total", "priview_qcache_misses_total", map[string]string{"release": "default"}, 1},
+				{"priview_qcache_entries", "priview_qcache_entries", map[string]string{"release": "default"}, 1},
+				{"priview_solve_seconds", "priview_solve_seconds_count", map[string]string{"method": "CME"}, 1},
+				{"priview_stage_seconds", "priview_stage_seconds_count", map[string]string{"stage": "reconstruct.cme"}, 1},
+				{"priview_stage_seconds", "priview_stage_seconds_count", map[string]string{"stage": "cache.fill"}, 1},
+				{"priview_stage_seconds", "priview_stage_seconds_count", map[string]string{"stage": "cache.hit"}, 1},
+				{"priview_admission_admitted_total", "priview_admission_admitted_total", nil, 2},
+				{"priview_admission_limit", "priview_admission_limit", nil, 1},
+				{"priview_slow_queries_total", "priview_slow_queries_total", nil, 2},
+			}
+			for _, c := range checks {
+				if v := sampleValue(t, fams, c.family, c.sample, c.labels); v < c.min {
+					t.Errorf("%s%v = %v, want ≥ %v", c.sample, c.labels, v, c.min)
+				}
+			}
+			if !strings.Contains(logBuf.String(), "slow-query route="+rt.route+" ") {
+				t.Errorf("slow-query log line missing; log = %q", logBuf.String())
+			}
+			if !strings.Contains(logBuf.String(), "stages=[") {
+				t.Errorf("slow-query line has no stage breakdown; log = %q", logBuf.String())
+			}
+		})
 	}
 }
 
