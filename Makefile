@@ -36,7 +36,8 @@ test:
 	$(GO) test ./...
 
 # The race lane uses -short so the race-enabled run finishes quickly;
-# `make test` still runs everything at full size.
+# `make test` (part of `make check`) still runs everything at full
+# size, including the goldens -short skips.
 race:
 	$(GO) test -race -short ./...
 
@@ -119,4 +120,4 @@ audit:
 	$(GO) run ./cmd/priview build -in $$tmp/data.txt -eps 1.0 -snapshot -out $$tmp/syn.json && \
 	$(GO) run ./cmd/priview audit $$tmp/syn.json
 
-check: build vet lint race chaos chaos-registry chaos-overload fuzz-short audit bench-smoke
+check: build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench-smoke
