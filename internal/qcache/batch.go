@@ -38,8 +38,8 @@ type Result struct {
 // retry or fail on their own contexts.
 //
 // A traced ctx records the outcomes of each round: cache.hit and
-// cache.join with the time since the call began, cache.fill with the
-// compute's wall clock.
+// cache.join with the time from the call's start until the lookup or
+// the wait ended, cache.fill with the compute's wall clock.
 func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx context.Context, miss []Key) ([]Result, error)) ([]Result, error) {
 	tr := telemetry.FromContext(ctx)
 	var begin time.Time
@@ -89,6 +89,9 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 		}
 		c.mu.Unlock()
 		if hit {
+			if tr != nil {
+				tr.Stage("cache.hit", time.Since(begin))
+			}
 			// A pending key holds a table only if it hit this round. Safe
 			// to clone outside the lock: stored tables are never mutated,
 			// and eviction only drops the reference.
@@ -96,9 +99,6 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 				if out[i].Table != nil {
 					out[i].Table = out[i].Table.Clone()
 				}
-			}
-			if tr != nil {
-				tr.Stage("cache.hit", time.Since(begin))
 			}
 		}
 		if len(leads) > 0 {
