@@ -86,12 +86,12 @@ func sampleValue(t *testing.T, fams map[string]*telemetry.ParsedFamily, family, 
 func TestMetricsEndpoint(t *testing.T) {
 	routes := []struct {
 		name, route string
-		query       func(*Multi) *httptest.ResponseRecorder
+		query       func(*testing.T, *Multi) *httptest.ResponseRecorder
 	}{
-		{"GET", "/v1/marginal", func(s *Multi) *httptest.ResponseRecorder {
+		{"GET", "/v1/marginal", func(t *testing.T, s *Multi) *httptest.ResponseRecorder {
 			return get(t, s, "/v1/marginal?attrs=0,4,8")
 		}},
-		{"POST", "/v1/marginals", func(s *Multi) *httptest.ResponseRecorder {
+		{"POST", "/v1/marginals", func(t *testing.T, s *Multi) *httptest.ResponseRecorder {
 			return postMarginals(t, s, "/v1/marginals", map[string]interface{}{
 				"queries": []map[string]interface{}{{"attrs": []int{0, 4, 8}}},
 			})
@@ -107,7 +107,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			})
 
 			for i := 0; i < 2; i++ { // one miss, one hit
-				if rec := rt.query(s); rec.Code != http.StatusOK {
+				if rec := rt.query(t, s); rec.Code != http.StatusOK {
 					t.Fatalf("marginal status = %d: %s", rec.Code, rec.Body.String())
 				}
 			}
