@@ -49,8 +49,10 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 	out := make([]Result, len(keys))
 	// pending indexes the first occurrence of every distinct key still
 	// unresolved; duplicates copy it at the end. Scanning the keys rather
-	// than hashing them keeps a one-key call free of per-call maps.
-	pending := make([]int, 0, len(keys))
+	// than hashing them, with pending on the stack for up to 8 distinct
+	// keys, keeps a single query free of bookkeeping allocations.
+	var buf [8]int
+	pending := buf[:0]
 	for i, k := range keys {
 		if slices.Index(keys[:i], k) < 0 {
 			pending = append(pending, i)
