@@ -75,9 +75,10 @@ chaos-overload:
 # The query-cache benchmarks (cached vs uncached reconstruction at the
 # qcache and HTTP layers) plus the attrset before/after suite (pairwise
 # set scan, intersection closure, constraint dedupe, solver hot-loop
-# projection — each Old/New pair in the same binary). Reference numbers
-# live in BENCH_qcache.json and BENCH_attrset.json; see DESIGN.md §9
-# and §10.
+# projection — each Old/New pair in the same binary), and the two steps
+# of a release load (snapshot decode, audit) on the benchmark's
+# C3(8,·) d=32 release shape. Reference numbers live in
+# BENCH_qcache.json and BENCH_attrset.json; see DESIGN.md §8–§10.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkQueryCached|BenchmarkQueryUncached' -benchmem -benchtime=$(BENCHTIME) ./internal/qcache/
@@ -85,6 +86,8 @@ bench:
 	$(GO) test -run='^$$' -bench='BenchmarkDedupeIdentical' -benchmem -benchtime=$(BENCHTIME) ./internal/reconstruct/
 	$(GO) test -run='^$$' -bench='BenchmarkPairwiseScan|BenchmarkIntersectionClosure|BenchmarkFromAttrs' -benchmem -benchtime=$(BENCHTIME) ./internal/attrset/
 	$(GO) test -run='^$$' -bench='BenchmarkHotLoopProjection' -benchmem -benchtime=$(BENCHTIME) ./internal/marginal/
+	$(GO) test -run='^$$' -bench='BenchmarkDecode' -benchmem -benchtime=$(BENCHTIME) ./internal/snapshot/
+	$(GO) test -run='^$$' -bench='BenchmarkCheck' -benchmem -benchtime=$(BENCHTIME) ./internal/audit/
 
 # Batched-query wall-clock: QueryBatch vs the sequential loop on the
 # all-3-way workload, both paths in one binary. Reference numbers (and

@@ -16,8 +16,10 @@ package audit
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
+	"priview/internal/attrset"
 	"priview/internal/consistency"
 	"priview/internal/covering"
 	"priview/internal/marginal"
@@ -281,24 +283,25 @@ func Check(s Synopsis, opt Options) *Report {
 
 	// Mutual consistency (§4.4): every pair of views sharing attributes
 	// must agree on the shared marginal.
+	sw := pairSweep{left: map[attrset.Set]int{}, restrict: map[restrictKey][]int32{}}
 	for i := 0; i < len(views); i++ {
 		if !usable[i] {
 			continue
 		}
+		sw.reset()
 		for j := i + 1; j < len(views); j++ {
 			if !usable[j] {
 				continue
 			}
-			sharedMask := views[i].Mask().Intersect(views[j].Mask())
-			if sharedMask.Empty() {
+			shared := views[i].Mask().Intersect(views[j].Mask())
+			if shared.Empty() {
 				continue
 			}
-			shared := sharedMask.Attrs()
 			r.Pairs++
-			gap := marginal.MaxAbsDiff(views[i].Project(shared), views[j].Project(shared))
+			gap := maxAbsDiff(sw.leftProjection(views[i], shared), sw.rightProjection(views[j], shared))
 			if gap > opt.ConsistencyTol {
 				r.add(Error, "consistency", i, gap,
-					"views %d and %d disagree on shared attrs %v by %v (tol %v)", i, j, shared, gap, opt.ConsistencyTol)
+					"views %d and %d disagree on shared attrs %v by %v (tol %v)", i, j, shared.Attrs(), gap, opt.ConsistencyTol)
 			}
 		}
 	}
@@ -308,4 +311,112 @@ func Check(s Synopsis, opt Options) *Report {
 			"design declares %d views, synopsis has %d (merged or pruned release)", dg.W(), len(views))
 	}
 	return r
+}
+
+// restrictPrecomputeLimit is marginal's bound on the views that get a
+// restrict table: a view with more cells keeps Table.Project's
+// per-cell gather, as it does everywhere else.
+const restrictPrecomputeLimit = 1 << 24
+
+// sweepCacheCells bounds each cache of the pairwise sweep, in cells:
+// the left view's projections (512 KiB) and the restrict tables
+// (256 KiB). A cache that would grow past it is emptied and refilled.
+const sweepCacheCells = 1 << 16
+
+// restrictKey names a restrict table: it depends only on the view's
+// dimension and the positions the shared set occupies within it.
+type restrictKey struct {
+	dim int
+	pos uint64
+}
+
+// pairSweep is the consistency sweep's reusable state. Each pair
+// projects both views onto their shared set; the left view's
+// projections are memoized by shared set while it is the left of the
+// sweep, the right view is projected into one reused buffer, and
+// restrict tables are shared by every view of the same dimension.
+type pairSweep struct {
+	left          map[attrset.Set]int // shared set → offset of the left view's projection in memo
+	memo          []float64
+	right         []float64
+	restrict      map[restrictKey][]int32
+	restrictCells int
+}
+
+// reset drops the projections of the previous left view, keeping their
+// storage.
+func (sw *pairSweep) reset() {
+	clear(sw.left)
+	sw.memo = sw.memo[:0]
+}
+
+// leftProjection returns the current left view v's projection onto
+// shared, computing it on first use.
+func (sw *pairSweep) leftProjection(v *marginal.Table, shared attrset.Set) []float64 {
+	if shared == v.Mask() || len(v.Cells) > restrictPrecomputeLimit {
+		return sw.project(v, shared, nil) // no buffer to fill, nothing to memoize
+	}
+	n := 1 << uint(shared.Card())
+	if off, ok := sw.left[shared]; ok {
+		return sw.memo[off : off+n]
+	}
+	if len(sw.memo)+n > sweepCacheCells {
+		sw.reset()
+	}
+	off := len(sw.memo)
+	sw.memo = slices.Grow(sw.memo, n)[:off+n]
+	sw.left[shared] = off
+	return sw.project(v, shared, sw.memo[off:])
+}
+
+// rightProjection returns v's projection onto shared, in the buffer
+// every right view shares.
+func (sw *pairSweep) rightProjection(v *marginal.Table, shared attrset.Set) []float64 {
+	sw.right = slices.Grow(sw.right[:0], 1<<uint(shared.Card()))
+	return sw.project(v, shared, sw.right)
+}
+
+// project returns v's cells summed onto shared, in ascending cell
+// order as Table.Project sums them: v's own cells when shared is all
+// of v, Project's result for a view too large for a restrict table,
+// and otherwise ProjectInto through a cached restrict table into buf,
+// which must have room for 2^|shared| cells.
+func (sw *pairSweep) project(v *marginal.Table, shared attrset.Set, buf []float64) []float64 {
+	switch {
+	case shared == v.Mask():
+		return v.Cells
+	case len(v.Cells) > restrictPrecomputeLimit:
+		return v.Project(shared.Attrs()).Cells
+	}
+	buf = buf[:1<<uint(shared.Card())]
+	v.ProjectInto(buf, sw.restrictTable(v.Dim(), attrset.PosMask(shared, v.Mask())))
+	return buf
+}
+
+// restrictTable returns attrset.RestrictTable(dim, pos), building it on
+// first use.
+func (sw *pairSweep) restrictTable(dim int, pos uint64) []int32 {
+	k := restrictKey{dim, pos}
+	if t, ok := sw.restrict[k]; ok {
+		return t
+	}
+	t := attrset.RestrictTable(dim, pos)
+	if sw.restrictCells+len(t) > sweepCacheCells {
+		clear(sw.restrict)
+		sw.restrictCells = 0
+	}
+	sw.restrict[k] = t
+	sw.restrictCells += len(t)
+	return t
+}
+
+// maxAbsDiff is marginal.MaxAbsDiff over two projections' cells.
+func maxAbsDiff(a, b []float64) float64 {
+	m := 0.0
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > m {
+			m = d
+		}
+	}
+	return m
 }

@@ -2,13 +2,16 @@ package audit_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"priview/internal/audit"
 	"priview/internal/core"
 	"priview/internal/covering"
+	"priview/internal/dataset"
 	"priview/internal/dataset/synth"
 	"priview/internal/marginal"
 	"priview/internal/noise"
@@ -193,5 +196,171 @@ func FuzzAuditReport(f *testing.F) {
 		_ = r.String()
 		_ = r.OK()
 		_ = r.Err()
+		crossCheck(t, s, 1e-6*math.Max(math.Abs(s.Total()), 1))
 	})
+}
+
+// referenceSweep is Check's consistency sweep written as a plain loop:
+// Project both views of every overlapping pair onto their shared
+// attributes, then marginal.MaxAbsDiff. It returns the pair count and
+// the consistency findings Check must report, in order.
+func referenceSweep(views []*marginal.Table, tol float64) (int, []audit.Finding) {
+	usable := make([]bool, len(views))
+	for i, v := range views {
+		usable[i] = v != nil && len(v.Cells) == 1<<uint(len(v.Attrs))
+		for j := 0; usable[i] && j < len(v.Cells); j++ {
+			usable[i] = !math.IsNaN(v.Cells[j]) && !math.IsInf(v.Cells[j], 0)
+		}
+	}
+	pairs := 0
+	var found []audit.Finding
+	for i := range views {
+		if !usable[i] {
+			continue
+		}
+		for j := i + 1; j < len(views); j++ {
+			if !usable[j] {
+				continue
+			}
+			sharedMask := views[i].Mask().Intersect(views[j].Mask())
+			if sharedMask.Empty() {
+				continue
+			}
+			shared := sharedMask.Attrs()
+			pairs++
+			gap := marginal.MaxAbsDiff(views[i].Project(shared), views[j].Project(shared))
+			if gap > tol {
+				found = append(found, audit.Finding{
+					Severity: audit.Error, Invariant: "consistency", View: i, Value: gap,
+					Detail: fmt.Sprintf("views %d and %d disagree on shared attrs %v by %v (tol %v)", i, j, shared, gap, tol),
+				})
+			}
+		}
+	}
+	return pairs, found
+}
+
+// crossCheck audits s at consistency tolerance tol and fails t unless
+// the report's pair count and consistency findings equal the reference
+// sweep's, in order, with identical texts and bit-identical values.
+func crossCheck(t *testing.T, s audit.Synopsis, tol float64) {
+	t.Helper()
+	r := audit.Check(s, audit.Options{ConsistencyTol: tol})
+	pairs, want := referenceSweep(s.Views(), tol)
+	if r.Pairs != pairs {
+		t.Errorf("Pairs = %d, reference sweep %d", r.Pairs, pairs)
+	}
+	var got []audit.Finding
+	for _, f := range r.Findings {
+		if f.Invariant == "consistency" {
+			got = append(got, f)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d consistency findings, reference sweep %d:\n%s", len(got), len(want), r)
+	}
+	for k, w := range want {
+		g := got[k]
+		if g.Severity != w.Severity || g.View != w.View || g.Detail != w.Detail ||
+			math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+			t.Fatalf("consistency finding %d = %+v, reference sweep %+v", k, g, w)
+		}
+	}
+}
+
+// randomSynopsis draws 2–14 exact marginals of data over minDim to
+// maxDim of its attributes, so pairs come disjoint, overlapping, nested
+// and equal, then damages some views: noise below tol, a cell pushed
+// past it, a NaN cell, a wrong cell count, or no view at all.
+func randomSynopsis(rng *noise.Stream, data *dataset.Dataset, tol float64, minDim, maxDim int) *fakeSyn {
+	views := make([]*marginal.Table, 2+rng.Intn(13))
+	for i := range views {
+		v := data.Marginal(rng.Perm(data.Dim())[:minDim+rng.Intn(maxDim-minDim+1)])
+		switch rng.Intn(8) {
+		case 0:
+			for k := range v.Cells {
+				v.Cells[k] += 1e-3 * tol * rng.NormFloat64()
+			}
+		case 1:
+			v.Cells[rng.Intn(len(v.Cells))] += tol * (1 + 10*rng.Float64())
+		case 2:
+			v.Cells[rng.Intn(len(v.Cells))] = math.NaN()
+		case 3:
+			v.Cells = v.Cells[:len(v.Cells)-1]
+		case 4:
+			v = nil
+		}
+		views[i] = v
+	}
+	return &fakeSyn{views: views, total: float64(data.Len()), eps: 1}
+}
+
+// benchRelease is the benchmark's release shape, built in-process at a
+// small N: ε = 1 over a C3(8,·) design on Kosarak's d = 32 attributes,
+// 173 views with 13,687 overlapping pairs whatever N is.
+var benchRelease = sync.OnceValue(func() *core.Synopsis {
+	data := synth.Kosarak(2000, 1)
+	dg := covering.Best(32, 8, 3, 1, 1)
+	return core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(1))
+})
+
+// TestCheckMatchesPairwiseReference pins Check's consistency sweep to
+// its definition: on random synopses, and on noisy and damaged copies of
+// the benchmark's release, the report holds exactly the pairs and the
+// findings of the plain Project-and-compare loop.
+func TestCheckMatchesPairwiseReference(t *testing.T) {
+	rng := noise.NewStream(11)
+	data := synth.Uniform(12, 500, 0.3, 11)
+	tol := 1e-6 * float64(data.Len())
+	for k := 0; k < 300; k++ {
+		crossCheck(t, randomSynopsis(rng, data, tol, 1, 8), tol)
+	}
+	// Views of 15–17 attributes overflow both of the sweep's caches, so
+	// they are emptied and refilled partway through a left view.
+	wide := synth.Uniform(19, 300, 0.3, 12)
+	tol = 1e-6 * float64(wide.Len())
+	for k := 0; k < 3; k++ {
+		crossCheck(t, randomSynopsis(rng, wide, tol, 15, 17), tol)
+	}
+
+	rel := benchRelease()
+	for k := 0; k < 4; k++ {
+		views := make([]*marginal.Table, len(rel.Views()))
+		for i, v := range rel.Views() {
+			views[i] = v.Clone()
+			if k > 0 && rng.Intn(8) == 0 {
+				views[i].Cells[rng.Intn(len(v.Cells))] += float64(k) * rng.NormFloat64()
+			}
+		}
+		if k == 3 {
+			views[rng.Intn(len(views))].Cells[0] = math.NaN()
+		}
+		s := &fakeSyn{views: views, total: rel.Total(), eps: rel.Epsilon()}
+		crossCheck(t, s, 1e-6*math.Max(math.Abs(rel.Total()), 1))
+	}
+}
+
+// TestCheckAllocations bounds the audit's allocations on the benchmark's
+// release shape: the pairwise sweep reuses its projections and restrict
+// tables, so the whole audit allocates well under once per pair.
+func TestCheckAllocations(t *testing.T) {
+	s := benchRelease()
+	pairs := audit.Check(s, audit.Options{}).Pairs
+	allocs := testing.AllocsPerRun(3, func() { audit.Check(s, audit.Options{}) })
+	if allocs >= float64(pairs)/4 {
+		t.Errorf("audit.Check allocated %v times for %d pairs, want < %d", allocs, pairs, pairs/4)
+	}
+}
+
+// reportSink keeps BenchmarkCheck's result live.
+var reportSink *audit.Report
+
+// BenchmarkCheck audits the benchmark's release shape.
+func BenchmarkCheck(b *testing.B) {
+	s := benchRelease()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reportSink = audit.Check(s, audit.Options{})
+	}
 }

@@ -345,6 +345,8 @@ func (rl *release) lead(ctx context.Context, ch chan struct{}) (server.Querier, 
 // load is the one verified-load step, shared by first admission and
 // hot reload: a shared load slot, the loader, the quarantine log, then
 // the audit gate. Whatever it returns without error is safe to serve.
+// The loader call and the audit gate are timed as the release.load and
+// release.audit stages, whether they pass or fail.
 func (rl *release) load(ctx context.Context) (*snapshot.LoadResult, error) {
 	reg := rl.reg
 	var res *snapshot.LoadResult
@@ -353,7 +355,9 @@ func (rl *release) load(ctx context.Context) (*snapshot.LoadResult, error) {
 	// tenant in fast-fail never occupies a shared load slot.
 	select {
 	case reg.loadSem <- struct{}{}:
+		start := time.Now()
 		res, err = reg.opt.Loader.Load(ctx, rl.name, rl.src)
+		reg.opt.Metrics.ObserveStage("release.load", time.Since(start))
 		<-reg.loadSem
 	case <-ctx.Done():
 		err = reconstruct.ContextErr(ctx)
@@ -364,7 +368,10 @@ func (rl *release) load(ctx context.Context) (*snapshot.LoadResult, error) {
 	for i, q := range res.Quarantined {
 		reg.opt.Logger.Printf("registry: %s: quarantined corrupt snapshot %s: %v", rl.name, q, res.Errs[i])
 	}
-	if err := auditGate(res); err != nil {
+	start := time.Now()
+	err = auditGate(res)
+	reg.opt.Metrics.ObserveStage("release.audit", time.Since(start))
+	if err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -127,3 +127,37 @@ func TestRegistryReleaseSeries(t *testing.T) {
 		t.Errorf("priview_qcache_entries{release=\"alpha\"} = %v, want ≥ 1", v)
 	}
 }
+
+// TestReleaseLoadStages: a release load records its two steps, the
+// loader call and the audit gate, as priview_stage_seconds stages on
+// the shared scrape surface.
+func TestReleaseLoadStages(t *testing.T) {
+	tel := telemetry.NewRegistry()
+	opt := quietOpts()
+	opt.Metrics = server.NewMetrics(tel)
+	st := saveRelease(t, t.TempDir(), "alpha", 1)
+	reg := registry.Single("alpha", st, opt)
+	defer reg.Close()
+	lease, err := reg.Acquire(context.Background(), "alpha")
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	lease.Close()
+
+	rec := httptest.NewRecorder()
+	tel.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	fams, err := telemetry.ParseText(rec.Body)
+	if err != nil {
+		t.Fatalf("ParseText: %v", err)
+	}
+	f := fams["priview_stage_seconds"]
+	if f == nil {
+		t.Fatal("family priview_stage_seconds missing")
+	}
+	for _, stage := range []string{"release.load", "release.audit"} {
+		s := f.Sample("priview_stage_seconds_count", map[string]string{"stage": stage})
+		if s == nil || s.Value < 1 {
+			t.Errorf("priview_stage_seconds_count{stage=%q} = %v, want ≥ 1", stage, s)
+		}
+	}
+}

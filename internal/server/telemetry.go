@@ -73,7 +73,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	m.solve = reg.HistogramVec("priview_solve_seconds",
 		"Completed marginal solve latency, by estimator (batch solves are normalized per solve).", nil, "method")
 	m.stage = reg.HistogramVec("priview_stage_seconds",
-		"Per-stage serving latency from request traces (cache.*, core.*, reconstruct.*).", nil, "stage")
+		"Per-stage latency: request-trace stages (cache.*, core.prepare, reconstruct.*) and release loads (release.*).", nil, "stage")
 	m.slowQueries = reg.Counter("priview_slow_queries_total",
 		"Requests whose total serving time crossed the -slow-query threshold.")
 
@@ -323,6 +323,17 @@ func (m *Metrics) InstrumentClient(c *Client) {
 // not observed.
 func (m *Metrics) observeSolve(method core.ReconstructMethod, d time.Duration) {
 	m.solve.With(method.String()).ObserveDuration(d)
+}
+
+// ObserveStage records one run of a stage that no request trace
+// covers, such as a release load's release.load and release.audit
+// steps, under priview_stage_seconds. The nil *Metrics records nothing,
+// so callers without telemetry keep one code path.
+func (m *Metrics) ObserveStage(stage string, d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.stage.With(stage).ObserveDuration(d)
 }
 
 // finishTrace folds tr's recorded stages into the stage histograms and,

@@ -45,14 +45,39 @@ type envelope struct {
 	Payload  json.RawMessage `json:"payload"`
 }
 
-// checksum returns "sha256:<hex>" over the compacted payload.
+// checksum returns "sha256:<hex>" over the compacted payload, which
+// must be valid JSON. A payload with no whitespace outside its strings
+// is already what json.Compact would return, byte for byte, so it is
+// hashed in place; only one that holds such whitespace is compacted.
 func checksum(payload []byte) (string, error) {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, payload); err != nil {
-		return "", fmt.Errorf("snapshot: payload is not valid JSON: %w", err)
+	compact := payload
+	if !isCompact(payload) {
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, payload); err != nil {
+			return "", fmt.Errorf("snapshot: payload is not valid JSON: %w", err)
+		}
+		compact = buf.Bytes()
 	}
-	sum := sha256.Sum256(compact.Bytes())
+	sum := sha256.Sum256(compact)
 	return "sha256:" + hex.EncodeToString(sum[:]), nil
+}
+
+// isCompact reports whether the valid JSON document b holds no
+// whitespace outside its strings. Inside a string, a backslash escapes
+// the byte after it, so an escaped quote does not end the string.
+func isCompact(b []byte) bool {
+	inString := false
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case inString && c == '\\':
+			i++
+		case c == '"':
+			inString = !inString
+		case !inString && (c == ' ' || c == '\t' || c == '\n' || c == '\r'):
+			return false
+		}
+	}
+	return true
 }
 
 // Write serializes the synopsis as a v2 checksummed snapshot. The
@@ -85,20 +110,41 @@ func Read(r io.Reader) (*core.Synopsis, error) {
 	return Decode(raw)
 }
 
-// Decode is Read over an in-memory byte slice.
-func Decode(raw []byte) (*core.Synopsis, error) {
-	var sniff struct {
-		Format string `json:"format"`
+// stringField decodes a JSON value the way a string struct field does
+// (a string sets it, null leaves it unchanged, a repeated key
+// overwrites it) but keeps the first type error instead of failing the
+// whole document, so that only a reader of the field rejects it.
+type stringField struct {
+	s   string
+	err error
+}
+
+func (f *stringField) UnmarshalJSON(b []byte) error {
+	if f.err == nil {
+		f.err = json.Unmarshal(b, &f.s)
 	}
-	if err := json.Unmarshal(raw, &sniff); err != nil {
+	return nil
+}
+
+// Decode is Read over an in-memory byte slice. It unmarshals the
+// envelope once and switches on its format. The checksum and the raw
+// payload are read only for a v2 container, so a bare v1 document with
+// a stray "checksum" or "payload" key of any JSON type still loads.
+func Decode(raw []byte) (*core.Synopsis, error) {
+	var env struct {
+		Format   string          `json:"format"`
+		Checksum stringField     `json:"checksum"`
+		Payload  json.RawMessage `json:"payload"`
+	}
+	if err := json.Unmarshal(raw, &env); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	switch sniff.Format {
+	switch env.Format {
 	case FormatV2:
-		var env envelope
-		if err := json.Unmarshal(raw, &env); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+		if err := env.Checksum.err; err != nil {
+			return nil, fmt.Errorf("%w: checksum: %v", ErrFormat, err)
 		}
+		declared := env.Checksum.s
 		if len(env.Payload) == 0 {
 			return nil, fmt.Errorf("%w: empty payload", ErrFormat)
 		}
@@ -106,13 +152,13 @@ func Decode(raw []byte) (*core.Synopsis, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: unhashable payload: %v", ErrChecksum, err)
 		}
-		if sum != env.Checksum {
-			return nil, fmt.Errorf("%w: payload hashes to %s, header declares %s", ErrChecksum, sum, env.Checksum)
+		if sum != declared {
+			return nil, fmt.Errorf("%w: payload hashes to %s, header declares %s", ErrChecksum, sum, declared)
 		}
 		return core.Load(bytes.NewReader(env.Payload))
 	case core.SynopsisFormatV1:
 		return core.Load(bytes.NewReader(raw))
 	default:
-		return nil, fmt.Errorf("%w: format %q", ErrFormat, sniff.Format)
+		return nil, fmt.Errorf("%w: format %q", ErrFormat, env.Format)
 	}
 }

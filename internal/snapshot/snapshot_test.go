@@ -2,9 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"priview/internal/core"
@@ -139,12 +143,134 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			`"payload":{"format":"priview-synopsis-v1","epsilon":1,"total":2,"views":[{"attrs":[0],"cells":[1,1]}]}}`),
 	}
 	for name, raw := range cases {
-		if _, err := Decode(raw); err == nil {
+		_, err := Decode(raw)
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if name != "bad checksum" && !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", name, err)
 		}
 	}
 	if _, err := Decode(cases["bad checksum"]); !errors.Is(err, ErrChecksum) {
 		t.Errorf("bad checksum: err = %v, want ErrChecksum", err)
+	}
+}
+
+// sha256Sum is "sha256:<hex>" over b exactly as given.
+func sha256Sum(b []byte) string {
+	sum := sha256.Sum256(b)
+	return "sha256:" + hex.EncodeToString(sum[:])
+}
+
+// compactSum is the checksum's definition: sha256 over the payload as
+// json.Compact returns it.
+func compactSum(t testing.TB, payload []byte) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, payload); err != nil {
+		t.Fatal(err)
+	}
+	return sha256Sum(buf.Bytes())
+}
+
+// container wraps payload in a v2 envelope whose header declares sum.
+func container(payload []byte, sum string) []byte {
+	return []byte(`{"format":"` + FormatV2 + `","checksum":"` + sum + `","payload":` + string(payload) + `}`)
+}
+
+// v1Payload is s's bare v1 document without its trailing newline.
+func v1Payload(t testing.TB, s *core.Synopsis) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.TrimSpace(buf.Bytes())
+}
+
+// notedPayload prepends to a v1 document a string field that holds
+// spaces and the escapes \t, \" and \\, the last one right before the
+// closing quote.
+func notedPayload(v1 []byte) []byte {
+	return append([]byte(`{"note":"a \" b\\ c\td \\",`), v1[1:]...)
+}
+
+// indented re-indents a JSON document with json.Indent.
+func indented(t testing.TB, doc []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, doc, "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestChecksumOverCompactedPayload pins the checksum to its definition,
+// sha256 over the json.Compact-ed payload, whether Decode hashes a
+// payload in place or compacts it first.
+func TestChecksumOverCompactedPayload(t *testing.T) {
+	v1 := v1Payload(t, buildSyn(10))
+	noted := notedPayload(v1)
+	for name, payload := range map[string][]byte{
+		"indented":     indented(t, v1),
+		"string field": noted,
+		// Whitespace only after the string: a hasher that loses track
+		// of where the string ends would take the rest as compact.
+		"string field, then a space": bytes.Replace(noted, []byte(`\\",`), []byte(`\\", `), 1),
+		"indented string field":      indented(t, noted),
+	} {
+		if _, err := Decode(container(payload, compactSum(t, payload))); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
+	// Flipping a byte inside the string field — the space after "a" —
+	// changes a byte the checksum covers.
+	raw := container(noted, compactSum(t, noted))
+	i := bytes.Index(raw, []byte(`"a `)) + 2
+	raw[i] = '_'
+	if _, err := Decode(raw); !errors.Is(err, ErrChecksum) {
+		t.Errorf("flipped string byte: err = %v, want ErrChecksum", err)
+	}
+
+	// A checksum over the indented bytes, not compacted, is not the
+	// definition.
+	ind := indented(t, v1)
+	if _, err := Decode(container(ind, sha256Sum(ind))); !errors.Is(err, ErrChecksum) {
+		t.Errorf("checksum over uncompacted payload: err = %v, want ErrChecksum", err)
+	}
+}
+
+// TestDecodeRepeatedChecksumKey: a repeated "checksum" key decodes as a
+// string field does — a later string overwrites, a later null is
+// ignored, and a non-string anywhere is a format error.
+func TestDecodeRepeatedChecksumKey(t *testing.T) {
+	v1 := v1Payload(t, buildSyn(12))
+	good := `"checksum":"` + compactSum(t, v1) + `"`
+	doc := func(keys string) []byte {
+		return []byte(`{"format":"` + FormatV2 + `",` + keys + `,"payload":` + string(v1) + `}`)
+	}
+	for _, keys := range []string{`"checksum":"sha256:00",` + good, good + `,"checksum":null`} {
+		if _, err := Decode(doc(keys)); err != nil {
+			t.Errorf("%s: %v", keys, err)
+		}
+	}
+	for _, keys := range []string{`"checksum":5,` + good, good + `,"checksum":[]`} {
+		if _, err := Decode(doc(keys)); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", keys, err)
+		}
+	}
+}
+
+// TestReadBareV1StrayEnvelopeKeys: a v1 document's "checksum" and
+// "payload" keys belong to no container, so any JSON value there is
+// ignored.
+func TestReadBareV1StrayEnvelopeKeys(t *testing.T) {
+	v1 := v1Payload(t, buildSyn(11))
+	for _, stray := range []string{`"checksum":5`, `"checksum":null`, `"payload":[1,{"a":"b"}]`, `"checksum":{},"payload":"x"`} {
+		doc := append([]byte("{"+stray+","), v1[1:]...)
+		if _, err := Decode(doc); err != nil {
+			t.Errorf("v1 with %s rejected: %v", stray, err)
+		}
 	}
 }
 
@@ -279,6 +405,10 @@ func FuzzSnapshotLoad(f *testing.F) {
 	}
 	f.Add(v2.Bytes())
 	f.Add(v1.Bytes())
+	noted := notedPayload(v1Payload(f, s))
+	ind := indented(f, noted)
+	f.Add(container(ind, compactSum(f, ind)))
+	f.Add(container(noted, compactSum(f, noted)))
 	f.Add([]byte(`{"format":"priview-synopsis-v2","checksum":"sha256:ff","payload":{}}`))
 	f.Add([]byte("}{"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -288,3 +418,33 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 	})
 }
+
+// benchRelease is the benchmark's release shape, built in-process at a
+// small N: ε = 1 over a C3(8,·) design on Kosarak's d = 32 attributes,
+// 173 views.
+var benchRelease = sync.OnceValue(func() *core.Synopsis {
+	data := synth.Kosarak(2000, 1)
+	dg := covering.Best(32, 8, 3, 1, 1)
+	return core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(1))
+})
+
+// BenchmarkDecode verifies and decodes the benchmark's release shape as
+// a v2 snapshot.
+func BenchmarkDecode(b *testing.B) {
+	var buf bytes.Buffer
+	if err := Write(&buf, benchRelease()); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if synopsisSink, err = Decode(buf.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// synopsisSink keeps BenchmarkDecode's result live.
+var synopsisSink *core.Synopsis
