@@ -106,13 +106,18 @@ bench-smoke:
 	$(GO) -C bench test ./...
 
 # Short coverage-guided fuzz runs over the untrusted-input decoders:
-# snapshot container parsing and the audit-over-load pipeline. Ten
-# seconds per target keeps the gate fast; longer campaigns can raise
-# FUZZTIME. The checked-in seed corpus also runs in plain `make test`.
+# snapshot container parsing and synopsis decoding, each checked
+# against encoding/json as the reference, and the audit-over-load
+# pipeline. Ten seconds per target keeps the gate fast; longer
+# campaigns can raise FUZZTIME. Minimizing each new input from the
+# multi-KB seeds is capped at 100 runs: uncapped, it takes most of the
+# ten seconds and the target barely mutates. The checked-in seed corpus
+# also runs in plain `make test`.
 FUZZTIME ?= 10s
 fuzz-short:
-	$(GO) test -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=$(FUZZTIME) ./internal/snapshot/
-	$(GO) test -run='^$$' -fuzz=FuzzAuditReport -fuzztime=$(FUZZTIME) ./internal/audit/
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/snapshot/
+	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzAuditReport -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/audit/
 
 # Build a small synopsis and run the release auditor over it — an
 # end-to-end smoke of the publish gate (`priview build` refuses to

@@ -52,7 +52,7 @@ func TestCuratorWorkflow(t *testing.T) {
 	if err := syn.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := core.Load(&buf)
+	loaded, err := core.Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

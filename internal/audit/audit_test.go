@@ -185,7 +185,7 @@ func FuzzAuditReport(f *testing.F) {
 	f.Add([]byte(`{"format":"priview-synopsis-v1"}`))
 	f.Add([]byte("not json"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := core.Load(bytes.NewReader(data))
+		s, err := core.Load(data)
 		if err != nil {
 			return
 		}

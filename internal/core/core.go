@@ -319,7 +319,9 @@ func (s *Synopsis) Total() float64 { return s.total }
 // them.
 func (s *Synopsis) Views() []*marginal.Table { return s.views }
 
-// RawViews returns the noisy views before post-processing.
+// RawViews returns the noisy views before post-processing. A loaded
+// synopsis was post-processed before it was saved, so its raw views are
+// its Views: the same tables, which callers must not mutate.
 func (s *Synopsis) RawViews() []*marginal.Table { return s.rawViews }
 
 // Query reconstructs the marginal table over attrs using the configured

@@ -70,7 +70,7 @@ func TestLoadRejectsMalformedDocuments(t *testing.T) {
 		"design dim beyond 64": doc(`"design":{"d":900,"t":1,"l":1,"blocks":[[0]]},"views":[` + view("0,1", 4) + `]`),
 	}
 	for name, raw := range cases {
-		if _, err := Load(strings.NewReader(raw)); err == nil {
+		if _, err := Load([]byte(raw)); err == nil {
 			t.Errorf("%s: Load accepted malformed document", name)
 		}
 	}
@@ -86,7 +86,7 @@ func TestLoadRejectsHugeAttrListCheaply(t *testing.T) {
 	}
 	raw := `{"format":"priview-synopsis-v1","epsilon":1,"total":1,"views":[{"attrs":[` +
 		strings.Join(attrs, ",") + `],"cells":[1,2,3]}]}`
-	if _, err := Load(strings.NewReader(raw)); err == nil {
+	if _, err := Load([]byte(raw)); err == nil {
 		t.Fatal("Load accepted a 31-attribute view")
 	}
 }
@@ -98,7 +98,7 @@ func TestLoadRejectsHugeAttrListCheaply(t *testing.T) {
 func TestLoadZeroDesignIsNil(t *testing.T) {
 	raw := `{"format":"priview-synopsis-v1","epsilon":1,"total":4,` +
 		`"views":[{"attrs":[0,1],"cells":[1,1,1,1]}]}`
-	s, err := Load(strings.NewReader(raw))
+	s, err := Load([]byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSaveLoadStillRoundTripsAfterHardening(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
+	loaded, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"priview/internal/attrset"
 	"priview/internal/covering"
+	"priview/internal/jsonread"
 	"priview/internal/marginal"
 )
 
@@ -102,21 +103,87 @@ func (s *Synopsis) Save(w io.Writer) error {
 	return enc.Encode(&f)
 }
 
-// Load reads a synopsis previously written with Save. The views are
-// used as-is (they were post-processed before saving); queries use the
-// maximum-entropy estimator unless changed with SetMethod.
+// Load decodes a synopsis previously written with Save; raw holds that
+// one JSON document, with nothing but whitespace after it. The views
+// are used as-is (they were post-processed before saving); queries use
+// the maximum-entropy estimator unless changed with SetMethod.
 //
 // Load validates the document before building anything: unknown
 // formats, non-finite values, cell counts disagreeing with the
 // attribute sets, unsorted or out-of-range attributes, duplicate views
 // and malformed designs are all rejected with a descriptive error —
 // never accepted silently, and never a panic, whatever the input bytes.
-func Load(r io.Reader) (*Synopsis, error) {
-	var f synopsisFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
+func Load(raw []byte) (*Synopsis, error) {
+	f, err := decodeFile(raw)
+	if err != nil {
 		return nil, fmt.Errorf("core: decoding synopsis: %w", err)
 	}
+	return fromFile(f)
+}
+
+// The JSON field names of synopsisFile, designFile and viewFile.
+var (
+	fileFields   = []string{"format", "epsilon", "total", "design", "views"}
+	designFields = []string{"d", "t", "l", "blocks"}
+	viewFields   = []string{"attrs", "cells"}
+)
+
+// maxHintAttrs caps the attribute count that sizes a view's cells
+// before the decoder has seen them: the paper's views have at most 8
+// attributes, and a corrupt attrs list must not buy a large allocation.
+const maxHintAttrs = 8
+
+// decodeFile decodes a v1 document into a synopsisFile, with the
+// results json.Unmarshal gives, in one pass over the bytes.
+func decodeFile(raw []byte) (synopsisFile, error) {
+	var f synopsisFile
+	err := jsonread.Parse(raw, func(r *jsonread.Reader) error {
+		return r.Object(fileFields, func(name string) error {
+			switch name {
+			case "format":
+				return r.String(&f.Format)
+			case "epsilon":
+				return r.Float(&f.Epsilon)
+			case "total":
+				return r.Float(&f.Total)
+			case "design":
+				return decodeDesign(r, &f.Design)
+			default:
+				return jsonread.Slice(r, &f.Views, 0, func(v *viewFile) error { return decodeView(r, v) })
+			}
+		})
+	})
+	return f, err
+}
+
+func decodeDesign(r *jsonread.Reader, d *designFile) error {
+	return r.Object(designFields, func(name string) error {
+		switch name {
+		case "d":
+			return r.Int(&d.D)
+		case "t":
+			return r.Int(&d.T)
+		case "l":
+			return r.Int(&d.L)
+		default:
+			return jsonread.Slice(r, &d.Blocks, 0, func(b *[]int) error { return jsonread.Slice(r, b, 0, r.Int) })
+		}
+	})
+}
+
+func decodeView(r *jsonread.Reader, v *viewFile) error {
+	return r.Object(viewFields, func(name string) error {
+		if name == "attrs" {
+			return jsonread.Slice(r, &v.Attrs, 0, r.Int)
+		}
+		return jsonread.Slice(r, &v.Cells, 1<<min(len(v.Attrs), maxHintAttrs), r.Float)
+	})
+}
+
+// fromFile validates a decoded document and builds its synopsis. The
+// views were published as they stand, so they serve as the raw views
+// too.
+func fromFile(f synopsisFile) (*Synopsis, error) {
 	if f.Format != synopsisFormat {
 		return nil, fmt.Errorf("core: unknown synopsis format %q", f.Format)
 	}
@@ -162,7 +229,7 @@ func Load(r io.Reader) (*Synopsis, error) {
 	s := &Synopsis{
 		cfg:      Config{Epsilon: f.Epsilon, Design: design, Method: CME},
 		views:    views,
-		rawViews: cloneViews(views),
+		rawViews: views,
 		total:    f.Total,
 	}
 	return s, nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"priview/internal/covering"
@@ -20,7 +19,7 @@ func TestSynopsisRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{"format":"priview-synopsis-v1","views":[{"attrs":[0,1],"cells":[1]}]}`,
 	}
 	for _, c := range cases {
-		if _, err := Load(strings.NewReader(c)); err == nil {
+		if _, err := Load([]byte(c)); err == nil {
 			t.Errorf("Load(%q) succeeded, want error", c)
 		}
 	}
@@ -61,7 +60,7 @@ func TestSetMethodAfterLoad(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,7 @@ import (
 	"priview/internal/qcache"
 	"priview/internal/server"
 	"priview/internal/snapshot"
+	"priview/internal/telemetry"
 )
 
 // Loader produces a synopsis for one release from its source. The
@@ -231,7 +232,7 @@ type Registry struct {
 	opt     Options
 	loadSem chan struct{}    // shared load concurrency; breaker-open tenants never enter
 	budget  *qcache.Budget   // global cache byte pool; nil when disabled
-	fams    *releaseFamilies // nil when Options.Metrics is unset
+	fams    *releaseFamilies // in Options.Metrics, or a private registry when it is unset
 	bg      context.Context
 	cancel  context.CancelFunc
 
@@ -281,6 +282,8 @@ func newRegistry(root string, opt Options) *Registry {
 	}
 	if opt.Metrics != nil {
 		reg.fams = newReleaseFamilies(opt.Metrics.Registry)
+	} else {
+		reg.fams = newReleaseFamilies(telemetry.NewRegistry())
 	}
 	reg.bg, reg.cancel = context.WithCancel(context.Background())
 	return reg

@@ -149,34 +149,13 @@ func (f *releaseFamilies) interned(name string) counters {
 	}
 }
 
-// standaloneCounters is the no-telemetry fallback counter set.
-func standaloneCounters() counters {
-	return counters{
-		LoadAttempts:   telemetry.NewCounter(),
-		LoadFailures:   telemetry.NewCounter(),
-		Reloads:        telemetry.NewCounter(),
-		ReloadFailures: telemetry.NewCounter(),
-		Trips:          telemetry.NewCounter(),
-		BreakerRejects: telemetry.NewCounter(),
-		BackoffRejects: telemetry.NewCounter(),
-		HalfOpenProbes: telemetry.NewCounter(),
-		Shed:           telemetry.NewCounter(),
-		RateLimited:    telemetry.NewCounter(),
-		Evictions:      telemetry.NewCounter(),
-		Readmits:       telemetry.NewCounter(),
-	}
-}
-
 func newRelease(reg *Registry, name string, src snapshot.Source) *release {
-	rl := &release{reg: reg, name: name, src: src, weight: reg.opt.weightFor(name)}
-	if reg.fams != nil {
-		rl.c = reg.fams.interned(name)
+	rl := &release{reg: reg, name: name, src: src, weight: reg.opt.weightFor(name), c: reg.fams.interned(name)}
+	if reg.opt.Metrics != nil {
 		// Registered once per release name: the hook follows the current
 		// cache through rl, and a retired-then-readded name's stale hook
 		// goes quiet (cache nil → ok false) rather than double-counting.
 		reg.opt.Metrics.WatchCacheGauges(name, rl.cacheStats)
-	} else {
-		rl.c = standaloneCounters()
 	}
 	if reg.opt.MaxInflight > 0 {
 		// Weighted bulkhead carve: a heavier tenant may hold more
