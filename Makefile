@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch bench-smoke check
+.PHONY: all build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch bench-smoke sloc check
 
 all: build
 
@@ -127,5 +127,18 @@ audit:
 	$(GO) run ./cmd/priview generate -dataset msnbc -n 2000 -seed 1 -out $$tmp/data.txt && \
 	$(GO) run ./cmd/priview build -in $$tmp/data.txt -eps 1.0 -snapshot -out $$tmp/syn.json && \
 	$(GO) run ./cmd/priview audit $$tmp/syn.json
+
+# Added, removed and net non-test Go lines per package between BASE and
+# the working tree, from git diff --numstat: the figure ROADMAP asks
+# simplicity changes to report. Test files, testdata/ and the bench/
+# module are left out; a new file counts once it is in the index
+# (git add). Not part of check.
+sloc:
+	@if [ -z "$(BASE)" ]; then echo "usage: make sloc BASE=<commit>" >&2; exit 2; fi
+	@git diff --numstat --no-renames $(BASE) -- '*.go' ':!*_test.go' ':!*testdata/*' ':!bench/*' | \
+	awk '{ p = $$3; if (!sub("/[^/]*$$", "", p)) p = "."; a[p] += $$1; r[p] += $$2; ta += $$1; tr += $$2 } \
+	END { f = "%-24s %7s %7s %7s\n"; printf f, "package", "added", "removed", "net"; \
+		for (p in a) printf f, p, a[p], r[p], sprintf("%+d", a[p] - r[p]) | "sort"; close("sort"); \
+		printf f, "total", ta + 0, tr + 0, sprintf("%+d", ta - tr) }'
 
 check: build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench-smoke

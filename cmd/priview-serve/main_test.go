@@ -6,6 +6,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,10 +17,10 @@ import (
 	"priview"
 	"priview/internal/chaos"
 	"priview/internal/core"
-	"priview/internal/marginal"
 	"priview/internal/registry"
 	"priview/internal/server"
 	"priview/internal/snapshot"
+	"priview/internal/telemetry"
 )
 
 // buildSynopsisFile publishes a tiny synopsis the way `priview build`
@@ -142,6 +143,62 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// servedStatsGolden is the /v1/stats body priview-serve -synopsis
+// serves at its flag defaults after TestServeStatsGolden's query
+// sequence: the release's registry.ReleaseStats, every field in
+// declaration order. Deployed tooling reads it.
+const servedStatsGolden = `{"name":"default","loaded":true,"snapshot":"synopsis.json","breaker":"closed",` +
+	`"consecutive_failures":0,"breaker_trips":0,"breaker_rejects":0,"backoff_rejects":0,"half_open_probes":0,` +
+	`"load_attempts":1,"load_failures":0,"reloads":0,"reload_failures":0,"shed":0,"rate_limited":0,"weight":1,` +
+	`"evictions":0,"readmits":0,"inflight_limit":0,"inflight":0,"cache":true,` +
+	`"cache_stats":{"hits":2,"misses":3,"evictions":0,"coalesced":0,"entries":3,"bytes":376}}` + "\n"
+
+// TestServeStatsGolden pins the /v1/stats body the binary serves: a
+// one-release registry built as main builds it from the default flags,
+// behind the router, after a fixed query sequence — a GET miss and hit,
+// a batch with a hit, a miss and an in-batch duplicate, a CLN miss, and
+// a rejected method.
+func TestServeStatsGolden(t *testing.T) {
+	ropt := registry.Options{
+		MaxLoaded:        orDisabled(8),
+		CacheEntries:     orDisabled(4096),
+		CacheBytes:       orDisabled64(64 << 20),
+		MaxInflight:      orDisabled(32),
+		BreakerThreshold: 3,
+		BreakerCooldown:  10 * time.Second,
+		Metrics:          server.NewMetrics(telemetry.NewRegistry()),
+		Logger:           log.New(io.Discard, "", 0),
+	}
+	reg, err := openSingle(context.Background(), buildSynopsisFile(t), "", ropt)
+	if err != nil {
+		t.Fatalf("openSingle: %v", err)
+	}
+	defer reg.Close()
+	h := server.NewMulti(reg, server.DefaultRelease, server.Options{Logger: log.New(io.Discard, "", 0)})
+	serve := func(method, path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	for _, q := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodGet, "/v1/marginal?attrs=0,1", "", http.StatusOK},
+		{http.MethodGet, "/v1/marginal?attrs=0,1", "", http.StatusOK},
+		{http.MethodPost, "/v1/marginals", `{"queries":[{"attrs":[0,1]},{"attrs":[2,3]},{"attrs":[3,2]}]}`, http.StatusOK},
+		{http.MethodGet, "/v1/marginal?attrs=1,4,5&method=CLN", "", http.StatusOK},
+		{http.MethodGet, "/v1/marginal?attrs=0&method=CME-dual", "", http.StatusBadRequest},
+	} {
+		if code, body := serve(q.method, q.path, q.body); code != q.want {
+			t.Fatalf("%s %s: status %d, want %d; body %q", q.method, q.path, code, q.want, body)
+		}
+	}
+	if code, body := serve(http.MethodGet, "/v1/stats", ""); code != http.StatusOK || body != servedStatsGolden {
+		t.Errorf("/v1/stats changed (status %d):\n got  %q\n want %q", code, body, servedStatsGolden)
+	}
+}
+
 // TestCacheConfigDisabled: both cache flags ≤ 0 serve the synopsis
 // bare; either bound alone keeps the cache on.
 func TestCacheConfigDisabled(t *testing.T) {
@@ -182,14 +239,14 @@ type gatedQuerier struct {
 	once    sync.Once
 }
 
-func (g *gatedQuerier) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
+func (g *gatedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
 	g.once.Do(func() { close(g.arrived) })
 	select {
 	case <-g.release:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return g.Querier.QueryMethodContext(ctx, attrs, method)
+	return g.Querier.QueryBatch(ctx, reqs, opt)
 }
 
 // TestGracefulShutdownDrains proves the drain semantics: on shutdown

@@ -359,8 +359,6 @@ func parseCoreMethod(s string) (core.ReconstructMethod, error) {
 		return core.LP, nil
 	case "CLP":
 		return core.CLP, nil
-	case "CMEDUAL", "CME-DUAL":
-		return core.CMEDual, nil
 	}
 	return 0, fmt.Errorf("unknown method %q", s)
 }
@@ -397,7 +395,7 @@ func cmdQuery(args []string) error {
 	serverURL := fs.String("server", "", "priview-serve base URL (remote mode, e.g. http://host:8080 or http://host:8080/v1/name for a release)")
 	attrsFlag := fs.String("attrs", "", `comma-separated attribute indices; separate sets with ';' to batch (e.g. "0,1;1,3;2")`)
 	allK := fs.Int("all-k", 0, "batch every non-empty marginal of up to this many attributes (alternative to -attrs)")
-	method := fs.String("method", "CME", "reconstruction method: CME, CLN, LP, CLP, CME-dual")
+	method := fs.String("method", "CME", "reconstruction method: CME, CLN, LP, CLP")
 	timeout := fs.Duration("timeout", 30*time.Second, "remote mode: end-to-end deadline, propagated to the server")
 	retryBudget := fs.Float64("retry-budget", 0, "remote mode: retries allowed per successful request (e.g. 0.1 ≈ 10% retry amplification; 0 disables budgeting)")
 	priority := fs.String("priority", "", `remote mode: request priority ("high" bypasses server brownout)`)

@@ -90,8 +90,10 @@ func TestQueryBadAttrsAndMethod(t *testing.T) {
 	if err := cmdQuery([]string{"-synopsis", synPath, "-attrs", "0,x"}); err == nil {
 		t.Error("bad attribute accepted")
 	}
-	if err := cmdQuery([]string{"-synopsis", synPath, "-attrs", "0", "-method", "LPX"}); err == nil {
-		t.Error("bad method accepted")
+	for _, m := range []string{"LPX", "CME-dual", "CMEDUAL"} {
+		if err := cmdQuery([]string{"-synopsis", synPath, "-attrs", "0", "-method", m}); err == nil {
+			t.Errorf("method %s accepted", m)
+		}
 	}
 }
 

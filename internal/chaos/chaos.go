@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"priview/internal/core"
-	"priview/internal/marginal"
 	"priview/internal/reconstruct"
 	"priview/internal/server"
 )
@@ -167,23 +166,24 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // SlowSynopsis wraps a server.Querier, delaying every marginal query by
 // Delay while honoring context cancellation — the stand-in for a
-// reconstruction that cannot meet its deadline. Cancellation surfaces
-// through reconstruct.ContextErr, the same typed errors the real
-// solvers return.
+// reconstruction that cannot meet its deadline. A batch of n queries
+// waits n × Delay, the cost of solving them one after another.
+// Cancellation surfaces through reconstruct.ContextErr, the same typed
+// errors the real solvers return.
 type SlowSynopsis struct {
 	server.Querier
-	// Delay is added before every query.
+	// Delay is added per query in a batch.
 	Delay time.Duration
-	// Block, when non-nil, is received from before querying (after the
-	// delay); tests use it as a gate to hold requests in flight
-	// deterministically.
+	// Block, when non-nil, is received from once per batch before
+	// querying (after the delay); tests use it as a gate to hold
+	// requests in flight deterministically.
 	Block <-chan struct{}
 }
 
-// QueryMethodContext delays, then forwards to the wrapped synopsis.
-func (s *SlowSynopsis) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
+// QueryBatch delays, then forwards to the wrapped synopsis.
+func (s *SlowSynopsis) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
 	if s.Delay > 0 {
-		timer := time.NewTimer(s.Delay)
+		timer := time.NewTimer(s.Delay * time.Duration(len(reqs)))
 		defer timer.Stop()
 		select {
 		case <-timer.C:
@@ -198,5 +198,5 @@ func (s *SlowSynopsis) QueryMethodContext(ctx context.Context, attrs []int, meth
 			return nil, reconstruct.ContextErr(ctx)
 		}
 	}
-	return s.Querier.QueryMethodContext(ctx, attrs, method)
+	return s.Querier.QueryBatch(ctx, reqs, opt)
 }

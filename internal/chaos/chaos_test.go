@@ -112,22 +112,27 @@ func TestTransportLatencyHonorsContext(t *testing.T) {
 // fakeQuerier answers every query with a fixed tiny table.
 type fakeQuerier struct{}
 
-func (fakeQuerier) QueryMethodContext(_ context.Context, attrs []int, _ core.ReconstructMethod) (*marginal.Table, error) {
-	t := marginal.New(attrs)
-	t.Fill(1)
-	return t, nil
+func (fakeQuerier) QueryBatch(_ context.Context, reqs []core.BatchRequest, _ core.BatchOptions) ([]core.BatchResult, error) {
+	out := make([]core.BatchResult, len(reqs))
+	for i, r := range reqs {
+		t := marginal.New(r.Attrs)
+		t.Fill(1)
+		out[i] = core.BatchResult{Table: t}
+	}
+	return out, nil
 }
-func (fakeQuerier) Epsilon() float64         { return 1 }
-func (fakeQuerier) Total() float64           { return 1 }
-func (fakeQuerier) Views() []*marginal.Table { return nil }
-func (fakeQuerier) Design() *covering.Design { return nil }
+func (fakeQuerier) DefaultMethod() core.ReconstructMethod { return core.CME }
+func (fakeQuerier) Epsilon() float64                      { return 1 }
+func (fakeQuerier) Total() float64                        { return 1 }
+func (fakeQuerier) Views() []*marginal.Table              { return nil }
+func (fakeQuerier) Design() *covering.Design              { return nil }
 
 func TestSlowSynopsisHonorsDeadline(t *testing.T) {
 	slow := &SlowSynopsis{Querier: fakeQuerier{}, Delay: 10 * time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := slow.QueryMethodContext(ctx, []int{0}, core.CME)
+	_, err := slow.QueryBatch(ctx, []core.BatchRequest{{Attrs: []int{0}}}, core.BatchOptions{})
 	if !errors.Is(err, reconstruct.ErrDeadline) {
 		t.Fatalf("err = %v, want reconstruct.ErrDeadline", err)
 	}
@@ -138,11 +143,11 @@ func TestSlowSynopsisHonorsDeadline(t *testing.T) {
 
 func TestSlowSynopsisForwards(t *testing.T) {
 	slow := &SlowSynopsis{Querier: fakeQuerier{}, Delay: time.Millisecond}
-	got, err := slow.QueryMethodContext(context.Background(), []int{0, 1}, core.CME)
+	res, err := slow.QueryBatch(context.Background(), []core.BatchRequest{{Attrs: []int{0, 1}}}, core.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Size() != 4 {
+	if got := res[0].Table; got.Size() != 4 {
 		t.Errorf("forwarded table has %d cells, want 4", got.Size())
 	}
 }

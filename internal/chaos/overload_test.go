@@ -20,7 +20,6 @@ import (
 
 	"priview/internal/admission"
 	"priview/internal/core"
-	"priview/internal/marginal"
 	"priview/internal/reconstruct"
 	"priview/internal/registry"
 	"priview/internal/server"
@@ -29,7 +28,9 @@ import (
 
 // varSlow is a querier whose per-query delay can be changed mid-test
 // (atomically, so phase transitions are race-free under -race) — the
-// stand-in for a solver tier getting slower under the same traffic.
+// stand-in for a solver tier getting slower under the same traffic. A
+// batch of n queries waits n × the delay, as n one-at-a-time solves
+// would.
 type varSlow struct {
 	server.Querier
 	delay atomic.Int64 // nanoseconds
@@ -37,9 +38,9 @@ type varSlow struct {
 
 func (s *varSlow) SetDelay(d time.Duration) { s.delay.Store(int64(d)) }
 
-func (s *varSlow) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
+func (s *varSlow) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
 	if d := time.Duration(s.delay.Load()); d > 0 {
-		timer := time.NewTimer(d)
+		timer := time.NewTimer(d * time.Duration(len(reqs)))
 		defer timer.Stop()
 		select {
 		case <-timer.C:
@@ -47,7 +48,7 @@ func (s *varSlow) QueryMethodContext(ctx context.Context, attrs []int, method co
 			return nil, reconstruct.ContextErr(ctx)
 		}
 	}
-	return s.Querier.QueryMethodContext(ctx, attrs, method)
+	return s.Querier.QueryBatch(ctx, reqs, opt)
 }
 
 // loadRec is one request's outcome in a load stream.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"priview/internal/marginal"
 	"priview/internal/qcache"
 )
 
@@ -43,10 +44,10 @@ func TestBudgetSharedAcrossCaches(t *testing.T) {
 		t.Errorf("cache a lost entries to b's pressure: len = %d, want 2", got)
 	}
 
-	// Once a frees its share, b can cache again.
-	a.Purge()
+	// Once a is closed and frees its share, b can cache again.
+	a.Close()
 	if got := budget.Used(); got != 0 {
-		t.Fatalf("budget used after purge = %d, want 0", got)
+		t.Fatalf("budget used after close = %d, want 0", got)
 	}
 	fill(t, b, []int{4, 5})
 	if got := b.Len(); got != 1 {
@@ -99,9 +100,9 @@ func TestKeysMRUOrder(t *testing.T) {
 	}
 }
 
-// TestPurgeReleasesbudget proves Purge empties the cache, returns the
-// bytes to the shared pool, and leaves the cache usable.
-func TestPurgeReleasesBudget(t *testing.T) {
+// TestCloseReleasesBudget proves Close empties the cache, returns the
+// bytes to the shared pool, and leaves the cache storing nothing.
+func TestCloseReleasesBudget(t *testing.T) {
 	budget := qcache.NewBudget(1 << 20)
 	c := qcache.NewShared(0, 0, budget)
 	fill(t, c, []int{0, 1})
@@ -109,18 +110,63 @@ func TestPurgeReleasesBudget(t *testing.T) {
 	if budget.Used() == 0 {
 		t.Fatal("budget unused after two stores")
 	}
-	if n := c.Purge(); n != 2 {
-		t.Fatalf("Purge dropped %d entries, want 2", n)
-	}
+	c.Close()
 	if got := c.Len(); got != 0 {
-		t.Fatalf("len after purge = %d, want 0", got)
+		t.Fatalf("len after close = %d, want 0", got)
 	}
 	if got := budget.Used(); got != 0 {
-		t.Fatalf("budget used after purge = %d, want 0", got)
+		t.Fatalf("budget used after close = %d, want 0", got)
 	}
 	fill(t, c, []int{0, 1})
-	if got := c.Len(); got != 1 {
-		t.Fatalf("cache unusable after purge: len = %d, want 1", got)
+	if got := c.Len(); got != 0 {
+		t.Fatalf("closed cache stored an answer: len = %d, want 0", got)
+	}
+}
+
+// TestClosedCacheAnswersButStoresNothing proves a closed cache keeps
+// answering — a solve in flight across Close and a query after it both
+// get their tables — while storing nothing and reserving no budget
+// bytes, so a retired cache cannot leak from the shared pool.
+func TestClosedCacheAnswersButStoresNothing(t *testing.T) {
+	budget := qcache.NewBudget(1 << 20)
+	c := qcache.NewShared(0, 0, budget)
+	ctx := context.Background()
+	inflight := mustKey(t, []int{0, 1}, 0)
+	started, release := make(chan struct{}), make(chan struct{})
+	type answer struct {
+		table *marginal.Table
+		err   error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		tab, err := do(c, ctx, inflight, func(context.Context) (*marginal.Table, error) {
+			close(started)
+			<-release
+			return table([]int{0, 1}, 1), nil
+		})
+		done <- answer{tab, err}
+	}()
+	<-started
+	c.Close()
+	close(release)
+	if a := <-done; a.err != nil || a.table == nil {
+		t.Fatalf("solve in flight across Close = (%v, %v), want its table", a.table, a.err)
+	}
+	got, err := do(c, ctx, mustKey(t, []int{2, 3}, 0), constant(table([]int{2, 3}, 1)))
+	if err != nil || got == nil {
+		t.Fatalf("query on a closed cache = (%v, %v), want its table", got, err)
+	}
+	if !c.Closed() {
+		t.Error("Closed() = false after Close")
+	}
+	if n := c.Len(); n != 0 {
+		t.Errorf("closed cache holds %d entries, want 0", n)
+	}
+	if _, hit := c.Peek(inflight); hit {
+		t.Error("closed cache stored the solve that finished after Close")
+	}
+	if used := budget.Used(); used != 0 {
+		t.Errorf("closed cache reserved %d budget bytes, want 0", used)
 	}
 }
 

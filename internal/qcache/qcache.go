@@ -167,6 +167,7 @@ type Cache struct {
 	items   map[Key]*list.Element // element values are *entry
 	flights map[Key]*flight       // in-progress solves
 	bytes   int64
+	closed  bool // set by Close; a closed cache stores nothing
 }
 
 type entry struct {
@@ -262,11 +263,11 @@ func (c *Cache) finish(key Key, f *flight, store *marginal.Table) {
 
 // addLocked inserts a table (which must never be mutated afterwards)
 // and evicts from the LRU tail until both the local bounds and the
-// shared byte budget hold.
+// shared byte budget hold. A closed cache stores nothing.
 func (c *Cache) addLocked(key Key, t *marginal.Table) {
 	b := approxBytes(t)
-	if c.maxBytes > 0 && b > c.maxBytes {
-		return // larger than the whole budget; serve uncached
+	if c.closed || (c.maxBytes > 0 && b > c.maxBytes) {
+		return // retired, or larger than the whole budget; serve uncached
 	}
 	if el, ok := c.items[key]; ok {
 		// Possible when a bypassing writer raced a flight; keep the
@@ -327,23 +328,31 @@ func (c *Cache) Keys() []Key {
 	return keys
 }
 
-// Purge drops every stored entry, returning their bytes to the shared
-// budget, and reports how many entries were dropped. In-flight solves
-// are unaffected (their results will be stored into the now-empty
-// cache). The registry calls this when evicting a cold tenant so the
-// tenant's quota is returned to the global pool immediately rather
-// than when the garbage collector gets around to it.
-func (c *Cache) Purge() int {
+// Close retires the cache: it drops every stored entry, returns their
+// bytes to the shared budget, and stores nothing from then on. Lookups
+// and in-flight solves still answer — a lease taken before the cache
+// was retired keeps serving — but what they compute is not kept, so a
+// retired cache never reserves budget bytes again. The registry closes
+// a release's cache when it replaces, evicts or retires it, returning
+// the tenant's quota to the global pool at once rather than when the
+// garbage collector gets around to it.
+func (c *Cache) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.ll.Len()
+	c.closed = true
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		c.budget.release(el.Value.(*entry).bytes)
 	}
 	c.ll.Init()
-	c.items = make(map[Key]*list.Element)
+	clear(c.items)
 	c.bytes = 0
-	return n
+}
+
+// Closed reports whether Close has been called.
+func (c *Cache) Closed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
 }
 
 // Stats returns a snapshot of the counters and current occupancy. The

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,12 +21,18 @@ import (
 	"priview/internal/registry"
 	"priview/internal/server"
 	"priview/internal/snapshot"
+	"priview/internal/telemetry"
 )
 
 // buildSyn returns a small synopsis with seed-dependent content.
 func buildSyn(t *testing.T, seed int64) *core.Synopsis {
 	t.Helper()
-	const d = 6
+	return buildSynD(t, 6, seed)
+}
+
+// buildSynD is buildSyn over d attributes.
+func buildSynD(t *testing.T, d int, seed int64) *core.Synopsis {
+	t.Helper()
 	records := make([]uint64, 200)
 	for i := range records {
 		records[i] = uint64(i*2654435761) & ((1 << d) - 1)
@@ -108,9 +116,16 @@ func stats(t *testing.T, reg *registry.Registry, name string) registry.ReleaseSt
 	return v.(registry.ReleaseStats)
 }
 
+// queryOne answers one query through q's batch surface: a one-member
+// batch, as a GET reaches a lease.
+func queryOne(q server.Querier, attrs []int) error {
+	_, err := q.QueryBatch(context.Background(), []core.BatchRequest{{Attrs: attrs, Method: core.CME}}, core.BatchOptions{})
+	return err
+}
+
 func mustQuery(t *testing.T, lease server.Lease) {
 	t.Helper()
-	if _, err := lease.QueryMethodContext(context.Background(), []int{0, 1}, core.CME); err != nil {
+	if err := queryOne(lease, []int{0, 1}); err != nil {
 		t.Fatalf("query through lease: %v", err)
 	}
 }
@@ -140,7 +155,7 @@ func TestLazyLoadSingleflight(t *testing.T) {
 				return
 			}
 			defer lease.Close()
-			_, errs[i] = lease.QueryMethodContext(context.Background(), []int{0, 1}, core.CME)
+			errs[i] = queryOne(lease, []int{0, 1})
 		}(i)
 	}
 	<-started      // one leader is inside the loader
@@ -507,6 +522,85 @@ func TestEvictionAndWarmHandoff(t *testing.T) {
 			t.Fatal("warm handoff never replayed alpha's cached query")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestEvictedWarmReturnsBudget is the regression test for a retired
+// cache that kept reserving shared budget bytes: alpha is evicted while
+// its ≤5-way warm pass (637 marginals, three chunks) runs. Once every
+// warm pass has ended, the shared budget must hold exactly the bytes of
+// the one resident cache, beta's.
+func TestEvictedWarmReturnsBudget(t *testing.T) {
+	root := t.TempDir()
+	for i, name := range []string{"alpha", "beta"} {
+		st, err := snapshot.NewStore(filepath.Join(root, name), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Save(buildSynD(t, 10, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tel := telemetry.NewRegistry()
+	opt := quietOpts()
+	opt.MaxLoaded = 1
+	opt.WarmK = 5
+	opt.Metrics = server.NewMetrics(tel)
+	reg, err := registry.New(root, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	// gauge reads a release's warm-pass gauge, -1 while it has none.
+	gauge := func(family, name string) float64 {
+		rec := httptest.NewRecorder()
+		tel.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		fams, err := telemetry.ParseText(rec.Body)
+		if err != nil {
+			t.Fatalf("ParseText: %v", err)
+		}
+		if f := fams[family]; f != nil {
+			if s := f.Sample(family, map[string]string{"release": name}); s != nil {
+				return s.Value
+			}
+		}
+		return -1
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	acquire := func(name string) {
+		lease, err := reg.Acquire(context.Background(), name)
+		if err != nil {
+			t.Fatalf("Acquire(%s): %v", name, err)
+		}
+		lease.Close()
+	}
+
+	acquire("alpha")
+	waitFor("alpha's warm pass to start", func() bool { return gauge("priview_cache_warm_in_progress", "alpha") == 1 })
+	acquire("beta") // MaxLoaded 1: evicts alpha mid-pass
+	if gauge("priview_cache_warm_in_progress", "alpha") != 1 {
+		t.Fatal("alpha's warm pass ended before the eviction; the test proves nothing")
+	}
+	if s := stats(t, reg, "alpha"); s.Loaded || s.Evictions != 1 {
+		t.Fatalf("alpha after beta's load: loaded %v, evictions %d; want evicted", s.Loaded, s.Evictions)
+	}
+	waitFor("every warm pass to end", func() bool {
+		return gauge("priview_cache_warm_in_progress", "alpha") == 0 &&
+			gauge("priview_cache_warm_in_progress", "beta") == 0 &&
+			gauge("priview_cache_warm_warmed", "beta")+gauge("priview_cache_warm_skipped", "beta") == 637
+	})
+	resident := stats(t, reg, "beta").CacheStats.Bytes
+	if used := reg.Budget().Used(); used != resident {
+		t.Errorf("budget holds %d bytes, resident caches %d: the evicted cache leaked %d", used, resident, used-resident)
 	}
 }
 

@@ -176,8 +176,8 @@ func newRelease(reg *Registry, name string, src snapshot.Source) *release {
 // lease pins one admitted query to the querier that was current at
 // acquire time: a reload or eviction mid-query cannot change the
 // answer underneath the caller. The embedded server.Pinned holds that
-// querier and forwards its optional query surfaces (batching, the
-// brownout cache-only lookup, the default estimator). A batch runs
+// querier and forwards its optional cache surfaces (the brownout
+// cache-only lookup and the cache stats). A batch runs
 // under the lease's one bulkhead permit — its internal parallelism is
 // bounded by the server's BatchWorkers, not by the tenant's permit
 // count. Close returns the permit exactly once.
@@ -395,7 +395,7 @@ func (rl *release) install(res *snapshot.LoadResult) server.Querier {
 	handoff := rl.warmMasks
 	if rl.cache != nil {
 		handoff = hotKeys(rl.cache)
-		rl.cache.Purge()
+		rl.cache.Close()
 	}
 	rl.warmMasks = nil
 	rl.q, rl.cache = q, cache
@@ -415,7 +415,9 @@ func (rl *release) install(res *snapshot.LoadResult) server.Querier {
 	close(ch)
 	reg.opt.Logger.Printf("registry: %s: %s %s (ε=%g)", rl.name, verb, res.Path, res.Synopsis.Epsilon())
 	reg.noteLoaded(rl)
-	rl.warmAsync(q, handoff)
+	if cq, ok := q.(*server.CachedQuerier); ok {
+		rl.warmAsync(cq, handoff)
+	}
 	return q
 }
 
@@ -511,7 +513,7 @@ func (rl *release) evict() {
 	}
 	if rl.cache != nil {
 		rl.warmMasks = hotKeys(rl.cache)
-		rl.cache.Purge()
+		rl.cache.Close()
 	}
 	rl.cache = nil
 	rl.q = nil
@@ -527,47 +529,38 @@ func (rl *release) retire() {
 	defer rl.mu.Unlock()
 	rl.retired = true
 	if rl.cache != nil {
-		rl.cache.Purge()
+		rl.cache.Close()
 	}
 	rl.cache = nil
 	rl.q = nil
 	rl.loadedFlag.Store(false)
 }
 
-// currentQuerier returns the querier new queries would see, or nil if
-// the release is not resident — the staleness check warm replay uses
-// to stop filling a cache that has been evicted or swapped out.
-func (rl *release) currentQuerier() server.Querier {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return rl.q
-}
-
-// warmAsync pre-fills q's cache in the background: first the handoff
-// keys (the queries that were hot when this release was last evicted
-// or reloaded), then the configured ≤WarmK-way sweep. Best-effort —
-// it stops the moment q stops being the release's current querier.
-func (rl *release) warmAsync(q server.Querier, handoff []qcache.Key) {
+// warmAsync pre-fills cq's cache in the background through its one
+// warm loop: first the handoff keys (the queries that were hot when
+// this release was last evicted or reloaded), then the configured
+// ≤WarmK-way sweep with the synopsis's default estimator (the method
+// unadorned queries use); a synopsis without a design has no known
+// dimension and skips the sweep. Best-effort — a pass stops at its next
+// chunk once cq's cache is closed, that is, once cq is no longer the
+// release's current querier.
+func (rl *release) warmAsync(cq *server.CachedQuerier, handoff []qcache.Key) {
 	reg := rl.reg
 	if len(handoff) == 0 && reg.opt.WarmK <= 0 {
 		return
 	}
 	ctx := reg.bg
 	go func() {
-		replayed := 0
-		for _, k := range handoff {
-			if ctx.Err() != nil || rl.currentQuerier() != q {
-				return
-			}
-			if _, err := q.QueryMethodContext(ctx, k.Mask.Attrs(), core.ReconstructMethod(k.Method)); err == nil {
-				replayed++
-			}
+		reqs := make([]core.BatchRequest, len(handoff))
+		for i, k := range handoff {
+			reqs[i] = core.BatchRequest{Attrs: k.Mask.Attrs(), Method: core.ReconstructMethod(k.Method)}
 		}
+		replayed, _, err := cq.Warm(ctx, reqs, 0, nil)
 		if replayed > 0 {
 			reg.opt.Logger.Printf("registry: %s: warm handoff replayed %d/%d cached queries", rl.name, replayed, len(handoff))
 		}
-		cq, ok := q.(*server.CachedQuerier)
-		if !ok || reg.opt.WarmK <= 0 {
+		dg := cq.Design()
+		if err != nil || reg.opt.WarmK <= 0 || dg == nil {
 			return
 		}
 		// The nil *WarmProgress is inert, so the no-telemetry path runs
@@ -577,7 +570,7 @@ func (rl *release) warmAsync(q server.Querier, handoff []qcache.Key) {
 			wp = reg.opt.Metrics.WarmProgress(rl.name)
 		}
 		wp.Begin()
-		warmed, skipped, err := cq.WarmWithProgress(ctx, reg.opt.WarmK, 0, wp.Update)
+		warmed, skipped, err := cq.Warm(ctx, core.AllKWay(dg.D, reg.opt.WarmK, cq.DefaultMethod()), 0, wp.Update)
 		wp.End(warmed, skipped)
 		if err != nil {
 			reg.opt.Logger.Printf("registry: %s: cache warming stopped after %d marginals (%d skipped): %v", rl.name, warmed, skipped, err)

@@ -276,9 +276,9 @@ func TestCachedQuerierQueryBatch(t *testing.T) {
 	if !marginal.Equal(res[0].Table, want, 0) || !marginal.Equal(res[2].Table, want, 0) {
 		t.Error("batch-through-cache answers diverge from direct query")
 	}
-	// countingQuerier hides the synopsis's BatchQuerier, so the miss set
-	// runs through the sequential fallback: exactly one inner query per
-	// distinct key, the in-batch duplicate deduplicated by the cache.
+	// countingQuerier counts the members of each inner batch: the miss
+	// set holds exactly one member per distinct key, the in-batch
+	// duplicate deduplicated by the cache.
 	if n := counting.calls.Load(); n != 2 {
 		t.Errorf("%d queries reached the inner querier, want 2 (distinct keys)", n)
 	}
@@ -291,7 +291,7 @@ func TestCachedQuerierQueryBatch(t *testing.T) {
 		t.Errorf("warm repeat added misses: %d -> %d", misses, got)
 	}
 	// The single-query path must hit the entries the batch populated.
-	if _, err := cq.QueryMethodContext(ctx, []int{1}, core.CME); err != nil {
+	if _, err := queryOne(ctx, cq, []int{1}, core.CME); err != nil {
 		t.Fatal(err)
 	}
 	if got := cq.cache.Stats().Misses; got != misses {
@@ -333,7 +333,7 @@ func TestWarmUsesConfiguredDefaultMethod(t *testing.T) {
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg, Method: core.CLN}, noise.NewStream(24))
 	cq := NewCachedQuerier(syn, qcache.New(1024, 16<<20))
-	warmed, skipped, err := cq.Warm(context.Background(), 2, 2)
+	warmed, skipped, err := warmKWay(context.Background(), cq, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

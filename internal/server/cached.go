@@ -36,9 +36,9 @@ type CacheOnlyQuerier interface {
 // property). Concurrent identical queries are coalesced into one solve.
 //
 // Degraded answers (reconstruct.ErrNumerical) are served but never
-// cached, and queries that cannot be keyed (an attribute ≥ 64 or a
-// duplicate) bypass the cache entirely and hit the inner Querier with
-// their original semantics.
+// cached, and a batch with a query that cannot be keyed (an attribute
+// ≥ 64 or a duplicate) bypasses the cache entirely and goes to the
+// inner QueryBatch with its original semantics.
 type CachedQuerier struct {
 	Querier
 	cache *qcache.Cache
@@ -53,19 +53,9 @@ func NewCachedQuerier(q Querier, cache *qcache.Cache) *CachedQuerier {
 	return &CachedQuerier{Querier: q, cache: cache}
 }
 
-// QueryMethodContext implements Querier as a one-query QueryBatch, so a
-// single query takes the batch path through the cache.
-func (c *CachedQuerier) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
-	res, err := c.QueryBatch(ctx, []core.BatchRequest{{Attrs: attrs, Method: method}}, core.BatchOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Table, res[0].Err
-}
-
-// QueryBatch implements BatchQuerier over the cache: each member
-// resolves from the store, by joining an in-flight solve, or as part of
-// one batched solve of this call's misses against the inner Querier.
+// QueryBatch implements Querier over the cache: each member resolves
+// from the store, by joining an in-flight solve, or as part of one
+// batched solve of this call's misses against the inner Querier.
 // Degraded members are served but never cached, clean members cache
 // normally. A member that cannot be keyed (an attribute ≥ 64 or a
 // duplicate) makes the whole batch bypass the cache, keeping the inner
@@ -75,7 +65,7 @@ func (c *CachedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest
 	for i, r := range reqs {
 		k, ok := qcache.KeyFor(r.Attrs, int(r.Method))
 		if !ok {
-			return queryBatch(ctx, c.Querier, reqs, opt)
+			return c.Querier.QueryBatch(ctx, reqs, opt)
 		}
 		keys[i] = k
 	}
@@ -84,7 +74,7 @@ func (c *CachedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest
 		for i, k := range miss {
 			sub[i] = reqs[slices.Index(keys, k)]
 		}
-		res, err := queryBatch(ctx, c.Querier, sub, opt)
+		res, err := c.Querier.QueryBatch(ctx, sub, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -124,62 +114,39 @@ func (c *CachedQuerier) CacheStats() (qcache.Stats, bool) {
 	return c.cache.Stats(), true
 }
 
-// DefaultMethod implements DefaultMethoder by delegating to the inner
-// Querier; CME when it exposes no default. The embedded interface would
-// hide the inner implementation from type assertions on the wrapper, so
-// the forward is explicit.
-func (c *CachedQuerier) DefaultMethod() core.ReconstructMethod {
-	return defaultMethod(c.Querier)
-}
-
 // warmChunk bounds how many marginals one Warm batch carries, so a
-// canceled pass reports the progress of completed chunks instead of
+// stopped pass reports the progress of completed chunks instead of
 // zero.
 const warmChunk = 256
 
-// WarmProgressFunc receives the running warm totals after every
-// completed chunk. (*WarmProgress).Update satisfies it directly.
-type WarmProgressFunc func(warmed, skipped int)
+// errCacheClosed stops a warm pass whose cache has been closed: the
+// querier is no longer its release's current one, and anything it
+// computed would be thrown away.
+var errCacheClosed = errors.New("server: query cache closed")
 
-// Warm precomputes every marginal of 1..k attributes with the
-// synopsis's configured default estimator (the method the unadorned
-// query path uses — warming CME keys for a CLN-default release would
-// fill the cache with entries no default query ever hits), filling the
-// cache so the first real queries hit. workers ≤ 0 selects GOMAXPROCS.
-// It returns how many marginals were cached cleanly and how many were
-// skipped: a degraded key (reconstruct.ErrNumerical — one poisoned
-// view) is computed, counted in skipped, and the pass keeps going, so a
-// single bad view cannot leave the rest of the cache cold. Only the
-// context ending stops the pass early (the context error is returned
-// alongside the partial counts). A querier without a design has no
-// known dimension and warms nothing.
+// Warm answers reqs through QueryBatch, filling the cache so the first
+// real queries for them hit. It is the one warm loop: a release's
+// handoff of hot keys and its ≤k-way sweep both run through it. The
+// pass runs in chunks of warmChunk requests; each chunk dedupes against
+// the cache and concurrent traffic via the shared singleflight, and the
+// solves inside a chunk share constraint precompute and fan over
+// workers goroutines (≤ 0 selects GOMAXPROCS). progress, when non-nil,
+// receives the running totals after every completed chunk, so a long
+// pass is observable while it runs ((*WarmProgress).Update fits it).
 //
-// The pass runs as QueryBatch chunks: each chunk dedupes against the
-// cache and concurrent traffic via the shared singleflight, and the
-// solves inside a chunk share constraint precompute and the worker
-// pool.
-func (c *CachedQuerier) Warm(ctx context.Context, k, workers int) (warmed, skipped int, err error) {
-	return c.WarmWithProgress(ctx, k, workers, nil)
-}
-
-// WarmWithProgress is Warm reporting its running totals through fn
-// after every completed chunk, so a long pass is observable while it
-// runs (the warm-progress gauges hang off this). fn may be nil.
-func (c *CachedQuerier) WarmWithProgress(ctx context.Context, k, workers int, fn WarmProgressFunc) (warmed, skipped int, err error) {
-	dg := c.Design()
-	if dg == nil || k <= 0 {
-		return 0, 0, nil
-	}
-	d := dg.D
-	if k > d {
-		k = d
-	}
-	reqs := core.AllKWay(d, k, defaultMethod(c.Querier))
+// It returns how many requests were cached cleanly and how many were
+// skipped: a degraded answer (reconstruct.ErrNumerical — one poisoned
+// view) or an unanswerable chunk is counted in skipped and the pass
+// keeps going, so a single bad view cannot leave the rest of the cache
+// cold. The pass stops early, returning the counts so far with an
+// error, when ctx ends or, at the next chunk, once the cache is
+// closed.
+func (c *CachedQuerier) Warm(ctx context.Context, reqs []core.BatchRequest, workers int, progress func(warmed, skipped int)) (warmed, skipped int, err error) {
 	for lo := 0; lo < len(reqs); lo += warmChunk {
-		hi := lo + warmChunk
-		if hi > len(reqs) {
-			hi = len(reqs)
+		if c.cache.Closed() {
+			return warmed, skipped, errCacheClosed
 		}
+		hi := min(lo+warmChunk, len(reqs))
 		res, berr := c.QueryBatch(ctx, reqs[lo:hi], core.BatchOptions{Workers: workers})
 		if berr != nil {
 			if errors.Is(berr, reconstruct.ErrCanceled) || errors.Is(berr, reconstruct.ErrDeadline) ||
@@ -199,8 +166,8 @@ func (c *CachedQuerier) WarmWithProgress(ctx context.Context, k, workers int, fn
 				}
 			}
 		}
-		if fn != nil {
-			fn(warmed, skipped)
+		if progress != nil {
+			progress(warmed, skipped)
 		}
 	}
 	return warmed, skipped, reconstruct.ContextErr(ctx)

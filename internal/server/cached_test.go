@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,15 +22,32 @@ import (
 	"priview/internal/reconstruct"
 )
 
-// countingQuerier wraps a Querier counting how many queries reach it.
+// countingQuerier wraps a Querier counting how many queries reach it:
+// every member of every batch.
 type countingQuerier struct {
 	Querier
 	calls atomic.Int64
 }
 
-func (c *countingQuerier) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
-	c.calls.Add(1)
-	return c.Querier.QueryMethodContext(ctx, attrs, method)
+func (c *countingQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
+	c.calls.Add(int64(len(reqs)))
+	return c.Querier.QueryBatch(ctx, reqs, opt)
+}
+
+// queryOne answers one query through q's batch surface, as a GET
+// reaches it: a one-member batch.
+func queryOne(ctx context.Context, q Querier, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
+	res, err := q.QueryBatch(ctx, []core.BatchRequest{{Attrs: attrs, Method: method}}, core.BatchOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Table, res[0].Err
+}
+
+// warmKWay warms every ≤k-way marginal of cq's design with its default
+// estimator: the sweep the registry runs.
+func warmKWay(ctx context.Context, cq *CachedQuerier, k, workers int) (warmed, skipped int, err error) {
+	return cq.Warm(ctx, core.AllKWay(cq.Design().D, k, cq.DefaultMethod()), workers, nil)
 }
 
 func cachedTestSetup(t *testing.T) (*CachedQuerier, *countingQuerier, *core.Synopsis) {
@@ -45,12 +63,12 @@ func TestCachedQuerierMemoizes(t *testing.T) {
 	cq, counting, syn := cachedTestSetup(t)
 	ctx := context.Background()
 	attrs := []int{0, 4, 8}
-	first, err := cq.QueryMethodContext(ctx, attrs, core.CME)
+	first, err := queryOne(ctx, cq, attrs, core.CME)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.Cells[0] = math.NaN() // caller mutation must not poison the cache
-	second, err := cq.QueryMethodContext(ctx, attrs, core.CME)
+	second, err := queryOne(ctx, cq, attrs, core.CME)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +80,7 @@ func TestCachedQuerierMemoizes(t *testing.T) {
 		t.Errorf("%d inner queries, want 1 (memoized)", n)
 	}
 	// A different estimator is a different key: the solve runs again.
-	if _, err := cq.QueryMethodContext(ctx, attrs, core.CLN); err != nil {
+	if _, err := queryOne(ctx, cq, attrs, core.CLN); err != nil {
 		t.Fatal(err)
 	}
 	if n := counting.calls.Load(); n != 2 {
@@ -84,7 +102,7 @@ func TestCachedQuerierAgreesWithDirectForAllMethods(t *testing.T) {
 	for _, m := range []core.ReconstructMethod{core.CME, core.CLN, core.LP, core.CLP, core.CMEDual} {
 		// Twice: the first populates, the second must hit and agree.
 		for round := 0; round < 2; round++ {
-			got, err := cq.QueryMethodContext(ctx, attrs, m)
+			got, err := queryOne(ctx, cq, attrs, m)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", m, round, err)
 			}
@@ -106,11 +124,21 @@ type erringQuerier struct {
 	calls atomic.Int64
 }
 
-func (e *erringQuerier) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
-	e.calls.Add(1)
-	return marginal.Uniform(attrs, 100), &reconstruct.NumericalError{
-		Solver: "maxent", Iter: 1, Quantity: "residual", Value: math.NaN(),
+func (e *erringQuerier) QueryBatch(_ context.Context, reqs []core.BatchRequest, _ core.BatchOptions) ([]core.BatchResult, error) {
+	e.calls.Add(int64(len(reqs)))
+	out := make([]core.BatchResult, len(reqs))
+	for i, r := range reqs {
+		out[i] = degradedResult(r.Attrs)
 	}
+	return out, nil
+}
+
+// degradedResult is the fallback chain's answer for attrs: a usable
+// table plus ErrNumerical.
+func degradedResult(attrs []int) core.BatchResult {
+	return core.BatchResult{Table: marginal.Uniform(attrs, 100), Err: &reconstruct.NumericalError{
+		Solver: "maxent", Iter: 1, Quantity: "residual", Value: math.NaN(),
+	}}
 }
 
 func TestCachedQuerierDoesNotCacheDegraded(t *testing.T) {
@@ -119,7 +147,7 @@ func TestCachedQuerierDoesNotCacheDegraded(t *testing.T) {
 	cq := NewCachedQuerier(degrading, qcache.New(1024, 16<<20))
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		got, err := cq.QueryMethodContext(ctx, []int{0, 1}, core.CME)
+		got, err := queryOne(ctx, cq, []int{0, 1}, core.CME)
 		if !errors.Is(err, reconstruct.ErrNumerical) {
 			t.Fatalf("err = %v, want ErrNumerical passthrough", err)
 		}
@@ -136,19 +164,24 @@ func TestCachedQuerierBypassesUnkeyableQueries(t *testing.T) {
 	_, counting, _ := cachedTestSetup(t)
 	cq := NewCachedQuerier(counting, qcache.New(1024, 16<<20))
 	// Duplicate attrs cannot be keyed; the query must reach the inner
-	// querier untouched (where core's validation handles it).
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate attrs did not propagate to the inner querier")
-		}
-	}()
-	_, _ = cq.QueryMethodContext(context.Background(), []int{3, 3}, core.CME)
+	// querier untouched, where core's validation rejects it.
+	_, err := queryOne(context.Background(), cq, []int{3, 3}, core.CME)
+	var be *core.BatchError
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v, want the inner *core.BatchError", err)
+	}
+	if n := counting.calls.Load(); n != 1 {
+		t.Errorf("%d queries reached the inner querier, want 1", n)
+	}
+	if st := cq.cache.Stats(); st.Misses != 0 || st.Entries != 0 {
+		t.Errorf("bypassing query touched the cache: %+v", st)
+	}
 }
 
 func TestWarmFillsCache(t *testing.T) {
 	cq, counting, _ := cachedTestSetup(t)
 	ctx := context.Background()
-	warmed, skipped, err := cq.Warm(ctx, 2, 4)
+	warmed, skipped, err := warmKWay(ctx, cq, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +195,7 @@ func TestWarmFillsCache(t *testing.T) {
 	}
 	before := counting.calls.Load()
 	// Every ≤2-way query must now hit.
-	if _, err := cq.QueryMethodContext(ctx, []int{2, 7}, core.CME); err != nil {
+	if _, err := queryOne(ctx, cq, []int{2, 7}, core.CME); err != nil {
 		t.Fatal(err)
 	}
 	if counting.calls.Load() != before {
@@ -178,15 +211,17 @@ type partiallyDegradedQuerier struct {
 	badAttr int
 }
 
-func (p *partiallyDegradedQuerier) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
-	for _, a := range attrs {
-		if a == p.badAttr {
-			return marginal.Uniform(attrs, 100), &reconstruct.NumericalError{
-				Solver: "maxent", Iter: 1, Quantity: "residual", Value: math.NaN(),
-			}
+func (p *partiallyDegradedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
+	res, err := p.Querier.QueryBatch(ctx, reqs, opt)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range reqs {
+		if slices.Contains(r.Attrs, p.badAttr) {
+			res[i] = degradedResult(r.Attrs)
 		}
 	}
-	return p.Querier.QueryMethodContext(ctx, attrs, method)
+	return res, nil
 }
 
 // TestWarmSkipsDegradedKeys proves one poisoned view cannot leave the
@@ -195,7 +230,7 @@ func (p *partiallyDegradedQuerier) QueryMethodContext(ctx context.Context, attrs
 func TestWarmSkipsDegradedKeys(t *testing.T) {
 	_, counting, _ := cachedTestSetup(t)
 	cq := NewCachedQuerier(&partiallyDegradedQuerier{Querier: counting, badAttr: 0}, qcache.New(1024, 16<<20))
-	warmed, skipped, err := cq.Warm(context.Background(), 2, 4)
+	warmed, skipped, err := warmKWay(context.Background(), cq, 2, 4)
 	if err != nil {
 		t.Fatalf("Warm: %v", err)
 	}
@@ -214,7 +249,7 @@ func TestWarmCanceledStopsEarly(t *testing.T) {
 	cq, _, _ := cachedTestSetup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	warmed, _, err := cq.Warm(ctx, 3, 2)
+	warmed, _, err := warmKWay(ctx, cq, 3, 2)
 	if !errors.Is(err, reconstruct.ErrCanceled) {
 		t.Errorf("err = %v, want ErrCanceled", err)
 	}
@@ -223,18 +258,50 @@ func TestWarmCanceledStopsEarly(t *testing.T) {
 	}
 }
 
+// TestWarmWithoutDesign: Warm consults no design — it warms exactly the
+// requests it is given — so a querier without one warms them too. The
+// design only sizes the ≤k sweep, which the registry skips without one.
 func TestWarmWithoutDesign(t *testing.T) {
 	_, counting, _ := cachedTestSetup(t)
-	cq := NewCachedQuerier(designlessQuerier{counting}, qcache.New(8, 0))
-	warmed, skipped, err := cq.Warm(context.Background(), 2, 2)
-	if err != nil || warmed != 0 || skipped != 0 {
-		t.Errorf("Warm without design = (%d, %d, %v), want (0, 0, nil)", warmed, skipped, err)
+	cq := NewCachedQuerier(designlessQuerier{counting}, qcache.New(64, 0))
+	warmed, skipped, err := cq.Warm(context.Background(), core.AllKWay(9, 2, core.CME), 2, nil)
+	if err != nil || warmed != 45 || skipped != 0 {
+		t.Errorf("Warm without design = (%d, %d, %v), want (45, 0, nil)", warmed, skipped, err)
+	}
+}
+
+// TestWarmStopsOnceCacheClosed: a warm pass runs no further chunk once
+// its cache is closed — the querier is no longer its release's current
+// one — and stores nothing from the chunk that was running.
+func TestWarmStopsOnceCacheClosed(t *testing.T) {
+	cq, counting, _ := cachedTestSetup(t)
+	reqs := core.AllKWay(9, 5, core.CME) // 381 requests: two chunks
+	chunks := 0
+	warmed, skipped, err := cq.Warm(context.Background(), reqs, 2, func(int, int) {
+		chunks++
+		cq.cache.Close()
+	})
+	if !errors.Is(err, errCacheClosed) {
+		t.Errorf("err = %v, want errCacheClosed", err)
+	}
+	if chunks != 1 || warmed+skipped != warmChunk {
+		t.Errorf("%d chunks, %d warmed + %d skipped; want one chunk of %d", chunks, warmed, skipped, warmChunk)
+	}
+	if n := counting.calls.Load(); n != warmChunk {
+		t.Errorf("%d queries reached the solver, want %d (no second chunk)", n, warmChunk)
+	}
+	if st, _ := cq.CacheStats(); st.Entries != 0 {
+		t.Errorf("closed cache holds %d entries, want 0", st.Entries)
 	}
 }
 
 type designlessQuerier struct{ Querier }
 
 func (designlessQuerier) Design() *covering.Design { return nil }
+
+// DefaultMethod answers without the inner querier, which FuzzParseAttrs
+// leaves nil.
+func (designlessQuerier) DefaultMethod() core.ReconstructMethod { return core.CME }
 
 func TestStatsEndpoint(t *testing.T) {
 	// Without a cache: cache=false, counters zero.
@@ -294,7 +361,7 @@ func TestCachedServerRaceStress(t *testing.T) {
 	// request is admitted and the test checks the cache alone.
 	s := New(cq, Options{Admission: admission.Config{MinLimit: 16, MaxLimit: 16}})
 	attrSets := []string{"0,4,8", "1,5", "0,4,8", "2,6,7", "0,4,8", "3"}
-	methods := []string{"CME", "CLN", "CLP", "CME-dual"}
+	methods := []string{"CME", "CLN", "CLP", "LP"}
 	const workers = 12
 	const perWorker = 10
 	var wg sync.WaitGroup

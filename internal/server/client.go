@@ -24,15 +24,13 @@ import (
 // a wedged server would hang callers forever.
 const DefaultClientTimeout = 30 * time.Second
 
-// Method names accepted by the server's method parameter — all five
-// Fig. 3 estimators implemented by core (matching is case-insensitive;
-// "CMEDUAL" is also accepted for MethodCMEDual).
+// Method names accepted by the server's method parameter (matching is
+// case-insensitive).
 const (
-	MethodCME     = "CME"
-	MethodCLN     = "CLN"
-	MethodLP      = "LP"
-	MethodCLP     = "CLP"
-	MethodCMEDual = "CME-dual"
+	MethodCME = "CME"
+	MethodCLN = "CLN"
+	MethodLP  = "LP"
+	MethodCLP = "CLP"
 )
 
 // RetryPolicy controls the client's retry loop for idempotent requests.

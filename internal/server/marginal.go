@@ -156,16 +156,16 @@ func parseQuery(attrs []int, method string, def core.ReconstructMethod, dg *cove
 	if method != "" {
 		m, ok := parseMethod(method)
 		if !ok {
-			return core.BatchRequest{}, errors.New("unknown method (want CME, CLN, LP, CLP or CME-dual)")
+			return core.BatchRequest{}, errors.New("unknown method (want CME, CLN, LP or CLP)")
 		}
 		def = m
 	}
 	return core.BatchRequest{Attrs: set.Attrs(), Method: def}, nil
 }
 
-// parseMethod resolves a method name to an estimator. All five Fig. 3
-// estimators implemented by core are accepted; matching is
-// case-insensitive and CME-dual is also spellable without the hyphen.
+// parseMethod resolves a method name to an estimator, case-insensitively.
+// CME-dual, an ablation that reaches the same optimum as CME, is not
+// served.
 func parseMethod(raw string) (core.ReconstructMethod, bool) {
 	switch strings.ToUpper(raw) {
 	case "CME":
@@ -176,8 +176,6 @@ func parseMethod(raw string) (core.ReconstructMethod, bool) {
 		return core.LP, true
 	case "CLP":
 		return core.CLP, true
-	case "CMEDUAL", "CME-DUAL":
-		return core.CMEDual, true
 	}
 	return core.CME, false
 }
@@ -203,7 +201,7 @@ func parseMarginal(r *http.Request, q Querier, opt Options) ([]core.BatchRequest
 		}
 		attrs[i] = a
 	}
-	req, err := parseQuery(attrs, params.Get("method"), defaultMethod(q), q.Design(), opt.MaxK)
+	req, err := parseQuery(attrs, params.Get("method"), q.DefaultMethod(), q.Design(), opt.MaxK)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
@@ -233,12 +231,12 @@ func parseMarginals(r *http.Request, q Querier, opt Options) ([]core.BatchReques
 	if len(req.Queries) > opt.MaxBatch {
 		return nil, badRequest("at most %d queries per batch", opt.MaxBatch)
 	}
-	def := defaultMethod(q)
+	def := q.DefaultMethod()
 	if req.Method != "" {
 		m, ok := parseMethod(req.Method)
 		if !ok {
 			return nil, &inputError{items: []batchErrorItem{{Index: -1,
-				Error: fmt.Sprintf("unknown default method %q (want CME, CLN, LP, CLP or CME-dual)", req.Method)}}}
+				Error: fmt.Sprintf("unknown default method %q (want CME, CLN, LP or CLP)", req.Method)}}}
 		}
 		def = m
 	}
@@ -260,7 +258,8 @@ func parseMarginals(r *http.Request, q Querier, opt Options) ([]core.BatchReques
 }
 
 // solveCounts tallies distinct solves per estimator, indexed by
-// core.ReconstructMethod (parseMethod admits exactly CME..CMEDual).
+// core.ReconstructMethod. parseMethod admits CME..CLP, but a synopsis
+// configured with CME-dual still reaches it as the default method.
 type solveCounts [core.CMEDual + 1]int
 
 // countSolves counts the distinct (attribute set, method) pairs in reqs
@@ -316,7 +315,7 @@ func (m *Multi) serveMarginal(rt marginalRoute) func(http.ResponseWriter, *http.
 			return describe(reqs, n)
 		})
 		start := time.Now()
-		results, err := queryBatch(ctx, q, reqs, core.BatchOptions{Workers: m.opt.BatchWorkers})
+		results, err := q.QueryBatch(ctx, reqs, core.BatchOptions{Workers: m.opt.BatchWorkers})
 		if err != nil {
 			var be *core.BatchError
 			switch {

@@ -74,21 +74,15 @@ type Lease interface {
 }
 
 // Pinned is a Lease over one resolved Querier with nothing to return
-// on Close; leases that hold a permit embed it and override Close. It
-// forwards the optional query surfaces — BatchQuerier,
-// CacheOnlyQuerier, DefaultMethoder, CacheStatser — explicitly: a
-// struct embedding the bare Querier interface would hide them from the
-// handlers' type assertions.
+// on Close; leases that hold a permit embed it and override Close. The
+// Querier methods are promoted; the optional cache surfaces —
+// CacheOnlyQuerier and CacheStatser — are forwarded explicitly, since
+// a struct embedding the bare Querier interface would hide them from
+// the handlers' type assertions.
 type Pinned struct{ Querier }
 
 // Close implements Lease.
 func (Pinned) Close() {}
-
-// QueryBatch implements BatchQuerier, falling back to the sequential
-// loop for queriers that cannot batch.
-func (p Pinned) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
-	return queryBatch(ctx, p.Querier, reqs, opt)
-}
 
 // QueryCached implements CacheOnlyQuerier; a querier with no cache
 // never hits.
@@ -98,10 +92,6 @@ func (p Pinned) QueryCached(attrs []int, method core.ReconstructMethod) (*margin
 	}
 	return nil, false
 }
-
-// DefaultMethod implements DefaultMethoder; CME when the querier
-// exposes no default.
-func (p Pinned) DefaultMethod() core.ReconstructMethod { return defaultMethod(p.Querier) }
 
 // CacheStats implements CacheStatser; enabled is false when the
 // querier maintains no cache.

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"priview/internal/core"
-	"priview/internal/marginal"
 )
 
 // fakeLease wraps a Querier and counts Close calls.
@@ -257,27 +256,21 @@ type gatedQuerier struct {
 	gate chan struct{}
 }
 
-func (g *gatedQuerier) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
+func (g *gatedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
 	<-g.gate
 	<-g.gate
-	return g.Querier.QueryMethodContext(ctx, attrs, method)
+	return g.Querier.QueryBatch(ctx, reqs, opt)
 }
 
 // TestPinnedForwardsOptionalSurfaces: a lease built on Pinned keeps the
-// optional query surfaces of the querier it pins visible to type
+// optional cache surfaces of the querier it pins visible to type
 // assertions, where a struct embedding the bare Querier would hide
 // them.
 func TestPinnedForwardsOptionalSurfaces(t *testing.T) {
 	cq, _, _ := cachedTestSetup(t)
 	var lease Lease = Pinned{cq}
-	if _, err := lease.QueryMethodContext(context.Background(), []int{0, 1}, core.CME); err != nil {
+	if _, err := queryOne(context.Background(), lease, []int{0, 1}, core.CME); err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := lease.(BatchQuerier); !ok {
-		t.Error("Pinned hides BatchQuerier")
-	}
-	if _, ok := lease.(DefaultMethoder); !ok {
-		t.Error("Pinned hides DefaultMethoder")
 	}
 	if co, ok := lease.(CacheOnlyQuerier); !ok {
 		t.Error("Pinned hides CacheOnlyQuerier")

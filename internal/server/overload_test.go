@@ -21,7 +21,6 @@ import (
 
 	"priview/internal/admission"
 	"priview/internal/core"
-	"priview/internal/marginal"
 	"priview/internal/qcache"
 )
 
@@ -80,7 +79,7 @@ type holdQuerier struct {
 	release chan struct{}
 }
 
-func (h *holdQuerier) QueryMethodContext(ctx context.Context, attrs []int, m core.ReconstructMethod) (*marginal.Table, error) {
+func (h *holdQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
 	if h.hold.Load() {
 		select {
 		case h.arrived <- struct{}{}:
@@ -92,7 +91,7 @@ func (h *holdQuerier) QueryMethodContext(ctx context.Context, attrs []int, m cor
 			return nil, ctx.Err()
 		}
 	}
-	return h.Querier.QueryMethodContext(ctx, attrs, m)
+	return h.Querier.QueryBatch(ctx, reqs, opt)
 }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {

@@ -68,14 +68,14 @@ type parkedQuerier struct {
 	once    sync.Once
 }
 
-func (p *parkedQuerier) QueryMethodContext(ctx context.Context, attrs []int, m core.ReconstructMethod) (*marginal.Table, error) {
+func (p *parkedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
 	p.once.Do(func() { close(p.arrived) })
 	select {
 	case <-p.release:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return p.Querier.QueryMethodContext(ctx, attrs, m)
+	return p.Querier.QueryBatch(ctx, reqs, opt)
 }
 
 // TestLoadSheddingReturns429: with MaxInflight=1 (a concurrency
@@ -192,7 +192,7 @@ func waitForQueueDepth(t *testing.T, base string, depth int) {
 // panicQuerier simulates an internal failure inside reconstruction.
 type panicQuerier struct{ server.Querier }
 
-func (panicQuerier) QueryMethodContext(context.Context, []int, core.ReconstructMethod) (*marginal.Table, error) {
+func (panicQuerier) QueryBatch(context.Context, []core.BatchRequest, core.BatchOptions) ([]core.BatchResult, error) {
 	panic("core: synthetic reconstruction failure")
 }
 
@@ -409,7 +409,7 @@ type flipQuerier struct {
 	mu         *sync.Mutex
 }
 
-func (f *flipQuerier) QueryMethodContext(ctx context.Context, attrs []int, m core.ReconstructMethod) (*marginal.Table, error) {
+func (f *flipQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
 	f.mu.Lock()
 	useSlow := *f.slowLeft > 0
 	if useSlow {
@@ -417,11 +417,12 @@ func (f *flipQuerier) QueryMethodContext(ctx context.Context, attrs []int, m cor
 	}
 	f.mu.Unlock()
 	if useSlow {
-		return f.slow.QueryMethodContext(ctx, attrs, m)
+		return f.slow.QueryBatch(ctx, reqs, opt)
 	}
-	return f.fast.QueryMethodContext(ctx, attrs, m)
+	return f.fast.QueryBatch(ctx, reqs, opt)
 }
-func (f *flipQuerier) Epsilon() float64         { return f.fast.Epsilon() }
-func (f *flipQuerier) Total() float64           { return f.fast.Total() }
-func (f *flipQuerier) Views() []*marginal.Table { return f.fast.Views() }
-func (f *flipQuerier) Design() *covering.Design { return f.fast.Design() }
+func (f *flipQuerier) DefaultMethod() core.ReconstructMethod { return f.fast.DefaultMethod() }
+func (f *flipQuerier) Epsilon() float64                      { return f.fast.Epsilon() }
+func (f *flipQuerier) Total() float64                        { return f.fast.Total() }
+func (f *flipQuerier) Views() []*marginal.Table              { return f.fast.Views() }
+func (f *flipQuerier) Design() *covering.Design              { return f.fast.Design() }

@@ -40,13 +40,17 @@ import (
 	"priview/internal/telemetry"
 )
 
-// Querier is the synopsis surface the server serves. *core.Synopsis
-// implements it; tests substitute slow or faulty implementations to
-// exercise the failure model without a slow real reconstruction.
+// Querier is the synopsis surface the server serves: core's batch
+// API. *core.Synopsis implements it, and so does CachedQuerier; tests
+// substitute slow or faulty implementations to exercise the failure
+// model without a slow real reconstruction.
 type Querier interface {
-	// QueryMethodContext reconstructs the marginal over attrs with the
-	// given estimator, honoring ctx cancellation (see core.Synopsis).
-	QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error)
+	// QueryBatch answers every request in one call, honoring ctx
+	// cancellation (see core.Synopsis.QueryBatch). A single query is a
+	// one-member batch.
+	QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error)
+	// DefaultMethod is the estimator for requests that name none.
+	DefaultMethod() core.ReconstructMethod
 	Epsilon() float64
 	Total() float64
 	Views() []*marginal.Table

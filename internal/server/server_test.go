@@ -89,17 +89,13 @@ func TestMarginalQuery(t *testing.T) {
 
 func TestMarginalMethodSelection(t *testing.T) {
 	s, _ := testServer(t)
-	// All five Fig. 3 estimators implemented by core must be servable,
-	// case-insensitively, with CME-dual spellable both ways.
+	// The four served estimators, case-insensitively.
 	accepted := map[string]string{
-		"CME":      "CME",
-		"cme":      "CME",
-		"CLN":      "CLN",
-		"LP":       "LP",
-		"CLP":      "CLP",
-		"CME-dual": "CME-dual",
-		"CMEDUAL":  "CME-dual",
-		"cme-DUAL": "CME-dual",
+		"CME": "CME",
+		"cme": "CME",
+		"CLN": "CLN",
+		"LP":  "LP",
+		"CLP": "CLP",
 	}
 	for m, want := range accepted {
 		rec := get(t, s, "/v1/marginal?attrs=0,5&method="+m)
@@ -117,12 +113,26 @@ func TestMarginalMethodSelection(t *testing.T) {
 			t.Errorf("method %s: served as %q, want %q", m, resp.Method, want)
 		}
 	}
-	rec := get(t, s, "/v1/marginal?attrs=0,5&method=nope")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown method accepted: %d", rec.Code)
+	// CME-dual is an ablation, not a served method, in either spelling.
+	for _, m := range []string{"nope", "CME-dual", "CMEDUAL"} {
+		rec := get(t, s, "/v1/marginal?attrs=0,5&method="+m)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("method %s accepted: %d", m, rec.Code)
+		}
+		if got := strings.TrimSpace(rec.Body.String()); got != "unknown method (want CME, CLN, LP or CLP)" {
+			t.Errorf("method %s: error text = %q must name every accepted method", m, got)
+		}
 	}
-	if got := strings.TrimSpace(rec.Body.String()); got != "unknown method (want CME, CLN, LP, CLP or CME-dual)" {
-		t.Errorf("error text = %q must name every accepted method", got)
+	// A synopsis configured with CME-dual still answers its unadorned
+	// queries with it: the default method is not parsed.
+	data := synth.MSNBC(2000, 4)
+	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: covering.Groups(9, 6), Method: core.CMEDual}, noise.NewStream(5))
+	rec := get(t, New(syn, Options{}), "/v1/marginal?attrs=0,5")
+	var resp struct {
+		Method string `json:"method"`
+	}
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Method != "CME-dual" {
+		t.Errorf("CME-dual default: status %d, body %s; want 200 answered with CME-dual", rec.Code, rec.Body.String())
 	}
 }
 

@@ -290,8 +290,8 @@ func (p *WarmProgress) Begin() {
 	p.skipped.Set(0)
 }
 
-// Update publishes the running totals; shaped to be used directly as a
-// WarmProgressFunc.
+// Update publishes the running totals; shaped to be used directly as
+// CachedQuerier.Warm's progress function.
 func (p *WarmProgress) Update(warmed, skipped int) {
 	if p == nil {
 		return

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"priview/internal/core"
 	"priview/internal/telemetry"
 )
 
@@ -178,7 +179,7 @@ func TestWarmProgressGauges(t *testing.T) {
 	if v := sampleValue(t, scrape(t, reg.Handler()), "priview_cache_warm_in_progress", "priview_cache_warm_in_progress", map[string]string{"release": "default"}); v != 1 {
 		t.Errorf("in_progress mid-pass = %v, want 1", v)
 	}
-	warmed, skipped, err := cq.WarmWithProgress(context.Background(), 2, 2, wp.Update)
+	warmed, skipped, err := cq.Warm(context.Background(), core.AllKWay(9, 2, cq.DefaultMethod()), 2, wp.Update)
 	if err != nil {
 		t.Fatal(err)
 	}
