@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch bench-smoke sloc check
+.PHONY: all build vet lint lint-bench test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch bench-smoke sloc check
 
 all: build
 
@@ -141,4 +141,7 @@ sloc:
 		for (p in a) printf f, p, a[p], r[p], sprintf("%+d", a[p] - r[p]) | "sort"; close("sort"); \
 		printf f, "total", ta + 0, tr + 0, sprintf("%+d", ta - tr) }'
 
+# The two benchmark suites run once per benchmark (BENCHTIME=1x), as
+# CI's smoke steps do: they prove the benchmarks still build and run.
 check: build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench-smoke
+	$(MAKE) bench bench-batch BENCHTIME=1x

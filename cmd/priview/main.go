@@ -8,6 +8,7 @@
 //	priview plan     -in data.txt -eps 1.0
 //	priview build    -in data.txt -eps 1.0 -out synopsis.json
 //	priview query    -synopsis synopsis.json -attrs 3,7,19,30
+//	priview query    -server http://localhost:8080 -attrs "0,1;4;2,5,8"
 //
 // Subcommands:
 //
@@ -15,7 +16,8 @@
 //	          uniform) in the line-oriented bit-string format
 //	plan      print the covering design §4.5 planning would choose
 //	build     construct and save a private synopsis
-//	query     reconstruct one marginal from a saved synopsis
+//	query     reconstruct one marginal, or summarize a batch of them,
+//	          from a saved synopsis or a priview-serve server
 //	audit     check a saved synopsis against the release invariants
 package main
 
@@ -35,7 +37,6 @@ import (
 	"priview/internal/covering"
 	"priview/internal/dataset"
 	"priview/internal/dataset/synth"
-	"priview/internal/marginal"
 	"priview/internal/noise"
 	"priview/internal/server"
 	"priview/internal/snapshot"
@@ -82,8 +83,9 @@ func usage() {
   plan     -in FILE -eps E [-seed s]
   design   -d D -ell L -t T [-seed s] -out FILE       (export; La Jolla text format)
   build    -in FILE -eps E [-t 0|2|3|4] [-ell L] [-design FILE] [-snapshot] [-seed s] -out FILE
-  query    -synopsis FILE | -server URL  -attrs a,b,c [-method CME|CLN|CLP]
-           [-timeout D] [-retry-budget R] [-priority high]   (remote mode)
+  query    -synopsis FILE | -server URL  -attrs a,b,c[;d,e] | -all-k K
+           [-method CME|CLN|LP|CLP] [-timeout D] [-batch-workers W]  (local mode)
+           [-retry-budget R] [-priority high]                         (remote mode)
   audit    [-json] FILE                               (exit 1 if invariants are violated)`)
 }
 
@@ -396,7 +398,7 @@ func cmdQuery(args []string) error {
 	attrsFlag := fs.String("attrs", "", `comma-separated attribute indices; separate sets with ';' to batch (e.g. "0,1;1,3;2")`)
 	allK := fs.Int("all-k", 0, "batch every non-empty marginal of up to this many attributes (alternative to -attrs)")
 	method := fs.String("method", "CME", "reconstruction method: CME, CLN, LP, CLP")
-	timeout := fs.Duration("timeout", 30*time.Second, "remote mode: end-to-end deadline, propagated to the server")
+	timeout := fs.Duration("timeout", 30*time.Second, "end-to-end deadline; remote mode propagates it to the server")
 	retryBudget := fs.Float64("retry-budget", 0, "remote mode: retries allowed per successful request (e.g. 0.1 ≈ 10% retry amplification; 0 disables budgeting)")
 	priority := fs.String("priority", "", `remote mode: request priority ("high" bypasses server brownout)`)
 	batchWorkers := fs.Int("batch-workers", 0, "local mode: solver goroutines a batch fans over (0 = GOMAXPROCS)")
@@ -413,95 +415,77 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return fmt.Errorf("query: %w", err)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	var sets [][]int
+	var reqs []core.BatchRequest
 	if *attrsFlag != "" {
-		sets, err = parseAttrSets(*attrsFlag)
+		sets, err := parseAttrSets(*attrsFlag)
 		if err != nil {
 			return fmt.Errorf("query: %w", err)
 		}
+		for _, attrs := range sets {
+			reqs = append(reqs, core.BatchRequest{Attrs: attrs, Method: m})
+		}
 	}
 
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
+	// Both modes answer every query, one set or many, through one batch
+	// call; -all-k needs the dimension first.
+	var query func(context.Context, []core.BatchRequest) ([]core.BatchResult, error)
+	var d int
 	if *serverURL != "" {
-		c := server.NewClientWithPolicy(*serverURL, nil, server.RetryPolicy{RetryBudget: *retryBudget})
+		c := server.NewClient(*serverURL, nil, server.RetryPolicy{RetryBudget: *retryBudget})
 		c.SetPriority(*priority)
+		query = c.MarginalsContext
 		if *allK > 0 {
 			info, err := c.InfoContext(ctx)
 			if err != nil {
 				return fmt.Errorf("query: %w", err)
 			}
-			for _, r := range core.AllKWay(info.D, *allK, m) {
-				sets = append(sets, r.Attrs)
-			}
+			d = info.D
 		}
-		if len(sets) == 1 {
-			t, err := c.MarginalContext(ctx, sets[0], strings.ToUpper(*method))
-			if err != nil {
-				return fmt.Errorf("query: %w", err)
-			}
-			printMarginal(t)
-			return nil
-		}
-		queries := make([]server.BatchQuery, len(sets))
-		for i, attrs := range sets {
-			queries[i] = server.BatchQuery{Attrs: attrs}
-		}
-		start := time.Now()
-		answers, err := c.MarginalsContext(ctx, queries, strings.ToUpper(*method))
+	} else {
+		f, err := os.Open(*synPath)
 		if err != nil {
-			return fmt.Errorf("query: %w", err)
+			return err
 		}
-		printBatch(sets, func(i int) (*marginal.Table, bool) {
-			return answers[i].Table, answers[i].Degraded
-		}, time.Since(start))
-		return nil
+		syn, err := snapshot.Read(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		query = func(ctx context.Context, reqs []core.BatchRequest) ([]core.BatchResult, error) {
+			return syn.QueryBatch(ctx, reqs, core.BatchOptions{Workers: *batchWorkers})
+		}
+		if *allK > 0 {
+			dg := syn.Design()
+			if dg == nil {
+				return fmt.Errorf("query: -all-k needs a synopsis with a recorded design")
+			}
+			d = dg.D
+		}
 	}
-
-	f, err := os.Open(*synPath)
-	if err != nil {
-		return err
-	}
-	syn, err := snapshot.Read(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	syn.SetMethod(m)
 	if *allK > 0 {
-		dg := syn.Design()
-		if dg == nil {
-			return fmt.Errorf("query: -all-k needs a synopsis with a recorded design")
-		}
-		for _, r := range core.AllKWay(dg.D, *allK, m) {
-			sets = append(sets, r.Attrs)
-		}
-	}
-	if len(sets) == 1 {
-		printMarginal(syn.Query(sets[0]))
-		return nil
-	}
-	reqs := make([]core.BatchRequest, len(sets))
-	for i, attrs := range sets {
-		reqs[i] = core.BatchRequest{Attrs: attrs, Method: m}
+		reqs = core.AllKWay(d, *allK, m)
 	}
 	start := time.Now()
-	results, err := syn.QueryBatch(ctx, reqs, core.BatchOptions{Workers: *batchWorkers})
+	results, err := query(ctx, reqs)
 	if err != nil {
 		return fmt.Errorf("query: %w", err)
 	}
-	printBatch(sets, func(i int) (*marginal.Table, bool) {
-		return results[i].Table, results[i].Degraded()
-	}, time.Since(start))
+	if len(results) == 1 {
+		printMarginal(results[0])
+		return nil
+	}
+	printBatch(results, time.Since(start))
 	return nil
 }
 
 // printMarginal writes the full cell listing of one marginal.
-func printMarginal(table *marginal.Table) {
-	fmt.Printf("marginal over attributes %v (total %.1f):\n", table.Attrs, table.Total())
+func printMarginal(res core.BatchResult) {
+	table := res.Table
+	fmt.Printf("marginal over attributes %v (total %.1f):%s\n", table.Attrs, table.Total(), degradedMark(res))
 	for i, v := range table.Cells {
 		assignment := make([]byte, len(table.Attrs))
 		for j := range table.Attrs {
@@ -514,16 +498,21 @@ func printMarginal(table *marginal.Table) {
 // printBatch summarizes a batched answer: one line per marginal plus
 // the wall-clock footer (full cell dumps of hundreds of tables help
 // nobody; re-query a single set to inspect cells).
-func printBatch(sets [][]int, answer func(i int) (*marginal.Table, bool), elapsed time.Duration) {
+func printBatch(results []core.BatchResult, elapsed time.Duration) {
 	degraded := 0
-	for i := range sets {
-		t, deg := answer(i)
-		mark := ""
-		if deg {
-			mark = "  [degraded]"
+	for _, res := range results {
+		if res.Degraded() {
 			degraded++
 		}
-		fmt.Printf("  %v  total %.1f%s\n", t.Attrs, t.Total(), mark)
+		fmt.Printf("  %v  total %.1f%s\n", res.Table.Attrs, res.Table.Total(), degradedMark(res))
 	}
-	fmt.Printf("%d marginals (%d degraded) in %v\n", len(sets), degraded, elapsed.Round(time.Millisecond))
+	fmt.Printf("%d marginals (%d degraded) in %v\n", len(results), degraded, elapsed.Round(time.Millisecond))
+}
+
+// degradedMark tags an answer the numerical fallback chain produced.
+func degradedMark(res core.BatchResult) string {
+	if res.Degraded() {
+		return "  [degraded]"
+	}
+	return ""
 }

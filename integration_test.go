@@ -5,6 +5,7 @@ package priview_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -60,12 +61,13 @@ func TestCuratorWorkflow(t *testing.T) {
 	// Step 4: serve and query via HTTP.
 	ts := httptest.NewServer(server.New(loaded, server.Options{}))
 	defer ts.Close()
-	client := server.NewClient(ts.URL, nil)
+	client := server.NewClient(ts.URL, nil, server.RetryPolicy{})
 	attrs := []int{2, 9, 18, 27}
-	viaHTTP, err := client.Marginal(attrs, "")
+	results, err := client.MarginalsContext(context.Background(), []core.BatchRequest{{Attrs: attrs}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	viaHTTP := results[0].Table
 	direct := syn.Query(attrs)
 	if !marginal.Equal(viaHTTP, direct, 1e-9) {
 		t.Error("served answer differs from in-process answer")

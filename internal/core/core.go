@@ -364,13 +364,13 @@ func (s *Synopsis) QueryMethod(attrs []int, method ReconstructMethod) *marginal.
 //
 // Numerical failures never poison the answer: constraints carrying
 // NaN/Inf are dropped, and a solver that detects instability
-// (reconstruct.ErrNumerical) is replaced by the next estimator in the
-// MaxEnt → dual → least-squares chain, with a uniform table as the
-// final resort. In that degraded regime the returned table is non-nil
-// AND the error is non-nil, matching reconstruct.ErrNumerical — the
-// table is a usable (finite, non-NaN) answer and the error records that
-// it came from a fallback. A query whose ctx stays live therefore
-// always returns a finite table.
+// (reconstruct.ErrNumerical) is replaced by the next estimator in its
+// fallback chain — MaxEnt, then least squares (see fallbackChain) —
+// with a uniform table as the final resort. In that degraded regime
+// the returned table is non-nil AND the error is non-nil, matching
+// reconstruct.ErrNumerical — the table is a usable (finite, non-NaN)
+// answer and the error records that it came from a fallback. A query
+// whose ctx stays live therefore always returns a finite table.
 func (s *Synopsis) QueryMethodContext(ctx context.Context, attrs []int, method ReconstructMethod) (*marginal.Table, error) {
 	if err := reconstruct.ContextErr(ctx); err != nil {
 		return nil, err
@@ -384,19 +384,21 @@ func (s *Synopsis) QueryMethodContext(ctx context.Context, attrs []int, method R
 }
 
 // fallbackChain orders the estimators tried for a query: the requested
-// method first, then the remaining iterative solvers in the paper's
-// MaxEnt → dual → least-squares preference order. The LP methods fall
-// back onto the same chain (their constraint system is shared).
+// method first, then the served iterative solvers in the paper's
+// MaxEnt → least-squares preference order. The LP methods fall back
+// onto the same chain (their constraint system is shared). CME-dual
+// solves the same problem as CME, so it is no fallback of its own: it
+// is only tried when requested, by the in-process ablation.
 func fallbackChain(method ReconstructMethod) []ReconstructMethod {
 	switch method {
 	case CME:
-		return []ReconstructMethod{CME, CMEDual, CLN}
+		return []ReconstructMethod{CME, CLN}
 	case CMEDual:
 		return []ReconstructMethod{CMEDual, CME, CLN}
 	case CLN:
-		return []ReconstructMethod{CLN, CME, CMEDual}
+		return []ReconstructMethod{CLN, CME}
 	case LP, CLP:
-		return []ReconstructMethod{method, CME, CMEDual, CLN}
+		return []ReconstructMethod{method, CME, CLN}
 	default:
 		panic(fmt.Sprintf("core: unknown reconstruction method %d", int(method)))
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,6 +173,23 @@ func TestQueryCleanSynopsisNotDegraded(t *testing.T) {
 		}
 		if table == nil || !reconstruct.FiniteTable(table) {
 			t.Errorf("%v: bad table %v", method, table)
+		}
+	}
+}
+
+// TestFallbackChain pins the estimators each method degrades through.
+// CME-dual appears only when requested: it solves CME's problem, so it
+// is no fallback for a served method.
+func TestFallbackChain(t *testing.T) {
+	for method, want := range map[ReconstructMethod][]ReconstructMethod{
+		CME:     {CME, CLN},
+		CLN:     {CLN, CME},
+		LP:      {LP, CME, CLN},
+		CLP:     {CLP, CME, CLN},
+		CMEDual: {CMEDual, CME, CLN},
+	} {
+		if got := fallbackChain(method); !slices.Equal(got, want) {
+			t.Errorf("fallbackChain(%v) = %v, want %v", method, got, want)
 		}
 	}
 }

@@ -105,8 +105,9 @@ func (s *Synopsis) Save(w io.Writer) error {
 
 // Load decodes a synopsis previously written with Save; raw holds that
 // one JSON document, with nothing but whitespace after it. The views
-// are used as-is (they were post-processed before saving); queries use
-// the maximum-entropy estimator unless changed with SetMethod.
+// are used as-is (they were post-processed before saving); Query uses
+// the maximum-entropy estimator, and QueryMethod or a BatchRequest
+// names any other.
 //
 // Load validates the document before building anything: unknown
 // formats, non-finite values, cell counts disagreeing with the
@@ -289,8 +290,3 @@ func loadDesign(df designFile) (*covering.Design, error) {
 	}
 	return &covering.Design{D: df.D, T: df.T, L: df.L, Blocks: df.Blocks}, nil
 }
-
-// SetMethod switches the reconstruction estimator used by Query. It
-// affects only post-processing of the already-published views, so it
-// has no privacy cost.
-func (s *Synopsis) SetMethod(m ReconstructMethod) { s.cfg.Method = m }

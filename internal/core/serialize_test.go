@@ -52,7 +52,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSetMethodAfterLoad(t *testing.T) {
+func TestQueryMethodAfterLoad(t *testing.T) {
 	data := synth.MSNBC(5000, 3)
 	dg := covering.Groups(9, 4)
 	orig := BuildSynopsis(data, Config{Epsilon: 1, Design: dg}, noise.NewStream(4))
@@ -64,8 +64,7 @@ func TestSetMethodAfterLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded.SetMethod(CLN)
-	got := loaded.Query([]int{0, 3, 6, 8})
+	got := loaded.QueryMethod([]int{0, 3, 6, 8}, CLN)
 	if got.Size() != 16 {
 		t.Errorf("size = %d", got.Size())
 	}

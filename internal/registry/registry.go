@@ -139,11 +139,11 @@ type Options struct {
 	// Now is the clock (nil = time.Now); tests inject a fake to drive
 	// breaker cooldowns deterministically.
 	Now func() time.Time
-	// Metrics, when non-nil, exports every release's lifecycle counters,
-	// cache counters and warm progress as release-labeled series on the
-	// shared scrape surface (pass the serving router's Metrics so one
-	// GET /metrics covers both). nil keeps the counters standalone —
-	// the JSON stats surfaces are unaffected either way.
+	// Metrics holds every release's lifecycle counters, cache counters
+	// and warm progress as release-labeled series (pass the serving
+	// router's Metrics so one GET /metrics covers both). nil gets a
+	// fresh private set, so the counters and the JSON stats read them
+	// behave the same either way.
 	Metrics *server.Metrics
 	// Logger receives operational messages (nil = log.Default()).
 	Logger *log.Logger
@@ -196,6 +196,9 @@ func (o Options) withDefaults() Options {
 	if o.Logger == nil {
 		o.Logger = log.Default()
 	}
+	if o.Metrics == nil {
+		o.Metrics = server.NewMetrics(telemetry.NewRegistry())
+	}
 	return o
 }
 
@@ -232,7 +235,7 @@ type Registry struct {
 	opt     Options
 	loadSem chan struct{}    // shared load concurrency; breaker-open tenants never enter
 	budget  *qcache.Budget   // global cache byte pool; nil when disabled
-	fams    *releaseFamilies // in Options.Metrics, or a private registry when it is unset
+	fams    *releaseFamilies // in Options.Metrics' registry
 	bg      context.Context
 	cancel  context.CancelFunc
 
@@ -280,11 +283,7 @@ func newRegistry(root string, opt Options) *Registry {
 	if opt.CacheBytes > 0 {
 		reg.budget = qcache.NewBudget(opt.CacheBytes)
 	}
-	if opt.Metrics != nil {
-		reg.fams = newReleaseFamilies(opt.Metrics.Registry)
-	} else {
-		reg.fams = newReleaseFamilies(telemetry.NewRegistry())
-	}
+	reg.fams = newReleaseFamilies(opt.Metrics.Registry)
 	reg.bg, reg.cancel = context.WithCancel(context.Background())
 	return reg
 }

@@ -77,8 +77,7 @@ type release struct {
 
 // counters are the per-release observability counters; lock-free
 // telemetry handles so the stats path never contends with the serving
-// path. Standalone by default; when the registry carries a Metrics
-// surface they are the release-labeled registry series instead, so the
+// path. They are the release-labeled series of Options.Metrics, so the
 // JSON stats and /metrics read one set of numbers.
 type counters struct {
 	LoadAttempts   *telemetry.Counter
@@ -151,12 +150,10 @@ func (f *releaseFamilies) interned(name string) counters {
 
 func newRelease(reg *Registry, name string, src snapshot.Source) *release {
 	rl := &release{reg: reg, name: name, src: src, weight: reg.opt.weightFor(name), c: reg.fams.interned(name)}
-	if reg.opt.Metrics != nil {
-		// Registered once per release name: the hook follows the current
-		// cache through rl, and a retired-then-readded name's stale hook
-		// goes quiet (cache nil → ok false) rather than double-counting.
-		reg.opt.Metrics.WatchCacheGauges(name, rl.cacheStats)
-	}
+	// Registered once per release name: the hook follows the current
+	// cache through rl, and a retired-then-readded name's stale hook
+	// goes quiet (cache nil → ok false) rather than double-counting.
+	reg.opt.Metrics.WatchCacheGauges(name, rl.cacheStats)
 	if reg.opt.MaxInflight > 0 {
 		// Weighted bulkhead carve: a heavier tenant may hold more
 		// concurrent queries, but every tenant keeps at least one permit
@@ -371,12 +368,9 @@ func (rl *release) install(res *snapshot.LoadResult) server.Querier {
 	if reg.opt.CacheEntries > 0 || reg.opt.CacheBytes > 0 { // a cache unless both bounds are disabled
 		cache = qcache.NewShared(reg.opt.CacheEntries, reg.opt.perReleaseBytes(), reg.budget)
 		cq := server.NewCachedQuerier(res.Synopsis, cache)
-		if reg.opt.Metrics != nil {
-			// Swapping each fresh cache onto the release's interned
-			// handles keeps the exported series cumulative over the
-			// release's lifetime.
-			reg.opt.Metrics.InstrumentCache(rl.name, cq)
-		}
+		// Swapping each fresh cache onto the release's interned handles
+		// keeps its counters cumulative over the release's lifetime.
+		reg.opt.Metrics.InstrumentCache(rl.name, cq)
 		q = cq
 	}
 	rl.mu.Lock()
@@ -563,12 +557,7 @@ func (rl *release) warmAsync(cq *server.CachedQuerier, handoff []qcache.Key) {
 		if err != nil || reg.opt.WarmK <= 0 || dg == nil {
 			return
 		}
-		// The nil *WarmProgress is inert, so the no-telemetry path runs
-		// the same code.
-		var wp *server.WarmProgress
-		if reg.opt.Metrics != nil {
-			wp = reg.opt.Metrics.WarmProgress(rl.name)
-		}
+		wp := reg.opt.Metrics.WarmProgress(rl.name)
 		wp.Begin()
 		warmed, skipped, err := cq.Warm(ctx, core.AllKWay(dg.D, reg.opt.WarmK, cq.DefaultMethod()), 0, wp.Update)
 		wp.End(warmed, skipped)

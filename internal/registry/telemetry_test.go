@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"priview/internal/registry"
 	"priview/internal/server"
@@ -28,12 +29,43 @@ func driveRelease(t *testing.T, reg *registry.Registry) {
 
 // TestTelemetryInvisibleInStatsJSON pins the refactor's compatibility
 // claim at the registry layer: wiring Options.Metrics must not change
-// a single byte of the per-release stats JSON. Two registries serve
-// identical releases under identical traffic — one instrumented, one
-// not — and their marshaled ReleaseStats must agree exactly (the
-// snapshot path is zeroed: the temp roots necessarily differ).
+// a single byte of the per-release stats JSON, across a hot reload too.
+// Two registries serve identical releases under identical traffic —
+// one given a Metrics, one not — and their marshaled ReleaseStats must
+// agree exactly (the snapshot path is zeroed: the temp roots
+// necessarily differ). The reload gives alpha a fresh cache, whose
+// counters must carry on from the old one's in both.
 func TestTelemetryInvisibleInStatsJSON(t *testing.T) {
-	marshal := func(reg *registry.Registry) string {
+	run := func(metrics *server.Metrics) string {
+		root := t.TempDir()
+		st := saveRelease(t, root, "alpha", 1)
+		opt := quietOpts()
+		opt.CacheEntries = 64
+		opt.Metrics = metrics
+		reg, err := registry.New(root, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		driveRelease(t, reg)
+
+		if _, err := st.Save(buildSyn(t, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Reconcile(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// Let the warm handoff cache the hot key first, so the next
+		// round's queries hit rather than join its solve.
+		deadline := time.Now().Add(5 * time.Second)
+		for stats(t, reg, "alpha").CacheStats.Entries < 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("warm handoff never replayed alpha's cached query")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		driveRelease(t, reg)
+
 		s := stats(t, reg, "alpha")
 		s.Snapshot = ""
 		b, err := json.Marshal(s)
@@ -42,31 +74,7 @@ func TestTelemetryInvisibleInStatsJSON(t *testing.T) {
 		}
 		return string(b)
 	}
-
-	root1 := t.TempDir()
-	saveRelease(t, root1, "alpha", 1)
-	opt1 := quietOpts()
-	opt1.CacheEntries = 64
-	reg1, err := registry.New(root1, opt1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg1.Close()
-	driveRelease(t, reg1)
-
-	root2 := t.TempDir()
-	saveRelease(t, root2, "alpha", 1)
-	opt2 := quietOpts()
-	opt2.CacheEntries = 64
-	opt2.Metrics = server.NewMetrics(telemetry.NewRegistry())
-	reg2, err := registry.New(root2, opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg2.Close()
-	driveRelease(t, reg2)
-
-	if got, want := marshal(reg2), marshal(reg1); got != want {
+	if got, want := run(server.NewMetrics(telemetry.NewRegistry())), run(nil); got != want {
 		t.Errorf("instrumented registry changed stats JSON:\n with    %s\n without %s", got, want)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"priview/internal/marginal"
 	"priview/internal/noise"
 	"priview/internal/qcache"
+	"priview/internal/reconstruct"
 )
 
 func postMarginals(t *testing.T, h http.Handler, path string, body interface{}) *httptest.ResponseRecorder {
@@ -513,36 +515,50 @@ func TestBrownoutServesCachedBatchesOnly(t *testing.T) {
 }
 
 // TestClientMarginalsRoundTrip exercises Client.MarginalsContext
-// against a live server: order-preserving answers and a non-retryable
-// structured 400.
+// against a live server: order-preserving answers, a degraded answer
+// carried as an Err matching reconstruct.ErrNumerical, and a
+// non-retryable structured 400.
 func TestClientMarginalsRoundTrip(t *testing.T) {
-	s, syn := testServer(t)
-	ts := httptest.NewServer(s)
+	_, syn := testServer(t)
+	// Queries touching attribute 0 come back degraded.
+	s := New(&partiallyDegradedQuerier{Querier: syn, badAttr: 0}, Options{Logger: discardLogger()})
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		s.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
-	c := NewClient(ts.URL, nil)
-	answers, err := c.MarginalsContext(context.Background(), []BatchQuery{
-		{Attrs: []int{0, 1}},
-		{Attrs: []int{5}, Method: MethodCLN},
-	}, "")
+	c := NewClient(ts.URL, nil, RetryPolicy{})
+	ctx := context.Background()
+	results, err := c.MarginalsContext(ctx, []core.BatchRequest{
+		{Attrs: []int{1, 2}},
+		{Attrs: []int{5}, Method: core.CLN},
+		{Attrs: []int{0, 3}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(answers) != 2 {
-		t.Fatalf("got %d answers", len(answers))
+	if len(results) != 3 {
+		t.Fatalf("got %d results", len(results))
 	}
-	want, err := syn.QueryMethodContext(context.Background(), []int{0, 1}, core.CME)
-	if err != nil {
-		t.Fatal(err)
+	for i, want := range []*marginal.Table{syn.Query([]int{1, 2}), syn.QueryMethod([]int{5}, core.CLN)} {
+		if results[i].Err != nil || !marginal.Equal(results[i].Table, want, 0) {
+			t.Errorf("result %d diverges from direct query (err %v)", i, results[i].Err)
+		}
 	}
-	if !marginal.Equal(answers[0].Table, want, 0) {
-		t.Error("client answer diverges from direct query")
+	if deg := results[2]; !errors.Is(deg.Err, reconstruct.ErrNumerical) ||
+		!marginal.Equal(deg.Table, degradedResult([]int{0, 3}).Table, 0) {
+		t.Errorf("degraded result = %v (err %v), want the served table and ErrNumerical", deg.Table, deg.Err)
 	}
 	// A 400 must not be retried and must carry the per-index body.
-	_, err = c.MarginalsContext(context.Background(), []BatchQuery{{Attrs: []int{2, 2}}}, "")
+	_, err = c.MarginalsContext(ctx, []core.BatchRequest{{Attrs: []int{2, 2}}})
 	if err == nil {
 		t.Fatal("invalid batch succeeded")
 	}
-	if st := c.RetryStats(); st.Retries != 0 {
-		t.Errorf("400 was retried %d times", st.Retries)
+	if !strings.Contains(err.Error(), `"index":0`) {
+		t.Errorf("400 error %q lacks the per-index body", err)
+	}
+	if n := hits.Load(); n != 2 {
+		t.Errorf("server saw %d requests for 2 calls; the 400 was retried", n)
 	}
 }

@@ -8,30 +8,21 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"priview/internal/core"
 	"priview/internal/marginal"
-	"priview/internal/telemetry"
+	"priview/internal/reconstruct"
 )
 
 // DefaultClientTimeout bounds a single HTTP attempt for clients built
 // with a nil *http.Client. http.DefaultClient has no timeout at all, so
 // a wedged server would hang callers forever.
 const DefaultClientTimeout = 30 * time.Second
-
-// Method names accepted by the server's method parameter (matching is
-// case-insensitive).
-const (
-	MethodCME = "CME"
-	MethodCLN = "CLN"
-	MethodLP  = "LP"
-	MethodCLP = "CLP"
-)
 
 // RetryPolicy controls the client's retry loop for idempotent requests.
 // The zero value selects the defaults noted per field; MaxAttempts = 1
@@ -95,10 +86,11 @@ const retryAfterCap = 30 * time.Second
 // another attempt; detect it with errors.Is.
 var ErrRetryBudget = errors.New("server: retry budget exhausted")
 
-// Client is a typed client for the priview-serve HTTP API. All its
-// requests are GETs — idempotent by construction — so transient
-// connection errors and retryable statuses (429 and 5xx) are retried
-// with exponential backoff and jitter, honoring Retry-After.
+// Client is a typed client for the priview-serve HTTP API. Its two
+// requests, GET /v1/info and POST /v1/marginals, are pure reads that
+// change nothing on the server, so transient connection errors and
+// retryable statuses (429 and 5xx) are retried with exponential backoff
+// and jitter, honoring Retry-After.
 //
 // Two overload-control behaviors are built in. Every attempt carries
 // the caller's remaining context budget in the X-Priview-Deadline-Ms
@@ -113,10 +105,6 @@ type Client struct {
 	rng      *jitterRand
 	budget   *retryBudget // nil = no retry budget
 	priority string
-
-	// Standalone by default; Metrics.InstrumentClient swaps them for
-	// registry-backed series before the client issues requests.
-	attempts, retries, budgetDenied *telemetry.Counter
 }
 
 // retryBudget is the success-funded token bucket behind
@@ -149,22 +137,11 @@ func (b *retryBudget) deposit() {
 	b.mu.Unlock()
 }
 
-func (b *retryBudget) balance() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}
-
 // NewClient returns a client for a server at base (e.g.
-// "http://localhost:8080"). httpClient may be nil for a default with a
-// DefaultClientTimeout per-attempt timeout. The default RetryPolicy
-// applies; use NewClientWithPolicy to tune or disable retries.
-func NewClient(base string, httpClient *http.Client) *Client {
-	return NewClientWithPolicy(base, httpClient, RetryPolicy{})
-}
-
-// NewClientWithPolicy is NewClient with an explicit retry policy.
-func NewClientWithPolicy(base string, httpClient *http.Client, policy RetryPolicy) *Client {
+// "http://localhost:8080"), retrying per policy; the zero RetryPolicy
+// selects the defaults. httpClient may be nil for a default with a
+// DefaultClientTimeout per-attempt timeout.
+func NewClient(base string, httpClient *http.Client, policy RetryPolicy) *Client {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: DefaultClientTimeout}
 	}
@@ -175,13 +152,10 @@ func NewClientWithPolicy(base string, httpClient *http.Client, policy RetryPolic
 	}
 	rng.state.Store(seed)
 	c := &Client{
-		base:         strings.TrimRight(base, "/"),
-		hc:           httpClient,
-		policy:       policy,
-		rng:          rng,
-		attempts:     telemetry.NewCounter(),
-		retries:      telemetry.NewCounter(),
-		budgetDenied: telemetry.NewCounter(),
+		base:   strings.TrimRight(base, "/"),
+		hc:     httpClient,
+		policy: policy,
+		rng:    rng,
 	}
 	if policy.RetryBudget > 0 {
 		burst := policy.RetryBurst
@@ -199,127 +173,27 @@ func NewClientWithPolicy(base string, httpClient *http.Client, policy RetryPolic
 // across goroutines.
 func (c *Client) SetPriority(p string) { c.priority = p }
 
-// RetryStats is a snapshot of the client's retry observability
-// counters.
-type RetryStats struct {
-	// Attempts counts HTTP requests issued, including each first try.
-	Attempts uint64
-	// Retries counts attempts beyond each request's first — the
-	// amplification numerator.
-	Retries uint64
-	// BudgetDenied counts retries refused by the retry budget.
-	BudgetDenied uint64
-	// BudgetTokens is the current banked balance, -1 when the budget is
-	// disabled.
-	BudgetTokens float64
-}
-
-// RetryStats returns the client's retry counters. Safe for concurrent
-// use.
-func (c *Client) RetryStats() RetryStats {
-	st := RetryStats{
-		Attempts:     c.attempts.Value(),
-		Retries:      c.retries.Value(),
-		BudgetDenied: c.budgetDenied.Value(),
-		BudgetTokens: -1,
-	}
-	if c.budget != nil {
-		st.BudgetTokens = c.budget.balance()
-	}
-	return st
-}
-
-// Info describes the served synopsis.
-type Info struct {
-	Epsilon float64 `json:"epsilon"`
-	Total   float64 `json:"total"`
-	D       int     `json:"d"`
-	Design  string  `json:"design"`
-	Views   int     `json:"views"`
-	MaxK    int     `json:"max_k"`
-}
-
-// Info fetches the release metadata.
-func (c *Client) Info() (*Info, error) {
-	return c.InfoContext(context.Background())
-}
-
-// InfoContext is Info honoring the caller's deadline across all retry
-// attempts.
+// InfoContext fetches the release metadata, honoring the caller's
+// deadline across all retry attempts.
 func (c *Client) InfoContext(ctx context.Context) (*Info, error) {
 	var info Info
-	if err := c.getJSON(ctx, "/v1/info", &info); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/info", nil, &info); err != nil {
 		return nil, err
 	}
 	return &info, nil
 }
 
-// Marginal fetches the reconstructed marginal over attrs using the
-// given estimator — one of the Method* constants, or "" for CME.
-func (c *Client) Marginal(attrs []int, method string) (*marginal.Table, error) {
-	return c.MarginalContext(context.Background(), attrs, method)
-}
-
-// MarginalContext is Marginal honoring the caller's deadline across all
-// retry attempts; pass a context.WithTimeout to bound the total time
-// spent including backoff sleeps.
-func (c *Client) MarginalContext(ctx context.Context, attrs []int, method string) (*marginal.Table, error) {
-	parts := make([]string, len(attrs))
-	for i, a := range attrs {
-		parts[i] = strconv.Itoa(a)
-	}
-	q := url.Values{}
-	q.Set("attrs", strings.Join(parts, ","))
-	if method != "" {
-		q.Set("method", method)
-	}
-	var resp marginalResponse
-	if err := c.getJSON(ctx, "/v1/marginal?"+q.Encode(), &resp); err != nil {
-		return nil, err
-	}
-	t := marginal.New(resp.Attrs)
-	if len(resp.Cells) != t.Size() {
-		return nil, fmt.Errorf("server: response has %d cells for %d attributes", len(resp.Cells), len(resp.Attrs))
-	}
-	copy(t.Cells, resp.Cells)
-	return t, nil
-}
-
-// BatchQuery names one marginal in a batched request.
-type BatchQuery struct {
-	// Attrs is the queried attribute set.
-	Attrs []int
-	// Method selects the estimator (a Method* constant); "" uses the
-	// batch default, and an empty batch default means the server-side
-	// synopsis's configured default.
-	Method string
-}
-
-// BatchAnswer is one batched answer, in request order.
-type BatchAnswer struct {
-	Table *marginal.Table
-	// Degraded marks an answer produced by the numerical fallback chain;
-	// the cells are finite and usable but may come from a different
-	// estimator than requested.
-	Degraded bool
-}
-
-// Marginals fetches many reconstructed marginals in one round trip (see
-// MarginalsContext).
-func (c *Client) Marginals(queries []BatchQuery, method string) ([]BatchAnswer, error) {
-	return c.MarginalsContext(context.Background(), queries, method)
-}
-
-// MarginalsContext posts the batch to /v1/marginals and returns one
-// answer per query in request order. method is the default estimator
-// for queries that name none; "" defers to the server's configured
-// default. The request is a POST but a pure read — the server solves
-// and answers, mutating nothing — so it flows through the same
-// idempotent retry loop as the GETs.
-func (c *Client) MarginalsContext(ctx context.Context, queries []BatchQuery, method string) ([]BatchAnswer, error) {
-	req := marginalsRequest{Queries: make([]marginalsQuery, len(queries)), Method: method}
-	for i, q := range queries {
-		req.Queries[i] = marginalsQuery{Attrs: q.Attrs, Method: q.Method}
+// MarginalsContext posts reqs to /v1/marginals and returns one answer
+// per request, in request order, honoring the caller's deadline across
+// all retry attempts, backoff sleeps included. Each request names its
+// estimator; the zero Method is CME. As in core.BatchResult, a
+// degraded answer (one the server's numerical fallback chain produced)
+// carries its finite table and an Err matching
+// reconstruct.ErrNumerical.
+func (c *Client) MarginalsContext(ctx context.Context, reqs []core.BatchRequest) ([]core.BatchResult, error) {
+	req := marginalsRequest{Queries: make([]marginalsQuery, len(reqs))}
+	for i, r := range reqs {
+		req.Queries[i] = marginalsQuery{Attrs: r.Attrs, Method: r.Method.String()}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -329,58 +203,28 @@ func (c *Client) MarginalsContext(ctx context.Context, queries []BatchQuery, met
 	if err := c.doJSON(ctx, http.MethodPost, "/v1/marginals", body, &resp); err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(queries) {
-		return nil, fmt.Errorf("server: response has %d results for %d queries", len(resp.Results), len(queries))
+	if len(resp.Results) != len(reqs) {
+		return nil, fmt.Errorf("server: response has %d results for %d queries", len(resp.Results), len(reqs))
 	}
-	out := make([]BatchAnswer, len(resp.Results))
+	out := make([]core.BatchResult, len(resp.Results))
 	for i, r := range resp.Results {
 		t := marginal.New(r.Attrs)
 		if len(r.Cells) != t.Size() {
 			return nil, fmt.Errorf("server: result %d has %d cells for %d attributes", i, len(r.Cells), len(r.Attrs))
 		}
 		copy(t.Cells, r.Cells)
-		out[i] = BatchAnswer{Table: t, Degraded: r.Degraded}
+		out[i].Table = t
+		if r.Degraded {
+			out[i].Err = fmt.Errorf("server: result %d came from the fallback chain: %w", i, reconstruct.ErrNumerical)
+		}
 	}
 	return out, nil
-}
-
-// CacheStats describes the server's query cache as reported by
-// /v1/stats. Cache is false when the server runs without one.
-type CacheStats struct {
-	Cache     bool   `json:"cache"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Coalesced uint64 `json:"coalesced"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-}
-
-// Stats fetches the server's query-cache counters.
-func (c *Client) Stats() (*CacheStats, error) {
-	return c.StatsContext(context.Background())
-}
-
-// StatsContext is Stats honoring the caller's deadline across all retry
-// attempts.
-func (c *Client) StatsContext(ctx context.Context) (*CacheStats, error) {
-	var st CacheStats
-	if err := c.getJSON(ctx, "/v1/stats", &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// getJSON GETs path and decodes the 200 body into v, retrying transient
-// failures per the policy.
-func (c *Client) getJSON(ctx context.Context, path string, v interface{}) error {
-	return c.doJSON(ctx, http.MethodGet, path, nil, v)
 }
 
 // doJSON issues one API request (resending body each attempt) and
 // decodes the 200 response into v, retrying transient failures per the
 // policy. Only read-only requests may flow through here: retrying is
-// safe precisely because they are idempotent — every GET, plus the
+// safe precisely because they are idempotent — GET /v1/info and the
 // pure-read POST /v1/marginals — do not route state-changing requests
 // through this loop.
 func (c *Client) doJSON(ctx context.Context, method, path string, reqBody []byte, v interface{}) error {
@@ -400,13 +244,11 @@ func (c *Client) doJSON(ctx context.Context, method, path string, reqBody []byte
 				}
 			}
 			if c.budget != nil && !c.budget.withdraw() {
-				c.budgetDenied.Add(1)
 				return fmt.Errorf("%w after %d attempts (last error: %v)", ErrRetryBudget, attempt, lastErr)
 			}
 			if err := c.sleep(ctx, d); err != nil {
 				return fmt.Errorf("server: giving up after %d attempts: %w (last error: %v)", attempt, err, lastErr)
 			}
-			c.retries.Add(1)
 		}
 		var bodyReader io.Reader
 		if reqBody != nil {
@@ -429,13 +271,12 @@ func (c *Client) doJSON(ctx context.Context, method, path string, reqBody []byte
 		if c.priority != "" {
 			req.Header.Set(PriorityHeader, c.priority)
 		}
-		c.attempts.Add(1)
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
 				return fmt.Errorf("server: %w", ctx.Err())
 			}
-			// Connection-level failure of an idempotent GET: retry.
+			// Connection-level failure of a read-only request: retry.
 			lastErr = fmt.Errorf("server: %w", err)
 			hint = 0
 			continue

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"priview/internal/core"
 	"priview/internal/marginal"
 )
 
@@ -13,9 +15,10 @@ func TestClientRoundTrip(t *testing.T) {
 	s, syn := testServer(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	c := NewClient(ts.URL, nil)
+	c := NewClient(ts.URL, nil, RetryPolicy{})
+	ctx := context.Background()
 
-	info, err := c.Info()
+	info, err := c.InfoContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,16 +26,16 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Errorf("info = %+v", info)
 	}
 
-	got, err := c.Marginal([]int{0, 4, 8}, "")
+	got, err := c.MarginalsContext(ctx, []core.BatchRequest{{Attrs: []int{0, 4, 8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := syn.Query([]int{0, 4, 8})
-	if !marginal.Equal(got, want, 1e-9) {
-		t.Error("client marginal differs from direct query")
+	if got[0].Err != nil || !marginal.Equal(got[0].Table, want, 1e-9) {
+		t.Errorf("client marginal differs from direct query (err %v)", got[0].Err)
 	}
 
-	if _, err := c.Marginal([]int{0, 5}, "CLN"); err != nil {
+	if _, err := c.MarginalsContext(ctx, []core.BatchRequest{{Attrs: []int{0, 5}, Method: core.CLN}}); err != nil {
 		t.Errorf("CLN via client: %v", err)
 	}
 }
@@ -41,30 +44,32 @@ func TestClientErrorSurface(t *testing.T) {
 	s, _ := testServer(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	c := NewClient(ts.URL+"/", nil) // trailing slash handled
+	c := NewClient(ts.URL+"/", nil, RetryPolicy{}) // trailing slash handled
+	ctx := context.Background()
 
-	if _, err := c.Marginal([]int{0, 99}, ""); err == nil {
+	if _, err := c.MarginalsContext(ctx, []core.BatchRequest{{Attrs: []int{0, 99}}}); err == nil {
 		t.Error("out-of-range attribute did not error")
 	}
-	if _, err := c.Marginal([]int{0}, "bogus"); err == nil {
-		t.Error("bogus method did not error")
+	// CME-dual is an in-process ablation; the server refuses it.
+	if _, err := c.MarginalsContext(ctx, []core.BatchRequest{{Attrs: []int{0}, Method: core.CMEDual}}); err == nil {
+		t.Error("unserved method did not error")
 	}
 }
 
 func TestClientAgainstDeadServer(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1", nil) // nothing listens on port 1
-	if _, err := c.Info(); err == nil {
+	c := NewClient("http://127.0.0.1:1", nil, RetryPolicy{}) // nothing listens on port 1
+	if _, err := c.InfoContext(context.Background()); err == nil {
 		t.Error("expected connection error")
 	}
 }
 
 func TestNilClientGetsDefaultTimeout(t *testing.T) {
-	c := NewClient("http://example.invalid", nil)
+	c := NewClient("http://example.invalid", nil, RetryPolicy{})
 	if c.hc.Timeout != DefaultClientTimeout {
 		t.Errorf("nil-client default timeout = %v, want %v (http.DefaultClient would hang forever)", c.hc.Timeout, DefaultClientTimeout)
 	}
 	custom := &http.Client{Timeout: time.Second}
-	if got := NewClient("http://example.invalid", custom); got.hc != custom {
+	if got := NewClient("http://example.invalid", custom, RetryPolicy{}); got.hc != custom {
 		t.Error("explicit client replaced")
 	}
 }
@@ -108,7 +113,7 @@ func TestParseRetryAfter(t *testing.T) {
 }
 
 func TestBackoffGrowsAndHonorsHint(t *testing.T) {
-	c := NewClientWithPolicy("http://example.invalid", nil, RetryPolicy{
+	c := NewClient("http://example.invalid", nil, RetryPolicy{
 		BaseDelay: 100 * time.Millisecond,
 		MaxDelay:  time.Second,
 		Seed:      3,
@@ -136,7 +141,7 @@ func TestBackoffGrowsAndHonorsHint(t *testing.T) {
 
 func TestJitterDeterministicPerSeed(t *testing.T) {
 	seq := func(seed uint64) []time.Duration {
-		c := NewClientWithPolicy("http://example.invalid", nil, RetryPolicy{Seed: seed})
+		c := NewClient("http://example.invalid", nil, RetryPolicy{Seed: seed})
 		out := make([]time.Duration, 8)
 		for i := range out {
 			out[i] = c.backoff(2, 0)

@@ -351,7 +351,7 @@ func TestClientBackoffFastFailsBeforeDeadline(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer ts.Close()
-	c := NewClientWithPolicy(ts.URL, nil, RetryPolicy{
+	c := NewClient(ts.URL, nil, RetryPolicy{
 		MaxAttempts: 5,
 		BaseDelay:   5 * time.Second,
 		MaxDelay:    10 * time.Second,
@@ -384,28 +384,25 @@ func TestClientRetryBudgetExhausts(t *testing.T) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := NewClientWithPolicy(ts.URL, nil, RetryPolicy{
+	c := NewClient(ts.URL, nil, RetryPolicy{
 		MaxAttempts: 10,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    2 * time.Millisecond,
 		RetryBudget: 0.1,
 		RetryBurst:  1,
 	})
-	if _, err := c.Info(); !errors.Is(err, ErrRetryBudget) {
+	ctx := context.Background()
+	if _, err := c.InfoContext(ctx); !errors.Is(err, ErrRetryBudget) {
 		t.Fatalf("first call error = %v, want ErrRetryBudget", err)
 	}
 	if n := hits.Load(); n != 2 {
 		t.Errorf("server saw %d attempts after first call, want 2 (1 try + 1 budgeted retry)", n)
 	}
-	if _, err := c.Info(); !errors.Is(err, ErrRetryBudget) {
+	if _, err := c.InfoContext(ctx); !errors.Is(err, ErrRetryBudget) {
 		t.Fatalf("second call error = %v, want ErrRetryBudget", err)
 	}
 	if n := hits.Load(); n != 3 {
 		t.Errorf("server saw %d attempts total, want 3 (budget empty → no retry)", n)
-	}
-	st := c.RetryStats()
-	if st.Retries != 1 || st.BudgetDenied != 2 || st.Attempts != 3 {
-		t.Errorf("RetryStats = %+v, want 1 retry, 2 denied, 3 attempts", st)
 	}
 }
 
@@ -418,14 +415,15 @@ func TestClientPropagatesDeadlineAndPriority(t *testing.T) {
 		priority.Store(r.Header.Get(PriorityHeader))
 		w.Header().Set("Content-Type", "application/json")
 		//lint:ignore errdiscard test handler response
-		w.Write([]byte(`{"attrs":[0],"method":"CME","total":1,"cells":[0.5,0.5]}`))
+		w.Write([]byte(`{"results":[{"attrs":[0],"method":"CME","total":1,"cells":[0.5,0.5]}]}`))
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, nil)
+	c := NewClient(ts.URL, nil, RetryPolicy{})
+	reqs := []core.BatchRequest{{Attrs: []int{0}}}
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	if _, err := c.MarginalContext(ctx, []int{0}, ""); err != nil {
+	if _, err := c.MarginalsContext(ctx, reqs); err != nil {
 		t.Fatal(err)
 	}
 	ms, err := strconv.Atoi(deadlineMs.Load().(string))
@@ -438,7 +436,7 @@ func TestClientPropagatesDeadlineAndPriority(t *testing.T) {
 
 	// No deadline on the context → no header; priority set → sent.
 	c.SetPriority(PriorityHigh)
-	if _, err := c.Marginal([]int{0}, ""); err != nil {
+	if _, err := c.MarginalsContext(context.Background(), reqs); err != nil {
 		t.Fatal(err)
 	}
 	if got := deadlineMs.Load().(string); got != "" {

@@ -269,13 +269,14 @@ func TestClientRecoversFromInjectedFaults(t *testing.T) {
 	tr := chaos.NewTransport(99)
 	tr.Base = ts.Client().Transport
 	tr.ErrProb = 0.35
-	c := server.NewClientWithPolicy(ts.URL, &http.Client{Transport: tr}, server.RetryPolicy{
+	c := server.NewClient(ts.URL, &http.Client{Transport: tr}, server.RetryPolicy{
 		MaxAttempts: 6,
 		BaseDelay:   time.Millisecond,
 		Seed:        7,
 	})
+	reqs := []core.BatchRequest{{Attrs: []int{0, 4, 8}}}
 	for i := 0; i < 20; i++ {
-		if _, err := c.Marginal([]int{0, 4, 8}, ""); err != nil {
+		if _, err := c.MarginalsContext(context.Background(), reqs); err != nil {
 			t.Fatalf("query %d not recovered: %v", i, err)
 		}
 	}
@@ -311,11 +312,11 @@ func TestClientRecoversFromInjectedStatuses(t *testing.T) {
 	ts := httptest.NewServer(flaky)
 	defer ts.Close()
 
-	c := server.NewClientWithPolicy(ts.URL, nil, server.RetryPolicy{
+	c := server.NewClient(ts.URL, nil, server.RetryPolicy{
 		MaxAttempts: 4,
 		BaseDelay:   time.Millisecond,
 	})
-	if _, err := c.Info(); err != nil {
+	if _, err := c.InfoContext(context.Background()); err != nil {
 		t.Fatalf("client did not recover from 2 transient 503s: %v", err)
 	}
 }
@@ -332,11 +333,11 @@ func TestClientDoesNotRetryPermanentErrors(t *testing.T) {
 		http.Error(w, "bad attrs", http.StatusBadRequest)
 	}))
 	defer ts.Close()
-	c := server.NewClientWithPolicy(ts.URL, nil, server.RetryPolicy{
+	c := server.NewClient(ts.URL, nil, server.RetryPolicy{
 		MaxAttempts: 5,
 		BaseDelay:   time.Millisecond,
 	})
-	if _, err := c.Marginal([]int{0}, ""); err == nil {
+	if _, err := c.MarginalsContext(context.Background(), []core.BatchRequest{{Attrs: []int{0}}}); err == nil {
 		t.Fatal("400 did not surface as an error")
 	}
 	mu.Lock()
@@ -353,7 +354,7 @@ func TestClientContextBoundsRetries(t *testing.T) {
 		http.Error(w, "always down", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := server.NewClientWithPolicy(ts.URL, nil, server.RetryPolicy{
+	c := server.NewClient(ts.URL, nil, server.RetryPolicy{
 		MaxAttempts: 1000,
 		BaseDelay:   50 * time.Millisecond,
 	})
@@ -387,16 +388,16 @@ func TestEndToEndResilience(t *testing.T) {
 	ts := httptest.NewServer(gate)
 	defer ts.Close()
 
-	c := server.NewClientWithPolicy(ts.URL, nil, server.RetryPolicy{
+	c := server.NewClient(ts.URL, nil, server.RetryPolicy{
 		MaxAttempts: 5,
 		BaseDelay:   time.Millisecond,
 	})
-	got, err := c.Marginal([]int{0, 4, 8}, "")
+	got, err := c.MarginalsContext(context.Background(), []core.BatchRequest{{Attrs: []int{0, 4, 8}}})
 	if err != nil {
 		t.Fatalf("client did not ride out 2 deadline-exceeded queries: %v", err)
 	}
 	want := syn.Query([]int{0, 4, 8})
-	if !marginal.Equal(got, want, 1e-9) {
+	if !marginal.Equal(got[0].Table, want, 1e-9) {
 		t.Error("recovered answer differs from direct query")
 	}
 }

@@ -180,8 +180,8 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// infoResponse describes the published synopsis.
-type infoResponse struct {
+// Info describes the served synopsis: the GET /v1/info body.
+type Info struct {
 	Epsilon float64 `json:"epsilon"`
 	Total   float64 `json:"total"`
 	D       int     `json:"d"`
@@ -196,7 +196,7 @@ func (m *Multi) serveInfo(w http.ResponseWriter, r *http.Request, q Querier) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	resp := infoResponse{
+	resp := Info{
 		Epsilon: q.Epsilon(),
 		Total:   q.Total(),
 		Views:   len(q.Views()),

@@ -14,8 +14,8 @@ import (
 // GET /metrics and hands out the interned handles the subsystems write
 // through. One Metrics per telemetry.Registry; constructing it twice
 // over the same registry is safe because family registration is
-// idempotent, so the router, the release registry and the client can
-// all share one scrape surface.
+// idempotent, so the router and the release registry can share one
+// scrape surface.
 //
 // Naming follows the Prometheus conventions DESIGN.md §15 pins down:
 // everything is prefixed priview_, counters end in _total, and every
@@ -56,10 +56,6 @@ type Metrics struct {
 	brownoutServed   *telemetry.Counter
 	brownoutRejected *telemetry.Counter
 	brownoutActive   *telemetry.Gauge
-
-	clientAttempts     *telemetry.Counter
-	clientRetries      *telemetry.Counter
-	clientBudgetDenied *telemetry.Counter
 }
 
 // NewMetrics registers (or re-resolves) the serving stack's families on
@@ -122,13 +118,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Requests refused 503 in brownout mode (cache miss).")
 	m.brownoutActive = reg.Gauge("priview_brownout_active",
 		"1 while the brownout detector holds the server in degraded mode, else 0.")
-
-	m.clientAttempts = reg.Counter("priview_client_attempts_total",
-		"HTTP attempts issued by instrumented clients, including first tries.")
-	m.clientRetries = reg.Counter("priview_client_retries_total",
-		"Client attempts beyond each request's first — the retry amplification numerator.")
-	m.clientBudgetDenied = reg.Counter("priview_client_budget_denied_total",
-		"Client retries refused by the success-funded retry budget.")
 	return m
 }
 
@@ -261,9 +250,7 @@ func (m *Metrics) WatchCacheGauges(release string, stats func() (qcache.Stats, b
 	})
 }
 
-// WarmProgress interns the release's warm-pass gauge handles. The nil
-// *WarmProgress is inert, so callers without telemetry pass nil and
-// keep one unconditional code path.
+// WarmProgress interns the release's warm-pass gauge handles.
 func (m *Metrics) WarmProgress(release string) *WarmProgress {
 	return &WarmProgress{
 		warmed:     m.warmWarmed.With(release),
@@ -282,9 +269,6 @@ type WarmProgress struct {
 
 // Begin marks a warm pass started and zeroes the running totals.
 func (p *WarmProgress) Begin() {
-	if p == nil {
-		return
-	}
 	p.inProgress.Set(1)
 	p.warmed.Set(0)
 	p.skipped.Set(0)
@@ -293,28 +277,14 @@ func (p *WarmProgress) Begin() {
 // Update publishes the running totals; shaped to be used directly as
 // CachedQuerier.Warm's progress function.
 func (p *WarmProgress) Update(warmed, skipped int) {
-	if p == nil {
-		return
-	}
 	p.warmed.Set(float64(warmed))
 	p.skipped.Set(float64(skipped))
 }
 
 // End publishes the final totals and clears the in-progress flag.
 func (p *WarmProgress) End(warmed, skipped int) {
-	if p == nil {
-		return
-	}
 	p.Update(warmed, skipped)
 	p.inProgress.Set(0)
-}
-
-// InstrumentClient swaps c's retry counters for the registry-backed
-// series. Call before the client issues requests.
-func (m *Metrics) InstrumentClient(c *Client) {
-	c.attempts = m.clientAttempts
-	c.retries = m.clientRetries
-	c.budgetDenied = m.clientBudgetDenied
 }
 
 // observeSolve records one completed solve (or completed degraded
@@ -327,12 +297,8 @@ func (m *Metrics) observeSolve(method core.ReconstructMethod, d time.Duration) {
 
 // ObserveStage records one run of a stage that no request trace
 // covers, such as a release load's release.load and release.audit
-// steps, under priview_stage_seconds. The nil *Metrics records nothing,
-// so callers without telemetry keep one code path.
+// steps, under priview_stage_seconds.
 func (m *Metrics) ObserveStage(stage string, d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.stage.With(stage).ObserveDuration(d)
 }
 
