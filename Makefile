@@ -100,10 +100,12 @@ bench-batch:
 # priview-serve from this tree, starts priview-serve -synopsis, drives
 # every workload untraced and traced, and checks every answer and every
 # /metrics series the benchmark scrapes. A serving change that breaks
-# either fails here rather than in the post-merge benchmark.
+# either fails here rather than in the post-merge benchmark. -count=1:
+# the binaries are built in a subprocess, so go test's result cache
+# cannot see a change to the root module and would replay a stale pass.
 bench-smoke:
 	$(GO) -C bench vet ./...
-	$(GO) -C bench test ./...
+	$(GO) -C bench test -count=1 ./...
 
 # Short coverage-guided fuzz runs over the untrusted-input decoders:
 # snapshot container parsing and synopsis decoding, each checked
