@@ -133,8 +133,10 @@ audit:
 # Added, removed and net non-test Go lines per package between BASE and
 # the working tree, from git diff --numstat: the figure ROADMAP asks
 # simplicity changes to report. Test files, testdata/ and the bench/
-# module are left out; a new file counts once it is in the index
-# (git add). Not part of check.
+# module are left out of the total; one last row shows the test and
+# testdata/ Go lines beside it, since code moved into tests is not a
+# reduction. A new file counts once it is in the index (git add). Not
+# part of check.
 sloc:
 	@if [ -z "$(BASE)" ]; then echo "usage: make sloc BASE=<commit>" >&2; exit 2; fi
 	@git diff --numstat --no-renames $(BASE) -- '*.go' ':!*_test.go' ':!*testdata/*' ':!bench/*' | \
@@ -142,6 +144,9 @@ sloc:
 	END { f = "%-24s %7s %7s %7s\n"; printf f, "package", "added", "removed", "net"; \
 		for (p in a) printf f, p, a[p], r[p], sprintf("%+d", a[p] - r[p]) | "sort"; close("sort"); \
 		printf f, "total", ta + 0, tr + 0, sprintf("%+d", ta - tr) }'
+	@git diff --numstat --no-renames $(BASE) -- '*_test.go' '*testdata/*.go' ':!bench/*' | \
+	awk '{ ta += $$1; tr += $$2 } \
+	END { printf "%-24s %7s %7s %7s\n", "tests (not counted)", ta + 0, tr + 0, sprintf("%+d", ta - tr) }'
 
 # The two benchmark suites run once per benchmark (BENCHTIME=1x), as
 # CI's smoke steps do: they prove the benchmarks still build and run.

@@ -264,7 +264,7 @@ func openSingle(ctx context.Context, synPath, storeDir string, opt registry.Opti
 		src = st
 	}
 	reg := registry.Single(server.DefaultRelease, src, opt)
-	lease, err := reg.Acquire(ctx, server.DefaultRelease)
+	_, release, err := reg.Acquire(ctx, server.DefaultRelease)
 	if err != nil {
 		reg.Close()
 		var ue *server.UnavailableError
@@ -273,7 +273,7 @@ func openSingle(ctx context.Context, synPath, storeDir string, opt registry.Opti
 		}
 		return nil, err
 	}
-	lease.Close()
+	release()
 	return reg, nil
 }
 

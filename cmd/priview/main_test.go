@@ -211,8 +211,9 @@ func buildQuerySynopsis(t *testing.T) (string, *core.Synopsis) {
 }
 
 // TestQueryServerMatchesLocal runs each query against the synopsis
-// file and against a server serving it: the two modes must print the
-// same, but for a batch's timing footer.
+// file and against a server serving it, addressed by its root and by
+// the release's own root: every run must print the same, but for a
+// batch's timing footer.
 func TestQueryServerMatchesLocal(t *testing.T) {
 	synPath, syn := buildQuerySynopsis(t)
 	ts := httptest.NewServer(server.New(syn, server.Options{}))
@@ -226,10 +227,12 @@ func TestQueryServerMatchesLocal(t *testing.T) {
 		{"-all-k", "2", "-method", "LP"},
 	} {
 		local := captureStdout(t, func() error { return cmdQuery(append([]string{"-synopsis", synPath}, args...)) })
-		remote := captureStdout(t, func() error { return cmdQuery(append([]string{"-server", ts.URL}, args...)) })
-		local, remote = footer.ReplaceAllString(local, ""), footer.ReplaceAllString(remote, "")
-		if local == "" || local != remote {
-			t.Errorf("query %q:\n-synopsis printed\n%s\n-server printed\n%s", args, local, remote)
+		local = footer.ReplaceAllString(local, "")
+		for _, base := range []string{ts.URL, ts.URL + "/v1/" + server.DefaultRelease} {
+			remote := captureStdout(t, func() error { return cmdQuery(append([]string{"-server", base}, args...)) })
+			if remote = footer.ReplaceAllString(remote, ""); local == "" || local != remote {
+				t.Errorf("query %q against %s:\n-synopsis printed\n%s\n-server printed\n%s", args, base, local, remote)
+			}
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"priview/internal/telemetry"
 )
 
 // fakeClock is a mutex-guarded manual clock.
@@ -96,8 +98,19 @@ func TestTokenBucketRefills(t *testing.T) {
 	}
 }
 
+// testCounters returns standalone handles for a controller under test.
+func testCounters() Counters {
+	return Counters{
+		Admitted:     telemetry.NewCounter(),
+		Queued:       telemetry.NewCounter(),
+		Shed:         telemetry.NewCounter(),
+		CoDelDropped: telemetry.NewCounter(),
+		Sojourn:      telemetry.NewHistogram(nil),
+	}
+}
+
 func TestControllerAdmitsUnderLimit(t *testing.T) {
-	c := NewController(Config{InitialLimit: 4, MinLimit: 1})
+	c := NewController(Config{InitialLimit: 4, MinLimit: 1}, testCounters())
 	var rels []func(time.Duration)
 	for i := 0; i < 4; i++ {
 		rel, err := c.Acquire(context.Background())
@@ -120,7 +133,7 @@ func TestControllerAdmitsUnderLimit(t *testing.T) {
 
 func TestControllerQueueFullSheds(t *testing.T) {
 	clk := newFakeClock()
-	c := NewController(Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 2, Now: clk.Now})
+	c := NewController(Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 2, Now: clk.Now}, testCounters())
 	rel, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +175,7 @@ func TestControllerQueueFullSheds(t *testing.T) {
 }
 
 func TestControllerQueuedCallerHonorsContext(t *testing.T) {
-	c := NewController(Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 8})
+	c := NewController(Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 8}, testCounters())
 	rel, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +214,7 @@ func TestControllerCoDelShedsStandingQueue(t *testing.T) {
 		InitialLimit: 1, MinLimit: 1, MaxQueue: 16,
 		TargetDelay: 10 * time.Millisecond, Interval: 40 * time.Millisecond,
 		Now: clk.Now,
-	})
+	}, testCounters())
 	rel, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +265,7 @@ func TestControllerCoDelShedsStandingQueue(t *testing.T) {
 
 func TestControllerAIMDGradient(t *testing.T) {
 	clk := newFakeClock()
-	c := NewController(Config{InitialLimit: 10, MinLimit: 2, MaxLimit: 50, Now: clk.Now, Interval: 100 * time.Millisecond})
+	c := NewController(Config{InitialLimit: 10, MinLimit: 2, MaxLimit: 50, Now: clk.Now, Interval: 100 * time.Millisecond}, testCounters())
 	// Steady latency: limit grows additively.
 	for i := 0; i < 100; i++ {
 		rel, err := c.Acquire(context.Background())
@@ -337,7 +350,7 @@ func TestBrownoutBlipDoesNotInheritStreak(t *testing.T) {
 // goroutines under -race; invariant: inflight returns to zero and no
 // waiter hangs.
 func TestControllerConcurrentStress(t *testing.T) {
-	c := NewController(Config{InitialLimit: 8, MinLimit: 2, MaxQueue: 32})
+	c := NewController(Config{InitialLimit: 8, MinLimit: 2, MaxQueue: 32}, testCounters())
 	var wg sync.WaitGroup
 	var served, rejected atomic.Int64
 	for w := 0; w < 32; w++ {

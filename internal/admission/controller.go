@@ -32,10 +32,8 @@ type Config struct {
 	// (defaults 2 and 1024).
 	MinLimit, MaxLimit int
 	// RetryAfterBase seeds the queue-depth-scaled Retry-After hint on
-	// rejections (default 1s).
+	// rejections (default 1s); the hint is capped at 30s.
 	RetryAfterBase time.Duration
-	// RetryAfterMax caps the hint (default 30s).
-	RetryAfterMax time.Duration
 	// Now is the clock (nil = time.Now); tests inject a fake.
 	Now func() time.Time
 }
@@ -74,14 +72,14 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfterBase <= 0 {
 		c.RetryAfterBase = time.Second
 	}
-	if c.RetryAfterMax <= 0 {
-		c.RetryAfterMax = 30 * time.Second
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	return c
 }
+
+// retryAfterMax caps the queue-depth-scaled Retry-After hint.
+const retryAfterMax = 30 * time.Second
 
 // Latency-gradient constants. The short EWMA tracks what latency is
 // doing right now, the long EWMA what it normally is; when the ratio
@@ -143,37 +141,24 @@ type Controller struct {
 	shortLat, longLat float64
 	lastDecrease      time.Time
 
-	// Counters are telemetry handles: standalone by default, swapped
-	// for registry-interned ones by Instrument so /metrics and the JSON
-	// Stats read the same atomics. sojourn records every dequeued
-	// waiter's queue time in seconds (admitted and CoDel-dropped alike).
-	admitted, queued, shed, codelDropped *telemetry.Counter
-	sojourn                              *telemetry.Histogram
+	ctr Counters
 }
 
-// NewController returns a controller with cfg's knobs resolved.
-func NewController(cfg Config) *Controller {
+// Counters are the telemetry handles a Controller counts into; with
+// registry-interned handles /metrics and the JSON Stats read the same
+// atomics. Sojourn records every dequeued waiter's queue time in
+// seconds (admitted and CoDel-dropped alike). Every handle must be
+// non-nil.
+type Counters struct {
+	Admitted, Queued, Shed, CoDelDropped *telemetry.Counter
+	Sojourn                              *telemetry.Histogram
+}
+
+// NewController returns a controller with cfg's knobs resolved,
+// counting into counters.
+func NewController(cfg Config, counters Counters) *Controller {
 	cfg = cfg.withDefaults()
-	return &Controller{
-		cfg:          cfg,
-		limit:        float64(cfg.InitialLimit),
-		admitted:     telemetry.NewCounter(),
-		queued:       telemetry.NewCounter(),
-		shed:         telemetry.NewCounter(),
-		codelDropped: telemetry.NewCounter(),
-		sojourn:      telemetry.NewHistogram(nil),
-	}
-}
-
-// Instrument replaces the controller's counters and sojourn histogram
-// with shared telemetry handles. Call before the controller admits
-// traffic — handle swaps are not synchronized with in-flight
-// increments.
-func (c *Controller) Instrument(admitted, queued, shed, codelDropped *telemetry.Counter, sojourn *telemetry.Histogram) {
-	if admitted == nil || queued == nil || shed == nil || codelDropped == nil || sojourn == nil {
-		panic("admission: Instrument requires non-nil handles")
-	}
-	c.admitted, c.queued, c.shed, c.codelDropped, c.sojourn = admitted, queued, shed, codelDropped, sojourn
+	return &Controller{cfg: cfg, limit: float64(cfg.InitialLimit), ctr: counters}
 }
 
 // curLimitLocked is the integer concurrency limit in force.
@@ -194,19 +179,19 @@ func (c *Controller) Acquire(ctx context.Context) (func(time.Duration), error) {
 	c.mu.Lock()
 	if c.inflight < c.curLimitLocked() && len(c.queue) == 0 {
 		c.inflight++
-		c.admitted.Inc()
+		c.ctr.Admitted.Inc()
 		c.mu.Unlock()
 		return c.releaseFunc(), nil
 	}
 	if len(c.queue) >= c.cfg.MaxQueue {
-		c.shed.Inc()
+		c.ctr.Shed.Inc()
 		err := &RejectedError{Reason: "admission queue full", RetryAfter: c.retryAfterLocked()}
 		c.mu.Unlock()
 		return nil, err
 	}
 	w := &waiter{ready: make(chan error, 1), enq: c.cfg.Now()}
 	c.queue = append(c.queue, w)
-	c.queued.Inc()
+	c.ctr.Queued.Inc()
 	c.mu.Unlock()
 
 	select {
@@ -256,17 +241,17 @@ func (c *Controller) dispatchLocked() {
 			continue
 		}
 		sojourn := now.Sub(w.enq)
-		c.sojourn.ObserveDuration(sojourn)
+		c.ctr.Sojourn.ObserveDuration(sojourn)
 		if c.codelDropLocked(sojourn, now) {
 			if w.state.CompareAndSwap(waiterWaiting, waiterDropped) {
-				c.codelDropped.Inc()
+				c.ctr.CoDelDropped.Inc()
 				w.ready <- &RejectedError{Reason: "queue delay above target", RetryAfter: c.retryAfterLocked()}
 			}
 			continue
 		}
 		if w.state.CompareAndSwap(waiterWaiting, waiterAdmitted) {
 			c.inflight++
-			c.admitted.Inc()
+			c.ctr.Admitted.Inc()
 			w.ready <- nil
 		}
 	}
@@ -364,8 +349,8 @@ func (c *Controller) retryAfterLocked() time.Duration {
 	depth := len(c.queue)
 	limit := c.curLimitLocked()
 	hint := c.cfg.RetryAfterBase * time.Duration(1+depth/limit)
-	if hint > c.cfg.RetryAfterMax {
-		hint = c.cfg.RetryAfterMax
+	if hint > retryAfterMax {
+		hint = retryAfterMax
 	}
 	return hint
 }
@@ -414,10 +399,10 @@ func (c *Controller) Stats() Stats {
 		Limit:          c.limit,
 		Inflight:       c.inflight,
 		QueueDepth:     len(c.queue),
-		Admitted:       c.admitted.Value(),
-		Queued:         c.queued.Value(),
-		Shed:           c.shed.Value(),
-		CoDelDropped:   c.codelDropped.Value(),
+		Admitted:       c.ctr.Admitted.Value(),
+		Queued:         c.ctr.Queued.Value(),
+		Shed:           c.ctr.Shed.Value(),
+		CoDelDropped:   c.ctr.CoDelDropped.Value(),
 		ShortLatencyMs: c.shortLat / float64(time.Millisecond),
 		LongLatencyMs:  c.longLat / float64(time.Millisecond),
 	}

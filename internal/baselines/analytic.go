@@ -3,7 +3,6 @@ package baselines
 import (
 	"math"
 
-	"priview/internal/covering"
 	"priview/internal/noise"
 )
 
@@ -42,12 +41,6 @@ func EllObjectiveTriples(ell int) float64 {
 	return math.Pow(2, float64(ell)/2) / float64(ell*(ell-1)*(ell-2))
 }
 
-// UniformExpectedNormalizedL2 returns the expected normalized L2 error
-// of the Uniform baseline against a random true marginal whose mass is
-// concentrated: at worst ~1, typically below. We report the exact error
-// per query in experiments; this bound is used only in analytic tables.
-func UniformExpectedNormalizedL2() float64 { return 1 }
-
 // NoiseErrorEquation5 computes the paper's Eq. 5 normalized noise error
 // for a covering design: 2^{(ℓ+1)/2}/(N·ε) · sqrt(w·d(d−1)/(ℓ(ℓ−1))).
 // It estimates the error of a pair marginal reconstructed by averaging
@@ -55,16 +48,6 @@ func UniformExpectedNormalizedL2() float64 { return 1 }
 func NoiseErrorEquation5(d, ell, w int, eps float64, n int) float64 {
 	return math.Pow(2, (float64(ell)+1)/2) / (float64(n) * eps) *
 		math.Sqrt(float64(w)*float64(d)*float64(d-1)/(float64(ell)*float64(ell-1)))
-}
-
-// FourierCoefficientCount returns m = Σ_{i≤k} C(d,i), the number of
-// coefficients the Fourier method publishes.
-func FourierCoefficientCount(d, k int) int {
-	m := 0
-	for i := 0; i <= k; i++ {
-		m += covering.Binom(d, i)
-	}
-	return m
 }
 
 // UnitVariance re-exports V_u for analytic tables.

@@ -71,13 +71,3 @@ func DirectESE(d, k int, eps float64) float64 {
 	m := float64(covering.Binom(d, k))
 	return math.Pow(2, float64(k)) * m * m * noise.UnitVariance(eps)
 }
-
-// DirectExpectedNormalizedL2 returns sqrt(ESE)/N capped at 1, the value
-// plotted when Direct is reported analytically.
-func DirectExpectedNormalizedL2(d, k int, eps float64, n int) float64 {
-	v := math.Sqrt(DirectESE(d, k, eps)) / float64(n)
-	if v > 1 {
-		return 1
-	}
-	return v
-}

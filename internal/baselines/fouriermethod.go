@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"fmt"
-	"math"
 
 	"priview/internal/covering"
 	"priview/internal/dataset"
@@ -48,15 +47,6 @@ func NewFourier(data *dataset.Dataset, eps float64, k int, postprocess bool, src
 
 // Name implements Synopsis.
 func (fm *Fourier) Name() string { return "Fourier" }
-
-// NumCoefficients returns m, the number of published coefficients.
-func (fm *Fourier) NumCoefficients() int {
-	m := 0
-	for i := 0; i <= fm.k; i++ {
-		m += covering.Binom(fm.data.Dim(), i)
-	}
-	return m
-}
 
 // Query implements Synopsis. len(attrs) must be at most k.
 //
@@ -110,13 +100,4 @@ func FourierESE(d, k int, eps float64) float64 {
 		m += float64(covering.Binom(d, i))
 	}
 	return m * m * noise.UnitVariance(eps)
-}
-
-// FourierExpectedNormalizedL2 returns sqrt(ESE)/N capped at 1.
-func FourierExpectedNormalizedL2(d, k int, eps float64, n int) float64 {
-	v := math.Sqrt(FourierESE(d, k, eps)) / float64(n)
-	if v > 1 {
-		return 1
-	}
-	return v
 }

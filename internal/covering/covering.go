@@ -105,8 +105,6 @@ func (c *coverage) mark(sub []int) {
 	}
 }
 
-func (c *coverage) isCovered(sub []int) bool { return c.covered[c.rank(sub)] }
-
 // addBlock marks all t-subsets of the block as covered and returns how
 // many were newly covered.
 func (c *coverage) addBlock(block []int) int {

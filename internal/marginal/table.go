@@ -87,11 +87,6 @@ func (t *Table) Total() float64 {
 	return sum
 }
 
-// HasAttr reports whether the table covers the given attribute.
-func (t *Table) HasAttr(a int) bool {
-	return t.Mask().Contains(a)
-}
-
 // Positions returns, for each attribute in sub, its bit position within
 // the table's attribute list — its rank among the table's attributes,
 // computed from the mask without a binary search. It panics if sub

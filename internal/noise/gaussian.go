@@ -35,6 +35,3 @@ func GaussianMechSigma(l2Sensitivity, epsilon, delta float64) float64 {
 	}
 	return l2Sensitivity * math.Sqrt(2*math.Log(1.25/delta)) / epsilon
 }
-
-// GaussianVariance returns σ².
-func GaussianVariance(sigma float64) float64 { return sigma * sigma }

@@ -71,20 +71,20 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 			k := keys[i]
 			if el, ok := c.items[k]; ok {
 				c.ll.MoveToFront(el)
-				c.hits.Inc()
+				c.ctr.Hits.Inc()
 				out[i].Table = el.Value.(*entry).table // cloned below
 				hit = true
 				continue
 			}
 			if f, ok := c.flights[k]; ok {
-				c.coalesced.Inc()
+				c.ctr.Coalesced.Inc()
 				joinAt = append(joinAt, i)
 				joinFl = append(joinFl, f)
 				continue
 			}
 			f := &flight{done: make(chan struct{})}
 			c.flights[k] = f
-			c.misses.Inc()
+			c.ctr.Misses.Inc()
 			leads = append(leads, k)
 			leadAt = append(leadAt, i)
 			leadFl = append(leadFl, f)

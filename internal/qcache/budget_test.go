@@ -6,7 +6,18 @@ import (
 
 	"priview/internal/marginal"
 	"priview/internal/qcache"
+	"priview/internal/telemetry"
 )
+
+// testCounters returns standalone handles for a cache under test.
+func testCounters() qcache.Counters {
+	return qcache.Counters{
+		Hits:      telemetry.NewCounter(),
+		Misses:    telemetry.NewCounter(),
+		Evictions: telemetry.NewCounter(),
+		Coalesced: telemetry.NewCounter(),
+	}
+}
 
 // fill stores a clean answer for attrs into c and returns its key.
 func fill(t *testing.T, c *qcache.Cache, attrs []int) qcache.Key {
@@ -26,8 +37,8 @@ func TestBudgetSharedAcrossCaches(t *testing.T) {
 	// Each 2-attr table costs 8*4 + 8*2 + 64 = 112 bytes; a budget of
 	// 300 holds two tables but not three.
 	budget := qcache.NewBudget(300)
-	a := qcache.NewShared(0, 0, budget)
-	b := qcache.NewShared(0, 0, budget)
+	a := qcache.NewShared(0, 0, budget, testCounters())
+	b := qcache.NewShared(0, 0, budget, testCounters())
 
 	fill(t, a, []int{0, 1})
 	fill(t, a, []int{2, 3})
@@ -59,7 +70,7 @@ func TestBudgetSharedAcrossCaches(t *testing.T) {
 // pressure sheds its own LRU tail to make room for a new entry.
 func TestBudgetPressureEvictsOwnTail(t *testing.T) {
 	budget := qcache.NewBudget(300) // two 112-byte tables fit, three do not
-	c := qcache.NewShared(0, 0, budget)
+	c := qcache.NewShared(0, 0, budget, testCounters())
 	k1 := fill(t, c, []int{0, 1})
 	fill(t, c, []int{2, 3})
 	fill(t, c, []int{4, 5}) // must evict k1, the tail
@@ -104,7 +115,7 @@ func TestKeysMRUOrder(t *testing.T) {
 // bytes to the shared pool, and leaves the cache storing nothing.
 func TestCloseReleasesBudget(t *testing.T) {
 	budget := qcache.NewBudget(1 << 20)
-	c := qcache.NewShared(0, 0, budget)
+	c := qcache.NewShared(0, 0, budget, testCounters())
 	fill(t, c, []int{0, 1})
 	fill(t, c, []int{2, 3})
 	if budget.Used() == 0 {
@@ -129,7 +140,7 @@ func TestCloseReleasesBudget(t *testing.T) {
 // bytes, so a retired cache cannot leak from the shared pool.
 func TestClosedCacheAnswersButStoresNothing(t *testing.T) {
 	budget := qcache.NewBudget(1 << 20)
-	c := qcache.NewShared(0, 0, budget)
+	c := qcache.NewShared(0, 0, budget, testCounters())
 	ctx := context.Background()
 	inflight := mustKey(t, []int{0, 1}, 0)
 	started, release := make(chan struct{}), make(chan struct{})
@@ -173,7 +184,7 @@ func TestClosedCacheAnswersButStoresNothing(t *testing.T) {
 // TestNilBudgetIsUnlimited proves the nil-Budget path (every existing
 // caller) is untouched by the shared accounting.
 func TestNilBudgetIsUnlimited(t *testing.T) {
-	c := qcache.NewShared(0, 0, nil)
+	c := qcache.NewShared(0, 0, nil, testCounters())
 	for i := 0; i < 8; i++ {
 		fill(t, c, []int{i, i + 8})
 	}

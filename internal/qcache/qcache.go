@@ -147,20 +147,23 @@ type Stats struct {
 	Bytes int64 `json:"bytes"`
 }
 
+// Counters are the telemetry handles a Cache counts into. Handles
+// interned per release (children of release-labeled CounterVecs) make
+// a release's series accumulate across cache generations, since every
+// reload builds a fresh Cache; Stats() and /metrics then read the same
+// atomics, so the JSON stats and the Prometheus exposition never
+// disagree. Every handle must be non-nil.
+type Counters struct {
+	Hits, Misses, Evictions, Coalesced *telemetry.Counter
+}
+
 // Cache is a bounded, concurrency-safe memoization layer over marginal
 // reconstruction. The zero value is not usable; call New.
 type Cache struct {
 	maxEntries int
 	maxBytes   int64
 	budget     *Budget // nil = no shared accounting
-
-	// The counters are telemetry handles rather than plain fields: by
-	// default each cache gets standalone counters (New), and Instrument
-	// swaps in registry-interned ones so a release's hit/miss series
-	// accumulates across cache generations (every reload builds a fresh
-	// Cache). Stats() and /metrics read the same atomics, so the JSON
-	// stats surface and the Prometheus exposition can never disagree.
-	hits, misses, evictions, coalesced *telemetry.Counter
+	ctr        Counters
 
 	mu      sync.Mutex
 	ll      *list.List            // LRU order, front = most recent
@@ -185,46 +188,34 @@ type flight struct {
 }
 
 // New returns a cache bounded by maxEntries stored tables and maxBytes
-// of approximate table memory. A bound ≤ 0 disables that axis; passing
-// both ≤ 0 yields an unbounded cache, which is almost never what a
-// server wants. A single table larger than maxBytes is served but never
-// stored.
+// of approximate table memory, counting into counters of its own. A
+// bound ≤ 0 disables that axis; passing both ≤ 0 yields an unbounded
+// cache, which is almost never what a server wants. A single table
+// larger than maxBytes is served but never stored.
 func New(maxEntries int, maxBytes int64) *Cache {
-	return NewShared(maxEntries, maxBytes, nil)
+	return NewShared(maxEntries, maxBytes, nil, Counters{
+		Hits:      telemetry.NewCounter(),
+		Misses:    telemetry.NewCounter(),
+		Evictions: telemetry.NewCounter(),
+		Coalesced: telemetry.NewCounter(),
+	})
 }
 
 // NewShared is New with the cache's stored bytes additionally accounted
-// against a shared Budget (nil behaves like New). When the shared pool
-// is exhausted the cache evicts from its own LRU tail to make room —
-// never from another budget member — and serves uncached if its own
-// entries cannot free enough.
-func NewShared(maxEntries int, maxBytes int64, budget *Budget) *Cache {
+// against a shared Budget (nil behaves like New), counting into
+// counters. When the shared pool is exhausted the cache evicts from
+// its own LRU tail to make room — never from another budget member —
+// and serves uncached if its own entries cannot free enough.
+func NewShared(maxEntries int, maxBytes int64, budget *Budget, counters Counters) *Cache {
 	return &Cache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		budget:     budget,
-		hits:       telemetry.NewCounter(),
-		misses:     telemetry.NewCounter(),
-		evictions:  telemetry.NewCounter(),
-		coalesced:  telemetry.NewCounter(),
+		ctr:        counters,
 		ll:         list.New(),
 		items:      make(map[Key]*list.Element),
 		flights:    make(map[Key]*flight),
 	}
-}
-
-// Instrument replaces the cache's counters with shared telemetry
-// handles (typically children of a release-labeled CounterVec). Call
-// before the cache serves traffic — handle swaps are not synchronized
-// with in-flight increments. Passing interned handles makes the
-// counter series cumulative across cache rebuilds, which is exactly
-// what a Prometheus rate() wants; Stats() then reports the lifetime
-// totals of the release, not of this cache generation.
-func (c *Cache) Instrument(hits, misses, evictions, coalesced *telemetry.Counter) {
-	if hits == nil || misses == nil || evictions == nil || coalesced == nil {
-		panic("qcache: Instrument requires four non-nil counters")
-	}
-	c.hits, c.misses, c.evictions, c.coalesced = hits, misses, evictions, coalesced
 }
 
 // Peek returns the stored table for key without computing anything and
@@ -240,7 +231,7 @@ func (c *Cache) Peek(key Key) (*marginal.Table, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits.Inc()
+	c.ctr.Hits.Inc()
 	t := el.Value.(*entry).table
 	c.mu.Unlock()
 	// Safe to clone outside the lock: stored tables are never mutated,
@@ -310,7 +301,7 @@ func (c *Cache) evictTailLocked() bool {
 		return false
 	}
 	c.removeLocked(back)
-	c.evictions.Inc()
+	c.ctr.Evictions.Inc()
 	return true
 }
 
@@ -330,9 +321,9 @@ func (c *Cache) Keys() []Key {
 
 // Close retires the cache: it drops every stored entry, returns their
 // bytes to the shared budget, and stores nothing from then on. Lookups
-// and in-flight solves still answer — a lease taken before the cache
-// was retired keeps serving — but what they compute is not kept, so a
-// retired cache never reserves budget bytes again. The registry closes
+// and in-flight solves still answer — a querier acquired before the
+// cache was retired keeps serving — but what they compute is not kept,
+// so a retired cache never reserves budget bytes again. The registry closes
 // a release's cache when it replaces, evicts or retires it, returning
 // the tenant's quota to the global pool at once rather than when the
 // garbage collector gets around to it.
@@ -356,17 +347,17 @@ func (c *Cache) Closed() bool {
 }
 
 // Stats returns a snapshot of the counters and current occupancy. The
-// counters are read from the same telemetry handles /metrics exposes;
-// after Instrument they cover the release's lifetime, not just this
-// cache generation.
+// counters are read from the handles the cache was built with, so
+// interned handles report the release's lifetime totals, not just this
+// cache generation's.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Evictions: c.evictions.Value(),
-		Coalesced: c.coalesced.Value(),
+		Hits:      c.ctr.Hits.Value(),
+		Misses:    c.ctr.Misses.Value(),
+		Evictions: c.ctr.Evictions.Value(),
+		Coalesced: c.ctr.Coalesced.Value(),
 		Entries:   c.ll.Len(),
 		Bytes:     c.bytes,
 	}

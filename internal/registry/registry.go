@@ -40,6 +40,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -110,10 +111,6 @@ type Options struct {
 	// (floored at one permit), so one knob shifts both axes of a
 	// tenant's share.
 	Weights map[string]float64
-	// LoadConcurrency bounds how many release loads (disk read +
-	// checksum + audit) run at once across the whole registry.
-	// 0 means the default (2).
-	LoadConcurrency int
 	// BreakerThreshold is how many consecutive load failures trip the
 	// release's circuit breaker. 0 means the default (3).
 	BreakerThreshold int
@@ -133,9 +130,6 @@ type Options struct {
 	// Loader overrides how releases are loaded (nil = the release's
 	// own snapshot.Source).
 	Loader Loader
-	// FS is the filesystem the registry and its stores use (nil = the
-	// real one); the chaos suite injects fault-carrying filesystems.
-	FS snapshot.FS
 	// Now is the clock (nil = time.Now); tests inject a fake to drive
 	// breaker cooldowns deterministically.
 	Now func() time.Time
@@ -166,9 +160,6 @@ func (o Options) withDefaults() Options {
 	if o.TenantRPS > 0 && o.TenantBurst <= 0 {
 		o.TenantBurst = 2 * o.TenantRPS
 	}
-	if o.LoadConcurrency <= 0 {
-		o.LoadConcurrency = 2
-	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
 	}
@@ -186,9 +177,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Loader == nil {
 		o.Loader = sourceLoader{}
-	}
-	if o.FS == nil {
-		o.FS = snapshot.OS{}
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -227,6 +215,10 @@ func (o Options) perReleaseBytes() int64 {
 	return per
 }
 
+// loadConcurrency bounds how many release loads (disk read, checksum
+// and audit) run at once across the whole registry.
+const loadConcurrency = 2
+
 // Registry maps release names to their serving state and implements
 // server.Resolver. One Registry serves one root directory, or one fixed
 // release (Single).
@@ -253,7 +245,7 @@ type Registry struct {
 // call Reconcile (or let lazy discovery admit them on first query).
 func New(root string, opt Options) (*Registry, error) {
 	opt = opt.withDefaults()
-	if err := opt.FS.MkdirAll(root, 0o755); err != nil {
+	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: creating root %s: %w", root, err)
 	}
 	return newRegistry(root, opt), nil
@@ -277,7 +269,7 @@ func newRegistry(root string, opt Options) *Registry {
 	reg := &Registry{
 		root:    root,
 		opt:     opt,
-		loadSem: make(chan struct{}, opt.LoadConcurrency),
+		loadSem: make(chan struct{}, loadConcurrency),
 		rel:     make(map[string]*release),
 	}
 	if opt.CacheBytes > 0 {
@@ -289,7 +281,7 @@ func newRegistry(root string, opt Options) *Registry {
 }
 
 // Close stops the registry's background work (cache warming). Serving
-// state is left as-is; leases already handed out keep answering.
+// state is left as-is; queriers already handed out keep answering.
 func (reg *Registry) Close() { reg.cancel() }
 
 // Budget exposes the shared cache byte pool (nil when byte accounting
@@ -317,12 +309,12 @@ func validName(name string) bool {
 }
 
 // Acquire implements server.Resolver: resolve name, take one bulkhead
-// permit, lazily load on first hit, and hand back a lease pinned to
-// the synopsis current at acquire time.
-func (reg *Registry) Acquire(ctx context.Context, name string) (server.Lease, error) {
+// permit, lazily load on first hit, and hand back the querier current
+// at acquire time with the func that returns the permit.
+func (reg *Registry) Acquire(ctx context.Context, name string) (server.Querier, func(), error) {
 	rl, err := reg.lookup(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return rl.acquire(ctx)
 }
@@ -344,7 +336,7 @@ func (reg *Registry) lookup(name string) (*release, error) {
 	// Probe the root for a directory with this name. ReadDir (not
 	// MkdirAll-through-NewStore first) so probing a typo cannot
 	// fabricate a tenant directory.
-	if _, err := reg.opt.FS.ReadDir(filepath.Join(reg.root, name)); err != nil {
+	if _, err := os.ReadDir(filepath.Join(reg.root, name)); err != nil {
 		return nil, server.ErrUnknownRelease
 	}
 	reg.mu.Lock()
@@ -362,7 +354,7 @@ func (reg *Registry) lookup(name string) (*release, error) {
 // register creates the cold serving state for a release. Caller holds
 // reg.mu.
 func (reg *Registry) register(name string) (*release, error) {
-	st, err := snapshot.NewStoreFS(reg.opt.FS, filepath.Join(reg.root, name), 0)
+	st, err := snapshot.NewStore(filepath.Join(reg.root, name), 0)
 	if err != nil {
 		return nil, fmt.Errorf("registry: opening release %s: %w", name, err)
 	}
@@ -406,14 +398,14 @@ func (reg *Registry) Ready() bool {
 
 // Reconcile brings the registry up to date once. A root registry first
 // rescans its root: new directories are registered cold, vanished ones
-// are retired (in-flight leases finish; new queries get 404). Then
+// are retired (in-flight queries finish; new queries get 404). Then
 // every loaded release whose source's version changed is hot-reloaded
 // through the keep-last-good path. The serving path never blocks on a
 // reconcile.
 func (reg *Registry) Reconcile(ctx context.Context) error {
 	var present map[string]bool // nil for a Single registry: nothing to scan
 	if reg.root != "" {
-		entries, err := reg.opt.FS.ReadDir(reg.root)
+		entries, err := os.ReadDir(reg.root)
 		if err != nil {
 			return fmt.Errorf("registry: scanning %s: %w", reg.root, err)
 		}

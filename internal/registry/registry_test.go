@@ -117,16 +117,16 @@ func stats(t *testing.T, reg *registry.Registry, name string) registry.ReleaseSt
 }
 
 // queryOne answers one query through q's batch surface: a one-member
-// batch, as a GET reaches a lease.
+// batch, as a GET reaches a release's querier.
 func queryOne(q server.Querier, attrs []int) error {
 	_, err := q.QueryBatch(context.Background(), []core.BatchRequest{{Attrs: attrs, Method: core.CME}}, core.BatchOptions{})
 	return err
 }
 
-func mustQuery(t *testing.T, lease server.Lease) {
+func mustQuery(t *testing.T, q server.Querier) {
 	t.Helper()
-	if err := queryOne(lease, []int{0, 1}); err != nil {
-		t.Fatalf("query through lease: %v", err)
+	if err := queryOne(q, []int{0, 1}); err != nil {
+		t.Fatalf("query through acquired querier: %v", err)
 	}
 }
 
@@ -149,13 +149,13 @@ func TestLazyLoadSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lease, err := reg.Acquire(context.Background(), "alpha")
+			q, release, err := reg.Acquire(context.Background(), "alpha")
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			defer lease.Close()
-			errs[i] = queryOne(lease, []int{0, 1})
+			defer release()
+			errs[i] = queryOne(q, []int{0, 1})
 		}(i)
 	}
 	<-started      // one leader is inside the loader
@@ -207,7 +207,7 @@ func TestUnknownAndInvalidReleaseNames(t *testing.T) {
 	}
 	defer reg.Close()
 	for _, name := range []string{"nonesuch", "../alpha", ".hidden", "a/b", ""} {
-		if _, err := reg.Acquire(context.Background(), name); !errors.Is(err, server.ErrUnknownRelease) {
+		if _, _, err := reg.Acquire(context.Background(), name); !errors.Is(err, server.ErrUnknownRelease) {
 			t.Errorf("Acquire(%q) = %v, want ErrUnknownRelease", name, err)
 		}
 	}
@@ -226,12 +226,12 @@ func TestLazyDiscovery(t *testing.T) {
 	}
 	defer reg.Close()
 	saveRelease(t, root, "late", 3)
-	lease, err := reg.Acquire(context.Background(), "late")
+	q, release, err := reg.Acquire(context.Background(), "late")
 	if err != nil {
 		t.Fatalf("Acquire after drop-in: %v", err)
 	}
-	defer lease.Close()
-	mustQuery(t, lease)
+	defer release()
+	mustQuery(t, q)
 }
 
 // TestSingleRelease pins the fixed one-release registry behind
@@ -250,15 +250,15 @@ func TestSingleRelease(t *testing.T) {
 	if !reg.Ready() || fmt.Sprint(reg.Releases()) != "[alpha]" {
 		t.Fatalf("Ready %v, Releases %v; want true, [alpha]", reg.Ready(), reg.Releases())
 	}
-	if _, err := reg.Acquire(ctx, "beta"); !errors.Is(err, server.ErrUnknownRelease) {
+	if _, _, err := reg.Acquire(ctx, "beta"); !errors.Is(err, server.ErrUnknownRelease) {
 		t.Errorf("Acquire(beta) = %v, want ErrUnknownRelease", err)
 	}
-	lease, err := reg.Acquire(ctx, "alpha")
+	q, release, err := reg.Acquire(ctx, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustQuery(t, lease)
-	lease.Close()
+	mustQuery(t, q)
+	release()
 	if s := stats(t, reg, "alpha"); s.InflightLimit != 0 || s.RateLimitRPS != 0 || !s.Cache {
 		t.Errorf("stats = inflight limit %d, rate %v, cache %v; want 0, 0, true", s.InflightLimit, s.RateLimitRPS, s.Cache)
 	}
@@ -297,11 +297,11 @@ func TestCacheOffOnlyWhenBothBoundsDisabled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lease, err := reg.Acquire(context.Background(), "alpha")
+		_, release, err := reg.Acquire(context.Background(), "alpha")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lease.Close()
+		release()
 		blob, err := json.Marshal(stats(t, reg, "alpha"))
 		if err != nil {
 			t.Fatal(err)
@@ -324,12 +324,12 @@ func TestBulkheadSheds(t *testing.T) {
 	}
 	defer reg.Close()
 
-	held, err := reg.Acquire(context.Background(), "alpha")
+	_, release, err := reg.Acquire(context.Background(), "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var saturated *server.SaturatedError
-	if _, err := reg.Acquire(context.Background(), "alpha"); !errors.As(err, &saturated) {
+	if _, _, err := reg.Acquire(context.Background(), "alpha"); !errors.As(err, &saturated) {
 		t.Fatalf("second acquire = %v, want SaturatedError", err)
 	}
 	if saturated.RetryAfter <= 0 {
@@ -338,13 +338,13 @@ func TestBulkheadSheds(t *testing.T) {
 	if s := stats(t, reg, "alpha"); s.Shed != 1 || s.Inflight != 1 || s.InflightLimit != 1 {
 		t.Errorf("stats = shed %d inflight %d/%d, want 1 1/1", s.Shed, s.Inflight, s.InflightLimit)
 	}
-	held.Close()
-	held.Close() // idempotent: a double-close must not free a second permit
-	lease, err := reg.Acquire(context.Background(), "alpha")
+	release()
+	release() // idempotent: a second call must not free a second permit
+	_, release, err = reg.Acquire(context.Background(), "alpha")
 	if err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
-	lease.Close()
+	release()
 }
 
 func TestBreakerTripHalfOpenRecover(t *testing.T) {
@@ -367,7 +367,7 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 
 	var unavailable *server.UnavailableError
 	// Strike one: closed, in backoff.
-	if _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
+	if _, _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
 		t.Fatalf("first failing acquire = %v, want UnavailableError", err)
 	}
 	if s := stats(t, reg, "alpha"); s.Breaker != "closed" || s.ConsecutiveFailures != 1 {
@@ -375,7 +375,7 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 	}
 	// Strike two trips the breaker (advance past the backoff first).
 	clock.Advance(time.Second)
-	if _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
+	if _, _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
 		t.Fatalf("second failing acquire = %v, want UnavailableError", err)
 	}
 	s := stats(t, reg, "alpha")
@@ -384,7 +384,7 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 	}
 	// Open: fast-fail without touching the loader.
 	before := loader.calls
-	if _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
+	if _, _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
 		t.Fatalf("open-breaker acquire = %v, want UnavailableError", err)
 	}
 	if unavailable.RetryAfter <= 0 || unavailable.RetryAfter > opt.BreakerCooldown {
@@ -398,7 +398,7 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 	}
 	// Cooldown elapses; the probe runs, still fails, breaker re-opens.
 	clock.Advance(opt.BreakerCooldown + time.Second)
-	if _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
+	if _, _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
 		t.Fatalf("probe acquire = %v, want UnavailableError", err)
 	}
 	s = stats(t, reg, "alpha")
@@ -408,12 +408,12 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 	// Repair the tenant; next probe recovers it.
 	loader.setFail(false)
 	clock.Advance(opt.BreakerCooldown + time.Second)
-	lease, err := reg.Acquire(ctx, "alpha")
+	q, release, err := reg.Acquire(ctx, "alpha")
 	if err != nil {
 		t.Fatalf("recovery probe = %v, want success", err)
 	}
-	defer lease.Close()
-	mustQuery(t, lease)
+	defer release()
+	mustQuery(t, q)
 	s = stats(t, reg, "alpha")
 	if s.Breaker != "closed" || !s.Loaded || s.ConsecutiveFailures != 0 {
 		t.Errorf("after recovery: breaker %q loaded %v fails %d, want closed true 0", s.Breaker, s.Loaded, s.ConsecutiveFailures)
@@ -441,12 +441,12 @@ func TestBackoffBetweenFailures(t *testing.T) {
 	ctx := context.Background()
 
 	var unavailable *server.UnavailableError
-	if _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
+	if _, _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
 		t.Fatalf("failing acquire = %v, want UnavailableError", err)
 	}
 	// Within the backoff window no load runs: fast reject.
 	before := loader.calls
-	if _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
+	if _, _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
 		t.Fatalf("backoff acquire = %v, want UnavailableError", err)
 	}
 	if loader.calls != before {
@@ -458,7 +458,7 @@ func TestBackoffBetweenFailures(t *testing.T) {
 	// Past the window the next real attempt runs (and fails again,
 	// doubling the backoff).
 	clock.Advance(time.Second)
-	if _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
+	if _, _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &unavailable) {
 		t.Fatalf("post-backoff acquire = %v, want UnavailableError", err)
 	}
 	if loader.calls != before+1 {
@@ -479,23 +479,23 @@ func TestEvictionAndWarmHandoff(t *testing.T) {
 	defer reg.Close()
 	ctx := context.Background()
 
-	lease, err := reg.Acquire(ctx, "alpha")
+	q, release, err := reg.Acquire(ctx, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustQuery(t, lease) // caches {0,1} in alpha's cache
-	lease.Close()
+	mustQuery(t, q) // caches {0,1} in alpha's cache
+	release()
 	if s := stats(t, reg, "alpha"); s.CacheStats.Entries != 1 {
 		t.Fatalf("alpha cache entries = %d, want 1", s.CacheStats.Entries)
 	}
 
 	// Loading beta exceeds MaxLoaded=1 and evicts cold alpha.
-	lease, err = reg.Acquire(ctx, "beta")
+	q, release, err = reg.Acquire(ctx, "beta")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustQuery(t, lease)
-	lease.Close()
+	mustQuery(t, q)
+	release()
 	s := stats(t, reg, "alpha")
 	if s.Loaded || s.Evictions != 1 || s.Cache {
 		t.Fatalf("alpha after beta load: loaded %v evictions %d cache %v, want false 1 false", s.Loaded, s.Evictions, s.Cache)
@@ -505,11 +505,11 @@ func TestEvictionAndWarmHandoff(t *testing.T) {
 	}
 
 	// Re-admitting alpha replays its hot keys into the fresh cache.
-	lease, err = reg.Acquire(ctx, "alpha")
+	q, release, err = reg.Acquire(ctx, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease.Close()
+	release()
 	if s := stats(t, reg, "alpha"); s.Readmits != 1 || !s.Loaded {
 		t.Fatalf("alpha re-admit: readmits %d loaded %v, want 1 true", s.Readmits, s.Loaded)
 	}
@@ -577,11 +577,11 @@ func TestEvictedWarmReturnsBudget(t *testing.T) {
 		}
 	}
 	acquire := func(name string) {
-		lease, err := reg.Acquire(context.Background(), name)
+		_, release, err := reg.Acquire(context.Background(), name)
 		if err != nil {
 			t.Fatalf("Acquire(%s): %v", name, err)
 		}
-		lease.Close()
+		release()
 	}
 
 	acquire("alpha")
@@ -639,7 +639,7 @@ func TestReconcileAddRetire(t *testing.T) {
 	if got := fmt.Sprint(reg.Releases()); got != "[alpha gamma]" {
 		t.Fatalf("Releases after churn = %v, want [alpha gamma]", got)
 	}
-	if _, err := reg.Acquire(ctx, "beta"); !errors.Is(err, server.ErrUnknownRelease) {
+	if _, _, err := reg.Acquire(ctx, "beta"); !errors.Is(err, server.ErrUnknownRelease) {
 		t.Errorf("retired release acquire = %v, want ErrUnknownRelease", err)
 	}
 }
@@ -654,12 +654,12 @@ func TestReconcileHotReload(t *testing.T) {
 	defer reg.Close()
 	ctx := context.Background()
 
-	lease, err := reg.Acquire(ctx, "alpha")
+	q, release, err := reg.Acquire(ctx, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustQuery(t, lease)
-	lease.Close()
+	mustQuery(t, q)
+	release()
 	served := stats(t, reg, "alpha").Snapshot
 
 	// A new snapshot lands; the reconciler hot-reloads through
@@ -677,12 +677,12 @@ func TestReconcileHotReload(t *testing.T) {
 	if s.Snapshot == served || s.Snapshot == "" {
 		t.Errorf("served snapshot %q did not advance past %q", s.Snapshot, served)
 	}
-	lease, err = reg.Acquire(ctx, "alpha")
+	q, release, err = reg.Acquire(ctx, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lease.Close()
-	mustQuery(t, lease)
+	defer release()
+	mustQuery(t, q)
 }
 
 func TestTenantRateLimit(t *testing.T) {
@@ -700,14 +700,14 @@ func TestTenantRateLimit(t *testing.T) {
 	defer reg.Close()
 	ctx := context.Background()
 
-	lease, err := reg.Acquire(ctx, "alpha")
+	_, release, err := reg.Acquire(ctx, "alpha")
 	if err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
-	lease.Close()
+	release()
 	// Burst spent; the bucket refills one token per second.
 	var limited *server.RateLimitedError
-	if _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &limited) {
+	if _, _, err := reg.Acquire(ctx, "alpha"); !errors.As(err, &limited) {
 		t.Fatalf("over-rate acquire = %v, want RateLimitedError", err)
 	}
 	if limited.RetryAfter <= 0 || limited.RetryAfter > time.Second {
@@ -718,11 +718,11 @@ func TestTenantRateLimit(t *testing.T) {
 		t.Errorf("stats = rate_limited %d rps %g weight %g, want 1 1 1", s.RateLimited, s.RateLimitRPS, s.Weight)
 	}
 	clock.Advance(time.Second)
-	lease, err = reg.Acquire(ctx, "alpha")
+	_, release, err = reg.Acquire(ctx, "alpha")
 	if err != nil {
 		t.Fatalf("acquire after refill: %v", err)
 	}
-	lease.Close()
+	release()
 }
 
 // TestWeightedFairness proves a release's weight scales both its
@@ -745,11 +745,11 @@ func TestWeightedFairness(t *testing.T) {
 
 	// Touch both so the bulkheads exist, then inspect the carves.
 	for _, name := range []string{"heavy", "light"} {
-		lease, err := reg.Acquire(ctx, name)
+		_, release, err := reg.Acquire(ctx, name)
 		if err != nil {
 			t.Fatalf("acquire %s: %v", name, err)
 		}
-		lease.Close()
+		release()
 	}
 	h, l := stats(t, reg, "heavy"), stats(t, reg, "light")
 	if h.InflightLimit != 8 || h.Weight != 2 || h.RateLimitRPS != 20 {
@@ -782,23 +782,23 @@ func TestGreedyTenantIsolation(t *testing.T) {
 
 	var greedyLimited int
 	for i := 0; i < 20; i++ {
-		if lease, err := reg.Acquire(ctx, "greedy"); err != nil {
+		if _, release, err := reg.Acquire(ctx, "greedy"); err != nil {
 			var limited *server.RateLimitedError
 			if !errors.As(err, &limited) {
 				t.Fatalf("greedy acquire %d: %v, want RateLimitedError", i, err)
 			}
 			greedyLimited++
 		} else {
-			lease.Close()
+			release()
 		}
 		// The polite tenant stays within its own budget (one query per
 		// simulated second) and must never be turned away.
 		if i%2 == 0 {
-			lease, err := reg.Acquire(ctx, "polite")
+			_, release, err := reg.Acquire(ctx, "polite")
 			if err != nil {
 				t.Fatalf("polite acquire %d: %v, want success", i, err)
 			}
-			lease.Close()
+			release()
 			clock.Advance(time.Second)
 		}
 	}
@@ -810,9 +810,10 @@ func TestGreedyTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestLeaseForwardsCacheOnlyQuery proves the lease surfaces the pinned
-// querier's brownout cache-only path: a hit for a previously answered
-// query, a miss (not a solve) for a cold one.
+// TestLeaseForwardsCacheOnlyQuery proves Acquire hands back the
+// release's own *server.CachedQuerier, so the router reaches its
+// brownout cache-only path directly: a miss (not a solve) for a cold
+// query, a hit for a previously answered one.
 func TestLeaseForwardsCacheOnlyQuery(t *testing.T) {
 	root := t.TempDir()
 	saveRelease(t, root, "alpha", 1)
@@ -822,19 +823,19 @@ func TestLeaseForwardsCacheOnlyQuery(t *testing.T) {
 	}
 	defer reg.Close()
 
-	lease, err := reg.Acquire(context.Background(), "alpha")
+	q, release, err := reg.Acquire(context.Background(), "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lease.Close()
-	cq, ok := lease.(server.CacheOnlyQuerier)
+	defer release()
+	cq, ok := q.(*server.CachedQuerier)
 	if !ok {
-		t.Fatal("lease does not implement CacheOnlyQuerier")
+		t.Fatalf("Acquire returned %T, want *server.CachedQuerier", q)
 	}
 	if _, hit := cq.QueryCached([]int{0, 1}, core.CME); hit {
 		t.Error("cold cache reported a hit")
 	}
-	mustQuery(t, lease) // populates the cache for {0,1}/CME
+	mustQuery(t, q) // populates the cache for {0,1}/CME
 	tab, hit := cq.QueryCached([]int{0, 1}, core.CME)
 	if !hit || tab == nil {
 		t.Fatalf("warm cache miss (hit=%v tab=%v)", hit, tab)

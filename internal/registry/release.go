@@ -170,45 +170,30 @@ func newRelease(reg *Registry, name string, src snapshot.Source) *release {
 	return rl
 }
 
-// lease pins one admitted query to the querier that was current at
-// acquire time: a reload or eviction mid-query cannot change the
-// answer underneath the caller. The embedded server.Pinned holds that
-// querier and forwards its optional cache surfaces (the brownout
-// cache-only lookup and the cache stats). A batch runs
-// under the lease's one bulkhead permit — its internal parallelism is
-// bounded by the server's BatchWorkers, not by the tenant's permit
-// count. Close returns the permit exactly once.
-type lease struct {
-	server.Pinned
-	rl     *release
-	closed atomic.Bool
-}
-
-func (l *lease) Close() {
-	if l.closed.CompareAndSwap(false, true) && l.rl.inflight != nil {
-		<-l.rl.inflight
-	}
-}
-
 // acquire runs the tenant's admission ladder — rate limit, then
-// bulkhead, then resolution — and hands back a lease pinned to the
-// querier current at acquire time. The bucket is consulted first so a
-// tenant over its rate cannot even contend for bulkhead permits.
-func (rl *release) acquire(ctx context.Context) (server.Lease, error) {
+// bulkhead, then resolution — and hands back the querier current at
+// acquire time, so a reload or eviction mid-query cannot change the
+// answer underneath the caller, with the func that returns the
+// bulkhead permit exactly once however often it is called. A batch
+// runs under its request's one permit: its internal parallelism is
+// bounded by the server's BatchWorkers, not by the tenant's permit
+// count. The bucket is consulted first so a tenant over its rate
+// cannot even contend for bulkhead permits.
+func (rl *release) acquire(ctx context.Context) (server.Querier, func(), error) {
 	if rl.bucket != nil && !rl.bucket.Allow() {
 		rl.c.RateLimited.Add(1)
 		ra := rl.bucket.NextIn()
 		if ra <= 0 {
 			ra = rl.reg.opt.RetryAfter
 		}
-		return nil, &server.RateLimitedError{RetryAfter: ra}
+		return nil, nil, &server.RateLimitedError{RetryAfter: ra}
 	}
 	if rl.inflight != nil {
 		select {
 		case rl.inflight <- struct{}{}:
 		default:
 			rl.c.Shed.Add(1)
-			return nil, &server.SaturatedError{RetryAfter: rl.reg.opt.RetryAfter}
+			return nil, nil, &server.SaturatedError{RetryAfter: rl.reg.opt.RetryAfter}
 		}
 	}
 	q, err := rl.ensure(ctx)
@@ -216,9 +201,17 @@ func (rl *release) acquire(ctx context.Context) (server.Lease, error) {
 		if rl.inflight != nil {
 			<-rl.inflight
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	return &lease{Pinned: server.Pinned{Querier: q}, rl: rl}, nil
+	if rl.inflight == nil {
+		return q, func() {}, nil // no permit to return
+	}
+	var released atomic.Bool
+	return q, func() {
+		if released.CompareAndSwap(false, true) {
+			<-rl.inflight
+		}
+	}, nil
 }
 
 // ensure returns the release's current querier, driving the breaker
@@ -366,12 +359,8 @@ func (rl *release) install(res *snapshot.LoadResult) server.Querier {
 	var cache *qcache.Cache
 	var q server.Querier = res.Synopsis
 	if reg.opt.CacheEntries > 0 || reg.opt.CacheBytes > 0 { // a cache unless both bounds are disabled
-		cache = qcache.NewShared(reg.opt.CacheEntries, reg.opt.perReleaseBytes(), reg.budget)
-		cq := server.NewCachedQuerier(res.Synopsis, cache)
-		// Swapping each fresh cache onto the release's interned handles
-		// keeps its counters cumulative over the release's lifetime.
-		reg.opt.Metrics.InstrumentCache(rl.name, cq)
-		q = cq
+		cache = qcache.NewShared(reg.opt.CacheEntries, reg.opt.perReleaseBytes(), reg.budget, reg.opt.Metrics.CacheCounters(rl.name))
+		q = server.NewCachedQuerier(res.Synopsis, cache)
 	}
 	rl.mu.Lock()
 	ch := rl.loading
@@ -517,7 +506,7 @@ func (rl *release) evict() {
 }
 
 // retire marks the release gone: resident state is dropped, future
-// acquires get ErrUnknownRelease, in-flight leases finish untouched.
+// acquires get ErrUnknownRelease, in-flight queries finish untouched.
 func (rl *release) retire() {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()

@@ -18,12 +18,12 @@ import (
 func driveRelease(t *testing.T, reg *registry.Registry) {
 	t.Helper()
 	for i := 0; i < 2; i++ {
-		lease, err := reg.Acquire(context.Background(), "alpha")
+		q, release, err := reg.Acquire(context.Background(), "alpha")
 		if err != nil {
 			t.Fatalf("Acquire: %v", err)
 		}
-		mustQuery(t, lease)
-		lease.Close()
+		mustQuery(t, q)
+		release()
 	}
 }
 
@@ -146,11 +146,11 @@ func TestReleaseLoadStages(t *testing.T) {
 	st := saveRelease(t, t.TempDir(), "alpha", 1)
 	reg := registry.Single("alpha", st, opt)
 	defer reg.Close()
-	lease, err := reg.Acquire(context.Background(), "alpha")
+	_, release, err := reg.Acquire(context.Background(), "alpha")
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	lease.Close()
+	release()
 
 	rec := httptest.NewRecorder()
 	tel.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))

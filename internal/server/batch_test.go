@@ -233,7 +233,7 @@ func TestMarginalsDeadlineGateCountsDistinctSolves(t *testing.T) {
 // TestMultiMarginalsRoutes verifies the batch route works through the
 // multi-tenant router on both the named and legacy paths.
 func TestMultiMarginalsRoutes(t *testing.T) {
-	m, _, lease := newMultiFixture(t)
+	m, res := newMultiFixture(t)
 	body := map[string]interface{}{
 		"queries": []map[string]interface{}{{"attrs": []int{0, 1}}, {"attrs": []int{3}}},
 	}
@@ -251,8 +251,8 @@ func TestMultiMarginalsRoutes(t *testing.T) {
 			t.Errorf("POST %s: %d results", path, len(resp.Results))
 		}
 	}
-	if got := lease.closed.Load(); got != 2 {
-		t.Errorf("lease closed %d times, want 2", got)
+	if acq, rel := res.acquired.Load(), res.released.Load(); acq != 2 || rel != 2 {
+		t.Errorf("%d acquires, %d releases; want 2 of each", acq, rel)
 	}
 }
 
@@ -359,8 +359,7 @@ func TestMarginalsStressMixedTraffic(t *testing.T) {
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(26))
 	cq := NewCachedQuerier(syn, qcache.New(256, 16<<20))
-	lease := &fakeLease{Querier: cq}
-	res := &fakeResolver{leases: map[string]*fakeLease{"rel": lease}, ready: true}
+	res := &fakeResolver{queriers: map[string]Querier{"rel": cq}, ready: true}
 	// The admission limit is pinned above the worker count, so every
 	// request is admitted and the answers alone are under test.
 	m := NewMulti(res, "rel", Options{
@@ -501,7 +500,7 @@ func TestBrownoutServesCachedBatchesOnly(t *testing.T) {
 	if rec := postMarginals(t, s, "/v1/marginals", badReq); rec.Code != http.StatusTooManyRequests {
 		t.Errorf("invalid batch during brownout: status %d, want 429 (normal path); body %q", rec.Code, rec.Body.String())
 	}
-	if served := s.ov.brownoutServed.Value(); served == 0 {
+	if served := s.ov.stats().BrownoutServed; served == 0 {
 		t.Error("brownoutServed counter never ticked for the cached batch")
 	}
 

@@ -11,24 +11,6 @@ import (
 	"priview/internal/reconstruct"
 )
 
-// CacheStatser is implemented by Queriers that maintain a query cache;
-// the /v1/stats endpoint reads it. enabled is false when the underlying
-// querier keeps no cache (e.g. a Pinned lease over a bare synopsis).
-type CacheStatser interface {
-	CacheStats() (stats qcache.Stats, enabled bool)
-}
-
-// CacheOnlyQuerier is implemented by Queriers that can answer a query
-// from already-memoized state without running a solve. The brownout
-// serving mode depends on it: under sustained overload the server
-// answers non-priority traffic from cache hits alone, and a querier
-// that cannot do that simply has nothing to serve in that mode.
-type CacheOnlyQuerier interface {
-	// QueryCached returns the memoized marginal for (attrs, method), or
-	// ok=false when it is not cached. It must never trigger a solve.
-	QueryCached(attrs []int, method core.ReconstructMethod) (*marginal.Table, bool)
-}
-
 // CachedQuerier wraps any Querier with a memoizing qcache layer: a
 // repeated (attrs, method) query is answered from the cache instead of
 // re-running the reconstruction solve, which is sound because a
@@ -99,8 +81,10 @@ func (c *CachedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest
 	return out, nil
 }
 
-// QueryCached implements CacheOnlyQuerier: a pure cache peek that never
-// solves and never joins an in-flight solve.
+// QueryCached returns the memoized marginal for (attrs, method), or
+// ok=false when it is not cached: a pure cache peek that never solves
+// and never joins an in-flight solve. Brownout serves non-priority
+// traffic through it under sustained overload.
 func (c *CachedQuerier) QueryCached(attrs []int, method core.ReconstructMethod) (*marginal.Table, bool) {
 	key, ok := qcache.KeyFor(attrs, int(method))
 	if !ok {
@@ -109,7 +93,8 @@ func (c *CachedQuerier) QueryCached(attrs []int, method core.ReconstructMethod) 
 	return c.cache.Peek(key)
 }
 
-// CacheStats implements CacheStatser.
+// CacheStats returns the cache's counters and occupancy, and true: the
+// shape of Metrics.WatchCacheGauges' stats function.
 func (c *CachedQuerier) CacheStats() (qcache.Stats, bool) {
 	return c.cache.Stats(), true
 }

@@ -86,8 +86,8 @@ const retryAfterCap = 30 * time.Second
 // another attempt; detect it with errors.Is.
 var ErrRetryBudget = errors.New("server: retry budget exhausted")
 
-// Client is a typed client for the priview-serve HTTP API. Its two
-// requests, GET /v1/info and POST /v1/marginals, are pure reads that
+// Client is a typed client for one release of the priview-serve HTTP
+// API. Its two requests, GET info and POST marginals, are pure reads that
 // change nothing on the server, so transient connection errors and
 // retryable statuses (429 and 5xx) are retried with exponential backoff
 // and jitter, honoring Retry-After.
@@ -137,11 +137,18 @@ func (b *retryBudget) deposit() {
 	b.mu.Unlock()
 }
 
-// NewClient returns a client for a server at base (e.g.
-// "http://localhost:8080"), retrying per policy; the zero RetryPolicy
-// selects the defaults. httpClient may be nil for a default with a
-// DefaultClientTimeout per-attempt timeout.
+// NewClient returns a client for the release at base, retrying per
+// policy; the zero RetryPolicy selects the defaults. base is a server
+// root (e.g. "http://localhost:8080"), whose default release answers
+// under /v1, or a release root: one that ends in /v1 or has a /v1/
+// segment (e.g. "http://localhost:8080/v1/adult"). Requests go to
+// <release root>/info and <release root>/marginals. httpClient may be
+// nil for a default with a DefaultClientTimeout per-attempt timeout.
 func NewClient(base string, httpClient *http.Client, policy RetryPolicy) *Client {
+	base = strings.TrimRight(base, "/")
+	if !strings.HasSuffix(base, "/v1") && !strings.Contains(base, "/v1/") {
+		base += "/v1"
+	}
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: DefaultClientTimeout}
 	}
@@ -152,7 +159,7 @@ func NewClient(base string, httpClient *http.Client, policy RetryPolicy) *Client
 	}
 	rng.state.Store(seed)
 	c := &Client{
-		base:   strings.TrimRight(base, "/"),
+		base:   base,
 		hc:     httpClient,
 		policy: policy,
 		rng:    rng,
@@ -177,19 +184,19 @@ func (c *Client) SetPriority(p string) { c.priority = p }
 // deadline across all retry attempts.
 func (c *Client) InfoContext(ctx context.Context) (*Info, error) {
 	var info Info
-	if err := c.doJSON(ctx, http.MethodGet, "/v1/info", nil, &info); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/info", nil, &info); err != nil {
 		return nil, err
 	}
 	return &info, nil
 }
 
-// MarginalsContext posts reqs to /v1/marginals and returns one answer
-// per request, in request order, honoring the caller's deadline across
-// all retry attempts, backoff sleeps included. Each request names its
-// estimator; the zero Method is CME. As in core.BatchResult, a
-// degraded answer (one the server's numerical fallback chain produced)
-// carries its finite table and an Err matching
-// reconstruct.ErrNumerical.
+// MarginalsContext posts reqs to the release's marginals route and
+// returns one answer per request, in request order, honoring the
+// caller's deadline across all retry attempts, backoff sleeps
+// included. Each request names its estimator; the zero Method is CME.
+// As in core.BatchResult, a degraded answer (one the server's
+// numerical fallback chain produced) carries its finite table and an
+// Err matching reconstruct.ErrNumerical.
 func (c *Client) MarginalsContext(ctx context.Context, reqs []core.BatchRequest) ([]core.BatchResult, error) {
 	req := marginalsRequest{Queries: make([]marginalsQuery, len(reqs))}
 	for i, r := range reqs {
@@ -200,7 +207,7 @@ func (c *Client) MarginalsContext(ctx context.Context, reqs []core.BatchRequest)
 		return nil, fmt.Errorf("server: encoding batch: %w", err)
 	}
 	var resp marginalsResponse
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/marginals", body, &resp); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/marginals", body, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(reqs) {
@@ -224,8 +231,8 @@ func (c *Client) MarginalsContext(ctx context.Context, reqs []core.BatchRequest)
 // doJSON issues one API request (resending body each attempt) and
 // decodes the 200 response into v, retrying transient failures per the
 // policy. Only read-only requests may flow through here: retrying is
-// safe precisely because they are idempotent — GET /v1/info and the
-// pure-read POST /v1/marginals — do not route state-changing requests
+// safe precisely because they are idempotent — GET info and the
+// pure-read POST marginals — do not route state-changing requests
 // through this loop.
 func (c *Client) doJSON(ctx context.Context, method, path string, reqBody []byte, v interface{}) error {
 	var lastErr error

@@ -11,9 +11,6 @@ import (
 	"time"
 
 	"priview/internal/admission"
-	"priview/internal/core"
-	"priview/internal/marginal"
-	"priview/internal/qcache"
 	"priview/internal/reconstruct"
 	"priview/internal/telemetry"
 )
@@ -64,51 +61,16 @@ func (e *RateLimitedError) Error() string {
 	return fmt.Sprintf("server: release rate limited (retry after %v)", e.RetryAfter)
 }
 
-// Lease is an admitted, loaded release: a Querier plus the obligation
-// to Close it, which returns the release's bulkhead permit. Queries
-// issued through the lease keep answering from the synopsis resolved at
-// acquire time even if the release is reloaded or evicted mid-query.
-type Lease interface {
-	Querier
-	Close()
-}
-
-// Pinned is a Lease over one resolved Querier with nothing to return
-// on Close; leases that hold a permit embed it and override Close. The
-// Querier methods are promoted; the optional cache surfaces —
-// CacheOnlyQuerier and CacheStatser — are forwarded explicitly, since
-// a struct embedding the bare Querier interface would hide them from
-// the handlers' type assertions.
-type Pinned struct{ Querier }
-
-// Close implements Lease.
-func (Pinned) Close() {}
-
-// QueryCached implements CacheOnlyQuerier; a querier with no cache
-// never hits.
-func (p Pinned) QueryCached(attrs []int, method core.ReconstructMethod) (*marginal.Table, bool) {
-	if cq, ok := p.Querier.(CacheOnlyQuerier); ok {
-		return cq.QueryCached(attrs, method)
-	}
-	return nil, false
-}
-
-// CacheStats implements CacheStatser; enabled is false when the
-// querier maintains no cache.
-func (p Pinned) CacheStats() (qcache.Stats, bool) {
-	if cs, ok := p.Querier.(CacheStatser); ok {
-		return cs.CacheStats()
-	}
-	return qcache.Stats{}, false
-}
-
 // Resolver is the registry surface the router serves from.
 // internal/registry implements it; New supplies a one-release resolver.
 type Resolver interface {
 	// Acquire resolves name to a loaded release and takes one bulkhead
-	// permit, lazily loading the release on first hit. The returned
-	// Lease must be Closed. Errors are the resolution vocabulary above.
-	Acquire(ctx context.Context, name string) (Lease, error)
+	// permit, lazily loading the release on first hit. It returns the
+	// release's querier current at acquire time, which keeps answering
+	// even if the release is reloaded or evicted mid-query, and release,
+	// which returns the permit and must be called; calls after the first
+	// do nothing. Errors are the resolution vocabulary above.
+	Acquire(ctx context.Context, name string) (q Querier, release func(), err error)
 	// ReleaseStats returns the release's observability snapshot (an
 	// arbitrary JSON-marshalable value) without loading or touching it.
 	ReleaseStats(name string) (any, error)
@@ -155,8 +117,8 @@ func NewMulti(res Resolver, defaultRelease string, opt Options) *Multi {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	m := &Multi{res: res, def: defaultRelease, mux: http.NewServeMux(), opt: opt, ov: newOverload(opt), tel: NewMetrics(reg)}
-	m.tel.instrumentOverload(m.ov)
+	tel := NewMetrics(reg)
+	m := &Multi{res: res, def: defaultRelease, mux: http.NewServeMux(), opt: opt, ov: newOverload(opt, tel), tel: tel}
 	// /metrics is deliberately uninstrumented: a scrape should not
 	// perturb the series it reads.
 	m.mux.Handle("/metrics", m.recovered(reg.Handler()))
@@ -167,9 +129,9 @@ func NewMulti(res Resolver, defaultRelease string, opt Options) *Multi {
 	// capacity consumes none of its reconstruction budget. The deadline
 	// gate itself runs in the handlers, once the request is parsed.
 	for _, rt := range []marginalRoute{marginalGET, marginalsPOST} {
-		m.handleRelease(rt.op, m.ov.admitted(m.ov.deadlined(m.leased(rt.op, m.serveMarginal(rt))), m.tryCacheOnly(rt)))
+		m.handleRelease(rt.op, m.ov.admitted(m.ov.deadlined(m.acquired(rt.op, m.serveMarginal(rt))), m.tryCacheOnly(rt)))
 	}
-	m.handleRelease("info", m.leased("info", m.serveInfo))
+	m.handleRelease("info", m.acquired("info", m.serveInfo))
 	m.handleRelease("stats", http.HandlerFunc(m.handleStats))
 	return m
 }
@@ -220,24 +182,24 @@ func (m *Multi) releaseName(r *http.Request) (string, bool) {
 	return m.def, m.def != ""
 }
 
-// leased resolves the request's release and answers it with serve
-// against the acquired lease, which is closed when serve returns. op
-// names the route in the 404 a legacy route draws without a default
-// release.
-func (m *Multi) leased(op string, serve func(http.ResponseWriter, *http.Request, Querier)) http.Handler {
+// acquired resolves the request's release and answers it with serve
+// against the acquired querier, releasing the permit when serve
+// returns. op names the route in the 404 a legacy route draws without
+// a default release.
+func (m *Multi) acquired(op string, serve func(http.ResponseWriter, *http.Request, Querier)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		name, ok := m.releaseName(r)
 		if !ok {
 			http.Error(w, "no default release configured; use /v1/{release}/"+op, http.StatusNotFound)
 			return
 		}
-		lease, err := m.res.Acquire(r.Context(), name)
+		q, release, err := m.res.Acquire(r.Context(), name)
 		if err != nil {
 			m.writeResolveError(w, r, err)
 			return
 		}
-		defer lease.Close()
-		serve(w, r, lease)
+		defer release()
+		serve(w, r, q)
 	})
 }
 
@@ -252,12 +214,12 @@ func (m *Multi) tryCacheOnly(rt marginalRoute) func(http.ResponseWriter, *http.R
 		if !ok {
 			return false
 		}
-		lease, err := m.res.Acquire(r.Context(), name)
+		q, release, err := m.res.Acquire(r.Context(), name)
 		if err != nil {
 			return false
 		}
-		defer lease.Close()
-		return m.ov.serveCacheOnly(w, r, lease, rt)
+		defer release()
+		return m.ov.serveCacheOnly(w, r, q, rt)
 	}
 }
 

@@ -15,36 +15,31 @@ import (
 	"priview/internal/core"
 )
 
-// fakeLease wraps a Querier and counts Close calls.
-type fakeLease struct {
-	Querier
-	closed atomic.Int64
-}
-
-func (l *fakeLease) Close() { l.closed.Add(1) }
-
 // fakeResolver resolves a fixed map of releases, optionally failing
-// some with a configured error.
+// some with a configured error. It counts the acquires that succeed and
+// the calls to their release funcs, so tests can check that every
+// acquire is released exactly once.
 type fakeResolver struct {
-	leases   map[string]*fakeLease
-	errs     map[string]error
-	ready    bool
-	acquires atomic.Int64
+	queriers           map[string]Querier
+	errs               map[string]error
+	ready              bool
+	acquired, released atomic.Int64
 }
 
-func (f *fakeResolver) Acquire(ctx context.Context, name string) (Lease, error) {
-	f.acquires.Add(1)
+func (f *fakeResolver) Acquire(ctx context.Context, name string) (Querier, func(), error) {
 	if err, ok := f.errs[name]; ok {
-		return nil, err
+		return nil, nil, err
 	}
-	if l, ok := f.leases[name]; ok {
-		return l, nil
+	q, ok := f.queriers[name]
+	if !ok {
+		return nil, nil, ErrUnknownRelease
 	}
-	return nil, ErrUnknownRelease
+	f.acquired.Add(1)
+	return q, func() { f.released.Add(1) }, nil
 }
 
 func (f *fakeResolver) ReleaseStats(name string) (any, error) {
-	if _, ok := f.leases[name]; ok {
+	if _, ok := f.queriers[name]; ok {
 		return map[string]string{"name": name}, nil
 	}
 	if _, ok := f.errs[name]; ok {
@@ -55,7 +50,7 @@ func (f *fakeResolver) ReleaseStats(name string) (any, error) {
 
 func (f *fakeResolver) Releases() []string {
 	var names []string
-	for n := range f.leases {
+	for n := range f.queriers {
 		names = append(names, n)
 	}
 	return names
@@ -63,17 +58,16 @@ func (f *fakeResolver) Releases() []string {
 
 func (f *fakeResolver) Ready() bool { return f.ready }
 
-func newMultiFixture(t *testing.T) (*Multi, *fakeResolver, *fakeLease) {
+func newMultiFixture(t *testing.T) (*Multi, *fakeResolver) {
 	t.Helper()
 	_, _, syn := cachedTestSetup(t)
-	lease := &fakeLease{Querier: syn}
 	res := &fakeResolver{
-		leases: map[string]*fakeLease{"adult-eps1": lease},
-		errs:   map[string]error{},
-		ready:  true,
+		queriers: map[string]Querier{"adult-eps1": syn},
+		errs:     map[string]error{},
+		ready:    true,
 	}
 	m := NewMulti(res, "adult-eps1", Options{MaxK: 6, Logger: log.New(io.Discard, "", 0)})
-	return m, res, lease
+	return m, res
 }
 
 func multiGet(t *testing.T, m *Multi, path string) *httptest.ResponseRecorder {
@@ -84,7 +78,7 @@ func multiGet(t *testing.T, m *Multi, path string) *httptest.ResponseRecorder {
 }
 
 func TestMultiRoutesNamedAndLegacy(t *testing.T) {
-	m, _, lease := newMultiFixture(t)
+	m, res := newMultiFixture(t)
 	for _, path := range []string{
 		"/v1/adult-eps1/marginal?attrs=0,1",
 		"/v1/marginal?attrs=0,1", // legacy alias → default release
@@ -97,14 +91,14 @@ func TestMultiRoutesNamedAndLegacy(t *testing.T) {
 			t.Errorf("GET %s = %d, want 200: %s", path, rec.Code, rec.Body)
 		}
 	}
-	// Every marginal/info acquire must have been paired with a Close.
-	if got := lease.closed.Load(); got != 4 {
-		t.Errorf("lease closed %d times, want 4 (stats never acquires)", got)
+	// Every marginal/info acquire must have been paired with a release.
+	if acq, rel := res.acquired.Load(), res.released.Load(); acq != 4 || rel != 4 {
+		t.Errorf("%d acquires, %d releases; want 4 of each (stats never acquires)", acq, rel)
 	}
 }
 
 func TestMultiUnknownRelease(t *testing.T) {
-	m, _, _ := newMultiFixture(t)
+	m, _ := newMultiFixture(t)
 	for _, path := range []string{
 		"/v1/nonesuch/marginal?attrs=0,1",
 		"/v1/nonesuch/info",
@@ -119,8 +113,8 @@ func TestMultiUnknownRelease(t *testing.T) {
 func TestMultiNoDefaultRelease(t *testing.T) {
 	_, _, syn := cachedTestSetup(t)
 	res := &fakeResolver{
-		leases: map[string]*fakeLease{"a": {Querier: syn}},
-		ready:  true,
+		queriers: map[string]Querier{"a": syn},
+		ready:    true,
 	}
 	m := NewMulti(res, "", Options{MaxK: 6, Logger: log.New(io.Discard, "", 0)})
 	if rec := multiGet(t, m, "/v1/marginal?attrs=0,1"); rec.Code != http.StatusNotFound {
@@ -132,7 +126,7 @@ func TestMultiNoDefaultRelease(t *testing.T) {
 }
 
 func TestMultiResolutionErrorMapping(t *testing.T) {
-	m, res, _ := newMultiFixture(t)
+	m, res := newMultiFixture(t)
 	res.errs["tripped"] = &UnavailableError{Reason: "circuit breaker open", RetryAfter: 7 * time.Second}
 	res.errs["hot"] = &SaturatedError{RetryAfter: 2 * time.Second}
 
@@ -157,7 +151,7 @@ func TestMultiResolutionErrorMapping(t *testing.T) {
 }
 
 func TestMultiReadyz(t *testing.T) {
-	m, res, _ := newMultiFixture(t)
+	m, res := newMultiFixture(t)
 	if rec := multiGet(t, m, "/readyz"); rec.Code != http.StatusOK {
 		t.Errorf("readyz with scanned registry = %d, want 200", rec.Code)
 	}
@@ -185,7 +179,7 @@ func TestMultiReadyz(t *testing.T) {
 }
 
 func TestMultiReleasesEndpoint(t *testing.T) {
-	m, _, _ := newMultiFixture(t)
+	m, _ := newMultiFixture(t)
 	rec := multiGet(t, m, "/v1/releases")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("releases = %d, want 200", rec.Code)
@@ -204,8 +198,7 @@ func TestMultiReleasesEndpoint(t *testing.T) {
 func TestMultiGlobalShedding(t *testing.T) {
 	_, _, syn := cachedTestSetup(t)
 	gate := make(chan struct{})
-	blocking := &fakeLease{Querier: &gatedQuerier{Querier: syn, gate: gate}}
-	res := &fakeResolver{leases: map[string]*fakeLease{"a": blocking}, ready: true}
+	res := &fakeResolver{queriers: map[string]Querier{"a": &gatedQuerier{Querier: syn, gate: gate}}, ready: true}
 	m := NewMulti(res, "", Options{MaxK: 6, MaxInflight: 1, Logger: log.New(io.Discard, "", 0)})
 	ts := httptest.NewServer(m)
 	defer ts.Close()
@@ -262,24 +255,52 @@ func (g *gatedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest,
 	return g.Querier.QueryBatch(ctx, reqs, opt)
 }
 
-// TestPinnedForwardsOptionalSurfaces: a lease built on Pinned keeps the
-// optional cache surfaces of the querier it pins visible to type
-// assertions, where a struct embedding the bare Querier would hide
-// them.
-func TestPinnedForwardsOptionalSurfaces(t *testing.T) {
-	cq, _, _ := cachedTestSetup(t)
-	var lease Lease = Pinned{cq}
-	if _, err := queryOne(context.Background(), lease, []int{0, 1}, core.CME); err != nil {
-		t.Fatal(err)
-	}
-	if co, ok := lease.(CacheOnlyQuerier); !ok {
-		t.Error("Pinned hides CacheOnlyQuerier")
-	} else if _, hit := co.QueryCached([]int{0, 1}, core.CME); !hit {
-		t.Error("QueryCached missed the key the query above cached")
-	}
-	if cs, ok := lease.(CacheStatser); !ok {
-		t.Error("Pinned hides CacheStatser")
-	} else if st, enabled := cs.CacheStats(); !enabled || st.Misses != 1 {
-		t.Errorf("CacheStats = %+v (enabled=%v), want the pinned cache's one miss", st, enabled)
+// panickingQuerier fails every query with a panic, as a bug inside
+// reconstruction would.
+type panickingQuerier struct{ Querier }
+
+func (panickingQuerier) QueryBatch(context.Context, []core.BatchRequest, core.BatchOptions) ([]core.BatchResult, error) {
+	panic("core: synthetic reconstruction failure")
+}
+
+// TestAcquireReleasedExactlyOnce: every router path that acquires a
+// release returns its permit exactly once, whether it answers, rejects
+// the request after acquiring, or recovers a panic below it.
+func TestAcquireReleasedExactlyOnce(t *testing.T) {
+	m, res := newMultiFixture(t)
+	res.queriers["boom"] = panickingQuerier{res.queriers["adult-eps1"]}
+	// The deadline gate rejects a request whose propagated budget is
+	// below the solve estimate.
+	m.ov.svc.Observe(int(core.CME), time.Hour)
+	batch := `{"queries":[{"attrs":[0,1]},{"attrs":[3]}]}`
+	for _, c := range []struct {
+		name, method, path, body string
+		deadlineMs               string
+		want                     int
+	}{
+		{"GET", http.MethodGet, "/v1/adult-eps1/marginal?attrs=0,1", "", "", http.StatusOK},
+		{"POST batch", http.MethodPost, "/v1/adult-eps1/marginals", batch, "", http.StatusOK},
+		{"info", http.MethodGet, "/v1/adult-eps1/info", "", "", http.StatusOK},
+		{"bad attrs", http.MethodGet, "/v1/adult-eps1/marginal?attrs=banana", "", "", http.StatusBadRequest},
+		{"wrong method", http.MethodPost, "/v1/adult-eps1/info", "", "", http.StatusMethodNotAllowed},
+		{"deadline gate", http.MethodGet, "/v1/adult-eps1/marginal?attrs=2,3", "", "50", http.StatusGatewayTimeout},
+		{"panic", http.MethodGet, "/v1/boom/marginal?attrs=0,1", "", "", http.StatusInternalServerError},
+	} {
+		before := res.acquired.Load()
+		req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body))
+		if c.deadlineMs != "" {
+			req.Header.Set(DeadlineHeader, c.deadlineMs)
+		}
+		rec := httptest.NewRecorder()
+		m.ServeHTTP(rec, req)
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d; body %q", c.name, rec.Code, c.want, rec.Body)
+		}
+		if acq := res.acquired.Load(); acq != before+1 {
+			t.Errorf("%s: %d acquires, want 1", c.name, acq-before)
+		}
+		if acq, rel := res.acquired.Load(), res.released.Load(); acq != rel {
+			t.Errorf("%s: %d acquires but %d releases", c.name, acq, rel)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"priview/internal/admission"
 	"priview/internal/core"
-	"priview/internal/telemetry"
 )
 
 // Deadline-propagation and priority headers — the contract between
@@ -58,25 +57,21 @@ func parseDeadlineMs(v string) (time.Duration, bool) {
 // overload bundles the overload-control machinery in front of every
 // marginal request: the adaptive admission controller (the router's
 // only load shedder), the per-method service-time EWMA feeding the
-// deadline gate, and the brownout detector. The counters are the
-// middleware-owned half of the admission.Stats snapshot; they start
-// standalone and Metrics.instrumentOverload swaps them for
-// registry-backed series before traffic, so /metrics and the JSON stats
-// read one set of numbers.
+// deadline gate, and the brownout detector. It and its controller
+// count into tel's series, so /metrics and the JSON stats read one set
+// of numbers.
 type overload struct {
 	opt   Options
 	ctrl  *admission.Controller
 	svc   *admission.ServiceTime
 	brown *admission.Brownout // nil = brownout disabled
-
-	deadlineRejected *telemetry.Counter
-	brownoutServed   *telemetry.Counter
-	brownoutRejected *telemetry.Counter
+	tel   *Metrics
 }
 
 // newOverload builds the machinery from opt, whose defaults the router
-// has already filled in.
-func newOverload(opt Options) *overload {
+// has already filled in, counting into tel and refreshing tel's
+// admission gauges at scrape time.
+func newOverload(opt Options, tel *Metrics) *overload {
 	cfg := opt.Admission
 	// MaxInflight keeps its meaning as the hard concurrency ceiling; the
 	// controller searches below it and queues up to it. The controller's
@@ -96,16 +91,31 @@ func newOverload(opt Options) *overload {
 		cfg.RetryAfterBase = opt.RetryAfter
 	}
 	o := &overload{
-		opt:              opt,
-		ctrl:             admission.NewController(cfg),
-		svc:              admission.NewServiceTime(nil),
-		deadlineRejected: telemetry.NewCounter(),
-		brownoutServed:   telemetry.NewCounter(),
-		brownoutRejected: telemetry.NewCounter(),
+		opt: opt,
+		ctrl: admission.NewController(cfg, admission.Counters{
+			Admitted:     tel.admAdmitted,
+			Queued:       tel.admQueued,
+			Shed:         tel.admShed,
+			CoDelDropped: tel.admCoDel,
+			Sojourn:      tel.admSojourn,
+		}),
+		svc: admission.NewServiceTime(nil),
+		tel: tel,
 	}
 	if opt.Brownout != nil {
 		o.brown = admission.NewBrownout(*opt.Brownout)
 	}
+	tel.Registry.OnScrape(func() {
+		st := o.stats()
+		tel.admLimit.Set(st.Limit)
+		tel.admInflight.Set(float64(st.Inflight))
+		tel.admQueue.Set(float64(st.QueueDepth))
+		if st.BrownoutActive {
+			tel.brownoutActive.Set(1)
+		} else {
+			tel.brownoutActive.Set(0)
+		}
+	})
 	return o
 }
 
@@ -194,7 +204,7 @@ func (o *overload) admitDeadline(w http.ResponseWriter, r *http.Request, solves 
 	if need <= 0 || remain >= need {
 		return true
 	}
-	o.deadlineRejected.Add(1)
+	o.tel.deadlineRejected.Add(1)
 	w.Header().Set("Retry-After", retryAfterSeconds(o.opt.RetryAfter))
 	http.Error(w, fmt.Sprintf("remaining deadline %v below expected service time %v (%d solves)",
 		remain.Round(time.Millisecond), need.Round(time.Millisecond), n),
@@ -232,17 +242,17 @@ func (o *overload) serveCacheOnly(w http.ResponseWriter, r *http.Request, q Quer
 	if bad != nil {
 		return false
 	}
-	cq, hit := q.(CacheOnlyQuerier)
+	cq, hit := q.(*CachedQuerier)
 	results := make([]core.BatchResult, len(reqs))
 	for i := 0; hit && i < len(reqs); i++ {
 		results[i].Table, hit = cq.QueryCached(reqs[i].Attrs, reqs[i].Method)
 	}
 	if !hit {
-		o.brownoutRejected.Add(1)
+		o.tel.brownoutRejected.Add(1)
 		o.refuseBrownout(w)
 		return true
 	}
-	o.brownoutServed.Add(1)
+	o.tel.brownoutServed.Add(1)
 	rt.write(w, o.opt.Logger, reqs, results)
 	return true
 }
@@ -262,9 +272,9 @@ func (o *overload) refuseBrownout(w http.ResponseWriter) {
 // snapshot.
 func (o *overload) stats() admission.Stats {
 	st := o.ctrl.Stats()
-	st.DeadlineRejected = o.deadlineRejected.Value()
-	st.BrownoutServed = o.brownoutServed.Value()
-	st.BrownoutRejected = o.brownoutRejected.Value()
+	st.DeadlineRejected = o.tel.deadlineRejected.Value()
+	st.BrownoutServed = o.tel.brownoutServed.Value()
+	st.BrownoutRejected = o.tel.brownoutRejected.Value()
 	st.BrownoutActive = o.brown != nil && o.brown.Active()
 	return st
 }

@@ -121,14 +121,17 @@ const DefaultRelease = "default"
 // queriers below HTTP. priview-serve serves its -synopsis and -store
 // releases through internal/registry instead, which adds loading,
 // auditing and hot reload.
+//
+// A CachedQuerier's cache counts into whatever handles it was built
+// with: build it with CacheCounters(DefaultRelease) of a Metrics over
+// opt.Telemetry for GET /metrics to show them.
 func New(q Querier, opt Options) *Multi {
-	one := &oneRelease{q: Pinned{q}}
+	one := &oneRelease{q: q}
 	m := NewMulti(one, DefaultRelease, opt)
 	one.admission = m.ov.stats
 	if cq, ok := q.(*CachedQuerier); ok {
-		m.tel.InstrumentCache(DefaultRelease, cq)
+		m.tel.WatchCacheGauges(DefaultRelease, cq.CacheStats)
 	}
-	m.tel.WatchCacheGauges(DefaultRelease, one.q.CacheStats)
 	return m
 }
 
@@ -136,15 +139,15 @@ func New(q Querier, opt Options) *Multi {
 // no bulkhead, breaker or quota, so the router's admission controller
 // is the only gate in front of it.
 type oneRelease struct {
-	q         Pinned
+	q         Querier
 	admission func() admission.Stats
 }
 
-func (o *oneRelease) Acquire(_ context.Context, name string) (Lease, error) {
+func (o *oneRelease) Acquire(_ context.Context, name string) (Querier, func(), error) {
 	if name != DefaultRelease {
-		return nil, ErrUnknownRelease
+		return nil, nil, ErrUnknownRelease
 	}
-	return o.q, nil
+	return o.q, func() {}, nil
 }
 
 // statsResponse is the one-release /v1/stats body: the query cache's
@@ -162,7 +165,9 @@ func (o *oneRelease) ReleaseStats(name string) (any, error) {
 		return nil, ErrUnknownRelease
 	}
 	resp := statsResponse{Admission: o.admission()}
-	resp.Stats, resp.Cache = o.q.CacheStats()
+	if cq, ok := o.q.(*CachedQuerier); ok {
+		resp.Stats, resp.Cache = cq.CacheStats()
+	}
 	return resp, nil
 }
 

@@ -195,41 +195,17 @@ func (w *statusWriter) class() int {
 	return s / 100
 }
 
-// instrumentOverload swaps the overload middleware's and the admission
-// controller's counters for the registry-backed series and refreshes
-// the admission gauges at scrape time. Call before the owning router
-// handles traffic — the swaps are unsynchronized by design (see
-// qcache.Instrument).
-func (m *Metrics) instrumentOverload(o *overload) {
-	o.deadlineRejected = m.deadlineRejected
-	o.brownoutServed = m.brownoutServed
-	o.brownoutRejected = m.brownoutRejected
-	o.ctrl.Instrument(m.admAdmitted, m.admQueued, m.admShed, m.admCoDel, m.admSojourn)
-	m.Registry.OnScrape(func() {
-		st := o.stats()
-		m.admLimit.Set(st.Limit)
-		m.admInflight.Set(float64(st.Inflight))
-		m.admQueue.Set(float64(st.QueueDepth))
-		if st.BrownoutActive {
-			m.brownoutActive.Set(1)
-		} else {
-			m.brownoutActive.Set(0)
-		}
-	})
-}
-
-// InstrumentCache swaps cq's cache counters for the release's interned
-// series. Reload paths build a fresh cache per published synopsis;
-// swapping each generation onto the same interned handles keeps the
-// exported series cumulative over the release's lifetime. Call before
-// the querier serves traffic.
-func (m *Metrics) InstrumentCache(release string, cq *CachedQuerier) {
-	cq.cache.Instrument(
-		m.cacheHits.With(release),
-		m.cacheMisses.With(release),
-		m.cacheEvictions.With(release),
-		m.cacheCoalesced.With(release),
-	)
+// CacheCounters returns the release's interned cache counter handles,
+// for the cache of each of its generations: every reload builds a
+// fresh cache, and counting into the same handles keeps the exported
+// series cumulative over the release's lifetime.
+func (m *Metrics) CacheCounters(release string) qcache.Counters {
+	return qcache.Counters{
+		Hits:      m.cacheHits.With(release),
+		Misses:    m.cacheMisses.With(release),
+		Evictions: m.cacheEvictions.With(release),
+		Coalesced: m.cacheCoalesced.With(release),
+	}
 }
 
 // WatchCacheGauges refreshes the release's entry/byte gauges at scrape

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"priview/internal/core"
+	"priview/internal/qcache"
 	"priview/internal/telemetry"
 )
 
@@ -100,9 +101,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, rt := range routes {
 		t.Run(rt.name, func(t *testing.T) {
-			cq, _, _ := cachedTestSetup(t)
+			_, counting, _ := cachedTestSetup(t)
+			tel := telemetry.NewRegistry()
+			cq := NewCachedQuerier(counting, qcache.NewShared(1024, 16<<20, nil, NewMetrics(tel).CacheCounters(DefaultRelease)))
 			var logBuf bytes.Buffer
 			s := New(cq, Options{
+				Telemetry: tel,
 				SlowQuery: time.Nanosecond, // everything is slow: exercises the counter + log line
 				Logger:    log.New(&logBuf, "", 0),
 			})
