@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-bench test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch bench-smoke sloc check
+.PHONY: all build vet lint lint-bench test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch bench-smoke sloc deadcode check
 
 all: build
 
@@ -25,12 +25,14 @@ vet:
 lint:
 	$(GO) run ./cmd/priview-lint ./...
 
-# Serial vs parallel wall-clock for the lint driver's load+analyze
-# pipeline; reference numbers live in BENCH_lint.json.
+# One-worker vs parallel wall-clock for the lint driver's load+analyze
+# pipeline, as -stats prints it: the loader and the analysis fan out
+# over GOMAXPROCS workers, so GOMAXPROCS=1 runs both on one. Reference
+# numbers live in BENCH_lint.json.
 lint-bench:
 	$(GO) build -o $(or $(TMPDIR),/tmp)/priview-lint-bench ./cmd/priview-lint
-	time $(or $(TMPDIR),/tmp)/priview-lint-bench -serial -stats ./...
-	time $(or $(TMPDIR),/tmp)/priview-lint-bench -stats ./...
+	GOMAXPROCS=1 $(or $(TMPDIR),/tmp)/priview-lint-bench -stats ./...
+	$(or $(TMPDIR),/tmp)/priview-lint-bench -stats ./...
 
 test:
 	$(GO) test ./...
@@ -147,6 +149,46 @@ sloc:
 	@git diff --numstat --no-renames $(BASE) -- '*_test.go' '*testdata/*.go' ':!bench/*' | \
 	awk '{ ta += $$1; tr += $$2 } \
 	END { printf "%-24s %7s %7s %7s\n", "tests (not counted)", ta + 0, tr + 0, sprintf("%+d", ta - tr) }'
+
+# Functions no binary links. Every main package and bench/ are built
+# with inlining off (-gcflags=all=-l), so a called function cannot
+# vanish into its caller, and the text symbols go tool nm lists are
+# matched against the func declarations in the non-test Go files of
+# every package go list finds that is not package main (testdata is
+# never listed). Each unlinked function prints as pkg.Func file:line
+# unless a line of deadcode.keep covers it: a symbol, or a package or
+# type prefix, then # and the reason it stays. Keep entries that cover
+# nothing print too, and the target fails if it printed anything. Not
+# part of check.
+deadcode:
+	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	$(GO) build -gcflags=all=-l -o $$tmp/bin/ ./... && \
+	$(GO) -C bench build -gcflags=all=-l -o $$tmp/bin/bench . && \
+	for b in $$tmp/bin/*; do $(GO) tool nm $$b >> $$tmp/nm || exit 2; done && \
+	awk '$$2 == "T" || $$2 == "t" { sub(/^ *[0-9a-f]* [Tt] /, ""); print }' $$tmp/nm > $$tmp/syms && \
+	$(GO) list -f '{{if ne .Name "main"}}{{range .GoFiles}}{{$$.ImportPath}} {{.}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}' ./... > $$tmp/files && \
+	awk -v syms=$$tmp/syms -v files=$$tmp/files -v mod=$$($(GO) list -m) ' \
+	function unbracket(s,   out, c, i, depth) { \
+		for (i = 1; i <= length(s); i++) { c = substr(s, i, 1); \
+			if (c == "[") depth++; else if (c == "]") depth--; else if (!depth) out = out c } \
+		return out } \
+	function decl(line, pkg, where,   s, r, n, f, recv, name, sym, k) { \
+		s = substr(line, 6); \
+		if (s ~ /^\(/) { r = s; sub(/\).*/, "", r); s = substr(s, length(r) + 3); sub(/\[.*/, "", r); \
+			n = split(substr(r, 2), f, " "); recv = f[n] ~ /^\*/ ? "(" f[n] ")." : f[n] "." } \
+		name = s; sub(/[[(].*/, "", name); sym = pkg "." recv name; \
+		if (name == "init" || name == "_" || sym in linked) return; \
+		for (k = 1; k <= nk; k++) if (sym == keep[k] || index(sym, keep[k] ".") == 1) { used[k] = 1; return } \
+		print sym, where; bad = 1 } \
+	FILENAME == syms { linked[unbracket($$0)] = 1; next } \
+	FILENAME == "deadcode.keep" { sub(/#.*/, ""); if (NF) { nk++; keep[nk] = $$1; kline[nk] = FNR }; next } \
+	FILENAME == files { where = ($$1 == mod ? "" : substr($$1, length(mod) + 2) "/") $$2; \
+		path = substr($$0, length($$1) + length($$2) + 3); ln = 0; \
+		while ((getline line < path) > 0) { ln++; if (line ~ /^func /) decl(line, $$1, where ":" ln) } \
+		close(path) } \
+	END { for (k = 1; k <= nk; k++) if (!used[k]) { print "deadcode.keep:" kline[k] ": " keep[k] " covers no unlinked function"; bad = 1 } \
+		exit bad }' \
+	$$tmp/syms deadcode.keep $$tmp/files
 
 # The two benchmark suites run once per benchmark (BENCHTIME=1x), as
 # CI's smoke steps do: they prove the benchmarks still build and run.

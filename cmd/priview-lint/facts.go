@@ -44,6 +44,17 @@ type factsTable struct {
 	budgetFields map[string]bool
 	// budgetExempt: package path (exact or prefix) -> mandatory reason.
 	budgetExempt map[string]string
+	// refs: every declaration that names a function, method or field,
+	// in file order, for checkSymbols.
+	refs []factRef
+}
+
+// factRef is one declaration naming a function, method or field, kept
+// with its position so a symbol that names nothing can be reported.
+type factRef struct {
+	pos  string // lint.facts:<line>
+	kind string
+	sym  string
 }
 
 func newFactsTable() *factsTable {
@@ -95,6 +106,10 @@ func loadFacts(path string) (*factsTable, error) {
 			return nil, fmt.Errorf("%s:%d: %v", path, i+1, err)
 		}
 		switch kind {
+		case "source", "sanitizer", "sink", "budget-param", "budget-field":
+			ft.refs = append(ft.refs, factRef{pos: fmt.Sprintf("%s:%d", path, i+1), kind: kind, sym: sym})
+		}
+		switch kind {
 		case "source":
 			if len(results) == 0 {
 				results = []int{0}
@@ -134,6 +149,67 @@ func loadFacts(path string) (*factsTable, error) {
 		}
 	}
 	return ft, nil
+}
+
+// checkSymbols rejects a declaration whose symbol names no function or
+// method (no struct field, for budget-field) of its in-module package:
+// such a line classifies nothing, so a typo would silently drop a
+// source, sanitizer, sink or budget position. Symbols outside the
+// module cannot be checked and pass; an in-module package this run did
+// not load passes if its directory exists.
+func (ft *factsTable) checkSymbols(l *loader) error {
+	for _, r := range ft.refs {
+		slash := strings.LastIndex(r.sym, "/") + 1
+		dot := strings.Index(r.sym[slash:], ".")
+		if dot < 0 {
+			return fmt.Errorf("%s: %s %s: want pkgpath.Func, pkgpath.Type.Method or pkgpath.Type.Field", r.pos, r.kind, r.sym)
+		}
+		pkgPath, name := r.sym[:slash+dot], r.sym[slash+dot+1:]
+		if !l.inModule(pkgPath) {
+			continue
+		}
+		l.mu.Lock()
+		pkg := l.pkgs[pkgPath]
+		l.mu.Unlock()
+		if pkg == nil {
+			if _, err := os.Stat(l.dirFor(pkgPath)); err != nil {
+				return fmt.Errorf("%s: %s %s: no package %s in the module", r.pos, r.kind, r.sym, pkgPath)
+			}
+			continue
+		}
+		if !declares(pkg.Types, r.sym, name, r.kind == "budget-field") {
+			want := "function or method"
+			if r.kind == "budget-field" {
+				want = "struct field"
+			}
+			return fmt.Errorf("%s: %s %s names no %s of %s", r.pos, r.kind, r.sym, want, pkgPath)
+		}
+	}
+	return nil
+}
+
+// declares reports whether pkg declares name — Func, Type.Method or
+// Type.Field — as a function or a method whose facts key is sym (so a
+// promoted method, keyed by its own receiver, does not count), or, when
+// field is set, as a field of the named type itself.
+func declares(pkg *types.Package, sym, name string, field bool) bool {
+	typeName, member, isMember := strings.Cut(name, ".")
+	if !isMember {
+		_, ok := pkg.Scope().Lookup(name).(*types.Func)
+		return ok && !field
+	}
+	tn, ok := pkg.Scope().Lookup(typeName).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	obj, index, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, member)
+	switch obj := obj.(type) {
+	case *types.Func:
+		return !field && funcKey(obj) == sym
+	case *types.Var:
+		return field && len(index) == 1
+	}
+	return false
 }
 
 func parseSpecs(specs []string) (params, results []int, err error) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -308,8 +309,9 @@ func TestLoadErrorExit3(t *testing.T) {
 }
 
 // TestPermutationInvariance is the determinism property test: linting
-// the same packages in any command-line (and therefore load) order must
-// produce byte-identical output and the same exit code.
+// the same packages in any command-line (and therefore load) order, with
+// the loader and analysis fanned out over GOMAXPROCS workers or run on
+// one, must produce byte-identical output and the same exit code.
 func TestPermutationInvariance(t *testing.T) {
 	pkgs := []string{
 		"cmd/priview-lint/testdata/src/floatcmp",
@@ -319,33 +321,87 @@ func TestPermutationInvariance(t *testing.T) {
 	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	var first []byte
 	firstCode := -1
-	for _, p := range perms {
-		args := []string{"-json"}
-		for _, i := range p {
-			args = append(args, pkgs[i])
+	for _, procs := range []int{0, 1} {
+		if procs > 0 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		}
-		stdout, err := os.CreateTemp(t.TempDir(), "stdout")
-		if err != nil {
-			t.Fatal(err)
-		}
-		code := lintMain(args, stdout, stdout)
-		data, err := os.ReadFile(stdout.Name())
-		stdout.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if firstCode == -1 {
-			first, firstCode = data, code
-			if code != exitDirty {
-				t.Fatalf("baseline permutation exited %d, want %d:\n%s", code, exitDirty, data)
+		for _, p := range perms {
+			args := []string{"-json"}
+			for _, i := range p {
+				args = append(args, pkgs[i])
 			}
-			continue
+			stdout, err := os.CreateTemp(t.TempDir(), "stdout")
+			if err != nil {
+				t.Fatal(err)
+			}
+			code := lintMain(args, stdout, stdout)
+			data, err := os.ReadFile(stdout.Name())
+			stdout.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if firstCode == -1 {
+				first, firstCode = data, code
+				if code != exitDirty {
+					t.Fatalf("baseline permutation exited %d, want %d:\n%s", code, exitDirty, data)
+				}
+				continue
+			}
+			if code != firstCode {
+				t.Errorf("GOMAXPROCS=%d, permutation %v: exit code %d, want %d", runtime.GOMAXPROCS(0), p, code, firstCode)
+			}
+			if string(data) != string(first) {
+				t.Errorf("GOMAXPROCS=%d, permutation %v: output differs from baseline\n--- baseline ---\n%s\n--- got ---\n%s", runtime.GOMAXPROCS(0), p, first, data)
+			}
 		}
-		if code != firstCode {
-			t.Errorf("permutation %v: exit code %d, want %d", p, code, firstCode)
+	}
+}
+
+// TestFactsRejectUnknownSymbols: a lint.facts symbol that names no
+// function, method or field of its in-module package classifies
+// nothing, so it must fail the run instead of silently dropping a
+// source, sanitizer or sink.
+func TestFactsRejectUnknownSymbols(t *testing.T) {
+	l, err := newLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.LoadDir(filepath.Join("..", "..", "internal", "dataset"), "priview/internal/dataset"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		line string
+		want string // substring of the error; "" means accepted
+	}{
+		{"source priview/internal/dataset.Dataset.Marginal r0", ""},
+		{"source priview/internal/dataset.New r0", ""},
+		{"budget-field priview/internal/dataset.Dataset.dim", ""},
+		{"sink net/http.Error p1", ""},
+		{"sink priview/internal/core.Synopsis.Query p1", ""}, // package not loaded: unchecked
+		{"source priview/internal/dataset.Dataset.Marginall r0", "names no function or method of priview/internal/dataset"},
+		{"sanitizer priview/internal/dataset.Neww r0", "names no function or method"},
+		{"source priview/internal/dataset.Dataset.records r0", "names no function or method"},
+		{"budget-field priview/internal/dataset.Dataset.Len", "names no struct field"},
+		{"sink priview/internal/datset.Write p1", "no package priview/internal/datset"},
+	} {
+		path := filepath.Join(t.TempDir(), "lint.facts")
+		if err := os.WriteFile(path, []byte("# test\n"+c.line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if string(data) != string(first) {
-			t.Errorf("permutation %v: output differs from baseline\n--- baseline ---\n%s\n--- got ---\n%s", p, first, data)
+		ft, err := loadFacts(path)
+		if err != nil {
+			t.Fatalf("%q: %v", c.line, err)
+		}
+		err = ft.checkSymbols(l)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%q rejected: %v", c.line, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%q accepted, want an error containing %q", c.line, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%q: error %q does not contain %q", c.line, err, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), "lint.facts:2:"):
+			t.Errorf("%q: error %q does not name the line", c.line, err)
 		}
 	}
 }

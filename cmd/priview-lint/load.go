@@ -75,13 +75,12 @@ type pkgRef struct {
 // their transitive intra-module dependencies, resolve export data for
 // every external import in one `go list -export -deps` subprocess,
 // topologically order the new packages, then type-check them with
-// independent packages running concurrently (workers goroutines, one
-// per package, gated by a GOMAXPROCS-sized semaphore).
+// independent packages running concurrently (one goroutine per
+// package, gated by a GOMAXPROCS-sized semaphore).
 type loader struct {
 	fset       *token.FileSet
 	moduleDir  string
 	modulePath string
-	workers    int // max concurrent type-checks; 0 means GOMAXPROCS
 
 	stdMu       sync.Mutex
 	std         types.Importer
@@ -134,13 +133,6 @@ func (l *loader) inModule(path string) bool {
 func (l *loader) dirFor(path string) string {
 	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modulePath), "/")
 	return filepath.Join(l.moduleDir, filepath.FromSlash(rel))
-}
-
-func (l *loader) parallelism() int {
-	if l.workers > 0 {
-		return l.workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // LoadDir loads a single package (plus dependencies); kept as the
@@ -233,7 +225,7 @@ func (l *loader) Load(reqs []pkgRef) ([]*lintPackage, error) {
 	// dependencies, then runs under the worker-count semaphore.
 	var (
 		wg   sync.WaitGroup
-		sem  = make(chan struct{}, l.parallelism())
+		sem  = make(chan struct{}, runtime.GOMAXPROCS(0))
 		dmu  sync.Mutex
 		fail = make(map[string]bool)
 	)

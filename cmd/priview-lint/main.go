@@ -34,7 +34,7 @@
 //
 // Usage:
 //
-//	priview-lint [-json] [-list] [-serial] [-stats] packages...
+//	priview-lint [-json] [-list] [-stats] packages...
 //
 // Packages are directories relative to the module root; "./..." and
 // "dir/..." expand recursively. Exit status is 0 when clean, 1 when
@@ -71,10 +71,9 @@ func lintMain(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	serial := fs.Bool("serial", false, "disable parallel loading and analysis (for benchmarking)")
 	stats := fs.Bool("stats", false, "print load/analysis wall-clock to stderr")
 	fs.Usage = func() {
-		emit(stderr, "usage: priview-lint [-json] [-list] [-serial] [-stats] packages...\n")
+		emit(stderr, "usage: priview-lint [-json] [-list] [-stats] packages...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -106,9 +105,6 @@ func lintMain(args []string, stdout, stderr *os.File) int {
 		emit(stderr, "priview-lint: %v\n", err)
 		return exitUsage
 	}
-	if *serial {
-		l.workers = 1
-	}
 	dirs, err := expandPatterns(moduleDir, fs.Args())
 	if err != nil {
 		emit(stderr, "priview-lint: %v\n", err)
@@ -139,14 +135,15 @@ func lintMain(args []string, stdout, stderr *os.File) int {
 		return exitUsage
 	}
 	loadTime := time.Since(loadStart)
+	if err := facts.checkSymbols(l); err != nil {
+		emit(stderr, "priview-lint: %v\n", err)
+		return exitUsage
+	}
 
 	analyzeStart := time.Now()
 	eng := newEngine(facts, l.fset, l.allInOrder())
 	perPkg := make([][]Finding, len(pkgs))
 	workers := runtime.GOMAXPROCS(0)
-	if *serial {
-		workers = 1
-	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for i, pkg := range pkgs {

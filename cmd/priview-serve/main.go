@@ -107,8 +107,8 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 4096, "query-cache entry bound, per release in registry mode (≤0 together with -cache-bytes ≤0 disables the cache)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "query-cache approximate byte bound — the global budget shared by all releases in registry mode (≤0 together with -cache-entries ≤0 disables the cache)")
 	warm := flag.Int("warm", 0, "precompute all marginals of up to this many attributes into the cache after each load (0 disables)")
-	maxLoaded := flag.Int("max-loaded", 8, "registry mode: synopses resident in memory at once, LRU-evicted past this (<0 disables eviction)")
-	tenantInflight := flag.Int("tenant-inflight", 32, "registry mode: per-release concurrent queries before that release sheds with 429 (<0 disables)")
+	maxLoaded := flag.Int("max-loaded", 8, "registry mode: synopses resident in memory at once, LRU-evicted past this (≤0 disables eviction)")
+	tenantInflight := flag.Int("tenant-inflight", 32, "registry mode: per-release concurrent queries before that release sheds with 429 (≤0 disables)")
 	breakerFailures := flag.Int("breaker-failures", 3, "registry mode: consecutive load failures that trip a release's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 10*time.Second, "registry mode: how long a tripped breaker fast-fails before admitting a probe")
 	reconcileInterval := flag.Duration("reconcile-interval", time.Minute, "background rescan period (0 disables; SIGHUP always rescans)")

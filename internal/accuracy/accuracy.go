@@ -27,32 +27,6 @@ func NormalizedL2Error(recon, truth *marginal.Table, n float64) float64 {
 	return marginal.L2Distance(recon, truth) / n
 }
 
-// KLDivergence returns D_KL(P || Q) in nats over the two normalized
-// tables. Cells where P is zero contribute nothing; cells where Q is
-// zero but P is not make the divergence infinite.
-func KLDivergence(p, q *marginal.Table) float64 {
-	if !marginal.SameAttrs(p.Attrs, q.Attrs) {
-		panic("accuracy: KL over mismatched attribute sets")
-	}
-	pn := p.Normalized()
-	qn := q.Normalized()
-	d := 0.0
-	for i := range pn.Cells {
-		pi := pn.Cells[i]
-		//lint:ignore floatcmp x·log x → 0 as x → 0, so only an exactly zero cell may be skipped
-		if pi == 0 {
-			continue
-		}
-		qi := qn.Cells[i]
-		//lint:ignore floatcmp KL is infinite only when Q's cell is exactly zero; a tolerance would misreport near-zero support
-		if qi == 0 {
-			return math.Inf(1)
-		}
-		d += pi * math.Log(pi/qi)
-	}
-	return d
-}
-
 // JSDivergence returns the Jensen–Shannon divergence between the
 // normalized tables (Eq. 1 in the paper): a symmetrized, smoothed KL
 // that is always finite and bounded by ln 2.
@@ -127,22 +101,4 @@ func Percentile(sorted []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// GeoMean returns the geometric mean of positive samples; zero or
-// negative entries are floored at a tiny positive value so a single
-// lucky zero-error run cannot zero the aggregate.
-func GeoMean(samples []float64) float64 {
-	if len(samples) == 0 {
-		panic("accuracy: empty sample")
-	}
-	const floor = 1e-300
-	sum := 0.0
-	for _, v := range samples {
-		if v < floor {
-			v = floor
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(samples)))
 }

@@ -35,26 +35,6 @@ func TestNormalizedL2PanicsOnBadN(t *testing.T) {
 	NormalizedL2Error(tbl([]int{0}, 1, 1), tbl([]int{0}, 1, 1), 0)
 }
 
-func TestKLDivergence(t *testing.T) {
-	p := tbl([]int{0}, 50, 50)
-	q := tbl([]int{0}, 25, 75)
-	want := 0.5*math.Log(0.5/0.25) + 0.5*math.Log(0.5/0.75)
-	if got := KLDivergence(p, q); math.Abs(got-want) > 1e-12 {
-		t.Errorf("KL = %v, want %v", got, want)
-	}
-	if got := KLDivergence(p, p); got != 0 {
-		t.Errorf("KL(P||P) = %v, want 0", got)
-	}
-}
-
-func TestKLInfiniteOnZeroSupport(t *testing.T) {
-	p := tbl([]int{0}, 1, 1)
-	q := tbl([]int{0}, 0, 2)
-	if got := KLDivergence(p, q); !math.IsInf(got, 1) {
-		t.Errorf("KL = %v, want +Inf", got)
-	}
-}
-
 func TestJSDivergenceSymmetricAndBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -135,21 +115,10 @@ func TestPercentileEdges(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", got)
-	}
-	// Zeros floored, not fatal.
-	if got := GeoMean([]float64{0, 1}); got <= 0 {
-		t.Errorf("GeoMean with zero = %v", got)
-	}
-}
-
 func TestEmptySamplesPanic(t *testing.T) {
 	for _, fn := range []func(){
 		func() { Summarize(nil) },
 		func() { Percentile(nil, 0.5) },
-		func() { GeoMean(nil) },
 	} {
 		func() {
 			defer func() { _ = recover() }()

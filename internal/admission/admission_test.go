@@ -93,8 +93,8 @@ func TestTokenBucketRefills(t *testing.T) {
 	}
 	// Refill caps at burst.
 	clk.Advance(time.Hour)
-	if got := b.Tokens(); got != 2 {
-		t.Errorf("tokens after long idle = %v, want capped at burst 2", got)
+	if !b.Allow() || !b.Allow() || b.Allow() {
+		t.Error("tokens after long idle not capped at burst 2")
 	}
 }
 
@@ -324,9 +324,6 @@ func TestBrownoutHysteresis(t *testing.T) {
 	b.Note(false)
 	if b.Active() {
 		t.Fatal("brownout still active after exit window of calm")
-	}
-	if b.Activations() != 1 {
-		t.Errorf("activations = %d, want 1", b.Activations())
 	}
 }
 

@@ -42,7 +42,6 @@ type Brownout struct {
 	active      bool
 	streakStart time.Time // first overloaded sample of the current streak
 	lastOver    time.Time // most recent overloaded sample
-	activations uint64
 }
 
 // NewBrownout returns a detector with cfg's knobs resolved.
@@ -62,7 +61,6 @@ func (b *Brownout) Note(overloaded bool) {
 		b.lastOver = now
 		if !b.active && now.Sub(b.streakStart) >= b.cfg.Enter {
 			b.active = true
-			b.activations++
 		}
 		return
 	}
@@ -85,11 +83,4 @@ func (b *Brownout) Active() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.active
-}
-
-// Activations counts how many times the brownout has engaged.
-func (b *Brownout) Activations() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.activations
 }

@@ -71,11 +71,3 @@ func (b *TokenBucket) NextIn() time.Duration {
 	}
 	return time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }
-
-// Tokens reports the current balance (observability only).
-func (b *TokenBucket) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(b.now())
-	return b.tokens
-}

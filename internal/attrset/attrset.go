@@ -103,17 +103,6 @@ func (s Set) Intersect(t Set) Set { return s & t }
 // Union returns s ∪ t.
 func (s Set) Union(t Set) Set { return s | t }
 
-// Diff returns s \ t.
-func (s Set) Diff(t Set) Set { return s &^ t }
-
-// Min returns the smallest member, or -1 for the empty set.
-func (s Set) Min() int {
-	if s == 0 {
-		return -1
-	}
-	return bits.TrailingZeros64(uint64(s))
-}
-
 // ForEach calls fn for every member in ascending order.
 func (s Set) ForEach(fn func(a int)) {
 	for m := uint64(s); m != 0; m &= m - 1 {
@@ -180,23 +169,12 @@ func PosMask(sub, super Set) uint64 {
 	return pm
 }
 
-// RestrictIndex maps a cell index of a table over a superset onto the
-// corresponding cell index of the table over the subset whose
-// positions within the superset are posMask (from PosMask): a software
-// PEXT extracting and compacting the selected index bits.
-func RestrictIndex(idx int, posMask uint64) int {
-	out, j := 0, 0
-	for m := posMask; m != 0; m &= m - 1 {
-		p := uint(bits.TrailingZeros64(m))
-		out |= int((uint64(idx)>>p)&1) << uint(j)
-		j++
-	}
-	return out
-}
-
-// RestrictTable precomputes RestrictIndex for every cell index of a
-// 2^dim-cell table in O(2^dim): out[i] is the subset-table cell that
-// cell i projects into. Each index is derived from the index with its
+// RestrictTable maps every cell index of a 2^dim-cell table over a
+// superset onto the corresponding cell index of the table over the
+// subset whose positions within the superset are posMask (from
+// PosMask), in O(2^dim): out[i] is the subset-table cell that cell i
+// projects into, the selected index bits of i extracted and compacted
+// (a software PEXT). Each index is derived from the index with its
 // lowest bit cleared, so the whole table costs O(1) per cell — this is
 // the branch-free fast path under the max-entropy iteration loop,
 // replacing an O(|sub|) bit-gather per cell per iteration.

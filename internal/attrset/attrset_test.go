@@ -75,9 +75,6 @@ func TestRoundTrip(t *testing.T) {
 		if s.Card() != len(attrs) {
 			t.Fatalf("Card() = %d, want %d", s.Card(), len(attrs))
 		}
-		if s.Min() != attrs[0] {
-			t.Fatalf("Min() = %d, want %d", s.Min(), attrs[0])
-		}
 	}
 }
 
@@ -186,16 +183,6 @@ func TestSetOpsMatchSliceReference(t *testing.T) {
 		if got, want := a.ProperSubset(b), sliceSubset(as, bs) && len(as) != len(bs); got != want {
 			t.Fatalf("ProperSubset(%v, %v) = %v, want %v", as, bs, got, want)
 		}
-		// Diff via the slice model: members of a not in b.
-		var wantDiff []int
-		for _, x := range as {
-			if !sliceSubset([]int{x}, bs) {
-				wantDiff = append(wantDiff, x)
-			}
-		}
-		if got := a.Diff(b).Attrs(); !sameInts(got, wantDiff) {
-			t.Fatalf("Diff(%v, %v) = %v, want %v", as, bs, got, wantDiff)
-		}
 	}
 }
 
@@ -248,9 +235,6 @@ func TestRestrictIndexMatchesReference(t *testing.T) {
 		table := RestrictTable(dim, pm)
 		for idx := 0; idx < 1<<uint(dim); idx++ {
 			want := referenceRestrictIndex(idx, pos)
-			if got := RestrictIndex(idx, pm); got != want {
-				t.Fatalf("RestrictIndex(%d, %b) = %d, want %d (super %v sub %v)", idx, pm, got, want, super, sub)
-			}
 			if got := int(table[idx]); got != want {
 				t.Fatalf("RestrictTable[%d] = %d, want %d (super %v sub %v)", idx, got, want, super, sub)
 			}
@@ -353,12 +337,6 @@ func FuzzSetAlgebra(f *testing.F) {
 		}
 		if !a.Subset(a.Union(b)) || !b.Subset(a.Union(b)) {
 			t.Error("operands not subsets of the union")
-		}
-		if a.Diff(b).Intersect(b) != 0 {
-			t.Error("difference intersects subtrahend")
-		}
-		if a.Diff(b).Union(a.Intersect(b)) != a {
-			t.Error("diff/intersect do not partition a")
 		}
 		if a.Subset(b) != (a.Intersect(b) == a) {
 			t.Error("Subset inconsistent with intersection")

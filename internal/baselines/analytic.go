@@ -41,14 +41,5 @@ func EllObjectiveTriples(ell int) float64 {
 	return math.Pow(2, float64(ell)/2) / float64(ell*(ell-1)*(ell-2))
 }
 
-// NoiseErrorEquation5 computes the paper's Eq. 5 normalized noise error
-// for a covering design: 2^{(ℓ+1)/2}/(N·ε) · sqrt(w·d(d−1)/(ℓ(ℓ−1))).
-// It estimates the error of a pair marginal reconstructed by averaging
-// over the views covering it.
-func NoiseErrorEquation5(d, ell, w int, eps float64, n int) float64 {
-	return math.Pow(2, (float64(ell)+1)/2) / (float64(n) * eps) *
-		math.Sqrt(float64(w)*float64(d)*float64(d-1)/(float64(ell)*float64(ell-1)))
-}
-
 // UnitVariance re-exports V_u for analytic tables.
 func UnitVariance(eps float64) float64 { return noise.UnitVariance(eps) }

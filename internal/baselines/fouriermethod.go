@@ -86,18 +86,3 @@ func (fm *Fourier) Query(attrs []int) *marginal.Table {
 	}
 	return out
 }
-
-// FourierESE returns the expected squared error of the Fourier method
-// for one k-way marginal: reconstructing 2^k cells from 2^k noisy
-// coefficients each carrying Laplace(m/ε) noise costs
-// 2^k · m^2 · V_u / 2^k · ... — per cell the inverse transform averages
-// 2^k coefficients with weight 2^{-k}, so cell variance is
-// 2^{-k}·m^2·V_u and the table ESE is m^2·V_u: a 2^k improvement over
-// Direct, as §3.3 states.
-func FourierESE(d, k int, eps float64) float64 {
-	m := 0.0
-	for i := 0; i <= k; i++ {
-		m += float64(covering.Binom(d, i))
-	}
-	return m * m * noise.UnitVariance(eps)
-}

@@ -94,13 +94,6 @@ func (lb *Learning) Name() string {
 	return fmt.Sprintf("Learning(γ=%g)", lb.gamma)
 }
 
-// Degree returns the polynomial degree D in use.
-func (lb *Learning) Degree() int { return lb.degree }
-
-// ApproximationError returns the minimax error of the fitted polynomial
-// on {0..k}; multiplied by N it bounds the noise-free per-cell error.
-func (lb *Learning) ApproximationError() float64 { return lb.approx }
-
 // noisyMarginal returns the (cached) released marginal over the subset
 // T; an empty T yields the 0-way table holding N.
 func (lb *Learning) noisyMarginal(sub []int) *marginal.Table {

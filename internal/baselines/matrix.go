@@ -8,8 +8,6 @@ import (
 	"priview/internal/covering"
 	"priview/internal/dataset"
 	"priview/internal/fourier"
-	"priview/internal/marginal"
-	"priview/internal/noise"
 )
 
 // MaxMatrixDim bounds the matrix mechanism: the strategy optimization
@@ -29,24 +27,20 @@ const MaxMatrixDim = 20
 // μ_α = Σ_z C(d−|z|, k)(−1)^{α·z} on the parity function χ_α. Among
 // strategies A whose rows are scaled parities a_α·χ_α, the expected
 // total squared error (2/ε²)·(Σ a_α)²·Σ_α μ_α/(2^d a_α²) is minimized
-// at a_α ∝ μ_α^{1/3}, which the constructor solves in closed form.
-// Answers are reconstructed from the noisy strategy answers exactly as
-// the mechanism prescribes (least squares, here a diagonal rescale and
-// inverse WHT).
+// at a_α ∝ μ_α^{1/3}, which the constructor solves in closed form. As
+// in the paper, the experiments plot the mechanism's expected error
+// (ExpectedNormalizedL2) rather than sampled answers.
 type MatrixMechanism struct {
-	data   *dataset.Dataset
-	k      int
-	eps    float64
-	src    noise.Source
-	aByW   []float64 // strategy weight per mask popcount (0 where μ=0)
-	sens   float64   // Σ_α a_α, the strategy's L1 sensitivity
-	muByW  []float64 // workload eigenvalue per mask popcount
-	coeffs map[string]float64
+	data *dataset.Dataset
+	k    int
+	eps  float64
+	aByW []float64 // strategy weight per mask popcount (0 where μ=0)
+	sens float64   // Σ_α a_α, the strategy's L1 sensitivity
 }
 
 // NewMatrixMechanism builds the mechanism for the workload of all k-way
 // marginal cell queries under budget eps.
-func NewMatrixMechanism(data *dataset.Dataset, eps float64, k int, src noise.Source) *MatrixMechanism {
+func NewMatrixMechanism(data *dataset.Dataset, eps float64, k int) *MatrixMechanism {
 	d := data.Dim()
 	if d > MaxMatrixDim {
 		panic(fmt.Sprintf("baselines: matrix mechanism unfeasible for d=%d (max %d)", d, MaxMatrixDim))
@@ -84,58 +78,12 @@ func NewMatrixMechanism(data *dataset.Dataset, eps float64, k int, src noise.Sou
 		}
 	}
 	return &MatrixMechanism{
-		data:   data,
-		k:      k,
-		eps:    eps,
-		src:    src,
-		aByW:   aByW,
-		sens:   sens,
-		muByW:  muByW,
-		coeffs: map[string]float64{},
+		data: data,
+		k:    k,
+		eps:  eps,
+		aByW: aByW,
+		sens: sens,
 	}
-}
-
-// Name implements Synopsis.
-func (mm *MatrixMechanism) Name() string { return "MatrixMech" }
-
-// Query implements Synopsis; len(attrs) must be ≤ k so that every needed
-// Fourier direction is in the workload span. The strategy row a_α·χ_α
-// for each in-span direction is answered with Laplace(sens/ε) noise and
-// divided back by a_α; all true coefficients inside the queried set come
-// from one WHT of the true marginal, and noisy values are cached per
-// global subset so repeat and overlapping queries are consistent.
-func (mm *MatrixMechanism) Query(attrs []int) *marginal.Table {
-	t := marginal.New(attrs)
-	if t.Dim() > mm.k {
-		panic(fmt.Sprintf("baselines: matrix mechanism built for k=%d, queried with %d attributes", mm.k, t.Dim()))
-	}
-	truth := mm.data.Marginal(t.Attrs)
-	trueCoeffs := fourier.Coefficients(truth)
-	local := make([]float64, t.Size())
-	sub := make([]int, 0, t.Dim())
-	for beta := 0; beta < t.Size(); beta++ {
-		sub = sub[:0]
-		for j, a := range t.Attrs {
-			if beta>>uint(j)&1 == 1 {
-				sub = append(sub, a)
-			}
-		}
-		key := marginal.Key(sub)
-		v, ok := mm.coeffs[key]
-		if !ok {
-			a := mm.aByW[len(sub)]
-			if a <= 0 {
-				// Direction outside the workload span: the mechanism
-				// publishes nothing; least squares fills in 0.
-				v = 0
-			} else {
-				v = trueCoeffs[beta] + noise.Laplace(mm.src, noise.LaplaceMechScale(mm.sens, mm.eps))/a
-			}
-			mm.coeffs[key] = v
-		}
-		local[beta] = v
-	}
-	return fourier.FromCoefficients(t.Attrs, local)
 }
 
 // ExpectedMarginalESE returns the expected squared error of one k-way

@@ -1,10 +1,9 @@
 package categorical
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -179,7 +178,7 @@ func TestOverallCategorical(t *testing.T) {
 			mk([]int{0, 2}, []int{3, 3}),
 		}
 		Overall(views)
-		return IsPairwiseConsistent(views, 1e-6)
+		return isPairwiseConsistent(views, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -286,7 +285,7 @@ func TestRecommendedCellBudgetMatchesPaperTable(t *testing.T) {
 func TestGreedyPairViews(t *testing.T) {
 	schema := Schema{3, 4, 2, 5, 3, 2, 4, 3}
 	views := GreedyPairViews(schema, 200, noise.NewStream(1))
-	if err := VerifyPairCover(schema, views, 200); err != nil {
+	if err := verifyPairCover(schema, views, 200); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -295,7 +294,7 @@ func TestGreedyPairViewsTightBudget(t *testing.T) {
 	schema := Schema{5, 5, 5, 5}
 	// Budget 25: each view holds exactly one pair.
 	views := GreedyPairViews(schema, 25, noise.NewStream(2))
-	if err := VerifyPairCover(schema, views, 25); err != nil {
+	if err := verifyPairCover(schema, views, 25); err != nil {
 		t.Fatal(err)
 	}
 	if len(views) != 6 {
@@ -316,7 +315,7 @@ func TestSynopsisEndToEnd(t *testing.T) {
 	schema := Schema{3, 4, 2, 3, 5, 2}
 	data := SynthSurvey(schema, 30000, 1)
 	syn := BuildSynopsis(data, Config{Epsilon: 1.0, CellBudget: 120}, noise.NewStream(2))
-	if !IsPairwiseConsistent(syn.Views(), 1e-6) {
+	if !isPairwiseConsistent(syn.views, 1e-6) {
 		t.Error("synopsis views inconsistent")
 	}
 	// Covered pair: small error.
@@ -355,7 +354,7 @@ func TestSynopsisDefaultBudget(t *testing.T) {
 	schema := Schema{3, 3, 4, 2, 3}
 	data := SynthSurvey(schema, 2000, 5)
 	syn := BuildSynopsis(data, Config{Epsilon: 1}, noise.NewStream(6))
-	if len(syn.Views()) == 0 {
+	if len(syn.views) == 0 {
 		t.Fatal("no views chosen")
 	}
 	got := syn.Query([]int{0, 4})
@@ -389,43 +388,56 @@ func TestSynthSurveyCorrelated(t *testing.T) {
 	}
 }
 
-func TestSynopsisSaveLoad(t *testing.T) {
-	schema := Schema{3, 4, 2, 3}
-	data := SynthSurvey(schema, 8000, 90)
-	orig := BuildSynopsis(data, Config{Epsilon: 1, CellBudget: 72}, noise.NewStream(91))
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Total() != orig.Total() {
-		t.Errorf("total %v != %v", loaded.Total(), orig.Total())
-	}
-	for _, q := range [][]int{{0, 1}, {0, 2, 3}} {
-		a := orig.Query(q)
-		b := loaded.Query(q)
-		if L2Distance(a, b) > 1e-9 {
-			t.Errorf("query %v differs after round trip", q)
+// isPairwiseConsistent reports whether all views agree on projections
+// onto shared attributes within tol.
+func isPairwiseConsistent(views []*Table, tol float64) bool {
+	for i := 0; i < len(views); i++ {
+		for j := i + 1; j < len(views); j++ {
+			common := intersect(views[i].Attrs, views[j].Attrs)
+			pi := views[i].Project(common)
+			pj := views[j].Project(common)
+			for c := range pi.Cells {
+				d := pi.Cells[c] - pj.Cells[c]
+				if d < -tol || d > tol {
+					return false
+				}
+			}
 		}
 	}
+	return true
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"{}",
-		`{"format":"wrong"}`,
-		`{"format":"priview-categorical-synopsis-v1","schema":[3],"views":[]}`,
-		`{"format":"priview-categorical-synopsis-v1","schema":[3,2],"views":[{"attrs":[0],"cards":[2],"cells":[1,1]}]}`,
-		`{"format":"priview-categorical-synopsis-v1","schema":[3,2],"views":[{"attrs":[0],"cards":[3],"cells":[1]}]}`,
-		`{"format":"priview-categorical-synopsis-v1","schema":[3,2],"views":[{"attrs":[5],"cards":[3],"cells":[1,1,1]}]}`,
+// verifyPairCover checks that the views cover every attribute pair and
+// respect the cell budget.
+func verifyPairCover(schema Schema, views [][]int, cellBudget int) error {
+	d := len(schema)
+	covered := make([][]bool, d)
+	for i := range covered {
+		covered[i] = make([]bool, d)
 	}
-	for _, c := range cases {
-		if _, err := Load(strings.NewReader(c)); err == nil {
-			t.Errorf("Load(%q) succeeded, want error", c)
+	for vi, v := range views {
+		cells := 1
+		for _, a := range v {
+			if a < 0 || a >= d {
+				return fmt.Errorf("categorical: view %d has out-of-range attribute %d", vi, a)
+			}
+			cells *= schema[a]
+		}
+		if cells > cellBudget {
+			return fmt.Errorf("categorical: view %d has %d cells, budget %d", vi, cells, cellBudget)
+		}
+		for i := 0; i < len(v); i++ {
+			for j := i + 1; j < len(v); j++ {
+				covered[v[i]][v[j]] = true
+			}
 		}
 	}
+	for i := 0; i < d; i++ {
+		for j := i + 1; j < d; j++ {
+			if !covered[i][j] {
+				return fmt.Errorf("categorical: pair (%d,%d) uncovered", i, j)
+			}
+		}
+	}
+	return nil
 }

@@ -68,25 +68,6 @@ func Overall(views []*Table) {
 	}
 }
 
-// IsPairwiseConsistent reports whether all views agree on projections
-// onto shared attributes within tol.
-func IsPairwiseConsistent(views []*Table, tol float64) bool {
-	for i := 0; i < len(views); i++ {
-		for j := i + 1; j < len(views); j++ {
-			common := intersect(views[i].Attrs, views[j].Attrs)
-			pi := views[i].Project(common)
-			pj := views[j].Project(common)
-			for c := range pi.Cells {
-				d := pi.Cells[c] - pj.Cells[c]
-				if d < -tol || d > tol {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // Ripple corrects negative entries the §4.7 way: a cell below −θ is
 // zeroed and its mass pulled evenly from all cells differing from it in
 // exactly one attribute's value — Σ_j (card_j − 1) neighbors.

@@ -108,12 +108,6 @@ func defaultCellBudget(schema Schema) int {
 	return lo
 }
 
-// Views returns the post-processed view tables.
-func (s *Synopsis) Views() []*Table { return s.views }
-
-// Total returns the common total count of the consistent views.
-func (s *Synopsis) Total() float64 { return s.total }
-
 // Query reconstructs the marginal over attrs: a direct projection when
 // one view covers the set, maximum entropy otherwise.
 func (s *Synopsis) Query(attrs []int) *Table {

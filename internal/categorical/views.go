@@ -139,38 +139,3 @@ func GreedyPairViews(schema Schema, cellBudget int, rng *noise.Stream) [][]int {
 	}
 	return views
 }
-
-// VerifyPairCover checks that the views cover every attribute pair and
-// respect the cell budget.
-func VerifyPairCover(schema Schema, views [][]int, cellBudget int) error {
-	d := len(schema)
-	covered := make([][]bool, d)
-	for i := range covered {
-		covered[i] = make([]bool, d)
-	}
-	for vi, v := range views {
-		cells := 1
-		for _, a := range v {
-			if a < 0 || a >= d {
-				return fmt.Errorf("categorical: view %d has out-of-range attribute %d", vi, a)
-			}
-			cells *= schema[a]
-		}
-		if cells > cellBudget {
-			return fmt.Errorf("categorical: view %d has %d cells, budget %d", vi, cells, cellBudget)
-		}
-		for i := 0; i < len(v); i++ {
-			for j := i + 1; j < len(v); j++ {
-				covered[v[i]][v[j]] = true
-			}
-		}
-	}
-	for i := 0; i < d; i++ {
-		for j := i + 1; j < d; j++ {
-			if !covered[i][j] {
-				return fmt.Errorf("categorical: pair (%d,%d) uncovered", i, j)
-			}
-		}
-	}
-	return nil
-}

@@ -33,21 +33,6 @@ func TestQueryMethodContextCanceled(t *testing.T) {
 	}
 }
 
-// TestQueryContextMatchesQuery: with a live context the ctx variant is
-// the same pure function as Query.
-func TestQueryContextMatchesQuery(t *testing.T) {
-	s := contextTestSynopsis()
-	attrs := []int{0, 4, 8}
-	want := s.Query(attrs)
-	got, err := s.QueryContext(context.Background(), attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !marginal.Equal(got, want, 0) {
-		t.Error("QueryContext(Background) differs from Query")
-	}
-}
-
 // TestQueryMethodContextCoveredIgnoresLateCancel: covered marginals are
 // answered by direct projection with no iteration, so only a context
 // already dead at entry can stop them.

@@ -319,23 +319,12 @@ func (s *Synopsis) Total() float64 { return s.total }
 // them.
 func (s *Synopsis) Views() []*marginal.Table { return s.views }
 
-// RawViews returns the noisy views before post-processing. A loaded
-// synopsis was post-processed before it was saved, so its raw views are
-// its Views: the same tables, which callers must not mutate.
-func (s *Synopsis) RawViews() []*marginal.Table { return s.rawViews }
-
 // Query reconstructs the marginal table over attrs using the configured
 // estimator. Marginals fully covered by a view are answered by direct
 // summation; otherwise the under-determined system induced by the views
 // is resolved by the configured method.
 func (s *Synopsis) Query(attrs []int) *marginal.Table {
 	return s.QueryMethod(attrs, s.cfg.Method)
-}
-
-// QueryContext is Query with cooperative cancellation threaded into the
-// reconstruction solvers; see QueryMethodContext for the error surface.
-func (s *Synopsis) QueryContext(ctx context.Context, attrs []int) (*marginal.Table, error) {
-	return s.QueryMethodContext(ctx, attrs, s.cfg.Method)
 }
 
 // QueryMethod is Query with an explicit estimator, leaving the synopsis
@@ -402,42 +391,6 @@ func fallbackChain(method ReconstructMethod) []ReconstructMethod {
 	default:
 		panic(fmt.Sprintf("core: unknown reconstruction method %d", int(method)))
 	}
-}
-
-// Count answers a conjunction counting query from the synopsis: the
-// estimated number of records whose attribute attrs[i] equals values[i]
-// for every i. It is one cell of the corresponding marginal, so it
-// inherits the configured estimator and costs no privacy budget.
-func (s *Synopsis) Count(attrs []int, values []bool) float64 {
-	if len(attrs) != len(values) {
-		panic("core: attrs and values must align")
-	}
-	// Canonicalize jointly (on copies) so values follow their
-	// attributes into the table's sorted order.
-	a := append([]int(nil), attrs...)
-	v := append([]bool(nil), values...)
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-	// Validate at the API boundary: letting a duplicate reach
-	// marginal.New panics deep inside the table layer with a message
-	// that doesn't name the caller's mistake.
-	for i := 1; i < len(a); i++ {
-		if a[i] == a[i-1] {
-			panic(fmt.Sprintf("core: Count called with duplicate attribute %d", a[i]))
-		}
-	}
-	t := s.Query(a)
-	idx := 0
-	for j := range a {
-		if v[j] {
-			idx |= 1 << uint(j)
-		}
-	}
-	return t.Cells[idx]
 }
 
 // Epsilon returns the privacy budget the synopsis was built with (0 for

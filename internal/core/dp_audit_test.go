@@ -40,8 +40,8 @@ func TestEndToEndDPAudit(t *testing.T) {
 			root.DeriveIndexed("a", i))
 		sb := BuildSynopsis(neighbor, Config{Epsilon: eps, Design: design, SkipPostprocess: true},
 			root.DeriveIndexed("b", i))
-		histA[bucket(sa.RawViews()[0].Cells[0])]++
-		histB[bucket(sb.RawViews()[0].Cells[0])]++
+		histA[bucket(sa.rawViews[0].Cells[0])]++
+		histB[bucket(sb.rawViews[0].Cells[0])]++
 	}
 	bound := math.Exp(eps)
 	checked := 0
@@ -77,7 +77,7 @@ func TestBudgetSplitAcrossViews(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		s := BuildSynopsis(data, Config{Epsilon: eps, Design: design, SkipPostprocess: true},
 			root.DeriveIndexed("t", i))
-		v := s.RawViews()[1].Cells[3]
+		v := s.rawViews[1].Cells[3]
 		sum += v
 		sumSq += v * v
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"priview/internal/accuracy"
@@ -63,7 +62,7 @@ func TestSkipPostprocessKeepsRawViews(t *testing.T) {
 	// Raw and processed views must be identical when post-processing is
 	// skipped.
 	for i := range s.Views() {
-		if !marginal.Equal(s.Views()[i], s.RawViews()[i], 0) {
+		if !marginal.Equal(s.Views()[i], s.rawViews[i], 0) {
 			t.Fatal("SkipPostprocess still modified views")
 		}
 	}
@@ -119,29 +118,6 @@ func TestSkipPostprocessTotalClamped(t *testing.T) {
 	}
 }
 
-// TestCountDuplicateAttrsPanicsWithCoreMessage: the duplicate must be
-// caught at the API boundary with a core:-prefixed message, not surface
-// as marginal.New's deep panic.
-func TestCountDuplicateAttrsPanicsWithCoreMessage(t *testing.T) {
-	data := synth.MSNBC(100, 61)
-	dg := covering.Groups(9, 6)
-	s := BuildSynopsis(data, Config{Epsilon: 1, Design: dg}, noise.NewStream(62))
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			t.Fatal("expected panic for duplicate attributes")
-		}
-		msg, ok := rec.(string)
-		if !ok || !strings.HasPrefix(msg, "core:") {
-			t.Errorf("panic = %v, want a core:-prefixed message", rec)
-		}
-		if !strings.Contains(msg, "duplicate attribute 3") {
-			t.Errorf("panic %q does not name the duplicate attribute", msg)
-		}
-	}()
-	s.Count([]int{3, 5, 3}, []bool{true, false, true})
-}
-
 func TestEpsilonAndDesignAccessors(t *testing.T) {
 	data := synth.MSNBC(100, 49)
 	dg := covering.Groups(9, 6)
@@ -164,37 +140,4 @@ func TestQueryMethodUnknownPanics(t *testing.T) {
 		}
 	}()
 	s.QueryMethod([]int{0, 5, 7}, ReconstructMethod(99))
-}
-
-func TestCountConjunction(t *testing.T) {
-	data := synth.MSNBC(20000, 53)
-	dg := covering.Groups(9, 6)
-	s := BuildSynopsis(data, Config{Design: dg, NoNoise: true}, nil)
-	// Noise-free covered pair: count must match the truth exactly.
-	truth := data.Marginal([]int{2, 5})
-	got := s.Count([]int{5, 2}, []bool{true, false}) // deliberately unsorted
-	// attrs sorted: {2,5}; values follow: attr2=false, attr5=true →
-	// cell index 0b10.
-	if math.Abs(got-truth.Cells[0b10]) > 1e-6 {
-		t.Errorf("Count = %v, want %v", got, truth.Cells[0b10])
-	}
-	// Inputs must not be mutated.
-	attrs := []int{5, 2}
-	values := []bool{true, false}
-	s.Count(attrs, values)
-	if attrs[0] != 5 || values[0] != true {
-		t.Error("Count mutated its arguments")
-	}
-}
-
-func TestCountValidatesAlignment(t *testing.T) {
-	data := synth.MSNBC(100, 54)
-	dg := covering.Groups(9, 6)
-	s := BuildSynopsis(data, Config{Epsilon: 1, Design: dg}, noise.NewStream(55))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for misaligned inputs")
-		}
-	}()
-	s.Count([]int{1, 2}, []bool{true})
 }

@@ -176,13 +176,6 @@ func evalL2(build func(run int) synopsis, queries [][]int, truths []*marginal.Ta
 	})
 }
 
-// evalJS is evalL2 with Jensen–Shannon divergence.
-func evalJS(build func(run int) synopsis, queries [][]int, truths []*marginal.Table, runs int) accuracy.Candlestick {
-	return eval(build, queries, truths, runs, func(got, truth *marginal.Table) float64 {
-		return accuracy.JSDivergence(got, truth)
-	})
-}
-
 func eval(build func(run int) synopsis, queries [][]int, truths []*marginal.Table, runs int, errFn func(got, truth *marginal.Table) float64) accuracy.Candlestick {
 	perQuery := make([]float64, len(queries))
 	for run := 0; run < runs; run++ {

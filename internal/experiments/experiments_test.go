@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"priview/internal/accuracy"
 	"priview/internal/core"
+	"priview/internal/marginal"
 	"priview/internal/noise"
 )
 
@@ -69,7 +71,8 @@ func TestFig2KosarakOrdersOfMagnitude(t *testing.T) {
 	}
 	cfg := tiny()
 	cfg.N = 20000
-	rows := RunFig2Kosarak(cfg)
+	cfg = cfg.orDefaults()
+	rows := runFig2Dataset(cfg, kosarakSetup(cfg))
 	// Headline claim: PriView beats Direct and Fourier by orders of
 	// magnitude at eps=1, k=8 on d=32.
 	pv, okPV := meanOf(rows, "PriView", 1.0, 8, "L2n")
@@ -99,7 +102,8 @@ func TestFig3ReconstructionOrdering(t *testing.T) {
 		t.Skip("fig3 involves per-query LP solves")
 	}
 	cfg := Config{Queries: 3, Runs: 1, N: 10000, Seed: 1}
-	rows := RunFig3Kosarak(cfg)
+	kos := kosarakSetup(cfg)
+	rows := runFig3Dataset(cfg, kos, kos.c3)
 	cme, okC := meanOf(rows, "CME", 1.0, 4, "L2n")
 	lp, okL := meanOf(rows, "LP", 1.0, 4, "L2n")
 	if !okC || !okL {
@@ -123,7 +127,8 @@ func TestFig4NonnegOrdering(t *testing.T) {
 		t.Skip("fig4 reduced run still costs seconds")
 	}
 	cfg := Config{Queries: 4, Runs: 1, N: 10000, Seed: 1}
-	rows := RunFig4Kosarak(cfg)
+	kos := kosarakSetup(cfg)
+	rows := runFig4Dataset(cfg, kos, kos.c3)
 	for _, m := range []string{"None", "Simple", "Global", "Ripple1", "Ripple3"} {
 		if len(methodRows(rows, m)) == 0 {
 			t.Errorf("method %s missing from fig4", m)
@@ -449,6 +454,14 @@ func TestEvalBothMatchesSeparateEvals(t *testing.T) {
 	if l2a != l2b || jsa != jsb {
 		t.Errorf("evalBoth diverges: L2 %v vs %v, JS %v vs %v", l2a, l2b, jsa, jsb)
 	}
+}
+
+// evalJS is evalL2 with Jensen–Shannon divergence: the oracle for
+// evalBoth's JS half.
+func evalJS(build func(run int) synopsis, queries [][]int, truths []*marginal.Table, runs int) accuracy.Candlestick {
+	return eval(build, queries, truths, runs, func(got, truth *marginal.Table) float64 {
+		return accuracy.JSDivergence(got, truth)
+	})
 }
 
 func buildNoNoise(ds largeDataset) synopsis {

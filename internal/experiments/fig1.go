@@ -89,7 +89,7 @@ func RunFig1(cfg Config) []Row {
 				}, root.DeriveIndexed("mwem", run*10000+epsKey*10+k))
 			})
 			// Matrix mechanism: the paper plots its expected error.
-			mm := baselines.NewMatrixMechanism(data, eps, k, root.Derive("mm"))
+			mm := baselines.NewMatrixMechanism(data, eps, k)
 			rows = append(rows, Row{
 				Experiment: "fig1", Dataset: "MSNBC", Method: "MatrixMech",
 				Epsilon: eps, K: k, Metric: "L2n",

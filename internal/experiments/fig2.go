@@ -62,13 +62,6 @@ func RunFig2(cfg Config) []Row {
 	return rows
 }
 
-// RunFig2Kosarak runs only the Kosarak half (used by the benchmarks to
-// keep one bench per figure panel affordable).
-func RunFig2Kosarak(cfg Config) []Row {
-	cfg = cfg.orDefaults()
-	return runFig2Dataset(cfg, kosarakSetup(cfg))
-}
-
 func runFig2Dataset(cfg Config, ds largeDataset) []Row {
 	root := noise.NewStream(cfg.Seed).Derive("fig2-" + ds.name)
 	d := ds.data.Dim()

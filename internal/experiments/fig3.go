@@ -27,13 +27,6 @@ func RunFig3(cfg Config) []Row {
 	return rows
 }
 
-// RunFig3Kosarak runs only the Kosarak panel (t=3 design).
-func RunFig3Kosarak(cfg Config) []Row {
-	cfg = cfg.orDefaults()
-	kos := kosarakSetup(cfg)
-	return runFig3Dataset(cfg, kos, kos.c3)
-}
-
 func runFig3Dataset(cfg Config, ds largeDataset, design *covering.Design) []Row {
 	const eps = 1.0
 	root := noise.NewStream(cfg.Seed).Derive("fig3-" + ds.name)

@@ -21,13 +21,6 @@ func RunFig4(cfg Config) []Row {
 	return rows
 }
 
-// RunFig4Kosarak runs only the Kosarak panel.
-func RunFig4Kosarak(cfg Config) []Row {
-	cfg = cfg.orDefaults()
-	kos := kosarakSetup(cfg)
-	return runFig4Dataset(cfg, kos, kos.c3)
-}
-
 func runFig4Dataset(cfg Config, ds largeDataset, design *covering.Design) []Row {
 	const eps = 1.0
 	root := noise.NewStream(cfg.Seed).Derive("fig4-" + ds.name)

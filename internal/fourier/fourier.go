@@ -64,21 +64,6 @@ func FromCoefficients(attrs []int, coeffs []float64) *marginal.Table {
 	return t
 }
 
-// Coefficient computes the single coefficient c_β of a marginal table
-// directly (β is a bitmask over the table's attribute positions). Useful
-// when only a few coefficients are needed.
-func Coefficient(t *marginal.Table, beta int) float64 {
-	c := 0.0
-	for y, v := range t.Cells {
-		if bits.OnesCount(uint(y&beta))&1 == 1 {
-			c -= v
-		} else {
-			c += v
-		}
-	}
-	return c
-}
-
 // SubsetMasks returns all bitmasks over m positions with popcount ≤ k,
 // in increasing numeric order. These index the coefficients the Barak et
 // al. method publishes to support all k-way marginals over m attributes.

@@ -351,29 +351,6 @@ func Subset(a, b []int) bool {
 	return i == len(a)
 }
 
-// Union returns the sorted union of two sorted attribute slices.
-func Union(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // Key returns a canonical string key for a sorted attribute set, suitable
 // for use as a map key when deduplicating sets. Hot paths (constraint
 // dedupe, the query cache, the consistency closure) key on attrset

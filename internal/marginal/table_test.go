@@ -215,9 +215,6 @@ func TestSetOps(t *testing.T) {
 	if got := Intersect(a, b); !reflect.DeepEqual(got, []int{3, 5}) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := Union(a, b); !reflect.DeepEqual(got, []int{1, 3, 4, 5, 7, 9}) {
-		t.Errorf("Union = %v", got)
-	}
 	if !Subset([]int{3, 5}, a) {
 		t.Error("Subset({3,5}, a) = false")
 	}

@@ -56,9 +56,6 @@ func LaplaceMechScale(sensitivity, epsilon float64) float64 {
 	return sensitivity / epsilon
 }
 
-// LaplaceVariance returns the variance of a Laplace(0, b) variate, 2b^2.
-func LaplaceVariance(b float64) float64 { return 2 * b * b }
-
 // UnitVariance is the paper's V_u = 2/eps^2, the variance of the noise a
 // single Laplace mechanism with sensitivity 1 adds under budget eps. The
 // paper expresses every expected-squared-error formula in multiples of

@@ -77,12 +77,6 @@ func TestUnitVariance(t *testing.T) {
 	}
 }
 
-func TestLaplaceVarianceFormula(t *testing.T) {
-	if got := LaplaceVariance(3); got != 18 {
-		t.Errorf("LaplaceVariance(3) = %v, want 18", got)
-	}
-}
-
 func TestStreamDeterminism(t *testing.T) {
 	a := NewStream(42)
 	b := NewStream(42)

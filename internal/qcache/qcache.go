@@ -82,16 +82,6 @@ func NewBudget(total int64) *Budget {
 	return &Budget{total: total}
 }
 
-// Total returns the configured cap (≤ 0 = unlimited).
-func (b *Budget) Total() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
-}
-
 // Used returns the bytes currently reserved across all member caches.
 func (b *Budget) Used() int64 {
 	if b == nil {

@@ -1,6 +1,7 @@
 package reconstruct
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -126,7 +127,7 @@ func BenchmarkMaxEntK6(b *testing.B) {
 	attrs, total, cons := benchConstraints(6, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MaxEnt(attrs, total, cons, Options{})
+		must(b)(Prepare(attrs, total, cons).MaxEnt(context.Background(), Options{}))
 	}
 }
 
@@ -134,7 +135,7 @@ func BenchmarkMaxEntK8(b *testing.B) {
 	attrs, total, cons := benchConstraints(8, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MaxEnt(attrs, total, cons, Options{})
+		must(b)(Prepare(attrs, total, cons).MaxEnt(context.Background(), Options{}))
 	}
 }
 
@@ -142,7 +143,7 @@ func BenchmarkMaxEntDualK6(b *testing.B) {
 	attrs, total, cons := benchConstraints(6, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MaxEntDual(attrs, total, cons, Options{})
+		must(b)(Prepare(attrs, total, cons).MaxEntDual(context.Background(), Options{}))
 	}
 }
 
@@ -150,7 +151,7 @@ func BenchmarkLeastSquaresK6(b *testing.B) {
 	attrs, total, cons := benchConstraints(6, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		LeastSquares(attrs, total, cons, Options{})
+		must(b)(Prepare(attrs, total, cons).LeastSquares(context.Background(), Options{}))
 	}
 }
 
@@ -159,7 +160,7 @@ func BenchmarkLinProgK4(b *testing.B) {
 	_ = total
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := LinProg(attrs, cons); err != nil {
+		if _, err := Prepare(attrs, 0, cons).LinProg(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

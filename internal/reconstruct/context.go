@@ -6,7 +6,7 @@ import (
 	"fmt"
 )
 
-// Typed cancellation errors returned by the *Context solver variants.
+// Typed cancellation errors returned by the Prepared solvers.
 // They wrap the standard context sentinels, so callers may test with
 // errors.Is against either this package's errors or context.Canceled /
 // context.DeadlineExceeded.

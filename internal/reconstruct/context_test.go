@@ -31,7 +31,7 @@ func TestMaxEntContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	table, err := MaxEntContext(ctx, attrs, 1000, conflictingCons(), hugeOpt)
+	table, err := Prepare(attrs, 1000, conflictingCons()).MaxEnt(ctx, hugeOpt)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
@@ -52,7 +52,7 @@ func TestLeastSquaresContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := LeastSquaresContext(ctx, attrs, 1000, conflictingCons(), hugeOpt)
+	_, err := Prepare(attrs, 1000, conflictingCons()).LeastSquares(ctx, hugeOpt)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -68,19 +68,19 @@ func TestContextVariantsCanceled(t *testing.T) {
 	cons := conflictingCons()
 	cases := map[string]func() error{
 		"MaxEnt": func() error {
-			_, err := MaxEntContext(ctx, attrs, 100, cons, Options{})
+			_, err := Prepare(attrs, 100, cons).MaxEnt(ctx, Options{})
 			return err
 		},
 		"MaxEntDual": func() error {
-			_, err := MaxEntDualContext(ctx, attrs, 100, cons, Options{})
+			_, err := Prepare(attrs, 100, cons).MaxEntDual(ctx, Options{})
 			return err
 		},
 		"LeastSquares": func() error {
-			_, err := LeastSquaresContext(ctx, attrs, 100, cons, Options{})
+			_, err := Prepare(attrs, 100, cons).LeastSquares(ctx, Options{})
 			return err
 		},
 		"LinProg": func() error {
-			_, err := LinProgContext(ctx, attrs, cons)
+			_, err := Prepare(attrs, 0, cons).LinProg(ctx)
 			return err
 		},
 	}
@@ -90,21 +90,5 @@ func TestContextVariantsCanceled(t *testing.T) {
 		} else if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err %v does not match context.Canceled under errors.Is", name, err)
 		}
-	}
-}
-
-// TestWrappersMatchContextVariants pins the wrapper contract: the
-// ctx-less entry points must be exactly the Background-context solve.
-func TestWrappersMatchContextVariants(t *testing.T) {
-	attrs := []int{0, 1, 2}
-	cons := conflictingCons()
-	opt := Options{MaxIter: 50}
-	plain := MaxEnt(attrs, 1000, cons, opt)
-	viaCtx, err := MaxEntContext(context.Background(), attrs, 1000, cons, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !marginal.Equal(plain, viaCtx, 0) {
-		t.Error("MaxEnt and MaxEntContext(Background) disagree")
 	}
 }

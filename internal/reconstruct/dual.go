@@ -2,7 +2,6 @@ package reconstruct
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"priview/internal/marginal"
@@ -14,33 +13,14 @@ import (
 // P(a) ∝ exp(Σ_B λ_B(a|_B)), and the dual gradient w.r.t. λ_B(b) is
 // target_B(b) − projection_B(b). IPF is coordinate ascent on the same
 // dual; this solver updates all multipliers simultaneously with an
-// adaptive step. It exists as a cross-check and ablation target for the
-// IPF solver (the two must agree on consistent inputs) and as the
-// natural extension point for stochastic/accelerated variants.
-func MaxEntDual(attrs []int, total float64, cons []*marginal.Table, opt Options) *marginal.Table {
-	t, err := MaxEntDualContext(context.Background(), attrs, total, cons, opt)
-	if err != nil {
-		// Unreachable: context.Background is never canceled.
-		panic(fmt.Sprintf("reconstruct: %v", err))
-	}
-	return t
-}
-
-// MaxEntDualContext is MaxEntDual with cooperative cancellation: every
-// few dual-ascent steps it polls ctx and returns ErrCanceled or
-// ErrDeadline instead of running out its iteration budget. It is the
-// one-shot form of Prepared.MaxEntDual.
-func MaxEntDualContext(ctx context.Context, attrs []int, total float64, cons []*marginal.Table, opt Options) (*marginal.Table, error) {
-	return Prepare(attrs, total, cons).MaxEntDual(ctx, opt)
-}
-
-// MaxEntDual is the prepared form of MaxEntDualContext. Unlike MaxEnt
-// and LeastSquares it has no parallel sweep: its partition-function sum
-// is a single order-sensitive reduction over the full table, and the
-// solver exists as an ablation cross-check rather than a serving path —
-// batch callers still get solve-level parallelism across requests. The
-// multipliers live in per-call buffers, so concurrent solves off one
-// Prepared stay independent.
+// adaptive step; the two must agree on consistent inputs. Every few
+// steps it polls ctx and returns ErrCanceled or ErrDeadline once the
+// caller gives up. Unlike MaxEnt and LeastSquares it has no parallel sweep:
+// its partition-function sum is a single order-sensitive reduction over
+// the full table, and the solver is an ablation cross-check rather than
+// a serving path — batch callers still get solve-level parallelism
+// across requests. The multipliers live in per-call buffers, so
+// concurrent solves off one Prepared stay independent.
 func (p *Prepared) MaxEntDual(ctx context.Context, opt Options) (*marginal.Table, error) {
 	total := p.total
 	if err := checkInputs("maxent-dual", total, p.cons); err != nil {

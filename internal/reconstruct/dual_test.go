@@ -1,6 +1,7 @@
 package reconstruct
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,8 +20,8 @@ func TestDualAgreesWithIPF(t *testing.T) {
 			joint.Project([]int{0, 1}),
 			joint.Project([]int{1, 2}),
 		}
-		ipf := MaxEnt([]int{0, 1, 2}, 150, cons, Options{})
-		dual := MaxEntDual([]int{0, 1, 2}, 150, cons, Options{MaxIter: 2000})
+		ipf := must(t)(Prepare([]int{0, 1, 2}, 150, cons).MaxEnt(context.Background(), Options{}))
+		dual := must(t)(Prepare([]int{0, 1, 2}, 150, cons).MaxEntDual(context.Background(), Options{MaxIter: 2000}))
 		return marginal.Equal(ipf, dual, 0.05)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -36,7 +37,7 @@ func TestDualSatisfiesConstraints(t *testing.T) {
 		joint.Project([]int{1, 2}),
 		joint.Project([]int{2, 3}),
 	}
-	got := MaxEntDual([]int{0, 1, 2, 3}, 300, cons, Options{MaxIter: 3000})
+	got := must(t)(Prepare([]int{0, 1, 2, 3}, 300, cons).MaxEntDual(context.Background(), Options{MaxIter: 3000}))
 	if v := maxConstraintViolation(got, cons); v > 0.5 {
 		t.Errorf("max violation = %v", v)
 	}
@@ -48,7 +49,7 @@ func TestDualSatisfiesConstraints(t *testing.T) {
 }
 
 func TestDualNoConstraints(t *testing.T) {
-	got := MaxEntDual([]int{0, 1}, 60, nil, Options{})
+	got := must(t)(Prepare([]int{0, 1}, 60, nil).MaxEntDual(context.Background(), Options{}))
 	for _, v := range got.Cells {
 		if v != 15 {
 			t.Errorf("cells = %v, want uniform 15", got.Cells)
@@ -58,7 +59,7 @@ func TestDualNoConstraints(t *testing.T) {
 }
 
 func TestDualZeroTotal(t *testing.T) {
-	got := MaxEntDual([]int{0}, 0, nil, Options{})
+	got := must(t)(Prepare([]int{0}, 0, nil).MaxEntDual(context.Background(), Options{}))
 	if got.Total() != 0 {
 		t.Errorf("total = %v", got.Total())
 	}

@@ -27,16 +27,16 @@ func TestSolversRejectNonFiniteConstraints(t *testing.T) {
 		cons := poisonedCons(bad)
 		solvers := map[string]func() (*marginal.Table, error){
 			"maxent": func() (*marginal.Table, error) {
-				return MaxEntContext(ctx, attrs, 100, cons, Options{})
+				return Prepare(attrs, 100, cons).MaxEnt(ctx, Options{})
 			},
 			"maxent-dual": func() (*marginal.Table, error) {
-				return MaxEntDualContext(ctx, attrs, 100, cons, Options{})
+				return Prepare(attrs, 100, cons).MaxEntDual(ctx, Options{})
 			},
 			"least-squares": func() (*marginal.Table, error) {
-				return LeastSquaresContext(ctx, attrs, 100, cons, Options{})
+				return Prepare(attrs, 100, cons).LeastSquares(ctx, Options{})
 			},
 			"linprog": func() (*marginal.Table, error) {
-				return LinProgContext(ctx, attrs, cons)
+				return Prepare(attrs, 0, cons).LinProg(ctx)
 			},
 		}
 		for name, solve := range solvers {
@@ -62,13 +62,13 @@ func TestSolversRejectNonFiniteTotal(t *testing.T) {
 	attrs := []int{0, 1}
 	cons := poisonedCons(60) // repair the poison: all-finite constraints
 	for _, total := range []float64{math.NaN(), math.Inf(1)} {
-		if _, err := MaxEntContext(ctx, attrs, total, cons, Options{}); !errors.Is(err, ErrNumerical) {
+		if _, err := Prepare(attrs, total, cons).MaxEnt(ctx, Options{}); !errors.Is(err, ErrNumerical) {
 			t.Errorf("maxent with total %v: err = %v, want ErrNumerical", total, err)
 		}
-		if _, err := MaxEntDualContext(ctx, attrs, total, cons, Options{}); !errors.Is(err, ErrNumerical) {
+		if _, err := Prepare(attrs, total, cons).MaxEntDual(ctx, Options{}); !errors.Is(err, ErrNumerical) {
 			t.Errorf("maxent-dual with total %v: err = %v, want ErrNumerical", total, err)
 		}
-		if _, err := LeastSquaresContext(ctx, attrs, total, cons, Options{}); !errors.Is(err, ErrNumerical) {
+		if _, err := Prepare(attrs, total, cons).LeastSquares(ctx, Options{}); !errors.Is(err, ErrNumerical) {
 			t.Errorf("least-squares with total %v: err = %v, want ErrNumerical", total, err)
 		}
 	}
@@ -86,14 +86,14 @@ func TestSolversStayCleanOnFiniteInputs(t *testing.T) {
 	copy(c1.Cells, []float64{28, 24, 26, 24})
 	cons := []*marginal.Table{c0, c1}
 	for name, solve := range map[string]func() (*marginal.Table, error){
-		"maxent": func() (*marginal.Table, error) { return MaxEntContext(ctx, attrs, 100, cons, Options{}) },
+		"maxent": func() (*marginal.Table, error) { return Prepare(attrs, 100, cons).MaxEnt(ctx, Options{}) },
 		"maxent-dual": func() (*marginal.Table, error) {
-			return MaxEntDualContext(ctx, attrs, 100, cons, Options{})
+			return Prepare(attrs, 100, cons).MaxEntDual(ctx, Options{})
 		},
 		"least-squares": func() (*marginal.Table, error) {
-			return LeastSquaresContext(ctx, attrs, 100, cons, Options{})
+			return Prepare(attrs, 100, cons).LeastSquares(ctx, Options{})
 		},
-		"linprog": func() (*marginal.Table, error) { return LinProgContext(ctx, attrs, cons) },
+		"linprog": func() (*marginal.Table, error) { return Prepare(attrs, 0, cons).LinProg(ctx) },
 	} {
 		tab, err := solve()
 		if err != nil {

@@ -57,9 +57,8 @@ type prepCons struct {
 // Prepare wraps one reconstruction instance — target attribute set,
 // common total, and the view-derived constraint tables — for repeated
 // solving. It performs no validation or precompute itself: each solver
-// method validates inputs exactly as the corresponding package-level
-// function does, and the shared precompute is built lazily on first
-// use, so Prepare + one solve costs the same as the one-shot call.
+// method validates its inputs, and the shared precompute is built
+// lazily on first use, so Prepare + one solve does no extra work.
 func Prepare(attrs []int, total float64, cons []*marginal.Table) *Prepared {
 	return &Prepared{attrs: attrs, total: total, cons: cons}
 }
@@ -89,9 +88,16 @@ func (p *Prepared) sanitized() []prepCons {
 	return p.san
 }
 
-// MaxEnt is the prepared form of MaxEntContext: maximum-entropy
-// reconstruction by iterative proportional fitting, bit-identical to
-// the package-level function at any Options.SweepWorkers setting.
+// MaxEnt reconstructs the maximum-entropy marginal subject to the
+// constraint marginals (assumed mutually consistent, as produced by the
+// consistency step) and the total. Iterative proportional fitting is
+// exactly coordinate ascent on the max-entropy dual, so for consistent
+// constraints it converges to the unique maximum-entropy solution; for
+// mildly inconsistent ones it settles near the relaxed solution,
+// matching the paper's gradual-relaxation fallback. Every few cycles it
+// polls ctx and, once the caller has canceled or the deadline has
+// passed, abandons the fit with ErrCanceled or ErrDeadline. The result
+// is bit-identical at any Options.SweepWorkers setting.
 func (p *Prepared) MaxEnt(ctx context.Context, opt Options) (*marginal.Table, error) {
 	if err := checkInputs("maxent", p.total, p.cons); err != nil {
 		return nil, err
@@ -163,10 +169,13 @@ func (p *Prepared) MaxEnt(ctx context.Context, opt Options) (*marginal.Table, er
 	return checkResult("maxent", opt.maxIter(), t)
 }
 
-// LeastSquares is the prepared form of LeastSquaresContext: Dykstra's
-// alternating projections onto the constraint subspaces and the
-// non-negative orthant, bit-identical to the package-level function at
-// any Options.SweepWorkers setting.
+// LeastSquares reconstructs the minimum-L2-norm non-negative marginal
+// satisfying the constraints, via Dykstra's alternating projections onto
+// the constraint subspaces and the non-negative orthant. Starting from
+// the origin, Dykstra converges to the projection of 0 onto the
+// feasible set, i.e. the least-norm feasible table. Every few cycles it
+// polls ctx and returns ErrCanceled or ErrDeadline once the caller gives
+// up. The result is bit-identical at any Options.SweepWorkers setting.
 func (p *Prepared) LeastSquares(ctx context.Context, opt Options) (*marginal.Table, error) {
 	if err := checkInputs("least-squares", p.total, p.cons); err != nil {
 		return nil, err
@@ -266,8 +275,13 @@ func (p *Prepared) LeastSquares(ctx context.Context, opt Options) (*marginal.Tab
 	return checkResult("least-squares", opt.maxIter(), t)
 }
 
-// LinProg is the prepared form of LinProgContext: the paper's max-error
-// linear program over the (possibly inconsistent) raw constraints. The
+// LinProg reconstructs the marginal by the paper's linear program:
+// minimize the maximum violation τ of any view-derived constraint
+// subject to non-negative cells. It accepts possibly inconsistent
+// constraints (one per view) — the only method that needs no prior
+// consistency step. Cancellation is threaded into the simplex
+// iterations: it returns ErrCanceled or ErrDeadline when the caller
+// gives up, and other errors for genuine solver failures. The
 // deduplicated constraint set and its projection indices are cached on
 // the Prepared; the simplex tableau itself is rebuilt per call because
 // the solver consumes it destructively.

@@ -9,10 +9,6 @@
 package reconstruct
 
 import (
-	"context"
-	"fmt"
-	"math"
-
 	"priview/internal/attrset"
 	"priview/internal/marginal"
 )
@@ -154,73 +150,6 @@ func sanitize(cons []*marginal.Table, total float64) []*marginal.Table {
 	return out
 }
 
-// MaxEnt reconstructs the maximum-entropy marginal over attrs subject to
-// the given constraint marginals (assumed mutually consistent, as
-// produced by the consistency step) and total count. Iterative
-// proportional fitting is exactly coordinate ascent on the max-entropy
-// dual, so for consistent constraints it converges to the unique
-// maximum-entropy solution; for mildly inconsistent ones it settles
-// near the relaxed solution, matching the paper's gradual-relaxation
-// fallback.
-func MaxEnt(attrs []int, total float64, cons []*marginal.Table, opt Options) *marginal.Table {
-	t, err := MaxEntContext(context.Background(), attrs, total, cons, opt)
-	if err != nil {
-		// Unreachable: context.Background is never canceled.
-		panic(fmt.Sprintf("reconstruct: %v", err))
-	}
-	return t
-}
-
-// MaxEntContext is MaxEnt with cooperative cancellation: every few IPF
-// cycles it polls ctx and, when the caller has canceled or the deadline
-// has passed, abandons the fit and returns ErrCanceled or ErrDeadline
-// instead of running to MaxIter. It is the one-shot form of
-// Prepared.MaxEnt; batch callers use Prepare to share the constraint
-// precompute across solves.
-func MaxEntContext(ctx context.Context, attrs []int, total float64, cons []*marginal.Table, opt Options) (*marginal.Table, error) {
-	return Prepare(attrs, total, cons).MaxEnt(ctx, opt)
-}
-
-// LeastSquares reconstructs the minimum-L2-norm non-negative marginal
-// satisfying the constraints, via Dykstra's alternating projections onto
-// the constraint affine subspaces and the non-negative orthant. Starting
-// from the origin, Dykstra converges to the projection of 0 onto the
-// feasible set, i.e. the least-norm feasible table.
-func LeastSquares(attrs []int, total float64, cons []*marginal.Table, opt Options) *marginal.Table {
-	t, err := LeastSquaresContext(context.Background(), attrs, total, cons, opt)
-	if err != nil {
-		// Unreachable: context.Background is never canceled.
-		panic(fmt.Sprintf("reconstruct: %v", err))
-	}
-	return t
-}
-
-// LeastSquaresContext is LeastSquares with cooperative cancellation:
-// every few Dykstra cycles it polls ctx and returns ErrCanceled or
-// ErrDeadline instead of running to MaxIter. It is the one-shot form of
-// Prepared.LeastSquares; batch callers use Prepare to share the
-// constraint precompute across solves.
-func LeastSquaresContext(ctx context.Context, attrs []int, total float64, cons []*marginal.Table, opt Options) (*marginal.Table, error) {
-	return Prepare(attrs, total, cons).LeastSquares(ctx, opt)
-}
-
-// LinProg reconstructs the marginal by the paper's linear program:
-// minimize the maximum violation τ of any view-derived constraint
-// subject to non-negative cells. It accepts possibly inconsistent
-// constraints (one per view) — this is the only method that does not
-// require a prior consistency step.
-func LinProg(attrs []int, cons []*marginal.Table) (*marginal.Table, error) {
-	return LinProgContext(context.Background(), attrs, cons)
-}
-
-// LinProgContext is LinProg with cooperative cancellation threaded into
-// the simplex iterations; it returns ErrCanceled or ErrDeadline when the
-// caller gives up, and other errors for genuine solver failures. It is
-// the one-shot form of Prepared.LinProg.
-func LinProgContext(ctx context.Context, attrs []int, cons []*marginal.Table) (*marginal.Table, error) {
-	return Prepare(attrs, 0, cons).LinProg(ctx)
-}
-
 // dedupeIdentical drops constraints that duplicate an earlier one to
 // within a small tolerance. After the consistency step all views agree
 // exactly on shared projections up to floating-point rounding, so the
@@ -252,21 +181,4 @@ func dedupeIdentical(cons []*marginal.Table) []*marginal.Table {
 		}
 	}
 	return out
-}
-
-// Entropy returns the Shannon entropy (nats) of the normalized table,
-// used by tests to verify the maximum-entropy property.
-func Entropy(t *marginal.Table) float64 {
-	total := t.Total()
-	if total <= 0 {
-		return 0
-	}
-	h := 0.0
-	for _, v := range t.Cells {
-		if v > 0 {
-			p := v / total
-			h -= p * math.Log(p)
-		}
-	}
-	return h
 }

@@ -1,6 +1,7 @@
 package reconstruct
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,6 +30,34 @@ func maxConstraintViolation(t *marginal.Table, cons []*marginal.Table) float64 {
 		}
 	}
 	return worst
+}
+
+// must returns a solver's table and fails t on its error.
+func must(t testing.TB) func(*marginal.Table, error) *marginal.Table {
+	return func(tab *marginal.Table, err error) *marginal.Table {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+}
+
+// entropy returns the Shannon entropy (nats) of the normalized table,
+// the oracle for the maximum-entropy property.
+func entropy(t *marginal.Table) float64 {
+	total := t.Total()
+	if total <= 0 {
+		return 0
+	}
+	h := 0.0
+	for _, v := range t.Cells {
+		if v > 0 {
+			p := v / total
+			h -= p * math.Log(p)
+		}
+	}
+	return h
 }
 
 func TestCovered(t *testing.T) {
@@ -99,7 +128,7 @@ func TestMaxEntConditionalIndependence(t *testing.T) {
 	c01 := joint.Project([]int{0, 1})
 	c12 := joint.Project([]int{1, 2})
 	p1 := joint.Project([]int{1})
-	got := MaxEnt([]int{0, 1, 2}, 1, []*marginal.Table{c01, c12}, Options{})
+	got := must(t)(Prepare([]int{0, 1, 2}, 1, []*marginal.Table{c01, c12}).MaxEnt(context.Background(), Options{}))
 	want := marginal.New([]int{0, 1, 2})
 	for idx := range want.Cells {
 		a := idx & 1
@@ -124,7 +153,7 @@ func TestMaxEntSatisfiesConstraints(t *testing.T) {
 			joint.Project([]int{2, 3}),
 			joint.Project([]int{0, 3}),
 		}
-		got := MaxEnt([]int{0, 1, 2, 3}, 250, cons, Options{})
+		got := must(t)(Prepare([]int{0, 1, 2, 3}, 250, cons).MaxEnt(context.Background(), Options{}))
 		if maxConstraintViolation(got, cons) > 1e-4 {
 			return false
 		}
@@ -151,8 +180,8 @@ func TestMaxEntMaximizesEntropy(t *testing.T) {
 			joint.Project([]int{0, 1}),
 			joint.Project([]int{2}),
 		}
-		got := MaxEnt([]int{0, 1, 2}, 1, cons, Options{})
-		return Entropy(got) >= Entropy(joint)-1e-6
+		got := must(t)(Prepare([]int{0, 1, 2}, 1, cons).MaxEnt(context.Background(), Options{}))
+		return entropy(got) >= entropy(joint)-1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -165,7 +194,7 @@ func TestMaxEntIndependentProduct(t *testing.T) {
 	c0.Cells = []float64{30, 70}
 	c1 := marginal.New([]int{1})
 	c1.Cells = []float64{60, 40}
-	got := MaxEnt([]int{0, 1}, 100, []*marginal.Table{c0, c1}, Options{})
+	got := must(t)(Prepare([]int{0, 1}, 100, []*marginal.Table{c0, c1}).MaxEnt(context.Background(), Options{}))
 	want := []float64{0.3 * 0.6, 0.7 * 0.6, 0.3 * 0.4, 0.7 * 0.4}
 	for i := range want {
 		if math.Abs(got.Cells[i]-want[i]*100) > 1e-6 {
@@ -175,7 +204,7 @@ func TestMaxEntIndependentProduct(t *testing.T) {
 }
 
 func TestMaxEntNoConstraints(t *testing.T) {
-	got := MaxEnt([]int{0, 1}, 80, nil, Options{})
+	got := must(t)(Prepare([]int{0, 1}, 80, nil).MaxEnt(context.Background(), Options{}))
 	for _, v := range got.Cells {
 		if v != 20 {
 			t.Errorf("cells = %v, want uniform 20", got.Cells)
@@ -185,7 +214,7 @@ func TestMaxEntNoConstraints(t *testing.T) {
 }
 
 func TestMaxEntZeroTotal(t *testing.T) {
-	got := MaxEnt([]int{0, 1}, 0, nil, Options{})
+	got := must(t)(Prepare([]int{0, 1}, 0, nil).MaxEnt(context.Background(), Options{}))
 	if got.Total() != 0 {
 		t.Errorf("total = %v, want 0", got.Total())
 	}
@@ -194,7 +223,7 @@ func TestMaxEntZeroTotal(t *testing.T) {
 func TestMaxEntNegativeTargetsSanitized(t *testing.T) {
 	c := marginal.New([]int{0})
 	c.Cells = []float64{-5, 105}
-	got := MaxEnt([]int{0, 1}, 100, []*marginal.Table{c}, Options{})
+	got := must(t)(Prepare([]int{0, 1}, 100, []*marginal.Table{c}).MaxEnt(context.Background(), Options{}))
 	for _, v := range got.Cells {
 		if v < 0 {
 			t.Errorf("negative cell in maxent output: %v", got.Cells)
@@ -209,7 +238,7 @@ func TestMaxEntZeroTargetGroup(t *testing.T) {
 	// A constraint with a zero entry must zero the whole group.
 	c := marginal.New([]int{0})
 	c.Cells = []float64{0, 100}
-	got := MaxEnt([]int{0, 1}, 100, []*marginal.Table{c}, Options{})
+	got := must(t)(Prepare([]int{0, 1}, 100, []*marginal.Table{c}).MaxEnt(context.Background(), Options{}))
 	if got.Cells[0] != 0 || got.Cells[2] != 0 {
 		t.Errorf("cells with attr0=0 not zeroed: %v", got.Cells)
 	}
@@ -229,7 +258,7 @@ func TestLeastSquaresProperties(t *testing.T) {
 			joint.Project([]int{0, 1}),
 			joint.Project([]int{1, 2}),
 		}
-		ls := LeastSquares([]int{0, 1, 2}, 120, cons, Options{})
+		ls := must(t)(Prepare([]int{0, 1, 2}, 120, cons).LeastSquares(context.Background(), Options{}))
 		if maxConstraintViolation(ls, cons) > 1e-3 {
 			return false
 		}
@@ -238,7 +267,7 @@ func TestLeastSquaresProperties(t *testing.T) {
 				return false
 			}
 		}
-		me := MaxEnt([]int{0, 1, 2}, 120, cons, Options{})
+		me := must(t)(Prepare([]int{0, 1, 2}, 120, cons).MaxEnt(context.Background(), Options{}))
 		norm := func(t *marginal.Table) float64 {
 			s := 0.0
 			for _, v := range t.Cells {
@@ -254,7 +283,7 @@ func TestLeastSquaresProperties(t *testing.T) {
 }
 
 func TestLeastSquaresNoConstraints(t *testing.T) {
-	got := LeastSquares([]int{0, 1}, 40, nil, Options{})
+	got := must(t)(Prepare([]int{0, 1}, 40, nil).LeastSquares(context.Background(), Options{}))
 	for _, v := range got.Cells {
 		if v != 10 {
 			t.Errorf("cells = %v, want uniform", got.Cells)
@@ -270,7 +299,7 @@ func TestLinProgConsistentConstraintsExact(t *testing.T) {
 		joint.Project([]int{0, 1}),
 		joint.Project([]int{1, 2}),
 	}
-	got, err := LinProg([]int{0, 1, 2}, cons)
+	got, err := Prepare([]int{0, 1, 2}, 0, cons).LinProg(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +315,7 @@ func TestLinProgInconsistentConstraints(t *testing.T) {
 	a.Cells = []float64{10, 10}
 	b := marginal.New([]int{0})
 	b.Cells = []float64{14, 14}
-	got, err := LinProg([]int{0, 1}, []*marginal.Table{a, b})
+	got, err := Prepare([]int{0, 1}, 0, []*marginal.Table{a, b}).LinProg(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +329,7 @@ func TestLinProgInconsistentConstraints(t *testing.T) {
 func TestLinProgFullyCoveredSet(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	joint := randomJoint(r, []int{0, 1}, 50)
-	got, err := LinProg([]int{0, 1}, []*marginal.Table{joint})
+	got, err := Prepare([]int{0, 1}, 0, []*marginal.Table{joint}).LinProg(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,17 +340,17 @@ func TestLinProgFullyCoveredSet(t *testing.T) {
 
 func TestEntropy(t *testing.T) {
 	u := marginal.Uniform([]int{0, 1}, 1)
-	if math.Abs(Entropy(u)-math.Log(4)) > 1e-12 {
-		t.Errorf("uniform entropy = %v, want ln 4", Entropy(u))
+	if math.Abs(entropy(u)-math.Log(4)) > 1e-12 {
+		t.Errorf("uniform entropy = %v, want ln 4", entropy(u))
 	}
 	point := marginal.New([]int{0, 1})
 	point.Cells[2] = 5
-	if Entropy(point) != 0 {
-		t.Errorf("point-mass entropy = %v, want 0", Entropy(point))
+	if entropy(point) != 0 {
+		t.Errorf("point-mass entropy = %v, want 0", entropy(point))
 	}
 	empty := marginal.New([]int{0})
-	if Entropy(empty) != 0 {
-		t.Errorf("zero-table entropy = %v, want 0", Entropy(empty))
+	if entropy(empty) != 0 {
+		t.Errorf("zero-table entropy = %v, want 0", entropy(empty))
 	}
 }
 

@@ -154,11 +154,6 @@ func (m *Multi) handleRelease(op string, h http.Handler) {
 	m.handle("/v1/"+op, h)
 }
 
-// Metrics exposes the router's telemetry handle set (the same object
-// GET /metrics serves) so owners can wire the release registry and
-// clients onto the shared scrape surface.
-func (m *Multi) Metrics() *Metrics { return m.tel }
-
 // ServeHTTP implements http.Handler.
 func (m *Multi) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m.mux.ServeHTTP(w, r)
@@ -168,9 +163,6 @@ func (m *Multi) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // /readyz answer 503 so load balancers take the instance out of
 // rotation before Shutdown closes the listener. Safe for concurrent use.
 func (m *Multi) SetDraining(v bool) { m.draining.Store(v) }
-
-// Draining reports whether the router is refusing its health probes.
-func (m *Multi) Draining() bool { return m.draining.Load() }
 
 // releaseName resolves which release a request addresses: the {release}
 // path segment, or the configured default for legacy routes. ok is

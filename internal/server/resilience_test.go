@@ -248,9 +248,6 @@ func TestHealthzDraining(t *testing.T) {
 	if code := probe(); code != http.StatusServiceUnavailable {
 		t.Fatalf("draining probe = %d, want 503", code)
 	}
-	if !s.Draining() {
-		t.Error("Draining() = false while draining")
-	}
 	s.SetDraining(false)
 	if code := probe(); code != http.StatusOK {
 		t.Fatalf("recovered probe = %d", code)

@@ -51,9 +51,6 @@ func NewStoreFS(fsys FS, dir string, keep int) (*Store, error) {
 	return &Store{fsys: fsys, dir: dir, keep: keep}, nil
 }
 
-// Dir returns the store directory.
-func (st *Store) Dir() string { return st.dir }
-
 // seqOf parses the sequence number out of a snapshot file name,
 // returning -1 for names that are not snapshots.
 func seqOf(name string) int {

@@ -67,18 +67,6 @@ func NewGauge() *Gauge { return new(Gauge) }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d float64) {
-	//lint:ignore ctxflow bounded CAS retry between two atomic loads under finite contention; no request context reaches this path
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

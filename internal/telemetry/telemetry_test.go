@@ -3,12 +3,34 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// Add adjusts the gauge by d (negative to decrease), by a CAS retry:
+// the concurrent writer the scrape stress test drives.
+func (g *Gauge) Add(d float64) {
+	for {
+		old := g.bits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + d)
+		if g.bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// Count returns the total number of observations.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 func TestCounterBasics(t *testing.T) {
 	c := NewCounter()

@@ -147,13 +147,6 @@ func FromViews(views []*Table, cfg Config) *Synopsis {
 	return core.FromViews(views, cfg)
 }
 
-// Merge combines independent releases over the same view set into one
-// more-accurate synopsis by inverse-variance weighting. The result is
-// (Σ εᵢ)-differentially private by sequential composition.
-func Merge(synopses ...*Synopsis) (*Synopsis, error) {
-	return core.Merge(synopses...)
-}
-
 // L2Error returns the L2 distance between two tables over the same
 // attribute set — the paper's error distance.
 func L2Error(a, b *Table) float64 { return accuracy.L2Error(a, b) }
