@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"priview/internal/accuracy"
+	"priview/internal/core"
+	"priview/internal/covering"
 	"priview/internal/dataset"
 	"priview/internal/dataset/synth"
 	"priview/internal/marginal"
@@ -167,6 +169,23 @@ func TestEllObjectiveTableMatchesPaper(t *testing.T) {
 	for ell, want := range wantTriples {
 		if got := EllObjectiveTriples(ell); math.Abs(got-want) > 0.0015 {
 			t.Errorf("triple objective ℓ=%d: got %.3f, want %.3f", ell, got, want)
+		}
+	}
+}
+
+func TestNoiseErrorEquation5MatchesPaperExample(t *testing.T) {
+	// §4.5: Kosarak d=32, N≈900000, ε=1, ℓ=8: t=2 w=20 → 0.00047;
+	// t=3 w=106 → 0.0011; t=4 w=620 → 0.0026. core.NoiseError is the
+	// Eq. 5 the planner uses.
+	cases := []struct {
+		t, w int
+		want float64
+	}{{2, 20, 0.00047}, {3, 106, 0.0011}, {4, 620, 0.0026}}
+	for _, c := range cases {
+		dg := &covering.Design{D: 32, T: c.t, L: 8, Blocks: make([][]int, c.w)}
+		got := core.NoiseError(dg, 1.0, 900000)
+		if math.Abs(got-c.want)/c.want > 0.08 {
+			t.Errorf("Eq5(w=%d) = %.5f, want ≈%.5f", c.w, got, c.want)
 		}
 	}
 }
