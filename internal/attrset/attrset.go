@@ -157,14 +157,12 @@ func (s Set) String() string {
 // bit j is set when the j-th smallest member of super belongs to sub.
 // sub must be a subset of super; stray members are ignored by the
 // masking (callers validate subset-ness where it is not structural).
+// Each member of sub ∩ super costs one popcount: its position is the
+// number of super's members below it.
 func PosMask(sub, super Set) uint64 {
 	var pm uint64
-	j := 0
-	for m := uint64(super); m != 0; m &= m - 1 {
-		if uint64(sub)&(m&-m) != 0 {
-			pm |= 1 << uint(j)
-		}
-		j++
+	for m := uint64(sub & super); m != 0; m &= m - 1 {
+		pm |= 1 << uint(bits.OnesCount64(uint64(super)&(m&-m-1)))
 	}
 	return pm
 }

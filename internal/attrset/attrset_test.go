@@ -253,6 +253,9 @@ func TestPosMask(t *testing.T) {
 	if got := PosMask(super, super); got != 0b1111 {
 		t.Errorf("PosMask(self) = %b, want 1111", got)
 	}
+	if got := PosMask(Of(0, 5, 7, 63), Of(5, 63)); got != 0b11 {
+		t.Errorf("PosMask(stray members) = %b, want 11", got)
+	}
 }
 
 func TestIntersectionClosureProperties(t *testing.T) {

@@ -16,12 +16,13 @@ package audit
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"strings"
 
 	"priview/internal/attrset"
 	"priview/internal/consistency"
 	"priview/internal/covering"
+	"priview/internal/fourier"
 	"priview/internal/marginal"
 )
 
@@ -215,6 +216,8 @@ func Check(s Synopsis, opt Options) *Report {
 	// non-finite cell is excluded from the cross-view checks below —
 	// its projections would poison every comparison.
 	usable := make([]bool, len(views))
+	norm := make([]float64, len(views)) // ‖v‖₁ of each usable view
+	cells := 0                          // the usable views' cells
 	for i, v := range views {
 		if v == nil {
 			r.add(Error, "structure", i, math.NaN(), "view %d is nil", i)
@@ -236,10 +239,12 @@ func Check(s Synopsis, opt Options) *Report {
 			if c < worstNeg {
 				worstNeg = c
 			}
+			norm[i] += math.Abs(c)
 		}
 		if !usable[i] {
 			continue
 		}
+		cells += len(v.Cells)
 		switch {
 		case worstNeg < -opt.NonnegErr:
 			r.add(Error, "non-negativity", i, worstNeg,
@@ -282,26 +287,61 @@ func Check(s Synopsis, opt Options) *Report {
 	}
 
 	// Mutual consistency (§4.4): every pair of views sharing attributes
-	// must agree on the shared marginal.
-	sw := pairSweep{left: map[attrset.Set]int{}, restrict: map[restrictKey][]int32{}}
+	// must agree on the shared marginal. A marginal over S is fixed by
+	// the Walsh–Hadamard coefficients supported within S, so each pair
+	// is first screened on those (pairBound); only a pair the screen
+	// cannot clear projects both views and compares them cell by cell.
+	coef := make([][]float64, len(views))
+	slab := make([]float64, cells)
+	for i, v := range views {
+		if usable[i] {
+			coef[i], slab = slab[:len(v.Cells):len(v.Cells)], slab[len(v.Cells):]
+			copy(coef[i], v.Cells)
+			fourier.WHT(coef[i])
+		}
+	}
+	// In exact arithmetic no cell of P_S(vᵢ) − P_S(vⱼ) exceeds the
+	// bound B, so a pair clears when B ≤ tol − margin. The margin covers
+	// the rounding of the computed B and of the exact path's computed
+	// gap; with u = 2⁻⁵², n a view's cell count and
+	// M = max(‖vᵢ‖₁, ‖vⱼ‖₁):
+	//   - each WHT coefficient is off by ≤ log₂n·u·‖v‖₁, which moves B
+	//     by ≤ (log₂nᵢ + log₂nⱼ)·u·M;
+	//   - B's subtractions, absolute values and sum round by a relative
+	//     ≤ (2^|S| + 2)·u, and B ≤ tol where it clears;
+	//   - the exact path sums each projected cell in ascending cell
+	//     order, off by ≤ n·u·‖v‖₁, so its gap is off by ≤ (nᵢ + nⱼ)·u·M.
+	// Together these stay below 2·(nᵢ + nⱼ)·u·(M + tol), and
+	// margin = 8·(nᵢ + nⱼ)·u·(M + tol) is 4× that: a pair that clears
+	// has a computed gap ≤ tol, hence no finding. A NaN or Inf in B or
+	// in the margin makes the comparison false and sends the pair to
+	// the exact path.
+	tol := opt.ConsistencyTol
 	for i := 0; i < len(views); i++ {
 		if !usable[i] {
 			continue
 		}
-		sw.reset()
+		mi := views[i].Mask()
 		for j := i + 1; j < len(views); j++ {
 			if !usable[j] {
 				continue
 			}
-			shared := views[i].Mask().Intersect(views[j].Mask())
+			mj := views[j].Mask()
+			shared := mi.Intersect(mj)
 			if shared.Empty() {
 				continue
 			}
 			r.Pairs++
-			gap := maxAbsDiff(sw.leftProjection(views[i], shared), sw.rightProjection(views[j], shared))
-			if gap > opt.ConsistencyTol {
+			ci, cj := coef[i], coef[j]
+			margin := 8 * float64(len(ci)+len(cj)) * 0x1p-52 * (math.Max(norm[i], norm[j]) + tol)
+			if pairBound(ci, cj, attrset.PosMask(shared, mi), attrset.PosMask(shared, mj)) <= tol-margin {
+				continue
+			}
+			attrs := shared.Attrs()
+			gap := marginal.MaxAbsDiff(views[i].Project(attrs), views[j].Project(attrs))
+			if gap > tol {
 				r.add(Error, "consistency", i, gap,
-					"views %d and %d disagree on shared attrs %v by %v (tol %v)", i, j, shared.Attrs(), gap, opt.ConsistencyTol)
+					"views %d and %d disagree on shared attrs %v by %v (tol %v)", i, j, attrs, gap, tol)
 			}
 		}
 	}
@@ -313,110 +353,21 @@ func Check(s Synopsis, opt Options) *Report {
 	return r
 }
 
-// restrictPrecomputeLimit is marginal's bound on the views that get a
-// restrict table: a view with more cells keeps Table.Project's
-// per-cell gather, as it does everywhere else.
-const restrictPrecomputeLimit = 1 << 24
-
-// sweepCacheCells bounds each cache of the pairwise sweep, in cells:
-// the left view's projections (512 KiB) and the restrict tables
-// (256 KiB). A cache that would grow past it is emptied and refilled.
-const sweepCacheCells = 1 << 16
-
-// restrictKey names a restrict table: it depends only on the view's
-// dimension and the positions the shared set occupies within it.
-type restrictKey struct {
-	dim int
-	pos uint64
-}
-
-// pairSweep is the consistency sweep's reusable state. Each pair
-// projects both views onto their shared set; the left view's
-// projections are memoized by shared set while it is the left of the
-// sweep, the right view is projected into one reused buffer, and
-// restrict tables are shared by every view of the same dimension.
-type pairSweep struct {
-	left          map[attrset.Set]int // shared set → offset of the left view's projection in memo
-	memo          []float64
-	right         []float64
-	restrict      map[restrictKey][]int32
-	restrictCells int
-}
-
-// reset drops the projections of the previous left view, keeping their
-// storage.
-func (sw *pairSweep) reset() {
-	clear(sw.left)
-	sw.memo = sw.memo[:0]
-}
-
-// leftProjection returns the current left view v's projection onto
-// shared, computing it on first use.
-func (sw *pairSweep) leftProjection(v *marginal.Table, shared attrset.Set) []float64 {
-	if shared == v.Mask() || len(v.Cells) > restrictPrecomputeLimit {
-		return sw.project(v, shared, nil) // no buffer to fill, nothing to memoize
-	}
-	n := 1 << uint(shared.Card())
-	if off, ok := sw.left[shared]; ok {
-		return sw.memo[off : off+n]
-	}
-	if len(sw.memo)+n > sweepCacheCells {
-		sw.reset()
-	}
-	off := len(sw.memo)
-	sw.memo = slices.Grow(sw.memo, n)[:off+n]
-	sw.left[shared] = off
-	return sw.project(v, shared, sw.memo[off:])
-}
-
-// rightProjection returns v's projection onto shared, in the buffer
-// every right view shares.
-func (sw *pairSweep) rightProjection(v *marginal.Table, shared attrset.Set) []float64 {
-	sw.right = slices.Grow(sw.right[:0], 1<<uint(shared.Card()))
-	return sw.project(v, shared, sw.right)
-}
-
-// project returns v's cells summed onto shared, in ascending cell
-// order as Table.Project sums them: v's own cells when shared is all
-// of v, Project's result for a view too large for a restrict table,
-// and otherwise ProjectInto through a cached restrict table into buf,
-// which must have room for 2^|shared| cells.
-func (sw *pairSweep) project(v *marginal.Table, shared attrset.Set, buf []float64) []float64 {
-	switch {
-	case shared == v.Mask():
-		return v.Cells
-	case len(v.Cells) > restrictPrecomputeLimit:
-		return v.Project(shared.Attrs()).Cells
-	}
-	buf = buf[:1<<uint(shared.Card())]
-	v.ProjectInto(buf, sw.restrictTable(v.Dim(), attrset.PosMask(shared, v.Mask())))
-	return buf
-}
-
-// restrictTable returns attrset.RestrictTable(dim, pos), building it on
-// first use.
-func (sw *pairSweep) restrictTable(dim int, pos uint64) []int32 {
-	k := restrictKey{dim, pos}
-	if t, ok := sw.restrict[k]; ok {
-		return t
-	}
-	t := attrset.RestrictTable(dim, pos)
-	if sw.restrictCells+len(t) > sweepCacheCells {
-		clear(sw.restrict)
-		sw.restrictCells = 0
-	}
-	sw.restrict[k] = t
-	sw.restrictCells += len(t)
-	return t
-}
-
-// maxAbsDiff is marginal.MaxAbsDiff over two projections' cells.
-func maxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
+// pairBound returns B = 2^−|S|·Σ_{T⊆S} |âᵢ(T) − âⱼ(T)|, where âᵢ and âⱼ
+// are the Walsh–Hadamard coefficients of two views and pi and pj the
+// positions their shared set S occupies in each (attrset.PosMask). The
+// inverse transform bounds every cell of P_S(vᵢ) − P_S(vⱼ) by B. Both
+// views index S's members in ascending attribute order, so the
+// submasks of pi and pj, each enumerated in ascending order, visit the
+// same T in lockstep.
+func pairBound(ai, aj []float64, pi, pj uint64) float64 {
+	b := 0.0
+	//lint:hot
+	for s, t := uint64(0), uint64(0); ; s, t = (s-pi)&pi, (t-pj)&pj {
+		b += math.Abs(ai[s] - aj[t])
+		if s == pi {
+			break
 		}
 	}
-	return m
+	return b / float64(uint64(1)<<bits.OnesCount64(pi))
 }

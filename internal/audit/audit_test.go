@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -304,10 +305,25 @@ var benchRelease = sync.OnceValue(func() *core.Synopsis {
 	return core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(1))
 })
 
+// damagedRelease is the benchmark's release with view i's first cell
+// raised by i, so every overlapping pair disagrees on its shared
+// marginal's first cell: every pair fails the audit.
+func damagedRelease() *fakeSyn {
+	rel := benchRelease()
+	views := make([]*marginal.Table, len(rel.Views()))
+	for i, v := range rel.Views() {
+		views[i] = v.Clone()
+		views[i].Cells[0] += float64(i)
+	}
+	return &fakeSyn{views: views, total: rel.Total(), eps: rel.Epsilon()}
+}
+
 // TestCheckMatchesPairwiseReference pins Check's consistency sweep to
-// its definition: on random synopses, and on noisy and damaged copies of
-// the benchmark's release, the report holds exactly the pairs and the
-// findings of the plain Project-and-compare loop.
+// its definition: on random synopses, on noisy and damaged copies of the
+// benchmark's release, on copies with gaps within rounding of the
+// tolerance, and on the release at a tolerance no pair clears, the
+// report holds exactly the pairs and the findings of the plain
+// Project-and-compare loop.
 func TestCheckMatchesPairwiseReference(t *testing.T) {
 	rng := noise.NewStream(11)
 	data := synth.Uniform(12, 500, 0.3, 11)
@@ -315,8 +331,8 @@ func TestCheckMatchesPairwiseReference(t *testing.T) {
 	for k := 0; k < 300; k++ {
 		crossCheck(t, randomSynopsis(rng, data, tol, 1, 8), tol)
 	}
-	// Views of 15–17 attributes overflow both of the sweep's caches, so
-	// they are emptied and refilled partway through a left view.
+	// Views of 15–17 attributes share wide sets, so a pair's bound sums
+	// up to 2^17 coefficients.
 	wide := synth.Uniform(19, 300, 0.3, 12)
 	tol = 1e-6 * float64(wide.Len())
 	for k := 0; k < 3; k++ {
@@ -338,11 +354,27 @@ func TestCheckMatchesPairwiseReference(t *testing.T) {
 		s := &fakeSyn{views: views, total: rel.Total(), eps: rel.Epsilon()}
 		crossCheck(t, s, 1e-6*math.Max(math.Abs(rel.Total()), 1))
 	}
+
+	// One cell moved by tol·(1 ± 5e-10) puts the gaps of its view's
+	// pairs within rounding of tol, where the spectral screen must
+	// leave the verdict to the exact comparison.
+	tol = 1e-6 * math.Max(math.Abs(rel.Total()), 1)
+	for k := 0; k < 16; k++ {
+		views := slices.Clone(rel.Views())
+		i := rng.Intn(len(views))
+		views[i] = views[i].Clone()
+		views[i].Cells[rng.Intn(len(views[i].Cells))] += tol * (1 + (rng.Float64()-0.5)*1e-9)
+		crossCheck(t, &fakeSyn{views: views, total: rel.Total(), eps: rel.Epsilon()}, tol)
+	}
+	// Below the screen's rounding margin no pair clears, so every pair
+	// takes the exact path.
+	crossCheck(t, rel, 1e-12)
 }
 
 // TestCheckAllocations bounds the audit's allocations on the benchmark's
-// release shape: the pairwise sweep reuses its projections and restrict
-// tables, so the whole audit allocates well under once per pair.
+// release shape: the consistency screen fills one coefficient slab per
+// Check and allocates nothing per pair it clears, so the whole audit
+// allocates well under once per pair.
 func TestCheckAllocations(t *testing.T) {
 	s := benchRelease()
 	pairs := audit.Check(s, audit.Options{}).Pairs
@@ -355,12 +387,18 @@ func TestCheckAllocations(t *testing.T) {
 // reportSink keeps BenchmarkCheck's result live.
 var reportSink *audit.Report
 
-// BenchmarkCheck audits the benchmark's release shape.
+// BenchmarkCheck audits the benchmark's release shape: clean, where
+// every pair passes, and damaged, where every pair fails.
 func BenchmarkCheck(b *testing.B) {
-	s := benchRelease()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reportSink = audit.Check(s, audit.Options{})
+	for _, bc := range []struct {
+		name string
+		s    audit.Synopsis
+	}{{"clean", benchRelease()}, {"damaged", damagedRelease()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				reportSink = audit.Check(bc.s, audit.Options{})
+			}
+		})
 	}
 }

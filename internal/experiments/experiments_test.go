@@ -64,9 +64,6 @@ func TestFig1SmokeAndOrdering(t *testing.T) {
 
 func TestFig2KosarakOrdersOfMagnitude(t *testing.T) {
 	if testing.Short() {
-		t.Skipf("skipping in -short mode: full Kosarak/AOL sweep")
-	}
-	if testing.Short() {
 		t.Skip("fig2 reduced run still costs seconds")
 	}
 	cfg := tiny()
@@ -96,9 +93,6 @@ func TestFig2KosarakOrdersOfMagnitude(t *testing.T) {
 
 func TestFig3ReconstructionOrdering(t *testing.T) {
 	if testing.Short() {
-		t.Skipf("skipping in -short mode: all reconstruction methods on the full grid")
-	}
-	if testing.Short() {
 		t.Skip("fig3 involves per-query LP solves")
 	}
 	cfg := Config{Queries: 3, Runs: 1, N: 10000, Seed: 1}
@@ -120,9 +114,6 @@ func TestFig3ReconstructionOrdering(t *testing.T) {
 }
 
 func TestFig4NonnegOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skipf("skipping in -short mode: all non-negativity methods on the full grid")
-	}
 	if testing.Short() {
 		t.Skip("fig4 reduced run still costs seconds")
 	}
@@ -166,9 +157,6 @@ func TestFig5RunsAllOrders(t *testing.T) {
 }
 
 func TestFig6IncludesNoiseErrorStars(t *testing.T) {
-	if testing.Short() {
-		t.Skipf("skipping in -short mode: full covering-design comparison")
-	}
 	if testing.Short() {
 		t.Skip("fig6 builds many designs")
 	}
@@ -316,9 +304,6 @@ func TestRecommendedCellBudgetShape(t *testing.T) {
 
 func TestRuntimeTable(t *testing.T) {
 	if testing.Short() {
-		t.Skipf("skipping in -short mode: wall-clock measurement run")
-	}
-	if testing.Short() {
 		t.Skip("runtime table builds four synopses")
 	}
 	cfg := Config{Queries: 1, Runs: 1, N: 3000, Seed: 1}
@@ -401,9 +386,6 @@ func TestFormatAndCSV(t *testing.T) {
 }
 
 func TestAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skipf("skipping in -short mode: full ablation sweep")
-	}
 	if testing.Short() {
 		t.Skip("ablation builds several synopses")
 	}
