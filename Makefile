@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-bench test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch bench-smoke sloc deadcode check
+.PHONY: all build vet lint lint-bench test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch bench-smoke sloc deadcode startup check
 
 all: build
 
@@ -88,7 +88,7 @@ bench:
 	$(GO) test -run='^$$' -bench='BenchmarkDedupeIdentical' -benchmem -benchtime=$(BENCHTIME) ./internal/reconstruct/
 	$(GO) test -run='^$$' -bench='BenchmarkPairwiseScan|BenchmarkIntersectionClosure|BenchmarkFromAttrs' -benchmem -benchtime=$(BENCHTIME) ./internal/attrset/
 	$(GO) test -run='^$$' -bench='BenchmarkHotLoopProjection' -benchmem -benchtime=$(BENCHTIME) ./internal/marginal/
-	$(GO) test -run='^$$' -bench='BenchmarkDecode' -benchmem -benchtime=$(BENCHTIME) ./internal/snapshot/
+	$(GO) test -run='^$$' -bench='BenchmarkDecode|BenchmarkWrite' -benchmem -benchtime=$(BENCHTIME) ./internal/snapshot/
 	$(GO) test -run='^$$' -bench='BenchmarkCheck' -benchmem -benchtime=$(BENCHTIME) ./internal/audit/
 
 # Batched-query wall-clock: QueryBatch vs the sequential loop on the
@@ -111,8 +111,8 @@ bench-smoke:
 
 # Short coverage-guided fuzz runs over the untrusted-input decoders:
 # snapshot container parsing and synopsis decoding, each checked
-# against encoding/json as the reference, and the audit-over-load
-# pipeline. Ten seconds per target keeps the gate fast; longer
+# against encoding/json as the reference, the audit-over-load
+# pipeline, and the reader's float conversion against strconv. Ten seconds per target keeps the gate fast; longer
 # campaigns can raise FUZZTIME. Minimizing each new input from the
 # multi-KB seeds is capped at 100 runs: uncapped, it takes most of the
 # ten seconds and the target barely mutates. The checked-in seed corpus
@@ -122,6 +122,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/snapshot/
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzAuditReport -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/audit/
+	$(GO) test -run='^$$' -fuzz=FuzzFloat -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/jsonread/
 
 # Build a small synopsis and run the release auditor over it — an
 # end-to-end smoke of the publish gate (`priview build` refuses to
@@ -149,6 +150,17 @@ sloc:
 	@git diff --numstat --no-renames $(BASE) -- '*_test.go' '*testdata/*.go' ':!bench/*' | \
 	awk '{ ta += $$1; tr += $$2 } \
 	END { printf "%-24s %7s %7s %7s\n", "tests (not counted)", ta + 0, tr + 0, sprintf("%+d", ta - tr) }'
+
+# Startup A/B against BASE: priview-serve built from a git archive of
+# BASE and from the working tree, SPAWNS servers per side spawned one at
+# a time on the benchmark's release shape under chrt --idle, alternating
+# which side goes first. Prints per side the median and quartiles of
+# spawn → first /healthz 200 and of the release.load and release.audit
+# stages from /metrics, and the host. Not part of check.
+SPAWNS ?= 15
+startup:
+	@if [ -z "$(BASE)" ]; then echo "usage: make startup BASE=<commit>" >&2; exit 2; fi
+	$(GO) run ./cmd/priview-startup -base $(BASE) -spawns $(SPAWNS)
 
 # Functions no binary links. Every main package and bench/ are built
 # with inlining off (-gcflags=all=-l), so a called function cannot

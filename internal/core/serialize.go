@@ -117,10 +117,32 @@ func (s *Synopsis) Save(w io.Writer) error {
 func Load(raw []byte) (*Synopsis, error) {
 	f, err := decodeFile(raw)
 	if err != nil {
-		return nil, fmt.Errorf("core: decoding synopsis: %w", err)
+		return nil, decodingError(err)
 	}
 	return fromFile(f)
 }
+
+// decodingError is Load's error for a document it cannot decode.
+func decodingError(err error) error { return fmt.Errorf("core: decoding synopsis: %w", err) }
+
+// Document is a v1 document decoded but not yet validated: Load in two
+// steps, for a reader that meets the document inside a larger one and
+// builds the synopsis only once it trusts the bytes.
+type Document struct{ f synopsisFile }
+
+// Decode reads a v1 document from r into the zero Document d, with the
+// error Load gives for the document's bytes alone when r reads them as
+// a document of its own (jsonread.Reader.DecodeRaw).
+func (d *Document) Decode(r *jsonread.Reader) error {
+	if err := readFile(r, &d.f); err != nil {
+		return decodingError(err)
+	}
+	return nil
+}
+
+// Synopsis validates the decoded document and builds its synopsis, as
+// Load does.
+func (d *Document) Synopsis() (*Synopsis, error) { return fromFile(d.f) }
 
 // The JSON field names of synopsisFile, designFile and viewFile.
 var (
@@ -138,23 +160,26 @@ const maxHintAttrs = 8
 // results json.Unmarshal gives, in one pass over the bytes.
 func decodeFile(raw []byte) (synopsisFile, error) {
 	var f synopsisFile
-	err := jsonread.Parse(raw, func(r *jsonread.Reader) error {
-		return r.Object(fileFields, func(name string) error {
-			switch name {
-			case "format":
-				return r.String(&f.Format)
-			case "epsilon":
-				return r.Float(&f.Epsilon)
-			case "total":
-				return r.Float(&f.Total)
-			case "design":
-				return decodeDesign(r, &f.Design)
-			default:
-				return jsonread.Slice(r, &f.Views, 0, func(v *viewFile) error { return decodeView(r, v) })
-			}
-		})
-	})
+	err := jsonread.Parse(raw, func(r *jsonread.Reader) error { return readFile(r, &f) })
 	return f, err
+}
+
+// readFile decodes the v1 document at r into f.
+func readFile(r *jsonread.Reader, f *synopsisFile) error {
+	return r.Object(fileFields, func(name string) error {
+		switch name {
+		case "format":
+			return r.String(&f.Format)
+		case "epsilon":
+			return r.Float(&f.Epsilon)
+		case "total":
+			return r.Float(&f.Total)
+		case "design":
+			return decodeDesign(r, &f.Design)
+		default:
+			return jsonread.Slice(r, &f.Views, 0, func(v *viewFile) error { return decodeView(r, v) })
+		}
+	})
 }
 
 func decodeDesign(r *jsonread.Reader, d *designFile) error {

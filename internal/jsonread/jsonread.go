@@ -13,8 +13,9 @@
 //     slice to nil;
 //   - a repeated key decodes again into the same field, so a struct
 //     merges and a slice decodes into the elements already there;
-//   - integers parse with strconv.ParseInt and floats with
-//     strconv.ParseFloat, after the RFC 8259 number grammar;
+//   - integers parse with strconv.ParseInt after the RFC 8259 number
+//     grammar, and floats convert to exactly what strconv.ParseFloat
+//     returns (see Float);
 //   - strings unquote as Unmarshal does, with U+FFFD for invalid UTF-8
 //     and unpaired surrogates;
 //   - nesting deeper than 10,000 levels is rejected, as Unmarshal's
@@ -25,11 +26,28 @@
 // Recursion goes no deeper than the nesting limit. The quirk tables and
 // differential fuzz targets of internal/core and internal/snapshot pin
 // all of this to encoding/json, which remains their reference.
+//
+// Float converts nearly every number a snapshot holds without strconv:
+// a number with no exponent and at most 19 significant and 19 fraction
+// digits is an integer mantissa m over 10^f, both exact in a uint64.
+// Below 2^53 m is exact in a float64 too, and so is 10^f, so one
+// correctly rounded division gives the nearest float64 (Clinger's fast
+// path). Above it, one 128-by-64-bit division (math/bits.Div64) gives
+// the quotient's leading 64 bits, which round half to even on a guard
+// bit and a sticky bit that also covers the remainder. Any other
+// number goes to strconv.ParseFloat, so every result is bit for bit
+// the one it gives; FuzzFloat holds the two together.
+//
+// DecodeRaw reads a value nested in a larger document with a decoder of
+// its own and also returns the value's bytes: the snapshot container
+// decodes its payload and hashes the same bytes in one pass.
 package jsonread
 
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode"
@@ -47,7 +65,7 @@ type Reader struct {
 	data  []byte
 	pos   int
 	depth int
-	space bool // whitespace skipped since the current Raw began
+	space bool // whitespace skipped since the value DecodeRaw reads began
 }
 
 // Parse reads data as one JSON value, which value decodes, with only
@@ -193,31 +211,121 @@ func (r *Reader) Int(n *int) error {
 	return nil
 }
 
-// Float decodes a float64. A null leaves f unchanged.
+// Float decodes a float64, bit for bit as strconv.ParseFloat parses
+// it. A null leaves f unchanged.
 func (r *Reader) Float(f *float64) error {
 	start := r.pos
 	b, err := r.number("float64")
 	if err != nil || b == nil {
 		return err
 	}
-	v, err := strconv.ParseFloat(string(b), 64)
-	if err != nil {
-		return fmt.Errorf("jsonread: cannot decode number %s at offset %d into float64", b, start)
+	v, ok := exactFloat(b)
+	if !ok {
+		if v, err = strconv.ParseFloat(string(b), 64); err != nil {
+			return fmt.Errorf("jsonread: cannot decode number %s at offset %d into float64", b, start)
+		}
 	}
 	*f = v
 	return nil
 }
 
-// Raw skips one value and returns its bytes, and whether they are
-// compact: no whitespace outside strings, which is what json.Compact
-// would return for them.
-func (r *Reader) Raw() (raw []byte, compact bool, err error) {
+// DecodeRaw reads the value at hand with decode, as a document of its
+// own: the offsets in decode's errors count from the value's first
+// byte. It returns the value's bytes and whether they are compact: no
+// whitespace outside strings, which is what json.Compact would return
+// for them. If decode fails, the value is validated and skipped
+// instead, and decode's error comes back as derr beside the bytes. err
+// reports a value that is not valid JSON, and then the bytes are nil.
+func (r *Reader) DecodeRaw(decode func(*Reader) error) (raw []byte, compact bool, derr, err error) {
 	start := r.pos
-	r.space = false
-	if err := r.skip(); err != nil {
-		return nil, false, err
+	sub := &Reader{data: r.data[start:], depth: r.depth}
+	if derr = decode(sub); derr == nil {
+		r.pos += sub.pos
+		return r.data[start:r.pos], !sub.space, nil, nil
 	}
-	return r.data[start:r.pos], !r.space, nil
+	r.space = false
+	if err = r.skip(); err != nil {
+		return nil, false, derr, err
+	}
+	return r.data[start:r.pos], !r.space, derr, nil
+}
+
+// pow10 holds 10^0 to 10^19, each exact as a float64 and as a uint64.
+var pow10 = [...]uint64{
+	1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// exactFloat converts the valid JSON number b to the float64 nearest
+// to it, ties to even, when b has no exponent and at most 19
+// significant and 19 fraction digits; ok is false for any other
+// number. A mantissa of more digits wraps, but is then never used.
+func exactFloat(b []byte) (v float64, ok bool) {
+	neg := b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	var m uint64
+	i := 0
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	sig, frac := i, 0
+	if b[0] == '0' {
+		sig = 0 // the integer part is a lone zero, not significant
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		start := i
+		if b[0] == '0' {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		lead := i - start
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			m = m*10 + uint64(b[i]-'0')
+		}
+		frac = i - start
+		sig += frac - lead
+	}
+	switch {
+	case i < len(b) || sig > len(pow10)-1 || frac > len(pow10)-1:
+		return 0, false // an exponent, or too many digits
+	case m < 1<<53:
+		v = float64(m) / float64(pow10[frac])
+	default:
+		v = divide(m, pow10[frac])
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// divide returns m/d rounded to the nearest float64, ties to even, for
+// m ≥ 2^53 and d a power of ten up to 10^19, so that m/d lies within
+// float64's normal range. Both are shifted to have their top bit set,
+// and m·2^64/d or m·2^63/d, whichever lies in [2^63, 2^64), is divided
+// in one step: its top 53 bits are the significand, the next is the
+// guard bit, and the sticky bit is set by any of the ten below it or a
+// nonzero remainder.
+func divide(m, d uint64) float64 {
+	mz, dz := bits.LeadingZeros64(m), bits.LeadingZeros64(d)
+	m, d = m<<mz, d<<dz
+	hi, lo, shift := m, uint64(0), 64
+	if m >= d {
+		hi, lo, shift = m>>1, m<<63, 63
+	}
+	q, rem := bits.Div64(hi, lo, d)
+	sig, guard, sticky := q>>11, q>>10&1 == 1, q&(1<<10-1) != 0 || rem != 0
+	exp := 11 + dz - mz - shift // m/d ≈ sig·2^exp
+	if guard && (sticky || sig&1 == 1) {
+		if sig++; sig == 1<<53 {
+			sig, exp = 1<<52, exp+1
+		}
+	}
+	return math.Float64frombits(uint64(exp+52+1023)<<52 | sig&(1<<52-1))
 }
 
 // number reads a number for a field of type into. It returns nil and

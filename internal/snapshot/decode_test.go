@@ -55,6 +55,16 @@ func envelopeQuirks(t testing.TB) []envelopeQuirk {
 	v2 := func(body string) string { return "{" + body + "}" }
 	good := `"format":"priview-synopsis-v2","checksum":"` + sum + `"`
 	ind := string(indented(t, []byte(quirkPayload)))
+	// A payload that is valid JSON but fails core's decoding, and a
+	// valid synopsis other than quirkPayload's.
+	typeErr := strings.Replace(quirkPayload, `[1,1,1,1]`, `[{}]`, 1)
+	typeErrInd := string(indented(t, []byte(typeErr)))
+	other := strings.Replace(quirkPayload, `"total":4`, `"total":5`, 1)
+	// A payload holding n nested arrays, the deepest n + 2 levels into
+	// the container.
+	deep := func(n int) string {
+		return `{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + "," + quirkPayload[1:]
+	}
 	return []envelopeQuirk{
 		{"container", v2(good + `,"payload":` + quirkPayload), loads},
 		{"keys in other cases", v2(`"FORMAT":"priview-synopsis-v2","Checksum":"` + sum + `","Payload":` + quirkPayload), loads},
@@ -86,13 +96,24 @@ func envelopeQuirks(t testing.TB) []envelopeQuirk {
 		{"null", "null", failsFormat},
 		{"array", "[" + quirkPayload + "]", failsFormat},
 		{"nesting 10001", v2(good + `,"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `,"payload":` + quirkPayload), failsFormat},
+		// A payload core cannot decode fails after the checksum, with
+		// core.Load's error for the payload alone.
+		{"payload type error", v2(`"format":"priview-synopsis-v2","checksum":"` + compactSum(t, []byte(typeErr)) + `","payload":` + typeErr), failsCore},
+		{"payload type error, wrong checksum", v2(good + `,"payload":` + typeErr), failsChecksum},
+		{"indented payload type error", v2(`"format":"priview-synopsis-v2","checksum":"` + compactSum(t, []byte(typeErr)) + `","payload":` + typeErrInd), failsCore},
+		{"repeated payload, first has a type error", v2(good + `,"payload":` + typeErr + `,"payload":` + quirkPayload), loads},
+		{"repeated payload, last is empty", v2(`"format":"priview-synopsis-v2","checksum":"` + sha256Sum([]byte("{}")) + `","payload":` + quirkPayload + `,"payload":{}`), failsCore},
+		{"bare v1, stray payload", `{"payload":` + other + "," + quirkPayload[1:], loads},
+		{"nesting 10000 in the payload", v2(`"format":"priview-synopsis-v2","checksum":"` + compactSum(t, []byte(deep(9998))) + `","payload":` + deep(9998)), loads},
+		{"nesting 10001 in the payload", v2(good + `,"payload":` + deep(9999)), failsFormat},
 	}
 }
 
 // TestDecodeEnvelopeQuirks pins Decode's reading of the envelope to
 // encoding/json's rules: keys fold, null leaves a field as it is, the
 // last repeated payload wins, and nothing but whitespace may follow
-// the document.
+// the document. A core error has referenceDecode's text: core.Load's
+// for the payload alone.
 func TestDecodeEnvelopeQuirks(t *testing.T) {
 	want, err := core.Load([]byte(quirkPayload))
 	if err != nil {
@@ -103,6 +124,11 @@ func TestDecodeEnvelopeQuirks(t *testing.T) {
 		if got := decodeOutcome(err); got != q.want {
 			t.Errorf("%s: outcome %s (%v), want %s", q.name, got, err, q.want)
 			continue
+		}
+		if q.want == failsCore {
+			if _, refErr := referenceDecode([]byte(q.doc)); fmt.Sprint(err) != fmt.Sprint(refErr) {
+				t.Errorf("%s: err = %v, reference err = %v", q.name, err, refErr)
+			}
 		}
 		if err == nil {
 			if d := sameRelease(want, syn); d != "" {

@@ -19,12 +19,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"priview/internal/core"
 	"priview/internal/jsonread"
 )
 
-// FormatV2 identifies the checksummed container.
+// FormatV2 identifies the checksummed container,
+//
+//	{"format":"priview-synopsis-v2","checksum":"sha256:<hex>","payload":<v1 document>}
+//
+// whose payload is the complete v1 synopsis document verbatim. The
+// checksum is taken over the JSON-compacted payload bytes, so it is
+// stable under the whitespace differences JSON round-trips may
+// introduce while still covering every semantic byte.
 const FormatV2 = "priview-synopsis-v2"
 
 // ErrChecksum reports that a v2 snapshot's payload does not hash to its
@@ -35,31 +43,10 @@ var ErrChecksum = errors.New("snapshot: checksum mismatch")
 // synopsis.
 var ErrFormat = errors.New("snapshot: unrecognized format")
 
-// envelope is the on-disk v2 container. Payload holds the complete v1
-// synopsis document verbatim; Checksum is "sha256:<hex>" over the
-// JSON-compacted payload bytes, so checksums are stable under the
-// whitespace differences JSON round-trips may introduce while still
-// covering every semantic byte.
-type envelope struct {
-	Format   string          `json:"format"`
-	Checksum string          `json:"checksum"`
-	Payload  json.RawMessage `json:"payload"`
-}
-
-// checksum returns "sha256:<hex>" over the compacted payload, which
-// must be valid JSON. compact reports that the payload holds no
-// whitespace outside its strings: it is then already what json.Compact
-// would return, byte for byte, and is hashed in place.
-func checksum(payload []byte, compact bool) (string, error) {
-	if !compact {
-		var buf bytes.Buffer
-		if err := json.Compact(&buf, payload); err != nil {
-			return "", fmt.Errorf("snapshot: payload is not valid JSON: %w", err)
-		}
-		payload = buf.Bytes()
-	}
-	sum := sha256.Sum256(payload)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+// checksum returns "sha256:<hex>" over a compacted payload.
+func checksum(compacted []byte) string {
+	sum := sha256.Sum256(compacted)
+	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 // Write serializes the synopsis as a v2 checksummed snapshot. The
@@ -71,13 +58,12 @@ func Write(w io.Writer, s *core.Synopsis) error {
 	if err := s.Save(&payload); err != nil {
 		return err
 	}
-	sum, err := checksum(payload.Bytes(), false)
-	if err != nil {
-		return err
-	}
-	env := envelope{Format: FormatV2, Checksum: sum, Payload: json.RawMessage(bytes.TrimSpace(payload.Bytes()))}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&env)
+	// Save writes one compact document and a newline, so the document is
+	// hashed in place and goes into the container as it stands.
+	doc := bytes.TrimSuffix(payload.Bytes(), []byte("\n"))
+	head := `{"format":"` + FormatV2 + `","checksum":"` + checksum(doc) + `","payload":`
+	_, err := w.Write(slices.Concat([]byte(head), doc, []byte("}\n")))
+	return err
 }
 
 // Read loads a snapshot: a v2 container (checksum verified, then the
@@ -92,40 +78,48 @@ func Read(r io.Reader) (*core.Synopsis, error) {
 	return Decode(raw)
 }
 
-// envelopeFields are the JSON field names of envelope.
+// envelopeFields are the JSON field names of the v2 container.
 var envelopeFields = []string{"format", "checksum", "payload"}
 
-// Decode is Read over an in-memory byte slice. One validating pass
-// over the envelope decodes format and checksum, notes where the
-// payload value lies and whether it holds whitespace outside strings,
-// and the format then decides what else is read. The checksum and the
-// payload are used only for a v2 container, so a bare v1 document with
-// a stray "checksum" or "payload" key of any JSON type still loads.
+// Decode is Read over an in-memory byte slice, in one validating pass
+// over the container. It decodes format and checksum, and decodes the
+// payload with core's decoder while it notes the payload's bytes and
+// whether they hold whitespace outside strings; the format then
+// decides what is used. A v2 container fails with ErrFormat, then
+// ErrChecksum, then the error core.Load gives for the payload alone,
+// and its synopsis is built only once the checksum matches. The
+// checksum and the payload are used only for a v2 container, so a bare
+// v1 document with a stray "checksum" or "payload" key of any JSON type
+// still loads.
 func Decode(raw []byte) (*core.Synopsis, error) {
 	var (
-		format, declared string
-		checksumErr      error
-		payload          []byte
-		compact          bool
+		format, declared    string
+		checksumErr, docErr error
+		payload             []byte
+		compact             bool
+		doc                 core.Document
 	)
 	err := jsonread.Parse(raw, func(r *jsonread.Reader) error {
 		return r.Object(envelopeFields, func(name string) error {
+			var err error
 			switch name {
 			case "format":
 				return r.String(&format)
 			case "checksum":
 				// A string field, except that a type error fails only a
 				// v2 container.
-				v, _, err := r.Raw()
-				if err == nil && checksumErr == nil {
-					checksumErr = jsonread.Parse(v, func(vr *jsonread.Reader) error { return vr.String(&declared) })
+				var derr error
+				_, _, derr, err = r.DecodeRaw(func(vr *jsonread.Reader) error { return vr.String(&declared) })
+				if checksumErr == nil {
+					checksumErr = derr
 				}
-				return err
 			default:
-				var err error
-				payload, compact, err = r.Raw()
-				return err
+				// The last payload wins, decoded afresh, as core.Load
+				// would decode the bytes a json.RawMessage field keeps.
+				doc = core.Document{}
+				payload, compact, docErr, err = r.DecodeRaw(doc.Decode)
 			}
+			return err
 		})
 	})
 	if err != nil {
@@ -139,14 +133,23 @@ func Decode(raw []byte) (*core.Synopsis, error) {
 		if len(payload) == 0 {
 			return nil, fmt.Errorf("%w: empty payload", ErrFormat)
 		}
-		sum, err := checksum(payload, compact)
-		if err != nil {
-			return nil, fmt.Errorf("%w: unhashable payload: %v", ErrChecksum, err)
+		// A payload with no whitespace outside its strings — what Write
+		// writes — is already what json.Compact would return, byte for
+		// byte, and is hashed in place.
+		if !compact {
+			var buf bytes.Buffer
+			if err := json.Compact(&buf, payload); err != nil {
+				return nil, fmt.Errorf("%w: unhashable payload: %v", ErrChecksum, err)
+			}
+			payload = buf.Bytes()
 		}
-		if sum != declared {
+		if sum := checksum(payload); sum != declared {
 			return nil, fmt.Errorf("%w: payload hashes to %s, header declares %s", ErrChecksum, sum, declared)
 		}
-		return core.Load(payload)
+		if docErr != nil {
+			return nil, docErr
+		}
+		return doc.Synopsis()
 	case core.SynopsisFormatV1:
 		return core.Load(raw)
 	default:

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -260,6 +261,43 @@ func TestReadBareV1StrayEnvelopeKeys(t *testing.T) {
 	}
 }
 
+// referenceWrite is Write as encoding/json wrote it: the checksum over
+// json.Compact's output, and the container encoded from a struct whose
+// json.RawMessage payload the encoder compacts once more.
+func referenceWrite(w io.Writer, s *core.Synopsis) error {
+	var payload, compact bytes.Buffer
+	if err := s.Save(&payload); err != nil {
+		return err
+	}
+	if err := json.Compact(&compact, payload.Bytes()); err != nil {
+		return err
+	}
+	env := struct {
+		Format   string          `json:"format"`
+		Checksum string          `json:"checksum"`
+		Payload  json.RawMessage `json:"payload"`
+	}{FormatV2, sha256Sum(compact.Bytes()), json.RawMessage(bytes.TrimSpace(payload.Bytes()))}
+	return json.NewEncoder(w).Encode(&env)
+}
+
+// TestWriteMatchesEncodingJSON: Write's output is byte for byte what
+// referenceWrite gives, on a small synopsis and the benchmark's release
+// shape.
+func TestWriteMatchesEncodingJSON(t *testing.T) {
+	for name, s := range map[string]*core.Synopsis{"small": buildSyn(1), "bench release": benchRelease()} {
+		var got, want bytes.Buffer
+		if err := Write(&got, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := referenceWrite(&want, s); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: Write's %d bytes differ from encoding/json's %d", name, got.Len(), want.Len())
+		}
+	}
+}
+
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "syn.json")
@@ -453,6 +491,19 @@ func BenchmarkDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		if synopsisSink, err = Decode(buf.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWrite writes the benchmark's release shape as a v2
+// snapshot.
+func BenchmarkWrite(b *testing.B) {
+	s := benchRelease()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Write(io.Discard, s); err != nil {
 			b.Fatal(err)
 		}
 	}
