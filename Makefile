@@ -130,7 +130,7 @@ fuzz-short:
 audit:
 	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
 	$(GO) run ./cmd/priview generate -dataset msnbc -n 2000 -seed 1 -out $$tmp/data.txt && \
-	$(GO) run ./cmd/priview build -in $$tmp/data.txt -eps 1.0 -snapshot -out $$tmp/syn.json && \
+	$(GO) run ./cmd/priview build -in $$tmp/data.txt -eps 1.0 -out $$tmp/syn.json && \
 	$(GO) run ./cmd/priview audit $$tmp/syn.json
 
 # Added, removed and net non-test Go lines per package between BASE and

@@ -23,8 +23,9 @@ import (
 	"priview/internal/telemetry"
 )
 
-// buildSynopsisFile publishes a tiny synopsis the way `priview build`
-// would, returning its path.
+// buildSynopsisFile writes a tiny synopsis as a bare v1 document, the
+// format `priview build` wrote before it switched to v2 containers and
+// one every reader must still accept, returning its path.
 func buildSynopsisFile(t *testing.T) string {
 	t.Helper()
 	const d = 6

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"priview/internal/snapshot"
 )
 
 // buildCLISynopsis drives generate+build and returns the synopsis path.
@@ -64,14 +67,30 @@ func TestAuditUsage(t *testing.T) {
 	}
 }
 
-// TestBuildSnapshotRoundTrip proves -snapshot writes a v2 container
-// that both audit and query read back.
+// TestBuildSnapshotRoundTrip proves build writes a v2 container, with
+// or without the no-op -snapshot flag, that both audit and query read
+// back.
 func TestBuildSnapshotRoundTrip(t *testing.T) {
-	synPath := buildCLISynopsis(t, "-snapshot")
-	if err := cmdAudit([]string{synPath}); err != nil {
-		t.Fatalf("audit of v2 snapshot: %v", err)
-	}
-	if err := cmdQuery([]string{"-synopsis", synPath, "-attrs", "0,3"}); err != nil {
-		t.Fatalf("query of v2 snapshot: %v", err)
+	for name, extra := range map[string][]string{"default": nil, "snapshot-flag": {"-snapshot"}} {
+		t.Run(name, func(t *testing.T) {
+			synPath := buildCLISynopsis(t, extra...)
+			raw, err := os.ReadFile(synPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct{ Format string }
+			if err := json.Unmarshal(raw, &env); err != nil {
+				t.Fatal(err)
+			}
+			if env.Format != snapshot.FormatV2 {
+				t.Fatalf("build wrote format %q, want %q", env.Format, snapshot.FormatV2)
+			}
+			if err := cmdAudit([]string{synPath}); err != nil {
+				t.Fatalf("audit of v2 snapshot: %v", err)
+			}
+			if err := cmdQuery([]string{"-synopsis", synPath, "-attrs", "0,3"}); err != nil {
+				t.Fatalf("query of v2 snapshot: %v", err)
+			}
+		})
 	}
 }

@@ -15,7 +15,8 @@
 //	generate  write a synthetic dataset (kosarak, aol, msnbc, mchain,
 //	          uniform) in the line-oriented bit-string format
 //	plan      print the covering design §4.5 planning would choose
-//	build     construct and save a private synopsis
+//	build     construct a private synopsis and write it as a
+//	          checksummed v2 snapshot
 //	query     reconstruct one marginal, or summarize a batch of them,
 //	          from a saved synopsis or a priview-serve server
 //	audit     check a saved synopsis against the release invariants
@@ -82,7 +83,7 @@ func usage() {
   import   -csv FILE [-header] [-max-attrs M] [-min-count C] -out FILE
   plan     -in FILE -eps E [-seed s]
   design   -d D -ell L -t T [-seed s] -out FILE       (export; La Jolla text format)
-  build    -in FILE -eps E [-t 0|2|3|4] [-ell L] [-design FILE] [-snapshot] [-seed s] -out FILE
+  build    -in FILE -eps E [-t 0|2|3|4] [-ell L] [-design FILE] [-seed s] -out FILE
   query    -synopsis FILE | -server URL  -attrs a,b,c[;d,e] | -all-k K
            [-method CME|CLN|LP|CLP] [-timeout D] [-batch-workers W]  (local mode)
            [-retry-budget R] [-priority high]                         (remote mode)
@@ -247,7 +248,10 @@ func cmdBuild(args []string) error {
 	t := fs.Int("t", 0, "coverage t (0 = plan automatically)")
 	ell := fs.Int("ell", core.DefaultEll, "view size ℓ")
 	designPath := fs.String("design", "", "load the view set from a block-per-line design file (e.g. from the La Jolla repository); -t must state its coverage")
-	asSnapshot := fs.Bool("snapshot", false, "write a checksummed v2 snapshot (atomic write) instead of the bare v1 format")
+	// -snapshot selects nothing: build always writes the v2 container.
+	// It stays defined so existing command lines, bench/measure.go's
+	// among them, still parse.
+	fs.Bool("snapshot", true, "no effect: build always writes a checksummed v2 snapshot")
 	seed := fs.Int64("seed", 1, "noise/design seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -293,19 +297,8 @@ func cmdBuild(args []string) error {
 	if err := report.Err(); err != nil {
 		return fmt.Errorf("build: freshly built synopsis failed its release audit: %w", err)
 	}
-	if *asSnapshot {
-		if err := snapshot.WriteFile(snapshot.OS{}, *out, syn); err != nil {
-			return err
-		}
-	} else {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := syn.Save(f); err != nil {
-			return err
-		}
+	if err := snapshot.WriteFile(snapshot.OS{}, *out, syn); err != nil {
+		return err
 	}
 	fmt.Printf("built synopsis with %s under ε=%g; wrote %s\n", design.Name(), *eps, *out)
 	return nil

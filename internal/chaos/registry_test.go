@@ -147,27 +147,28 @@ func (fx *registryChaosFixture) repairAlpha(t *testing.T) {
 	}
 }
 
-// betaStream hammers beta with workers concurrent query loops until
-// stop is closed, recording every latency and any non-200 status.
-type betaStream struct {
-	stop chan struct{}
-	wg   sync.WaitGroup
-
+// betaSamples pools what the beta stream recorded over one side of the
+// isolation comparison: every latency and every non-200 status.
+type betaSamples struct {
 	mu        sync.Mutex
 	latencies []time.Duration
 	badCodes  []int
 }
 
-func (fx *registryChaosFixture) startBetaStream(workers int) *betaStream {
-	bs := &betaStream{stop: make(chan struct{})}
+// streamBeta runs fn while workers concurrent query loops hammer beta,
+// recording into rec, and returns once fn has returned and every loop
+// has stopped.
+func (fx *registryChaosFixture) streamBeta(workers int, rec *betaSamples, fn func()) {
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		bs.wg.Add(1)
+		wg.Add(1)
 		go func(w int) {
-			defer bs.wg.Done()
+			defer wg.Done()
 			client := &http.Client{Timeout: 10 * time.Second}
 			for i := 0; ; i++ {
 				select {
-				case <-bs.stop:
+				case <-stop:
 					return
 				default:
 				}
@@ -186,25 +187,21 @@ func (fx *registryChaosFixture) startBetaStream(workers int) *betaStream {
 					resp.Body.Close()
 					code = resp.StatusCode
 				}
-				bs.mu.Lock()
-				bs.latencies = append(bs.latencies, elapsed)
+				rec.mu.Lock()
+				rec.latencies = append(rec.latencies, elapsed)
 				if code != http.StatusOK {
-					bs.badCodes = append(bs.badCodes, code)
+					rec.badCodes = append(rec.badCodes, code)
 				}
-				bs.mu.Unlock()
+				rec.mu.Unlock()
 			}
 		}(w)
 	}
-	return bs
-}
-
-// halt stops the stream and returns (p99 latency, bad responses, n).
-func (bs *betaStream) halt() (time.Duration, []int, int) {
-	close(bs.stop)
-	bs.wg.Wait()
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return p99(bs.latencies), bs.badCodes, len(bs.latencies)
+	// Deferred so a t.Fatal inside fn still stops the loops.
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	fn()
 }
 
 func p99(ds []time.Duration) time.Duration {
@@ -233,135 +230,151 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // a loader slower than the query deadline) are pinned to release
 // alpha while 12 workers stream queries against release beta through
 // the full middleware stack. Beta must see zero non-200 responses and
-// keep its p99 within 2× the fault-free baseline, while alpha's
-// breaker trips, half-opens, and — once the tenant is repaired —
-// recovers, all observed through /v1/alpha/stats.
+// keep its p99 within 2× its fault-free p99, while alpha's breaker
+// trips, half-opens, and — once the tenant is repaired — recovers, all
+// observed through /v1/alpha/stats.
+//
+// The fault-free p99 pools quiet windows interleaved with the fault
+// phases: one before each phase and one after recovery, each with no
+// alpha fault armed and no alpha request in flight. Load from outside
+// the test (another process on the host) then lands on both sides of
+// the comparison instead of on the faulted side alone.
 func TestRegistryTenantIsolation(t *testing.T) {
 	fx := newRegistryChaosFixture(t)
+	const workers = 12
+	var quiet, faulted betaSamples
+	quietWindow := func() {
+		fx.streamBeta(workers, &quiet, func() { time.Sleep(100 * time.Millisecond) })
+	}
 
-	// Fault-free baseline: load beta and measure its p99.
 	if code := fx.get(t, "/v1/beta/marginal?attrs=0,1"); code != http.StatusOK {
 		t.Fatalf("beta warmup = %d, want 200", code)
 	}
-	base := fx.startBetaStream(12)
-	time.Sleep(300 * time.Millisecond)
-	baseP99, baseBad, baseN := base.halt()
-	if len(baseBad) > 0 {
-		t.Fatalf("baseline beta stream had %d non-200s: %v", len(baseBad), baseBad)
-	}
-	t.Logf("baseline: %d queries, p99 %v", baseN, baseP99)
-	// Deflake floor: on a tiny baseline, 2× can be microseconds.
-	p99Limit := 2 * baseP99
-	if floor := baseP99 + 25*time.Millisecond; p99Limit < floor {
-		p99Limit = floor
-	}
-
-	// All three fault phases run against alpha with the beta stream
-	// live; the stream's verdict at the end covers every phase.
-	stream := fx.startBetaStream(12)
 
 	// Phase 1 — torn snapshots: every alpha file is garbage, so loads
 	// strike until the breaker opens. Alpha must fail fast (503), and
-	// never 200.
-	fx.tearAlphaSnapshots(t)
-	waitFor(t, 10*time.Second, "alpha breaker to open on torn snapshots", func() bool {
-		if code := fx.get(t, "/v1/alpha/marginal?attrs=0,1"); code == http.StatusOK {
-			t.Fatalf("alpha served 200 from torn snapshots")
+	// never 200. Repairing the files disarms the fault.
+	quietWindow()
+	var s registry.ReleaseStats
+	fx.streamBeta(workers, &faulted, func() {
+		fx.tearAlphaSnapshots(t)
+		waitFor(t, 10*time.Second, "alpha breaker to open on torn snapshots", func() bool {
+			if code := fx.get(t, "/v1/alpha/marginal?attrs=0,1"); code == http.StatusOK {
+				t.Fatalf("alpha served 200 from torn snapshots")
+			}
+			return fx.alphaStats(t).Breaker == "open"
+		})
+		s = fx.alphaStats(t)
+		if s.BreakerTrips < 1 || s.LoadFailures < uint64(3) {
+			t.Errorf("torn phase: trips %d failures %d, want ≥1 and ≥3", s.BreakerTrips, s.LoadFailures)
 		}
-		return fx.alphaStats(t).Breaker == "open"
 	})
-	s := fx.alphaStats(t)
-	if s.BreakerTrips < 1 || s.LoadFailures < uint64(3) {
-		t.Errorf("torn phase: trips %d failures %d, want ≥1 and ≥3", s.BreakerTrips, s.LoadFailures)
-	}
+	fx.repairAlpha(t)
 
-	// Phase 2 — NaN poison: the tenant's files are repaired, but the
+	// Phase 2 — NaN poison: the tenant's files are intact, but the
 	// loader now hands back a synopsis with a poisoned cell. Only the
 	// registry's audit gate stands between that synopsis and clients;
 	// the half-open probe must strike and re-open the breaker.
-	fx.repairAlpha(t)
-	fx.loader.SetPoison(true)
-	tripsBefore := s.BreakerTrips
-	waitFor(t, 10*time.Second, "alpha breaker to re-open on poisoned probe", func() bool {
-		if code := fx.get(t, "/v1/alpha/marginal?attrs=0,1"); code == http.StatusOK {
-			t.Fatalf("alpha served 200 from a NaN-poisoned synopsis")
+	quietWindow()
+	fx.streamBeta(workers, &faulted, func() {
+		fx.loader.SetPoison(true)
+		tripsBefore := s.BreakerTrips
+		waitFor(t, 10*time.Second, "alpha breaker to re-open on poisoned probe", func() bool {
+			if code := fx.get(t, "/v1/alpha/marginal?attrs=0,1"); code == http.StatusOK {
+				t.Fatalf("alpha served 200 from a NaN-poisoned synopsis")
+			}
+			st := fx.alphaStats(t)
+			return st.BreakerTrips > tripsBefore && st.Breaker == "open"
+		})
+		s = fx.alphaStats(t)
+		if s.HalfOpenProbes < 1 {
+			t.Errorf("poison phase ran no half-open probe (probes=%d)", s.HalfOpenProbes)
 		}
-		st := fx.alphaStats(t)
-		return st.BreakerTrips > tripsBefore && st.Breaker == "open"
+		if !strings.Contains(s.LastError, "audit") {
+			t.Errorf("poison phase last_error = %q, want an audit failure", s.LastError)
+		}
 	})
-	s = fx.alphaStats(t)
-	if s.HalfOpenProbes < 1 {
-		t.Errorf("poison phase ran no half-open probe (probes=%d)", s.HalfOpenProbes)
-	}
-	if !strings.Contains(s.LastError, "audit") {
-		t.Errorf("poison phase last_error = %q, want an audit failure", s.LastError)
-	}
+	fx.loader.SetPoison(false)
 
 	// Phase 3 — slow loader: loads stall past the query deadline. The
 	// client gets a truthful 504, the strike re-opens the breaker, and
 	// (key isolation property) the stalled probe is the only load slot
 	// alpha can occupy — beta's stream keeps running.
-	fx.loader.SetPoison(false)
-	fx.loader.SetDelay(3 * time.Second)
-	tripsBefore = s.BreakerTrips
-	saw504 := false
-	waitFor(t, 15*time.Second, "alpha breaker to re-open on slow loads", func() bool {
-		code := fx.get(t, "/v1/alpha/marginal?attrs=0,1")
-		if code == http.StatusOK {
-			t.Fatalf("alpha served 200 through a 3s loader with a 1s deadline")
+	quietWindow()
+	fx.streamBeta(workers, &faulted, func() {
+		fx.loader.SetDelay(3 * time.Second)
+		tripsBefore := s.BreakerTrips
+		saw504 := false
+		waitFor(t, 15*time.Second, "alpha breaker to re-open on slow loads", func() bool {
+			code := fx.get(t, "/v1/alpha/marginal?attrs=0,1")
+			if code == http.StatusOK {
+				t.Fatalf("alpha served 200 through a 3s loader with a 1s deadline")
+			}
+			if code == http.StatusGatewayTimeout {
+				saw504 = true
+			}
+			st := fx.alphaStats(t)
+			return st.BreakerTrips > tripsBefore && st.Breaker == "open"
+		})
+		if !saw504 {
+			t.Error("slow-loader phase never surfaced a 504 to the caller")
 		}
-		if code == http.StatusGatewayTimeout {
-			saw504 = true
+
+		// Recovery: faults off, tenant intact. After the cooldown the
+		// next probe must succeed and close the breaker.
+		fx.loader.SetDelay(0)
+		waitFor(t, 10*time.Second, "alpha to recover after faults cleared", func() bool {
+			return fx.get(t, "/v1/alpha/marginal?attrs=0,1") == http.StatusOK
+		})
+		s = fx.alphaStats(t)
+		if s.Breaker != "closed" || !s.Loaded {
+			t.Errorf("recovered alpha: breaker %q loaded %v, want closed true", s.Breaker, s.Loaded)
 		}
-		st := fx.alphaStats(t)
-		return st.BreakerTrips > tripsBefore && st.Breaker == "open"
-	})
-	if !saw504 {
-		t.Error("slow-loader phase never surfaced a 504 to the caller")
-	}
+		if s.BreakerTrips < 3 {
+			t.Errorf("full run tripped %d times, want ≥3 (one per fault phase)", s.BreakerTrips)
+		}
 
-	// Recovery: faults off, tenant intact. After the cooldown the next
-	// probe must succeed and close the breaker.
-	fx.loader.SetDelay(0)
-	waitFor(t, 10*time.Second, "alpha to recover after faults cleared", func() bool {
-		return fx.get(t, "/v1/alpha/marginal?attrs=0,1") == http.StatusOK
+		// Mid-storm scrape: the beta stream is still live, so the
+		// exposition renders while its counters are being hammered, and
+		// the strict parse re-checks every invariant. Alpha's fault
+		// history and beta's cache traffic must share the surface.
+		fams := scrapeMetrics(t, fx.ts.URL)
+		if v := mustSample(t, fams, "priview_release_breaker_trips_total",
+			"priview_release_breaker_trips_total", map[string]string{"release": "alpha"}); v < 3 {
+			t.Errorf("breaker_trips{alpha} = %v on /metrics, want ≥ 3", v)
+		}
+		if v := mustSample(t, fams, "priview_release_load_failures_total",
+			"priview_release_load_failures_total", map[string]string{"release": "alpha"}); v < 3 {
+			t.Errorf("load_failures{alpha} = %v on /metrics, want ≥ 3", v)
+		}
+		if v := mustSample(t, fams, "priview_qcache_hits_total",
+			"priview_qcache_hits_total", map[string]string{"release": "beta"}); v < 1 {
+			t.Errorf("qcache_hits{beta} = %v on /metrics, want ≥ 1", v)
+		}
+		mustSample(t, fams, "priview_http_requests_total",
+			"priview_http_requests_total", map[string]string{"route": "/v1/{release}/marginal", "status": "2xx"})
 	})
-	s = fx.alphaStats(t)
-	if s.Breaker != "closed" || !s.Loaded {
-		t.Errorf("recovered alpha: breaker %q loaded %v, want closed true", s.Breaker, s.Loaded)
-	}
-	if s.BreakerTrips < 3 {
-		t.Errorf("full run tripped %d times, want ≥3 (one per fault phase)", s.BreakerTrips)
-	}
-
-	// Mid-storm scrape: the beta stream is still live, so the
-	// exposition renders while its counters are being hammered, and
-	// the strict parse re-checks every invariant. Alpha's fault
-	// history and beta's cache traffic must share the surface.
-	fams := scrapeMetrics(t, fx.ts.URL)
-	if v := mustSample(t, fams, "priview_release_breaker_trips_total",
-		"priview_release_breaker_trips_total", map[string]string{"release": "alpha"}); v < 3 {
-		t.Errorf("breaker_trips{alpha} = %v on /metrics, want ≥ 3", v)
-	}
-	if v := mustSample(t, fams, "priview_release_load_failures_total",
-		"priview_release_load_failures_total", map[string]string{"release": "alpha"}); v < 3 {
-		t.Errorf("load_failures{alpha} = %v on /metrics, want ≥ 3", v)
-	}
-	if v := mustSample(t, fams, "priview_qcache_hits_total",
-		"priview_qcache_hits_total", map[string]string{"release": "beta"}); v < 1 {
-		t.Errorf("qcache_hits{beta} = %v on /metrics, want ≥ 1", v)
-	}
-	mustSample(t, fams, "priview_http_requests_total",
-		"priview_http_requests_total", map[string]string{"route": "/v1/{release}/marginal", "status": "2xx"})
+	quietWindow()
 
 	// The verdict: beta never saw a single failure and its tail
-	// latency stayed within bounds across every alpha fault.
-	p99Faulted, bad, n := stream.halt()
-	if len(bad) > 0 {
-		t.Errorf("beta stream saw %d non-200 responses during alpha faults: %v", len(bad), bad[:min(len(bad), 10)])
+	// latency under every alpha fault stayed within bounds of its quiet
+	// windows'.
+	if len(quiet.badCodes) > 0 {
+		t.Fatalf("quiet beta windows had %d non-200s: %v", len(quiet.badCodes), quiet.badCodes[:min(len(quiet.badCodes), 10)])
 	}
-	t.Logf("faulted phases: %d beta queries, p99 %v (baseline %v, limit %v)", n, p99Faulted, baseP99, p99Limit)
-	if p99Faulted > p99Limit {
-		t.Errorf("beta p99 %v exceeded %v (baseline %v) while alpha faulted", p99Faulted, p99Limit, baseP99)
+	quietP99 := p99(quiet.latencies)
+	// Deflake floor: on a tiny baseline, 2× can be microseconds.
+	p99Limit := 2 * quietP99
+	if floor := quietP99 + 25*time.Millisecond; p99Limit < floor {
+		p99Limit = floor
+	}
+	if len(faulted.badCodes) > 0 {
+		t.Errorf("beta stream saw %d non-200 responses during alpha faults: %v", len(faulted.badCodes), faulted.badCodes[:min(len(faulted.badCodes), 10)])
+	}
+	faultedP99 := p99(faulted.latencies)
+	t.Logf("quiet windows: %d beta queries, p99 %v; faulted phases: %d beta queries, p99 %v (limit %v)",
+		len(quiet.latencies), quietP99, len(faulted.latencies), faultedP99, p99Limit)
+	if faultedP99 > p99Limit {
+		t.Errorf("beta p99 %v exceeded %v (quiet p99 %v) while alpha faulted", faultedP99, p99Limit, quietP99)
 	}
 }

@@ -51,19 +51,13 @@ type BatchResult struct {
 // chain rather than the requested estimator.
 func (r BatchResult) Degraded() bool { return errors.Is(r.Err, reconstruct.ErrNumerical) }
 
-// BatchOptions tunes QueryBatch's parallelism. The worker split never
-// affects the answers: solves are deterministic and the in-solve sweep
-// is bit-identical at any worker count.
+// BatchOptions tunes QueryBatch's parallelism. The worker count never
+// affects the answers: each solve is deterministic and runs on one
+// goroutine.
 type BatchOptions struct {
 	// Workers bounds the goroutines fanning over distinct
 	// (attribute-set, method) solves; 0 means GOMAXPROCS.
 	Workers int
-	// SweepWorkers bounds the goroutines parallelizing the
-	// projection/update sweep inside one large solve
-	// (reconstruct.Options.SweepWorkers). 0 divides Workers over the
-	// distinct solves, so a batch of one big query still uses the whole
-	// budget.
-	SweepWorkers int
 }
 
 // BatchItemError locates one invalid request inside a rejected batch.
@@ -144,13 +138,11 @@ type sharedKey struct {
 // attribute set share one constraint-group precompute (covered-view
 // lookup, constraint projection, RestrictIndices tables) across
 // estimators. The distinct solves then fan across opt.Workers
-// goroutines, and solves of large tables additionally parallelize
-// their in-solve sweep.
+// goroutines; each solve runs on the one worker that took it.
 //
 // Results are bit-for-bit identical to a sequential QueryMethodContext
-// loop over the same requests, at any worker configuration: both paths
-// run the same prepared solvers, and the parallel sweep preserves
-// floating-point order (see reconstruct's sweep.go).
+// loop over the same requests, at any worker count: both paths run the
+// same prepared solvers.
 //
 // Cancellation: when ctx is canceled or expires before every solve has
 // finished, QueryBatch joins all its workers, discards partial output,
@@ -215,15 +207,6 @@ func (s *Synopsis) QueryBatch(ctx context.Context, reqs []BatchRequest, opt Batc
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sweep := opt.SweepWorkers
-	if sweep <= 0 {
-		// Split the budget: many solves → one worker each; few big
-		// solves → the sweep gets the leftover parallelism.
-		sweep = workers / len(uniques)
-		if sweep < 1 {
-			sweep = 1
-		}
-	}
 	if workers > len(uniques) {
 		workers = len(uniques)
 	}
@@ -251,7 +234,7 @@ func (s *Synopsis) QueryBatch(ctx context.Context, reqs []BatchRequest, opt Batc
 				u := uniques[i]
 				// solve polls ctx itself, so a canceled batch drains the
 				// remaining queue in O(1) per entry.
-				u.table, u.err = u.shared.solve(ctx, u.key.method, sweep)
+				u.table, u.err = u.shared.solve(ctx, u.key.method)
 			}
 		}()
 	}
@@ -369,9 +352,8 @@ func (sh *solveShared) init() {
 }
 
 // solve answers one estimator against the shared state, with the
-// QueryMethodContext cancellation and degradation contract. sweep > 0
-// overrides the configured reconstruct.Options.SweepWorkers.
-func (sh *solveShared) solve(ctx context.Context, method ReconstructMethod, sweep int) (*marginal.Table, error) {
+// QueryMethodContext cancellation and degradation contract.
+func (sh *solveShared) solve(ctx context.Context, method ReconstructMethod) (*marginal.Table, error) {
 	if err := reconstruct.ContextErr(ctx); err != nil {
 		return nil, err
 	}
@@ -392,14 +374,10 @@ func (sh *solveShared) solve(ctx context.Context, method ReconstructMethod, swee
 		return t, nil
 	}
 	degraded := sh.degraded // first numerical problem encountered
-	opt := sh.syn.cfg.Reconstruct
-	if sweep > 0 {
-		opt.SweepWorkers = sweep
-	}
 	var t *marginal.Table
 	for _, m := range fallbackChain(method) {
 		var err error
-		t, err = sh.solveOnce(ctx, m, opt)
+		t, err = sh.solveOnce(ctx, m, sh.syn.cfg.Reconstruct)
 		if err == nil {
 			break
 		}

@@ -61,38 +61,6 @@ func TestQueryBatchMatchesSequentialGolden(t *testing.T) {
 	}
 }
 
-// TestQueryBatchSweepWorkersBitIdentical solves one large marginal
-// (2^14 cells, at the parallel-sweep threshold) with the sweep
-// sequential and fanned over 4 workers; the gather-ordered reduction
-// must make the answers bit-for-bit identical.
-func TestQueryBatchSweepWorkersBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large-table solve")
-	}
-	data := synth.Uniform(16, 3000, 0.3, 103)
-	dg := covering.Groups(16, 8)
-	s := BuildSynopsis(data, Config{Epsilon: 1, Design: dg,
-		Reconstruct: reconstruct.Options{MaxIter: 40}}, noise.NewStream(104))
-	attrs := make([]int, 14)
-	for i := range attrs {
-		attrs[i] = i + 1 // spans both 8-attribute blocks: not covered
-	}
-	reqs := []BatchRequest{{Attrs: attrs, Method: CME}, {Attrs: attrs, Method: CLN}}
-	seq, err := s.QueryBatch(context.Background(), reqs, BatchOptions{Workers: 1, SweepWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := s.QueryBatch(context.Background(), reqs, BatchOptions{Workers: 1, SweepWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs {
-		if !bitIdentical(seq[i].Table.Cells, par[i].Table.Cells) {
-			t.Fatalf("request %d: sweep workers changed the answer", i)
-		}
-	}
-}
-
 // TestQueryBatchDeduplicates verifies identical attribute sets within
 // one batch cost one solve: duplicates get equal answers from distinct
 // tables (no aliasing), and the underlying synopsis sees one solve's

@@ -369,7 +369,7 @@ func (s *Synopsis) QueryMethodContext(ctx context.Context, attrs []int, method R
 	// with the group shared across requests, which is what keeps single
 	// and batched answers bit-for-bit equal.
 	sh := &solveShared{syn: s, attrs: canonical, raw: method == LP}
-	return sh.solve(ctx, method, 0)
+	return sh.solve(ctx, method)
 }
 
 // fallbackChain orders the estimators tried for a query: the requested

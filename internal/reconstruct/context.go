@@ -18,13 +18,6 @@ var (
 	ErrDeadline = errors.New("reconstruct: deadline exceeded")
 )
 
-// ctxCheckEvery is how many outer solver iterations run between
-// cancellation checks. One IPF/Dykstra cycle over the largest servable
-// table (2^12 cells) costs on the order of 100µs, so this bounds the
-// overshoot past a deadline to a few milliseconds while keeping the
-// check off the per-cell hot path.
-const ctxCheckEvery = 16
-
 // ContextErr translates ctx's termination cause into this package's
 // typed errors (nil while ctx is live). Exported so wrappers that stand
 // in for a solver — e.g. fault-injection shims — can fail with the same

@@ -3,6 +3,7 @@ package reconstruct
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,5 +91,57 @@ func TestContextVariantsCanceled(t *testing.T) {
 		} else if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err %v does not match context.Canceled under errors.Is", name, err)
 		}
+	}
+}
+
+// liveOnce is a context whose Err is nil on its first call and
+// context.Canceled on every later one: a solver that polls only its
+// first cycle runs its whole budget out on it, and one that polls every
+// cycle stops on its second.
+type liveOnce struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *liveOnce) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestSolversCheckContextEveryCycle cancels the context after the first
+// cycle of a five-cycle solve that cannot converge (three pairwise
+// constraints over {0,1,2} that disagree on every shared attribute, and
+// a tolerance no residual reaches): the second cycle's check must stop
+// the solve with ErrCanceled rather than return a table.
+func TestSolversCheckContextEveryCycle(t *testing.T) {
+	c01 := marginal.New([]int{0, 1})
+	copy(c01.Cells, []float64{100, 100, 400, 400}) // attr0=1: 500, attr1=1: 800
+	c12 := marginal.New([]int{1, 2})
+	copy(c12.Cells, []float64{400, 100, 400, 100}) // attr1=1: 200, attr2=1: 500
+	c02 := marginal.New([]int{0, 2})
+	copy(c02.Cells, []float64{100, 300, 100, 500}) // attr0=1: 800, attr2=1: 600
+	cons := []*marginal.Table{c01, c12, c02}
+	opt := Options{MaxIter: 5, Tol: 1e-300}
+	cases := map[string]func(*Prepared, context.Context) (*marginal.Table, error){
+		"MaxEnt": func(p *Prepared, ctx context.Context) (*marginal.Table, error) {
+			return p.MaxEnt(ctx, opt)
+		},
+		"LeastSquares": func(p *Prepared, ctx context.Context) (*marginal.Table, error) {
+			return p.LeastSquares(ctx, opt)
+		},
+	}
+	for name, solve := range cases {
+		t.Run(name, func(t *testing.T) {
+			ctx := &liveOnce{Context: context.Background()}
+			table, err := solve(Prepare([]int{0, 1, 2}, 1000, cons), ctx)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("err = %v after %d context checks, want ErrCanceled", err, ctx.calls.Load())
+			}
+			if table != nil {
+				t.Error("canceled solve returned a table")
+			}
+		})
 	}
 }

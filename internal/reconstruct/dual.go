@@ -13,14 +13,11 @@ import (
 // P(a) ∝ exp(Σ_B λ_B(a|_B)), and the dual gradient w.r.t. λ_B(b) is
 // target_B(b) − projection_B(b). IPF is coordinate ascent on the same
 // dual; this solver updates all multipliers simultaneously with an
-// adaptive step; the two must agree on consistent inputs. Every few
-// steps it polls ctx and returns ErrCanceled or ErrDeadline once the
-// caller gives up. Unlike MaxEnt and LeastSquares it has no parallel sweep:
-// its partition-function sum is a single order-sensitive reduction over
-// the full table, and the solver is an ablation cross-check rather than
-// a serving path — batch callers still get solve-level parallelism
-// across requests. The multipliers live in per-call buffers, so
-// concurrent solves off one Prepared stay independent.
+// adaptive step; the two must agree on consistent inputs. Every step
+// polls ctx first and returns ErrCanceled or ErrDeadline once the
+// caller gives up. It is an ablation cross-check rather than a serving
+// path. The multipliers live in per-call buffers, so concurrent solves
+// off one Prepared stay independent.
 func (p *Prepared) MaxEntDual(ctx context.Context, opt Options) (*marginal.Table, error) {
 	total := p.total
 	if err := checkInputs("maxent-dual", total, p.cons); err != nil {
@@ -64,10 +61,8 @@ func (p *Prepared) MaxEntDual(ctx context.Context, opt Options) (*marginal.Table
 	guard := newDivergenceGuard("maxent-dual")
 	maxIter := opt.maxIter() * 4 // dual ascent needs more, cheaper steps
 	for iter := 0; iter < maxIter; iter++ {
-		if iter%ctxCheckEvery == 0 {
-			if err := ContextErr(ctx); err != nil {
-				return nil, err
-			}
+		if err := ContextErr(ctx); err != nil {
+			return nil, err
 		}
 		// Primal from multipliers.
 		maxLogit := math.Inf(-1)

@@ -6,24 +6,23 @@ import (
 	"math"
 	"sync"
 
-	"priview/internal/attrset"
 	"priview/internal/lp"
 	"priview/internal/marginal"
 )
 
 // Prepared caches the solver-independent precompute for reconstructing
 // marginals over one attribute set from one constraint set: the
-// sanitized maximal constraints, and per constraint the cell →
-// restricted-cell mapping (RestrictIndices) together with its inverse
-// scatter base used by the parallel sweep. Building it once and solving
-// many times is the batch fast path — every estimator answering the
-// same attribute set shares one Prepared, so the constraint dedupe and
-// projection-index work that used to be redone inside each solver call
-// happens once per group.
+// sanitized maximal constraints and, per constraint, the cell →
+// restricted-cell mapping (RestrictIndices). Building it once and
+// solving many times is the batch fast path — every estimator answering
+// the same attribute set shares one Prepared, so the constraint dedupe
+// and projection-index work that used to be redone inside each solver
+// call happens once per group.
 //
 // A Prepared is safe for concurrent solver calls: the cached state is
 // built under sync.Once and is read-only afterwards, and each solver
-// call keeps its iterates in per-call buffers.
+// call keeps its iterates in per-call buffers. Each call runs on the
+// caller's goroutine.
 type Prepared struct {
 	attrs []int
 	total float64
@@ -43,13 +42,6 @@ type prepCons struct {
 	// ridx maps each full-table cell to its cell in target
 	// (marginal.RestrictIndices).
 	ridx []int32
-	// base inverts ridx: base[b] is the smallest full-table cell
-	// projecting onto b, and base[b]|s over submasks s of free walks
-	// all of them in ascending order — the gather order the parallel
-	// sweep uses to keep floating-point sums bit-identical to the
-	// sequential scatter loop (see sweep.go).
-	base []int32
-	free int
 	// groupSize is how many full-table cells share one target cell.
 	groupSize float64
 }
@@ -71,18 +63,11 @@ func (p *Prepared) sanitized() []prepCons {
 		cons := sanitize(MaximalConstraints(p.cons), p.total)
 		p.san = make([]prepCons, len(cons))
 		for i, c := range cons {
-			pm := attrset.MustFromAttrs(t.Positions(c.Attrs))
-			pc := prepCons{
+			p.san[i] = prepCons{
 				target:    c,
 				ridx:      t.RestrictIndices(c.Attrs),
-				free:      (t.Size() - 1) &^ int(pm),
 				groupSize: float64(int(1) << uint(t.Dim()-c.Dim())),
 			}
-			pc.base = make([]int32, c.Size())
-			for b := range pc.base {
-				pc.base[b] = int32(deposit(b, uint64(pm)))
-			}
-			p.san[i] = pc
 		}
 	})
 	return p.san
@@ -94,10 +79,9 @@ func (p *Prepared) sanitized() []prepCons {
 // exactly coordinate ascent on the max-entropy dual, so for consistent
 // constraints it converges to the unique maximum-entropy solution; for
 // mildly inconsistent ones it settles near the relaxed solution,
-// matching the paper's gradual-relaxation fallback. Every few cycles it
-// polls ctx and, once the caller has canceled or the deadline has
-// passed, abandons the fit with ErrCanceled or ErrDeadline. The result
-// is bit-identical at any Options.SweepWorkers setting.
+// matching the paper's gradual-relaxation fallback. Every cycle polls
+// ctx first and, once the caller has canceled or the deadline has
+// passed, abandons the fit with ErrCanceled or ErrDeadline.
 func (p *Prepared) MaxEnt(ctx context.Context, opt Options) (*marginal.Table, error) {
 	if err := checkInputs("maxent", p.total, p.cons); err != nil {
 		return nil, err
@@ -116,46 +100,35 @@ func (p *Prepared) MaxEnt(ctx context.Context, opt Options) (*marginal.Table, er
 	for i := range proj {
 		proj[i] = make([]float64, san[i].target.Size())
 	}
-	sw := newSweeper(t.Size(), opt.sweepWorkers())
 	guard := newDivergenceGuard("maxent")
 	for iter := 0; iter < opt.maxIter(); iter++ {
-		if iter%ctxCheckEvery == 0 {
-			if err := ContextErr(ctx); err != nil {
-				return nil, err
-			}
+		if err := ContextErr(ctx); err != nil {
+			return nil, err
 		}
 		worst := 0.0
-		if sw != nil {
-			for i := range san {
-				if w := sw.maxEntUpdate(t, &san[i], proj[i]); w > worst {
-					worst = w
+		//lint:hot
+		for i, pc := range san {
+			// Current projection.
+			pr := proj[i]
+			t.ProjectInto(pr, pc.ridx)
+			// Multiplicative update toward the target.
+			for ci := range t.Cells {
+				b := pc.ridx[ci]
+				cur := pr[b]
+				want := pc.target.Cells[b]
+				if d := math.Abs(cur - want); d > worst {
+					worst = d
 				}
-			}
-		} else {
-			//lint:hot
-			for i, pc := range san {
-				// Current projection.
-				pr := proj[i]
-				t.ProjectInto(pr, pc.ridx)
-				// Multiplicative update toward the target.
-				for ci := range t.Cells {
-					b := pc.ridx[ci]
-					cur := pr[b]
-					want := pc.target.Cells[b]
-					if d := math.Abs(cur - want); d > worst {
-						worst = d
-					}
-					switch {
-					case cur > 0:
-						t.Cells[ci] *= want / cur
-					case want > 0:
-						// Mass must appear in a group that currently has
-						// none: seed it uniformly so the next cycle can
-						// shape it.
-						t.Cells[ci] = want / pc.groupSize
-					default:
-						t.Cells[ci] = 0
-					}
+				switch {
+				case cur > 0:
+					t.Cells[ci] *= want / cur
+				case want > 0:
+					// Mass must appear in a group that currently has
+					// none: seed it uniformly so the next cycle can
+					// shape it.
+					t.Cells[ci] = want / pc.groupSize
+				default:
+					t.Cells[ci] = 0
 				}
 			}
 		}
@@ -173,9 +146,9 @@ func (p *Prepared) MaxEnt(ctx context.Context, opt Options) (*marginal.Table, er
 // satisfying the constraints, via Dykstra's alternating projections onto
 // the constraint subspaces and the non-negative orthant. Starting from
 // the origin, Dykstra converges to the projection of 0 onto the
-// feasible set, i.e. the least-norm feasible table. Every few cycles it
-// polls ctx and returns ErrCanceled or ErrDeadline once the caller gives
-// up. The result is bit-identical at any Options.SweepWorkers setting.
+// feasible set, i.e. the least-norm feasible table. Every cycle polls
+// ctx first and returns ErrCanceled or ErrDeadline once the caller
+// gives up.
 func (p *Prepared) LeastSquares(ctx context.Context, opt Options) (*marginal.Table, error) {
 	if err := checkInputs("least-squares", p.total, p.cons); err != nil {
 		return nil, err
@@ -196,33 +169,13 @@ func (p *Prepared) LeastSquares(ctx context.Context, opt Options) (*marginal.Tab
 	y := make([]float64, t.Size())
 	proj := make([]float64, 0)
 	tol := opt.tol() * math.Max(p.total, 1)
-	sw := newSweeper(t.Size(), opt.sweepWorkers())
 	guard := newDivergenceGuard("least-squares")
 	for iter := 0; iter < opt.maxIter(); iter++ {
-		if iter%ctxCheckEvery == 0 {
-			if err := ContextErr(ctx); err != nil {
-				return nil, err
-			}
+		if err := ContextErr(ctx); err != nil {
+			return nil, err
 		}
 		moved := 0.0
 		for s := 0; s < nSets; s++ {
-			if sw != nil {
-				var w float64
-				if s < len(san) {
-					pc := &san[s]
-					if cap(proj) < pc.target.Size() {
-						proj = make([]float64, pc.target.Size())
-					}
-					proj = proj[:pc.target.Size()]
-					w = sw.dykstraConstraint(t, pc, y, incr[s], proj)
-				} else {
-					w = sw.dykstraOrthant(t, y, incr[s])
-				}
-				if w > moved {
-					moved = w
-				}
-				continue
-			}
 			// y = x + p_s
 			for ci := range y {
 				y[ci] = t.Cells[ci] + incr[s][ci]

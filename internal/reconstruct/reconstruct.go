@@ -13,20 +13,14 @@ import (
 	"priview/internal/marginal"
 )
 
-// Options tunes the iterative solvers. The zero value selects sensible
-// defaults.
+// Options tunes the iterative solvers, each of which runs one solve on
+// its caller's goroutine. The zero value selects sensible defaults.
 type Options struct {
 	// MaxIter bounds the number of IPF/Dykstra cycles (default 500).
 	MaxIter int
 	// Tol is the convergence threshold on the largest constraint
 	// violation relative to the total count (default 1e-9).
 	Tol float64
-	// SweepWorkers bounds the goroutines parallelizing the per-view
-	// projection/update sweep inside one solve of a large table (≥
-	// sweepThreshold cells); 0 or 1 keeps the sweep sequential. The
-	// sweep's gather-ordered reduction makes results bit-for-bit
-	// identical at every setting — see sweep.go.
-	SweepWorkers int
 }
 
 func (o Options) maxIter() int {
@@ -41,13 +35,6 @@ func (o Options) tol() float64 {
 		return 1e-9
 	}
 	return o.Tol
-}
-
-func (o Options) sweepWorkers() int {
-	if o.SweepWorkers <= 0 {
-		return 1
-	}
-	return o.SweepWorkers
 }
 
 // ConstraintsFromViews projects every view onto its intersection with
