@@ -132,7 +132,7 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	run("fig4", "non-negativity methods (None/Simple/Global/Ripple)", experiments.RunFig4)
 	run("fig5", "markov-chain datasets mc1..mc7 (d=64)", experiments.RunFig5)
 	run("fig6", "covering-design comparison on Kosarak", experiments.RunFig6)
-	run("ablation", "beyond-paper ablations (solver, pipeline, ripple-θ)", experiments.RunAblation)
+	run("ablation", "beyond-paper ablations (consistency, noise, ripple-θ)", experiments.RunAblation)
 	run("cat-sweep", "categorical view cell-budget sweep (§4.7 guideline)", experiments.RunCategoricalSweep)
 	if want("runtime") {
 		rows := experiments.RunTabRuntime(cfg)

@@ -342,22 +342,6 @@ func cmdAudit(args []string) error {
 	return nil
 }
 
-// parseCoreMethod maps a method name (the server's spelling) to the
-// core estimator.
-func parseCoreMethod(s string) (core.ReconstructMethod, error) {
-	switch strings.ToUpper(s) {
-	case "", "CME":
-		return core.CME, nil
-	case "CLN":
-		return core.CLN, nil
-	case "LP":
-		return core.LP, nil
-	case "CLP":
-		return core.CLP, nil
-	}
-	return 0, fmt.Errorf("unknown method %q", s)
-}
-
 // parseAttrSets parses the -attrs syntax: comma-separated attribute
 // indices, with ';' separating the sets of a batch.
 func parseAttrSets(raw string) ([][]int, error) {
@@ -404,9 +388,12 @@ func cmdQuery(args []string) error {
 	if (*attrsFlag == "") == (*allK == 0) {
 		return fmt.Errorf("query: exactly one of -attrs or -all-k is required")
 	}
-	m, err := parseCoreMethod(*method)
-	if err != nil {
-		return fmt.Errorf("query: %w", err)
+	m := core.CME
+	if *method != "" {
+		var err error
+		if m, err = core.ParseMethod(*method); err != nil {
+			return fmt.Errorf("query: %w", err)
+		}
 	}
 	var reqs []core.BatchRequest
 	if *attrsFlag != "" {

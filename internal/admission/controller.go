@@ -31,9 +31,6 @@ type Config struct {
 	// MinLimit and MaxLimit bound the adaptive concurrency limit
 	// (defaults 2 and 1024).
 	MinLimit, MaxLimit int
-	// RetryAfterBase seeds the queue-depth-scaled Retry-After hint on
-	// rejections (default 1s); the hint is capped at 30s.
-	RetryAfterBase time.Duration
 	// Now is the clock (nil = time.Now); tests inject a fake.
 	Now func() time.Time
 }
@@ -69,14 +66,17 @@ func (c Config) withDefaults() Config {
 	if c.InitialLimit > c.MaxLimit {
 		c.InitialLimit = c.MaxLimit
 	}
-	if c.RetryAfterBase <= 0 {
-		c.RetryAfterBase = time.Second
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	return c
 }
+
+// RetryAfter is the backoff hint of every refusal: the controller
+// scales it with queue depth on its own rejections (capped at
+// retryAfterMax), and the server's and registry's other refusals send
+// it as is.
+const RetryAfter = time.Second
 
 // retryAfterMax caps the queue-depth-scaled Retry-After hint.
 const retryAfterMax = 30 * time.Second
@@ -348,7 +348,7 @@ func (c *Controller) decreaseLocked(now time.Time) {
 func (c *Controller) retryAfterLocked() time.Duration {
 	depth := len(c.queue)
 	limit := c.curLimitLocked()
-	hint := c.cfg.RetryAfterBase * time.Duration(1+depth/limit)
+	hint := RetryAfter * time.Duration(1+depth/limit)
 	if hint > retryAfterMax {
 		hint = retryAfterMax
 	}

@@ -104,7 +104,7 @@ func (e *BatchError) total() int {
 // fallbackChain, which panics on unknown methods.
 func (m ReconstructMethod) valid() bool {
 	switch m {
-	case CME, CLN, LP, CLP, CMEDual:
+	case CME, CLN, LP, CLP:
 		return true
 	}
 	return false
@@ -424,8 +424,6 @@ func (sh *solveShared) dispatch(ctx context.Context, method ReconstructMethod, o
 	switch method {
 	case CME:
 		return sh.prep.MaxEnt(ctx, opt)
-	case CMEDual:
-		return sh.prep.MaxEntDual(ctx, opt)
 	case CLN:
 		return sh.prep.LeastSquares(ctx, opt)
 	case LP, CLP:
@@ -442,8 +440,6 @@ func reconstructStage(m ReconstructMethod) string {
 	switch m {
 	case CME:
 		return "reconstruct.cme"
-	case CMEDual:
-		return "reconstruct.cme_dual"
 	case CLN:
 		return "reconstruct.cln"
 	case LP:

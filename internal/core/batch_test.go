@@ -40,7 +40,7 @@ func TestQueryBatchMatchesSequentialGolden(t *testing.T) {
 	data := synth.MSNBC(5000, 101)
 	dg := covering.Groups(9, 4)
 	s := BuildSynopsis(data, Config{Epsilon: 1, Design: dg}, noise.NewStream(102))
-	for _, method := range []ReconstructMethod{CME, CMEDual, CLN, LP, CLP} {
+	for _, method := range []ReconstructMethod{CME, CLN, LP, CLP} {
 		reqs := AllKWay(dg.D, 3, method)
 		got, err := s.QueryBatch(context.Background(), reqs, BatchOptions{Workers: 4})
 		if err != nil {

@@ -25,7 +25,7 @@ func TestQueryMethodContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	attrs := []int{0, 4, 8} // spans blocks: forces reconstruction
-	for _, m := range []ReconstructMethod{CME, CMEDual, CLN, CLP} {
+	for _, m := range []ReconstructMethod{CME, CLN, CLP} {
 		_, err := s.QueryMethodContext(ctx, attrs, m)
 		if !errors.Is(err, reconstruct.ErrCanceled) {
 			t.Errorf("%s: err = %v, want reconstruct.ErrCanceled", m, err)

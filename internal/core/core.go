@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 
 	"priview/internal/attrset"
@@ -37,13 +38,10 @@ const (
 	LP
 	// CLP: the LP estimator after the consistency pre-processing step.
 	CLP
-	// CMEDual: maximum entropy solved by dual gradient ascent instead
-	// of iterative proportional fitting — an ablation/cross-check of
-	// the solver choice, not a distinct estimator (same optimum).
-	CMEDual
 )
 
-// String implements fmt.Stringer for experiment labels.
+// String implements fmt.Stringer for experiment labels, and names the
+// estimator on the wire.
 func (m ReconstructMethod) String() string {
 	switch m {
 	case CME:
@@ -54,11 +52,20 @@ func (m ReconstructMethod) String() string {
 		return "LP"
 	case CLP:
 		return "CLP"
-	case CMEDual:
-		return "CME-dual"
 	default:
 		return fmt.Sprintf("ReconstructMethod(%d)", int(m))
 	}
+}
+
+// ParseMethod is the case-insensitive inverse of String: it returns the
+// estimator s names, or an error when s names none.
+func ParseMethod(s string) (ReconstructMethod, error) {
+	for m := CME; m <= CLP; m++ {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+	}
+	return CME, fmt.Errorf("unknown method %q (want CME, CLN, LP or CLP)", s)
 }
 
 // NoiseKind selects the perturbation mechanism for the views.
@@ -375,15 +382,11 @@ func (s *Synopsis) QueryMethodContext(ctx context.Context, attrs []int, method R
 // fallbackChain orders the estimators tried for a query: the requested
 // method first, then the served iterative solvers in the paper's
 // MaxEnt → least-squares preference order. The LP methods fall back
-// onto the same chain (their constraint system is shared). CME-dual
-// solves the same problem as CME, so it is no fallback of its own: it
-// is only tried when requested, by the in-process ablation.
+// onto the same chain (their constraint system is shared).
 func fallbackChain(method ReconstructMethod) []ReconstructMethod {
 	switch method {
 	case CME:
 		return []ReconstructMethod{CME, CLN}
-	case CMEDual:
-		return []ReconstructMethod{CMEDual, CME, CLN}
 	case CLN:
 		return []ReconstructMethod{CLN, CME}
 	case LP, CLP:

@@ -85,7 +85,6 @@ func goldenQueries() []struct {
 		{[]int{0, 3, 6, 9}, CME},
 		{[]int{0, 1, 4, 5}, CLN},
 		{[]int{2, 7, 11}, CLN},
-		{[]int{0, 1, 4, 5}, CMEDual},
 		{[]int{2, 7, 11}, CLP},
 		{[]int{2, 7, 11}, LP},
 	}

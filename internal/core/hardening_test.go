@@ -118,7 +118,7 @@ func TestLoadZeroDesignIsNil(t *testing.T) {
 // reconstruct.ErrNumerical — never a NaN marginal, never a hard
 // failure.
 func TestQueryDegradesOnPoisonedView(t *testing.T) {
-	for _, method := range []ReconstructMethod{CME, CMEDual, CLN, CLP} {
+	for _, method := range []ReconstructMethod{CME, CLN, CLP} {
 		s := buildSmall(t, 7)
 		// Poison every cell of one view so that any query touching it
 		// must detect the damage.
@@ -166,7 +166,7 @@ func TestQueryDegradesWhenAllViewsPoisoned(t *testing.T) {
 // dormant on healthy synopses: no error, finite answer.
 func TestQueryCleanSynopsisNotDegraded(t *testing.T) {
 	s := buildSmall(t, 13)
-	for _, method := range []ReconstructMethod{CME, CMEDual, CLN} {
+	for _, method := range []ReconstructMethod{CME, CLN} {
 		table, err := s.QueryMethodContext(context.Background(), []int{0, 3, 6}, method)
 		if err != nil {
 			t.Errorf("%v: unexpected error %v", method, err)
@@ -178,15 +178,12 @@ func TestQueryCleanSynopsisNotDegraded(t *testing.T) {
 }
 
 // TestFallbackChain pins the estimators each method degrades through.
-// CME-dual appears only when requested: it solves CME's problem, so it
-// is no fallback for a served method.
 func TestFallbackChain(t *testing.T) {
 	for method, want := range map[ReconstructMethod][]ReconstructMethod{
-		CME:     {CME, CLN},
-		CLN:     {CLN, CME},
-		LP:      {LP, CME, CLN},
-		CLP:     {CLP, CME, CLN},
-		CMEDual: {CMEDual, CME, CLN},
+		CME: {CME, CLN},
+		CLN: {CLN, CME},
+		LP:  {LP, CME, CLN},
+		CLP: {CLP, CME, CLN},
 	} {
 		if got := fallbackChain(method); !slices.Equal(got, want) {
 			t.Errorf("fallbackChain(%v) = %v, want %v", method, got, want)

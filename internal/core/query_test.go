@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"priview/internal/accuracy"
 	"priview/internal/covering"
 	"priview/internal/dataset/synth"
 	"priview/internal/marginal"
@@ -24,20 +23,6 @@ func TestQueryMethodDoesNotMutate(t *testing.T) {
 	after := s.Query(attrs)
 	if !marginal.Equal(before, after, 0) {
 		t.Error("QueryMethod changed the default estimator's answers")
-	}
-}
-
-func TestQueryMethodCMEDual(t *testing.T) {
-	data := synth.Kosarak(20000, 42)
-	dg := covering.Best(32, 8, 2, 1, 2)
-	s := BuildSynopsis(data, Config{Epsilon: 1, Design: dg}, noise.NewStream(43))
-	attrs := []int{0, 9, 17, 30}
-	ipf := s.QueryMethod(attrs, CME)
-	dual := s.QueryMethod(attrs, CMEDual)
-	// Same convex program, different solvers: answers must be close.
-	n := float64(data.Len())
-	if accuracy.NormalizedL2Error(ipf, dual, n) > 0.01 {
-		t.Errorf("IPF and dual ascent disagree: %v", accuracy.NormalizedL2Error(ipf, dual, n))
 	}
 }
 

@@ -29,7 +29,7 @@ func TestConcurrentQueryMethodMixedEstimators(t *testing.T) {
 	data := synth.MSNBC(3000, 71)
 	dg := covering.Groups(9, 4)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(72))
-	methods := []core.ReconstructMethod{core.CME, core.CLN, core.LP, core.CLP, core.CMEDual}
+	methods := []core.ReconstructMethod{core.CME, core.CLN, core.LP, core.CLP}
 	attrSets := [][]int{{0, 4, 8}, {1, 5}, {2, 3, 7}, {0, 4, 8}, {6}}
 
 	// Single-threaded ground truth per (attrs, method).

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"priview/internal/consistency"
 	"priview/internal/core"
 	"priview/internal/noise"
 )
@@ -11,12 +12,10 @@ import (
 // what the paper's own figures already ablate (Fig. 3 ablates the
 // estimator, Fig. 4 the non-negativity strategy, Fig. 6 the design):
 //
-//   - solver: IPF vs dual gradient ascent for the max-entropy program —
-//     same optimum, different convergence behavior;
-//   - consistency: the full post-processing pipeline vs querying the
-//     raw noisy views directly;
+//   - consistency: the consistency step vs querying the raw noisy views
+//     directly;
 //   - ripple-θ: sensitivity to the Ripple tolerance across four orders
-//     of magnitude.
+//     of magnitude, with Ripple switched on.
 //
 // All runs use the Kosarak setup with its t=2 design at ε = 1.
 func RunAblation(cfg Config) []Row {
@@ -33,8 +32,6 @@ func RunAblation(cfg Config) []Row {
 		cfg   core.Config
 	}
 	variants := []variant{
-		{"solver", "IPF", core.Config{Epsilon: eps, Design: design, Method: core.CME}},
-		{"solver", "DualAscent", core.Config{Epsilon: eps, Design: design, Method: core.CMEDual}},
 		{"consistency", "FullPipeline", core.Config{Epsilon: eps, Design: design}},
 		{"consistency", "RawViews", core.Config{Epsilon: eps, Design: design, SkipPostprocess: true}},
 		{"consistency", "InverseVariance", core.Config{Epsilon: eps, Design: design, WeightedConsistency: true}},
@@ -44,7 +41,7 @@ func RunAblation(cfg Config) []Row {
 	for _, theta := range []float64{0.05, 0.5, 5, 50} {
 		variants = append(variants, variant{
 			"ripple-theta", fmt.Sprintf("theta=%g", theta),
-			core.Config{Epsilon: eps, Design: design, RippleTheta: theta},
+			core.Config{Epsilon: eps, Design: design, Nonneg: consistency.NonnegRipple, RippleTheta: theta},
 		})
 	}
 

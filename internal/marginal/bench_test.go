@@ -63,7 +63,7 @@ func BenchmarkRestrictIndex(b *testing.B) {
 }
 
 // The solver hot loop, before and after the attrset refactor: every
-// IPF/Dykstra/dual-ascent cycle projects the working table onto each
+// IPF/Dykstra cycle projects the working table onto each
 // constraint's attribute set. Old shape: per-cell bit-gather
 // (RestrictIndex over a pos slice). New shape: mapping precomputed once
 // (RestrictIndices), the loop is one array load per cell (ProjectInto).

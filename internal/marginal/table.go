@@ -128,9 +128,9 @@ const restrictPrecomputeLimit = 1 << 24
 // RestrictIndices returns the precomputed projection mapping onto sub:
 // out[i] is the cell of the sub-table that cell i of t projects into.
 // Building it costs O(1) per cell; iterative solvers that restrict
-// every cell once per iteration (max-entropy IPF, Dykstra, the dual
-// ascent) hoist it out of the loop, replacing an O(|sub|) bit-gather
-// per cell per iteration with an array load.
+// every cell once per iteration (max-entropy IPF, Dykstra) hoist it
+// out of the loop, replacing an O(|sub|) bit-gather per cell per
+// iteration with an array load.
 func (t *Table) RestrictIndices(sub []int) []int32 {
 	// The positions of sub within t, packed as a bitmask over bit
 	// positions, are exactly the PEXT mask for the cell indexing.

@@ -139,14 +139,6 @@ func BenchmarkMaxEntK8(b *testing.B) {
 	}
 }
 
-func BenchmarkMaxEntDualK6(b *testing.B) {
-	attrs, total, cons := benchConstraints(6, 3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		must(b)(Prepare(attrs, total, cons).MaxEntDual(context.Background(), Options{}))
-	}
-}
-
 func BenchmarkLeastSquaresK6(b *testing.B) {
 	attrs, total, cons := benchConstraints(6, 4)
 	b.ReportAllocs()

@@ -72,10 +72,6 @@ func TestContextVariantsCanceled(t *testing.T) {
 			_, err := Prepare(attrs, 100, cons).MaxEnt(ctx, Options{})
 			return err
 		},
-		"MaxEntDual": func() error {
-			_, err := Prepare(attrs, 100, cons).MaxEntDual(ctx, Options{})
-			return err
-		},
 		"LeastSquares": func() error {
 			_, err := Prepare(attrs, 100, cons).LeastSquares(ctx, Options{})
 			return err

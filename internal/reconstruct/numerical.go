@@ -18,8 +18,8 @@ var ErrNumerical = errors.New("reconstruct: numerical instability")
 // NumericalError reports where a solver went numerically wrong. It
 // matches ErrNumerical under errors.Is.
 type NumericalError struct {
-	// Solver names the estimator ("maxent", "maxent-dual",
-	// "least-squares", "linprog").
+	// Solver names the estimator ("maxent", "least-squares",
+	// "linprog").
 	Solver string
 	// Iter is the outer iteration at which the problem was detected
 	// (-1 when the inputs were already bad).
@@ -96,7 +96,7 @@ func checkResult(solver string, iter int, t *marginal.Table) (*marginal.Table, e
 // the residual grows monotonically across divergeAfter consecutive
 // checkpoints while sitting far above the best residual seen — the
 // signature of a blow-up, as opposed to the bounded oscillation of IPF
-// or dual ascent on mildly inconsistent constraints.
+// on mildly inconsistent constraints.
 type divergenceGuard struct {
 	solver string
 	best   float64

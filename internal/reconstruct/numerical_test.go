@@ -29,9 +29,6 @@ func TestSolversRejectNonFiniteConstraints(t *testing.T) {
 			"maxent": func() (*marginal.Table, error) {
 				return Prepare(attrs, 100, cons).MaxEnt(ctx, Options{})
 			},
-			"maxent-dual": func() (*marginal.Table, error) {
-				return Prepare(attrs, 100, cons).MaxEntDual(ctx, Options{})
-			},
 			"least-squares": func() (*marginal.Table, error) {
 				return Prepare(attrs, 100, cons).LeastSquares(ctx, Options{})
 			},
@@ -65,9 +62,6 @@ func TestSolversRejectNonFiniteTotal(t *testing.T) {
 		if _, err := Prepare(attrs, total, cons).MaxEnt(ctx, Options{}); !errors.Is(err, ErrNumerical) {
 			t.Errorf("maxent with total %v: err = %v, want ErrNumerical", total, err)
 		}
-		if _, err := Prepare(attrs, total, cons).MaxEntDual(ctx, Options{}); !errors.Is(err, ErrNumerical) {
-			t.Errorf("maxent-dual with total %v: err = %v, want ErrNumerical", total, err)
-		}
 		if _, err := Prepare(attrs, total, cons).LeastSquares(ctx, Options{}); !errors.Is(err, ErrNumerical) {
 			t.Errorf("least-squares with total %v: err = %v, want ErrNumerical", total, err)
 		}
@@ -87,9 +81,6 @@ func TestSolversStayCleanOnFiniteInputs(t *testing.T) {
 	cons := []*marginal.Table{c0, c1}
 	for name, solve := range map[string]func() (*marginal.Table, error){
 		"maxent": func() (*marginal.Table, error) { return Prepare(attrs, 100, cons).MaxEnt(ctx, Options{}) },
-		"maxent-dual": func() (*marginal.Table, error) {
-			return Prepare(attrs, 100, cons).MaxEntDual(ctx, Options{})
-		},
 		"least-squares": func() (*marginal.Table, error) {
 			return Prepare(attrs, 100, cons).LeastSquares(ctx, Options{})
 		},

@@ -119,30 +119,88 @@ func TestMaximalConstraintsAveragesDuplicates(t *testing.T) {
 	}
 }
 
-// MaxEnt with constraints over {0,1} and {1,2} must reproduce the
+// Property: MaxEnt with constraints over {0,1} and {1,2} reproduces the
 // closed-form conditional-independence solution
 // P(a,b,c) = P(a,b) P(b,c) / P(b).
 func TestMaxEntConditionalIndependence(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	joint := randomJoint(r, []int{0, 1, 2}, 1)
-	c01 := joint.Project([]int{0, 1})
-	c12 := joint.Project([]int{1, 2})
-	p1 := joint.Project([]int{1})
-	got := must(t)(Prepare([]int{0, 1, 2}, 1, []*marginal.Table{c01, c12}).MaxEnt(context.Background(), Options{}))
-	want := marginal.New([]int{0, 1, 2})
-	for idx := range want.Cells {
-		a := idx & 1
-		b := (idx >> 1) & 1
-		c := (idx >> 2) & 1
-		want.Cells[idx] = c01.Cells[b<<1|a] * c12.Cells[c<<1|b] / p1.Cells[b]
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		joint := randomJoint(r, []int{0, 1, 2}, 1)
+		c01 := joint.Project([]int{0, 1})
+		c12 := joint.Project([]int{1, 2})
+		p1 := joint.Project([]int{1})
+		got := must(t)(Prepare([]int{0, 1, 2}, 1, []*marginal.Table{c01, c12}).MaxEnt(context.Background(), Options{}))
+		want := marginal.New([]int{0, 1, 2})
+		for idx := range want.Cells {
+			a := idx & 1
+			b := (idx >> 1) & 1
+			c := (idx >> 2) & 1
+			want.Cells[idx] = c01.Cells[b<<1|a] * c12.Cells[c<<1|b] / p1.Cells[b]
+		}
+		return marginal.Equal(got, want, 1e-6)
 	}
-	if !marginal.Equal(got, want, 1e-6) {
-		t.Errorf("maxent = %v\nwant %v", got.Cells, want.Cells)
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
 	}
 }
 
+// logSpanResidual returns the distance of log t from the span of the
+// constraint cells' indicator vectors, relative to |log t|. A positive
+// table is the unique maximum-entropy table for constraints it
+// satisfies exactly when this is zero: its log is then Σ_B λ_B(a|_B).
+func logSpanResidual(t *marginal.Table, cons []*marginal.Table) float64 {
+	dot := func(x, y []float64) float64 {
+		s := 0.0
+		for i := range x {
+			s += x[i] * y[i]
+		}
+		return s
+	}
+	// sub removes from v its component along the unit vector e.
+	sub := func(v, e []float64) {
+		d := dot(v, e)
+		for i := range v {
+			v[i] -= d * e[i]
+		}
+	}
+	var basis [][]float64 // Gram–Schmidt over the indicator vectors
+	for _, c := range cons {
+		ridx := t.RestrictIndices(c.Attrs)
+		for cell := range c.Cells {
+			v := make([]float64, t.Size())
+			for a, r := range ridx {
+				if int(r) == cell {
+					v[a] = 1
+				}
+			}
+			for _, e := range basis {
+				sub(v, e)
+			}
+			if n := math.Sqrt(dot(v, v)); n > 1e-9 {
+				for i := range v {
+					v[i] /= n
+				}
+				basis = append(basis, v)
+			}
+		}
+	}
+	y := make([]float64, t.Size())
+	for a, v := range t.Cells {
+		y[a] = math.Log(v)
+	}
+	norm := math.Sqrt(dot(y, y))
+	for _, e := range basis {
+		sub(y, e)
+	}
+	return math.Sqrt(dot(y, y)) / norm
+}
+
 // Property: MaxEnt satisfies consistent constraints (to solver
-// tolerance) and never produces negative cells.
+// tolerance), never produces negative cells, and has the log-linear
+// form — which, with feasibility, pins the unique maximum-entropy
+// table on a cycle with no closed form. The generating joint is
+// feasible too, but it is not that table, and the span check must
+// tell them apart.
 func TestMaxEntSatisfiesConstraints(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -162,7 +220,7 @@ func TestMaxEntSatisfiesConstraints(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return logSpanResidual(got, cons) < 1e-9 && logSpanResidual(joint, cons) > 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

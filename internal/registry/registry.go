@@ -124,9 +124,6 @@ type Options struct {
 	// WarmK precomputes all ≤WarmK-way marginals after each successful
 	// load (0 disables).
 	WarmK int
-	// RetryAfter is the hint attached to shed (429) responses.
-	// 0 means the default (1s).
-	RetryAfter time.Duration
 	// Loader overrides how releases are loaded (nil = the release's
 	// own snapshot.Source).
 	Loader Loader
@@ -171,9 +168,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 15 * time.Second
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.Loader == nil {
 		o.Loader = sourceLoader{}

@@ -184,7 +184,7 @@ func (rl *release) acquire(ctx context.Context) (server.Querier, func(), error) 
 		rl.c.RateLimited.Add(1)
 		ra := rl.bucket.NextIn()
 		if ra <= 0 {
-			ra = rl.reg.opt.RetryAfter
+			ra = admission.RetryAfter
 		}
 		return nil, nil, &server.RateLimitedError{RetryAfter: ra}
 	}
@@ -193,7 +193,7 @@ func (rl *release) acquire(ctx context.Context) (server.Querier, func(), error) 
 		case rl.inflight <- struct{}{}:
 		default:
 			rl.c.Shed.Add(1)
-			return nil, nil, &server.SaturatedError{RetryAfter: rl.reg.opt.RetryAfter}
+			return nil, nil, &server.SaturatedError{RetryAfter: admission.RetryAfter}
 		}
 	}
 	q, err := rl.ensure(ctx)
@@ -253,7 +253,7 @@ func (rl *release) ensure(ctx context.Context) (server.Querier, error) {
 				rl.mu.Unlock()
 				return nil, &server.UnavailableError{
 					Reason:     "circuit breaker half-open, probe in flight",
-					RetryAfter: rl.reg.opt.RetryAfter,
+					RetryAfter: admission.RetryAfter,
 				}
 			}
 			rl.probing = true

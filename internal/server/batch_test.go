@@ -428,10 +428,9 @@ func TestBrownoutServesCachedBatchesOnly(t *testing.T) {
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
 	s := New(cached, Options{
-		RetryAfter: time.Second,
-		Logger:     discardLogger(),
-		Admission:  admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
-		Brownout:   &admission.BrownoutConfig{Enter: time.Millisecond, Exit: time.Hour},
+		Logger:    discardLogger(),
+		Admission: admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
+		Brownout:  &admission.BrownoutConfig{Enter: time.Millisecond, Exit: time.Hour},
 	})
 
 	// Warm two keys through the normal path before the storm.

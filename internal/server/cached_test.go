@@ -99,7 +99,7 @@ func TestCachedQuerierAgreesWithDirectForAllMethods(t *testing.T) {
 	cq, _, syn := cachedTestSetup(t)
 	ctx := context.Background()
 	attrs := []int{0, 3, 7}
-	for _, m := range []core.ReconstructMethod{core.CME, core.CLN, core.LP, core.CLP, core.CMEDual} {
+	for _, m := range []core.ReconstructMethod{core.CME, core.CLN, core.LP, core.CLP} {
 		// Twice: the first populates, the second must hit and agree.
 		for round := 0; round < 2; round++ {
 			got, err := queryOne(ctx, cq, attrs, m)

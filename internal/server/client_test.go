@@ -50,10 +50,6 @@ func TestClientErrorSurface(t *testing.T) {
 	if _, err := c.MarginalsContext(ctx, []core.BatchRequest{{Attrs: []int{0, 99}}}); err == nil {
 		t.Error("out-of-range attribute did not error")
 	}
-	// CME-dual is an in-process ablation; the server refuses it.
-	if _, err := c.MarginalsContext(ctx, []core.BatchRequest{{Attrs: []int{0}, Method: core.CMEDual}}); err == nil {
-		t.Error("unserved method did not error")
-	}
 }
 
 func TestClientAgainstDeadServer(t *testing.T) {

@@ -154,30 +154,13 @@ func parseQuery(attrs []int, method string, def core.ReconstructMethod, dg *cove
 		return core.BatchRequest{}, fmt.Errorf("at most %d attributes per query", maxK)
 	}
 	if method != "" {
-		m, ok := parseMethod(method)
-		if !ok {
+		m, err := core.ParseMethod(method)
+		if err != nil {
 			return core.BatchRequest{}, errors.New("unknown method (want CME, CLN, LP or CLP)")
 		}
 		def = m
 	}
 	return core.BatchRequest{Attrs: set.Attrs(), Method: def}, nil
-}
-
-// parseMethod resolves a method name to an estimator, case-insensitively.
-// CME-dual, an ablation that reaches the same optimum as CME, is not
-// served.
-func parseMethod(raw string) (core.ReconstructMethod, bool) {
-	switch strings.ToUpper(raw) {
-	case "CME":
-		return core.CME, true
-	case "CLN":
-		return core.CLN, true
-	case "LP":
-		return core.LP, true
-	case "CLP":
-		return core.CLP, true
-	}
-	return core.CME, false
 }
 
 // parseMarginal reads GET /v1/marginal's query string — attrs, a
@@ -233,8 +216,8 @@ func parseMarginals(r *http.Request, q Querier, opt Options) ([]core.BatchReques
 	}
 	def := q.DefaultMethod()
 	if req.Method != "" {
-		m, ok := parseMethod(req.Method)
-		if !ok {
+		m, err := core.ParseMethod(req.Method)
+		if err != nil {
 			return nil, &inputError{items: []batchErrorItem{{Index: -1,
 				Error: fmt.Sprintf("unknown default method %q (want CME, CLN, LP or CLP)", req.Method)}}}
 		}
@@ -258,9 +241,8 @@ func parseMarginals(r *http.Request, q Querier, opt Options) ([]core.BatchReques
 }
 
 // solveCounts tallies distinct solves per estimator, indexed by
-// core.ReconstructMethod. parseMethod admits CME..CLP, but a synopsis
-// configured with CME-dual still reaches it as the default method.
-type solveCounts [core.CMEDual + 1]int
+// core.ReconstructMethod.
+type solveCounts [core.CLP + 1]int
 
 // countSolves counts the distinct (attribute set, method) pairs in reqs
 // — the solves QueryBatch runs after deduplication — in total and per

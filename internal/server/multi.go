@@ -104,9 +104,6 @@ func NewMulti(res Resolver, defaultRelease string, opt Options) *Multi {
 	if opt.MaxK <= 0 {
 		opt.MaxK = 12
 	}
-	if opt.RetryAfter <= 0 {
-		opt.RetryAfter = time.Second
-	}
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = 256
 	}
@@ -293,7 +290,7 @@ func (m *Multi) refuseDraining(w http.ResponseWriter) bool {
 	if !m.draining.Load() {
 		return false
 	}
-	w.Header().Set("Retry-After", retryAfterSeconds(m.opt.RetryAfter))
+	w.Header().Set("Retry-After", retryAfterSeconds(admission.RetryAfter))
 	http.Error(w, "draining", http.StatusServiceUnavailable)
 	return true
 }
@@ -318,7 +315,7 @@ func (m *Multi) handleReady(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	if !m.res.Ready() {
-		w.Header().Set("Retry-After", retryAfterSeconds(m.opt.RetryAfter))
+		w.Header().Set("Retry-After", retryAfterSeconds(admission.RetryAfter))
 		http.Error(w, "registry scan incomplete", http.StatusServiceUnavailable)
 		return
 	}

@@ -87,9 +87,6 @@ func newOverload(opt Options, tel *Metrics) *overload {
 			cfg.MaxQueue = opt.MaxInflight
 		}
 	}
-	if cfg.RetryAfterBase <= 0 {
-		cfg.RetryAfterBase = opt.RetryAfter
-	}
 	o := &overload{
 		opt: opt,
 		ctrl: admission.NewController(cfg, admission.Counters{
@@ -205,7 +202,7 @@ func (o *overload) admitDeadline(w http.ResponseWriter, r *http.Request, solves 
 		return true
 	}
 	o.tel.deadlineRejected.Add(1)
-	w.Header().Set("Retry-After", retryAfterSeconds(o.opt.RetryAfter))
+	w.Header().Set("Retry-After", retryAfterSeconds(admission.RetryAfter))
 	http.Error(w, fmt.Sprintf("remaining deadline %v below expected service time %v (%d solves)",
 		remain.Round(time.Millisecond), need.Round(time.Millisecond), n),
 		http.StatusGatewayTimeout)
@@ -257,14 +254,10 @@ func (o *overload) serveCacheOnly(w http.ResponseWriter, r *http.Request, q Quer
 	return true
 }
 
-// refuseBrownout writes the 503 brownout refusal with the larger of the
-// configured and controller-derived Retry-After hints.
+// refuseBrownout writes the 503 brownout refusal with the controller's
+// queue-depth-scaled Retry-After hint.
 func (o *overload) refuseBrownout(w http.ResponseWriter) {
-	hint := o.opt.RetryAfter
-	if ra := o.ctrl.RetryAfter(); ra > hint {
-		hint = ra
-	}
-	w.Header().Set("Retry-After", retryAfterSeconds(hint))
+	w.Header().Set("Retry-After", retryAfterSeconds(o.ctrl.RetryAfter()))
 	http.Error(w, "brownout: serving cached answers only, retry later", http.StatusServiceUnavailable)
 }
 

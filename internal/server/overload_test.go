@@ -115,9 +115,8 @@ func TestAdaptiveAdmissionQueuesThenSheds(t *testing.T) {
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	hq.hold.Store(true)
 	s := New(hq, Options{
-		RetryAfter: time.Second,
-		Logger:     discardLogger(),
-		Admission:  admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
+		Logger:    discardLogger(),
+		Admission: admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -250,10 +249,9 @@ func TestBrownoutServesCacheHitsOnly(t *testing.T) {
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
 	s := New(cached, Options{
-		RetryAfter: time.Second,
-		Logger:     discardLogger(),
-		Admission:  admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
-		Brownout:   &admission.BrownoutConfig{Enter: time.Millisecond, Exit: time.Hour},
+		Logger:    discardLogger(),
+		Admission: admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
+		Brownout:  &admission.BrownoutConfig{Enter: time.Millisecond, Exit: time.Hour},
 	})
 
 	// Warm one key through the normal path before the storm.

@@ -91,7 +91,6 @@ func TestLoadSheddingReturns429(t *testing.T) {
 	}
 	s := server.New(parked, server.Options{
 		MaxInflight: 1,
-		RetryAfter:  time.Second,
 		Logger:      quietLogger(),
 	})
 	ts := httptest.NewServer(s)

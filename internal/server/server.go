@@ -76,12 +76,6 @@ type Options struct {
 	// fills Admission.MaxLimit and Admission.MaxQueue when those are
 	// unset. ≤ 0 keeps the controller's own defaults.
 	MaxInflight int
-	// RetryAfter is the backoff hint on drain, deadline-gate and
-	// brownout refusals, and the base of the controller's
-	// queue-depth-scaled hint on 429s unless Admission.RetryAfterBase is
-	// set (default 1s, rounded up to whole seconds as the header
-	// requires).
-	RetryAfter time.Duration
 	// MaxBatch bounds the queries one POST /v1/marginals request may
 	// carry (≤ 0 selects the default of 256).
 	MaxBatch int

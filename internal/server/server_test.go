@@ -113,7 +113,7 @@ func TestMarginalMethodSelection(t *testing.T) {
 			t.Errorf("method %s: served as %q, want %q", m, resp.Method, want)
 		}
 	}
-	// CME-dual is an ablation, not a served method, in either spelling.
+	// CME-dual names no estimator, in either spelling.
 	for _, m := range []string{"nope", "CME-dual", "CMEDUAL"} {
 		rec := get(t, s, "/v1/marginal?attrs=0,5&method="+m)
 		if rec.Code != http.StatusBadRequest {
@@ -122,17 +122,6 @@ func TestMarginalMethodSelection(t *testing.T) {
 		if got := strings.TrimSpace(rec.Body.String()); got != "unknown method (want CME, CLN, LP or CLP)" {
 			t.Errorf("method %s: error text = %q must name every accepted method", m, got)
 		}
-	}
-	// A synopsis configured with CME-dual still answers its unadorned
-	// queries with it: the default method is not parsed.
-	data := synth.MSNBC(2000, 4)
-	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: covering.Groups(9, 6), Method: core.CMEDual}, noise.NewStream(5))
-	rec := get(t, New(syn, Options{}), "/v1/marginal?attrs=0,5")
-	var resp struct {
-		Method string `json:"method"`
-	}
-	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Method != "CME-dual" {
-		t.Errorf("CME-dual default: status %d, body %s; want 200 answered with CME-dual", rec.Code, rec.Body.String())
 	}
 }
 
