@@ -10,7 +10,9 @@
 // the benchmark does, alternating which side goes first in each pair.
 // Per side it prints the median and quartiles of spawn → first /healthz
 // 200 and of the release.load and release.audit stages that /metrics
-// reports, and it prints the host they were measured on.
+// reports, and it prints the host they were measured on. For each of
+// the three it then prints, over the pairs, the median difference
+// working tree − base and how many pairs the working tree won.
 package main
 
 import (
@@ -120,6 +122,10 @@ func run(base string, spawns int) error {
 	for _, s := range sides {
 		fmt.Printf("%-14s %-22s %-22s %-22s\n", s.name, summary(s.healthy), summary(s.load), summary(s.audit))
 	}
+	b, w := sides[0], sides[1]
+	fmt.Printf("%-14s %-22s %-22s %-22s\n", "tree − base", pairSummary(b.healthy, w.healthy),
+		pairSummary(b.load, w.load), pairSummary(b.audit, w.audit))
+	fmt.Println("tree − base: median per-pair difference, working tree − base, and the pairs the working tree won (measured lower)")
 	return nil
 }
 
@@ -212,6 +218,26 @@ func ms(seconds float64) float64 { return 1000 * seconds }
 func summary(xs []float64) string {
 	q1, q2, q3 := quartiles(xs)
 	return fmt.Sprintf("%.1f (%.1f–%.1f)", q2, q1, q3)
+}
+
+// pairSummary formats pairDiffs of the two sides' samples.
+func pairSummary(base, tree []float64) string {
+	d, wins := pairDiffs(base, tree)
+	return fmt.Sprintf("%+.1f, %d/%d won", d, wins, len(base))
+}
+
+// pairDiffs pairs base[i] with tree[i], the two spawns of pair i, and
+// returns the median of tree[i] − base[i] and the number of pairs in
+// which tree measured lower.
+func pairDiffs(base, tree []float64) (median float64, wins int) {
+	d := make([]float64, len(base))
+	for i := range base {
+		if d[i] = tree[i] - base[i]; d[i] < 0 {
+			wins++
+		}
+	}
+	_, median, _ = quartiles(d)
+	return median, wins
 }
 
 // quartiles returns the three quartiles of xs by Python's

@@ -28,3 +28,24 @@ func TestQuartiles(t *testing.T) {
 		}
 	}
 }
+
+// TestPairDiffs pins the per-pair figures: the i-th samples of the two
+// sides form a pair, the median is taken over tree − base, and a tie
+// is no win.
+func TestPairDiffs(t *testing.T) {
+	for _, c := range []struct {
+		base, tree []float64
+		median     float64
+		wins       int
+	}{
+		{[]float64{10, 12, 11}, []float64{8, 12.5, 10}, -1, 2},
+		{[]float64{5, 5, 5, 5}, []float64{4, 5, 6, 7}, 0.5, 1},
+		{[]float64{20, 1}, []float64{1, 20}, 0, 1},
+		{[]float64{7}, []float64{7}, 0, 0},
+	} {
+		median, wins := pairDiffs(c.base, c.tree)
+		if math.Abs(median-c.median) > 1e-9 || wins != c.wins {
+			t.Errorf("pairDiffs(%v, %v) = %v, %d; want %v, %d", c.base, c.tree, median, wins, c.median, c.wins)
+		}
+	}
+}

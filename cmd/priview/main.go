@@ -317,14 +317,7 @@ func cmdAudit(args []string) error {
 		return fmt.Errorf("audit: usage: priview audit [-json] FILE")
 	}
 	path := fs.Arg(0)
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	syn, err := snapshot.Read(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	syn, err := snapshot.ReadFileFS(snapshot.OS{}, path)
 	if err != nil {
 		return fmt.Errorf("audit: %s: %w", path, err)
 	}
@@ -424,14 +417,7 @@ func cmdQuery(args []string) error {
 			d = info.D
 		}
 	} else {
-		f, err := os.Open(*synPath)
-		if err != nil {
-			return err
-		}
-		syn, err := snapshot.Read(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		syn, err := snapshot.ReadFileFS(snapshot.OS{}, *synPath)
 		if err != nil {
 			return err
 		}

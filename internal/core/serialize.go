@@ -141,7 +141,8 @@ func (d *Document) Decode(r *jsonread.Reader) error {
 }
 
 // Synopsis validates the decoded document and builds its synopsis, as
-// Load does.
+// Load does. The synopsis's views hold the document's cells, so d is
+// not to be used again.
 func (d *Document) Synopsis() (*Synopsis, error) { return fromFile(d.f) }
 
 // The JSON field names of synopsisFile, designFile and viewFile.
@@ -206,9 +207,10 @@ func decodeView(r *jsonread.Reader, v *viewFile) error {
 	})
 }
 
-// fromFile validates a decoded document and builds its synopsis. The
-// views were published as they stand, so they serve as the raw views
-// too.
+// fromFile validates a decoded document and builds its synopsis from
+// it: each view's table holds the decoded attrs and cells, not a copy.
+// The views were published as they stand, so they serve as the raw
+// views too.
 func fromFile(f synopsisFile) (*Synopsis, error) {
 	if f.Format != synopsisFormat {
 		return nil, fmt.Errorf("core: unknown synopsis format %q", f.Format)
@@ -233,9 +235,8 @@ func fromFile(f synopsisFile) (*Synopsis, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: view %d: %w", i, err)
 		}
-		// Check the declared cell count BEFORE allocating the table, so
-		// a corrupt attrs list cannot force a 2^30-cell allocation that
-		// the next line would reject anyway.
+		// Check the declared cell count before the table is built: the
+		// view's decoded cells become the table's own.
 		if want := 1 << uint(len(vf.Attrs)); len(vf.Cells) != want {
 			return nil, fmt.Errorf("core: view %d has %d cells, want %d", i, len(vf.Cells), want)
 		}
@@ -248,9 +249,7 @@ func fromFile(f synopsisFile) (*Synopsis, error) {
 			return nil, fmt.Errorf("core: views %d and %d both cover attributes %v", prev, i, vf.Attrs)
 		}
 		seen[key] = i
-		t := marginal.New(vf.Attrs)
-		copy(t.Cells, vf.Cells)
-		views[i] = t
+		views[i] = marginal.FromCells(vf.Attrs, vf.Cells)
 	}
 	s := &Synopsis{
 		cfg:      Config{Epsilon: f.Epsilon, Design: design, Method: CME},

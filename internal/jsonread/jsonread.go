@@ -27,24 +27,33 @@
 // differential fuzz targets of internal/core and internal/snapshot pin
 // all of this to encoding/json, which remains their reference.
 //
-// Float converts nearly every number a snapshot holds without strconv:
-// a number with no exponent and at most 19 significant and 19 fraction
-// digits is an integer mantissa m over 10^f, both exact in a uint64.
-// Below 2^53 m is exact in a float64 too, and so is 10^f, so one
-// correctly rounded division gives the nearest float64 (Clinger's fast
-// path). Above it, one 128-by-64-bit division (math/bits.Div64) gives
-// the quotient's leading 64 bits, which round half to even on a guard
-// bit and a sticky bit that also covers the remainder. Any other
-// number goes to strconv.ParseFloat, so every result is bit for bit
-// the one it gives; FuzzFloat holds the two together.
+// Float walks each number once, checking the RFC 8259 grammar while it
+// accumulates the digits into an integer mantissa: where eight bytes
+// remain it takes eight digits per step, with one little-endian load,
+// a test that all eight are digits and three multiplies (the SWAR step
+// of simdjson and fast_float), and it takes the rest byte by byte,
+// never reading past the document. That converts nearly every number a
+// snapshot holds without strconv: a number with no exponent and at most
+// 19 significant and 19 fraction digits is the mantissa m over 10^f,
+// both exact in a uint64. Below 2^53 m is exact in a float64 too, and
+// so is 10^f, so one correctly rounded division gives the nearest
+// float64 (Clinger's fast path). Above it, one 128-by-64-bit division
+// (math/bits.Div64) gives the quotient's leading 64 bits, which round
+// half to even on a guard bit and a sticky bit that also covers the
+// remainder. Any other number goes to strconv.ParseFloat, so every
+// result is bit for bit the one it gives. FuzzFloat holds the two
+// together, and holds where the walk stops or fails to the grammar's
+// own scanner, which Int and skipped values use.
 //
 // DecodeRaw reads a value nested in a larger document with a decoder of
-// its own and also returns the value's bytes: the snapshot container
-// decodes its payload and hashes the same bytes in one pass.
+// its own and also returns the value's bytes, and Offset says where a
+// value starts: the snapshot container decodes its payload in one pass
+// and hashes the same bytes while it does.
 package jsonread
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -214,13 +223,18 @@ func (r *Reader) Int(n *int) error {
 // Float decodes a float64, bit for bit as strconv.ParseFloat parses
 // it. A null leaves f unchanged.
 func (r *Reader) Float(f *float64) error {
-	start := r.pos
-	b, err := r.number("float64")
-	if err != nil || b == nil {
-		return err
+	if c := r.peek(); c != '-' && (c < '0' || c > '9') {
+		return r.nullOr("float64")
 	}
-	v, ok := exactFloat(b)
+	start := r.pos
+	v, end, exact, ok := scanFloat(r.data, start)
+	r.pos = end
 	if !ok {
+		return r.syntaxError("in numeric literal")
+	}
+	if !exact {
+		b := r.data[start:end]
+		var err error
 		if v, err = strconv.ParseFloat(string(b), 64); err != nil {
 			return fmt.Errorf("jsonread: cannot decode number %s at offset %d into float64", b, start)
 		}
@@ -228,6 +242,9 @@ func (r *Reader) Float(f *float64) error {
 	*f = v
 	return nil
 }
+
+// Offset returns the offset in the document of the next byte r reads.
+func (r *Reader) Offset() int { return r.pos }
 
 // DecodeRaw reads the value at hand with decode, as a document of its
 // own: the offsets in decode's errors count from the value's first
@@ -256,42 +273,61 @@ var pow10 = [...]uint64{
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
 }
 
-// exactFloat converts the valid JSON number b to the float64 nearest
-// to it, ties to even, when b has no exponent and at most 19
-// significant and 19 fraction digits; ok is false for any other
-// number. A mantissa of more digits wraps, but is then never used.
-func exactFloat(b []byte) (v float64, ok bool) {
-	neg := b[0] == '-'
+// scanFloat walks the number at b[i:] once. It returns the end of the
+// RFC 8259 number there and true, or where the grammar fails and false,
+// exactly as scanNumber does. A number with no exponent and at most 19
+// significant and 19 fraction digits is converted on the way: v is the
+// float64 nearest to it, ties to even, and exact is true. Any other
+// number is left to strconv.ParseFloat; a mantissa of more digits
+// wraps, but is then never used.
+func scanFloat(b []byte, i int) (v float64, end int, exact, ok bool) {
+	neg := i < len(b) && b[i] == '-'
 	if neg {
-		b = b[1:]
+		i++
 	}
 	var m uint64
-	i := 0
-	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		m = m*10 + uint64(b[i]-'0')
+	first := i
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i, m = mantissa(b, i, 0)
+	default:
+		return 0, i, false, false
 	}
-	sig, frac := i, 0
-	if b[0] == '0' {
+	sig, frac := i-first, 0
+	if b[first] == '0' {
 		sig = 0 // the integer part is a lone zero, not significant
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
 		start := i
-		if b[0] == '0' {
+		if b[first] == '0' {
 			for i < len(b) && b[i] == '0' {
 				i++
 			}
 		}
 		lead := i - start
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			m = m*10 + uint64(b[i]-'0')
+		if i, m = mantissa(b, i, m); i == start {
+			return 0, i, false, false
 		}
 		frac = i - start
 		sig += frac - lead
 	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		start := i
+		if i = digits(b, i); i == start {
+			return 0, i, false, false
+		}
+		return 0, i, false, true
+	}
 	switch {
-	case i < len(b) || sig > len(pow10)-1 || frac > len(pow10)-1:
-		return 0, false // an exponent, or too many digits
+	case sig > len(pow10)-1 || frac > len(pow10)-1:
+		return 0, i, false, true
 	case m < 1<<53:
 		v = float64(m) / float64(pow10[frac])
 	default:
@@ -300,7 +336,35 @@ func exactFloat(b []byte) (v float64, ok bool) {
 	if neg {
 		v = -v
 	}
-	return v, true
+	return v, i, true, true
+}
+
+// mantissa appends the run of decimal digits at b[i:] to m and returns
+// the run's end and the new m. While eight bytes remain it takes eight
+// digits per step: one little-endian load, a test that all eight are
+// digits and three multiplies that turn them into their value (the
+// SWAR step of simdjson and fast_float); the last digits go one by
+// one.
+func mantissa(b []byte, i int, m uint64) (int, uint64) {
+	//lint:hot
+	for i+8 <= len(b) {
+		w := binary.LittleEndian.Uint64(b[i:])
+		// Each byte is a digit when its high nibble and that of the
+		// byte plus 6 are both 3. A byte that carries into the next
+		// fails its own test.
+		if w&(w+0x0606060606060606)&0xF0F0F0F0F0F0F0F0 != 0x3030303030303030 {
+			break
+		}
+		w -= 0x3030303030303030
+		w = w*10 + w>>8 // each even byte k holds 10·digit k + digit k+1
+		w = ((w&0x000000FF000000FF)*(100+1000000<<32) + (w>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		m = m*1e8 + w&0xFFFFFFFF
+		i += 8
+	}
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	return i, m
 }
 
 // divide returns m/d rounded to the nearest float64, ties to even, for

@@ -73,15 +73,44 @@ var floatEdges = []floatEdge{
 	{"4.9e-324", false}, {"2.2250738585072014e-308", false}, {"1e-400", false}, {"1e21", false},
 	// Out of range: both must fail.
 	{"1e400", false}, {"-1e400", false}, {"1" + strings.Repeat("0", 400), false},
+	// Digit runs shorter than, as long as and longer than one or two
+	// eight-digit steps, in the integer part, the fraction and both.
+	{"1234567", true}, {"12345678", true}, {"123456789", true},
+	{"123456789012345", true}, {"1234567890123456", true}, {"12345678901234567", true},
+	{"0.1234567", true}, {"0.12345678", true}, {"0.123456789", true},
+	{"0.123456789012345", true}, {"0.1234567890123456", true}, {"0.12345678901234567", true},
+	{"-1234567.1234567", true}, {"12345678.12345678", true}, {"123456789.123456789", true},
+	{"-0.00000000", true}, {"0.0000000012345678", true}, {"99999999.99999999", true},
+	// Numbers whose last eight-digit step ends exactly at the end of
+	// the input.
+	{"-12345678", true}, {"1234567812345678", true}, {"1.23456789", true}, {"-0.1234567812345678", true},
+	// A non-digit inside an eight-byte window ends the number there,
+	// and the grammar's failures: Float fails where strconv fails.
+	{"1234567.8x", false}, {"12345678a", false}, {"1234567812345678.", false}, {"1234.567-", false},
+	{"-", false}, {"1.", false}, {"01", false}, {".5", false}, {"1e", false},
+	{"1.e5", false}, {"-.5", false}, {"1e+", false}, {"00.5", false},
+	// 19 against 20 significant digits across eight-digit steps.
+	{"12345678.90123456789", true}, {"12345678.901234567891", false},
+	{"-9999999999999999999", true}, {"-99999999999999999999", false},
+	{"0.00001234567890123456789", false}, {"1234567890123456789.0", false},
 }
 
-// TestFloatEdges holds Float to strconv.ParseFloat, bit for bit and on
-// errors, on each edge, and checks which path converts it.
+// TestFloatEdges holds where scanFloat stops to scanNumber on each
+// edge. On an edge that is one JSON number it holds Float to
+// strconv.ParseFloat, bit for bit and on errors, and checks which path
+// converts it; any other edge Float must refuse.
 func TestFloatEdges(t *testing.T) {
 	for _, e := range floatEdges {
+		if end, ok := checkScan(t, e.in); !ok || end < len(e.in) {
+			var f float64
+			if err := Parse([]byte(e.in), func(r *Reader) error { return r.Float(&f) }); err == nil {
+				t.Errorf("%s: decoded as %v, want an error", e.in, f)
+			}
+			continue
+		}
 		checkFloat(t, e.in)
-		if _, ok := exactFloat([]byte(e.in)); ok != e.fast {
-			t.Errorf("%s: converted without strconv = %v, want %v", e.in, ok, e.fast)
+		if _, _, exact, _ := scanFloat([]byte(e.in), 0); exact != e.fast {
+			t.Errorf("%s: converted without strconv = %v, want %v", e.in, exact, e.fast)
 		}
 	}
 	for _, in := range []string{"1e400", "-1e400", "1" + strings.Repeat("0", 400)} {
@@ -145,18 +174,30 @@ func TestFloatMatchesParseFloat(t *testing.T) {
 	}
 }
 
-// FuzzFloat holds Float to strconv.ParseFloat on every valid JSON
-// number, bit for bit and on errors.
+// FuzzFloat holds scanFloat to scanNumber on every input, on where the
+// number ends or the grammar fails, and Float to strconv.ParseFloat on
+// every input that is one valid JSON number, bit for bit and on errors.
 func FuzzFloat(f *testing.F) {
 	for _, e := range floatEdges {
 		f.Add(e.in)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		if end, ok := scanNumber([]byte(s), 0); !ok || end != len(s) {
-			return
+		if end, ok := checkScan(t, s); ok && end == len(s) {
+			checkFloat(t, s)
 		}
-		checkFloat(t, s)
 	})
+}
+
+// checkScan fails t unless scanFloat stops where scanNumber does on s,
+// and accepts or rejects the number there as it does. It returns
+// scanNumber's result.
+func checkScan(t *testing.T, s string) (int, bool) {
+	t.Helper()
+	end, ok := scanNumber([]byte(s), 0)
+	if _, gotEnd, _, gotOK := scanFloat([]byte(s), 0); gotEnd != end || gotOK != ok {
+		t.Fatalf("%q: scanFloat ends at %d, %v; scanNumber at %d, %v", s, gotEnd, gotOK, end, ok)
+	}
+	return end, ok
 }
 
 // checkFloat fails t unless Float decodes the JSON number s as

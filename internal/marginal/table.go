@@ -50,6 +50,21 @@ func New(attrs []int) *Table {
 	return &Table{Attrs: a, mask: mask, Cells: make([]float64, 1<<uint(len(a)))}
 }
 
+// FromCells returns a table over attrs that holds cells, keeping both
+// slices rather than copies. attrs must be strictly ascending and in
+// [0, 64), and cells must hold 1<<len(attrs) counts; it panics
+// otherwise, as New does on attributes no table can hold.
+func FromCells(attrs []int, cells []float64) *Table {
+	mask, err := attrset.FromAttrs(attrs)
+	if err != nil {
+		panic(fmt.Sprintf("marginal: %v", err))
+	}
+	if len(attrs) > 30 || !sort.IntsAreSorted(attrs) || len(cells) != 1<<uint(len(attrs)) {
+		panic(fmt.Sprintf("marginal: %d cells over attributes %v", len(cells), attrs))
+	}
+	return &Table{Attrs: attrs, Cells: cells, mask: mask}
+}
+
 // Clone returns a deep copy of the table.
 func (t *Table) Clone() *Table {
 	c := &Table{

@@ -42,6 +42,34 @@ func TestNewRejectsHuge(t *testing.T) {
 	New(attrs)
 }
 
+// TestFromCells checks that FromCells keeps the slices it is given and
+// refuses attributes and cells that New would not have built.
+func TestFromCells(t *testing.T) {
+	attrs, cells := []int{2, 7}, []float64{1, 2, 3, 4}
+	tab := FromCells(attrs, cells)
+	if &tab.Attrs[0] != &attrs[0] || &tab.Cells[0] != &cells[0] {
+		t.Error("FromCells copied its slices")
+	}
+	if tab.Mask() != New(attrs).Mask() {
+		t.Errorf("Mask = %v, want %v", tab.Mask(), New(attrs).Mask())
+	}
+	for _, c := range []struct {
+		attrs []int
+		cells int
+	}{
+		{[]int{2, 7}, 3}, {[]int{2, 7}, 8}, {[]int{7, 2}, 4}, {[]int{2, 2}, 4}, {[]int{64}, 2}, {nil, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromCells(%v, %d cells) did not panic", c.attrs, c.cells)
+				}
+			}()
+			FromCells(c.attrs, make([]float64, c.cells))
+		}()
+	}
+}
+
 func TestRestrictIndex(t *testing.T) {
 	// Table over positions {0,1,2}; restrict to positions {0,2}.
 	// Index 0b101 (attr0=1, attr1=0, attr2=1) -> 0b11.

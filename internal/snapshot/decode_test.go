@@ -106,6 +106,21 @@ func envelopeQuirks(t testing.TB) []envelopeQuirk {
 		{"bare v1, stray payload", `{"payload":` + other + "," + quirkPayload[1:], loads},
 		{"nesting 10000 in the payload", v2(`"format":"priview-synopsis-v2","checksum":"` + compactSum(t, []byte(deep(9998))) + `","payload":` + deep(9998)), loads},
 		{"nesting 10001 in the payload", v2(good + `,"payload":` + deep(9999)), failsFormat},
+		// Where Write puts the payload Decode hashes it while it decodes,
+		// and uses that sum only when the payload decoded is exactly
+		// those bytes; every other layout is hashed afterwards.
+		{"whitespace before the closing brace", v2(good + `,"payload":` + quirkPayload + " \t"), loads},
+		{"newline before the closing brace", v2(good+`,"payload":`+quirkPayload+"\n") + "\n", loads},
+		{"indented container", string(indented(t, []byte(v2(good+`,"payload":`+quirkPayload)))), loads},
+		{"payload first", v2(`"payload":` + quirkPayload + "," + good), loads},
+		{"payload first, wrong checksum", v2(`"payload":` + other + "," + good), failsChecksum},
+		{"repeated payload, both the same", v2(good + `,"payload":` + quirkPayload + `,"payload":` + quirkPayload), loads},
+		{"repeated payload, first is wrong", v2(good + `,"payload":` + other + `,"payload":` + quirkPayload), loads},
+		{"trailing brace", v2(good+`,"payload":`+quirkPayload) + "}", failsFormat},
+		{"trailing bytes", v2(good+`,"payload":`+quirkPayload) + "\n0", failsFormat},
+		{"payload byte flipped", v2(good + `,"payload":` + other), failsChecksum},
+		{"payload byte flipped, whitespace before the brace", v2(good+`,"payload":`+other+"\n") + "\n", failsChecksum},
+		{"bare v1, stray payload last", quirkPayload[:len(quirkPayload)-1] + `,"payload":` + other + "}", loads},
 	}
 }
 
@@ -134,6 +149,27 @@ func TestDecodeEnvelopeQuirks(t *testing.T) {
 			if d := sameRelease(want, syn); d != "" {
 				t.Errorf("%s: decoded a different synopsis: %s", q.name, d)
 			}
+		}
+	}
+}
+
+// TestDecodeJoinsItsHash overwrites every input as soon as Decode
+// returns. Under the race detector it fails if Decode returns while its
+// goroutine still hashes the input. Besides the envelope quirks it
+// decodes a container whose 1 MB payload fails at its first number, so
+// that the hash outlasts the decode; the detector sees only the hash's
+// copy of the last partial block, so the payload's length, 2^20 + 4,
+// leaves one.
+func TestDecodeJoinsItsHash(t *testing.T) {
+	big := `{"format":"priview-synopsis-v2","checksum":"sha256:00","payload":[01` + strings.Repeat(",1", 1<<19) + "]}"
+	docs := []envelopeQuirk{{"1 MB payload, invalid at its start", big, failsFormat}}
+	for _, q := range append(docs, envelopeQuirks(t)...) {
+		raw := []byte(q.doc)
+		if _, err := Decode(raw); decodeOutcome(err) != q.want {
+			t.Errorf("%s: outcome %s (%v), want %s", q.name, decodeOutcome(err), err, q.want)
+		}
+		for i := range raw { // element by element, where the race detector sees it
+			raw[i] = 0
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 
 	"priview/internal/core"
 	"priview/internal/jsonread"
@@ -91,14 +92,24 @@ var envelopeFields = []string{"format", "checksum", "payload"}
 // checksum and the payload are used only for a v2 container, so a bare
 // v1 document with a stray "checksum" or "payload" key of any JSON type
 // still loads.
+//
+// The payload is hashed while it is decoded: at the first "payload"
+// key a second goroutine hashes the bytes where Write puts the payload,
+// from there to the container's closing brace. Decode uses that sum
+// only when the payload it decoded is exactly those bytes, compact;
+// any other payload is hashed after the decode. The goroutine never
+// outlives Decode.
 func Decode(raw []byte) (*core.Synopsis, error) {
 	var (
 		format, declared    string
 		checksumErr, docErr error
 		payload             []byte
+		payloadAt           int
 		compact             bool
 		doc                 core.Document
+		early               earlySum
 	)
+	defer early.done.Wait()
 	err := jsonread.Parse(raw, func(r *jsonread.Reader) error {
 		return r.Object(envelopeFields, func(name string) error {
 			var err error
@@ -114,6 +125,8 @@ func Decode(raw []byte) (*core.Synopsis, error) {
 					checksumErr = derr
 				}
 			default:
+				payloadAt = r.Offset()
+				early.start(raw, payloadAt)
 				// The last payload wins, decoded afresh, as core.Load
 				// would decode the bytes a json.RawMessage field keeps.
 				doc = core.Document{}
@@ -133,17 +146,21 @@ func Decode(raw []byte) (*core.Synopsis, error) {
 		if len(payload) == 0 {
 			return nil, fmt.Errorf("%w: empty payload", ErrFormat)
 		}
-		// A payload with no whitespace outside its strings — what Write
-		// writes — is already what json.Compact would return, byte for
-		// byte, and is hashed in place.
-		if !compact {
-			var buf bytes.Buffer
-			if err := json.Compact(&buf, payload); err != nil {
-				return nil, fmt.Errorf("%w: unhashable payload: %v", ErrChecksum, err)
+		sum, ok := early.of(payloadAt, len(payload), compact)
+		if !ok {
+			// A payload with no whitespace outside its strings is already
+			// what json.Compact would return, byte for byte, and is
+			// hashed in place.
+			if !compact {
+				var buf bytes.Buffer
+				if err := json.Compact(&buf, payload); err != nil {
+					return nil, fmt.Errorf("%w: unhashable payload: %v", ErrChecksum, err)
+				}
+				payload = buf.Bytes()
 			}
-			payload = buf.Bytes()
+			sum = checksum(payload)
 		}
-		if sum := checksum(payload); sum != declared {
+		if sum != declared {
 			return nil, fmt.Errorf("%w: payload hashes to %s, header declares %s", ErrChecksum, sum, declared)
 		}
 		if docErr != nil {
@@ -156,3 +173,41 @@ func Decode(raw []byte) (*core.Synopsis, error) {
 		return nil, fmt.Errorf("%w: format %q", ErrFormat, format)
 	}
 }
+
+// earlySum hashes the bytes where a container written by Write holds
+// its payload, on a goroutine of its own while the payload is decoded.
+type earlySum struct {
+	from, to int // the range hashed; to is 0 until a hash starts
+	sum      string
+	done     sync.WaitGroup
+}
+
+// start begins hashing raw from the payload's first byte, at offset
+// from, to the container's closing brace, with the whitespace before
+// the brace and after it trimmed. It starts nothing if a hash has
+// started already or if raw ends in no brace after from.
+func (e *earlySum) start(raw []byte, from int) {
+	end := bytes.TrimRight(raw, jsonSpace)
+	if e.to != 0 || len(end) <= from || end[len(end)-1] != '}' {
+		return
+	}
+	e.from, e.to = from, from+len(bytes.TrimRight(end[from:len(end)-1], jsonSpace))
+	e.done.Add(1)
+	go func() {
+		defer e.done.Done()
+		e.sum = checksum(raw[e.from:e.to])
+	}()
+}
+
+// of waits for the hash and returns it if the payload, n bytes at
+// offset at, is the range hashed and compact.
+func (e *earlySum) of(at, n int, compact bool) (string, bool) {
+	e.done.Wait()
+	if !compact || e.to == 0 || at != e.from || at+n != e.to {
+		return "", false
+	}
+	return e.sum, true
+}
+
+// jsonSpace is the whitespace JSON allows between tokens.
+const jsonSpace = " \t\r\n"
