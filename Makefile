@@ -170,8 +170,7 @@ startup:
 # never listed). Each unlinked function prints as pkg.Func file:line
 # unless a line of deadcode.keep covers it: a symbol, or a package or
 # type prefix, then # and the reason it stays. Keep entries that cover
-# nothing print too, and the target fails if it printed anything. Not
-# part of check.
+# nothing print too, and the target fails if it printed anything.
 deadcode:
 	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
 	$(GO) build -gcflags=all=-l -o $$tmp/bin/ ./... && \
@@ -204,5 +203,5 @@ deadcode:
 
 # The two benchmark suites run once per benchmark (BENCHTIME=1x), as
 # CI's smoke steps do: they prove the benchmarks still build and run.
-check: build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench-smoke
+check: build vet lint deadcode test race chaos chaos-registry chaos-overload fuzz-short audit bench-smoke
 	$(MAKE) bench bench-batch BENCHTIME=1x

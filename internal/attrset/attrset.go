@@ -1,7 +1,7 @@
 // Package attrset is the repository's single representation of an
 // attribute set: a bitmask over the global attribute indices, packed
 // into one machine word. Every layer of the pipeline manipulates
-// attribute sets — view planning, the consistency closure (§4.4),
+// attribute sets — view planning, the consistency pass (§4.4),
 // constraint preparation for max-entropy reconstruction (§4.3), the
 // query cache key, and the release audit — and before this package each
 // invented its own encoding (sorted []int slices with O(n) merge loops,
@@ -197,13 +197,14 @@ func RestrictTable(dim int, posMask uint64) []int32 {
 // of one or more of the input sets, always including the empty set.
 // The result is sorted by cardinality ascending (ties by numeric
 // value), a linear extension of the subset partial order — the
-// processing order the consistency pass needs (§4.4). Only sets
-// contained in at least two inputs are kept (a set held by a single
-// view has nothing to reconcile), except ∅, which is kept
-// unconditionally for total-count consistency.
+// processing order of §4.4's consistency sweep. Only sets contained in
+// at least two inputs are kept (a set held by a single view has nothing
+// to reconcile), except ∅, which is kept unconditionally for
+// total-count consistency.
 //
-// This is the shared closure kernel of consistency.Overall and
-// categorical.Overall; both previously carried private copies.
+// Its users are categorical.Overall, whose non-binary tables have no
+// Walsh–Hadamard closed form, and the closure sweep that
+// consistency's tests hold consistency.Overall to.
 func IntersectionClosure(sets []Set) []Set {
 	closure := map[Set]struct{}{}
 	var members, work []Set

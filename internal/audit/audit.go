@@ -214,10 +214,13 @@ func Check(s Synopsis, opt Options) *Report {
 
 	// Per-view structure, finiteness and non-negativity. A view with a
 	// non-finite cell is excluded from the cross-view checks below —
-	// its projections would poison every comparison.
+	// its projections would poison every comparison. Views with a cell
+	// below -NonnegWarn share one Warning, which counts them and names
+	// the lowest.
 	usable := make([]bool, len(views))
 	norm := make([]float64, len(views)) // ‖v‖₁ of each usable view
 	cells := 0                          // the usable views' cells
+	negViews, lowestView, lowest := 0, -1, 0.0
 	for i, v := range views {
 		if v == nil {
 			r.add(Error, "structure", i, math.NaN(), "view %d is nil", i)
@@ -250,9 +253,16 @@ func Check(s Synopsis, opt Options) *Report {
 			r.add(Error, "non-negativity", i, worstNeg,
 				"view %d (attrs %v) has cell %v, far below -%v", i, v.Attrs, worstNeg, opt.NonnegErr)
 		case worstNeg < -opt.NonnegWarn:
-			r.add(Warning, "non-negativity", i, worstNeg,
-				"view %d (attrs %v) has cell %v below the Ripple tolerance -%v", i, v.Attrs, worstNeg, opt.NonnegWarn)
+			negViews++
+			if worstNeg < lowest {
+				lowestView, lowest = i, worstNeg
+			}
 		}
+	}
+	if negViews > 0 {
+		r.add(Warning, "non-negativity", lowestView, lowest,
+			"%d view(s) have a cell below the Ripple tolerance -%v; lowest: view %d (attrs %v) cell %v",
+			negViews, opt.NonnegWarn, lowestView, views[lowestView].Attrs, lowest)
 	}
 
 	// Total preservation: the per-view totals must agree with each

@@ -147,6 +147,34 @@ func TestNegativeCellSeverity(t *testing.T) {
 	}
 }
 
+// Many mildly negative views draw one non-negativity Warning that
+// counts them and names the lowest, not one Warning per view.
+func TestNegativeViewsShareOneWarning(t *testing.T) {
+	views := make([]*marginal.Table, 40)
+	for i := range views {
+		neg := -1 - float64(i*7%40)/10 // lowest, -4.9, at view 17
+		views[i] = table([]int{i}, 40-neg, neg)
+	}
+	r := audit.Check(&fakeSyn{views: views, total: 40, eps: 1}, audit.Options{})
+	if !r.OK() {
+		t.Fatalf("mildly negative views failed audit:\n%s", r)
+	}
+	var warnings []audit.Finding
+	for _, f := range r.Findings {
+		if f.Severity == audit.Warning {
+			warnings = append(warnings, f)
+		}
+	}
+	if len(warnings) != 1 {
+		t.Fatalf("%d Warnings, want 1:\n%s", len(warnings), r)
+	}
+	w := warnings[0]
+	if w.Invariant != "non-negativity" || w.View != 17 || w.Value != -4.9 ||
+		!strings.HasPrefix(w.Detail, "40 view(s) ") || !strings.Contains(w.Detail, "view 17 (attrs [17])") {
+		t.Errorf("Warning = %+v, want 40 views counted and view 17's cell -4.9 named", w)
+	}
+}
+
 func TestClampedTotalAllowed(t *testing.T) {
 	// Heavy noise at tiny ε can drive the view totals negative; the
 	// release publishes total 0. That is the documented clamp case and

@@ -58,23 +58,3 @@ func BenchmarkRipple256(b *testing.B) {
 		Ripple(t, 0.5)
 	}
 }
-
-func BenchmarkMutualOnSet(b *testing.B) {
-	r := rand.New(rand.NewSource(9))
-	mk := func(attrs []int) *marginal.Table {
-		v := marginal.New(attrs)
-		for c := range v.Cells {
-			v.Cells[c] = r.Float64() * 100
-		}
-		return v
-	}
-	views := []*marginal.Table{
-		mk([]int{0, 1, 2, 3, 4, 5, 6, 7}),
-		mk([]int{2, 3, 8, 9, 10, 11, 12, 13}),
-		mk([]int{2, 3, 14, 15, 16, 17, 18, 19}),
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MutualOnSet(views, []int{2, 3})
-	}
-}

@@ -7,139 +7,83 @@ package consistency
 
 import (
 	"priview/internal/attrset"
+	"priview/internal/fourier"
 	"priview/internal/marginal"
 )
 
-// MutualOnSet enforces consistency of the given views on the attribute
-// set A, which must be a subset of every view's attributes. It computes
-// the common estimate as the arithmetic mean of the views' projections
-// onto A — variance-minimizing when all views have the same size, the
-// paper's §4.4 assumption — and updates every view additively so its
-// projection onto A equals that estimate, leaving its marginals over
-// attributes outside A untouched (Lemma 1). It returns the agreed
-// estimate.
-func MutualOnSet(views []*marginal.Table, a []int) *marginal.Table {
-	return MutualOnSetWeighted(views, a, nil)
-}
-
-// MutualOnSetWeighted is MutualOnSet with explicit non-negative
-// averaging weights (nil means uniform). When view sizes differ, the
-// projection of a larger view onto A sums more noisy cells and so
-// carries more noise; weights ∝ 2^{-|V_i|} (see VarianceWeights) give
-// the minimum-variance combination.
-func MutualOnSetWeighted(views []*marginal.Table, a []int, weights []float64) *marginal.Table {
-	if len(views) == 0 {
-		panic("consistency: no views")
-	}
-	if weights != nil && len(weights) != len(views) {
-		panic("consistency: weights must align with views")
-	}
-	est := marginal.New(a)
-	projections := make([]*marginal.Table, len(views))
-	wSum := 0.0
-	for i, v := range views {
-		projections[i] = v.Project(a)
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-			if w < 0 {
-				panic("consistency: negative weight")
-			}
-		}
-		wSum += w
-		for c := range est.Cells {
-			est.Cells[c] += w * projections[i].Cells[c]
-		}
-	}
-	if wSum <= 0 {
-		panic("consistency: weights sum to zero")
-	}
-	est.Scale(1 / wSum)
-	for i, v := range views {
-		applyEstimate(v, est, projections[i])
-	}
-	return est
-}
-
-// VarianceWeights returns averaging weights for views with homogeneous
-// per-cell noise: a view over |V_i| attributes projects onto A by
-// summing 2^{|V_i|-|A|} cells, giving projection variance ∝ 2^{|V_i|},
-// so the inverse-variance weight is 2^{-|V_i|} (the common 2^{-|A|}
-// factor cancels in normalization).
-func VarianceWeights(views []*marginal.Table) []float64 {
-	w := make([]float64, len(views))
-	for i, v := range views {
-		w[i] = 1 / float64(int(1)<<uint(v.Dim()))
-	}
-	return w
-}
-
-// applyEstimate updates view so its projection on est.Attrs equals est,
-// distributing each cell's correction evenly over the view cells that
-// project to it: T(c) += (est(a) − proj(a)) / 2^{|V|−|A|}. The cell
-// mapping is precomputed once (RestrictIndices), so the sweep over the
-// view is two array loads per cell.
-func applyEstimate(view, est, proj *marginal.Table) {
-	ridx := view.RestrictIndices(est.Attrs)
-	share := 1 / float64(int(1)<<uint(view.Dim()-est.Dim()))
-	// Precompute per-restricted-index correction.
-	corr := make([]float64, len(est.Cells))
-	for i := range est.Cells {
-		corr[i] = (est.Cells[i] - proj.Cells[i]) * share
-	}
-	for c := range view.Cells {
-		view.Cells[c] += corr[ridx[c]]
-	}
-}
-
 // Overall makes all views mutually consistent (Definition 2): for every
-// pair V_i, V_j, the projections onto V_i ∩ V_j agree. It computes the
-// closure of the view attribute sets under intersection, orders it by a
-// linear extension of the subset partial order (size ascending, so the
-// empty set — total-count consistency — comes first), and runs
-// MutualOnSet for each closure set over the views containing it. By
-// Lemma 1, later steps never invalidate earlier ones.
+// pair V_i, V_j, the projections onto V_i ∩ V_j agree. It sets every
+// Walsh–Hadamard coefficient T of every view to its mean over the views
+// that contain T, the closed form of §4.4's sweep: a view's marginal on
+// A is fixed by its coefficients T ⊆ A, so Lemma 1's step on a closure
+// set A sets those coefficients of the views containing A to their mean
+// and leaves the rest alone. The first closure set holding T is the
+// intersection of the views containing T, so that step already averages
+// over all of them, and later steps average equal values.
 //
-// Attribute sets are manipulated as attrset masks throughout; the
-// d < 64 invariant they rely on is enforced when the tables are built
-// (marginal.New) and, with typed errors, at the core.Config and
-// dataset input boundaries — not here.
+// The d < 64 invariant of the attrset masks used here is enforced when
+// the tables are built (marginal.New) and, with typed errors, at the
+// core.Config and dataset input boundaries — not here.
 func Overall(views []*marginal.Table) {
 	overall(views, false)
 }
 
-// OverallWeighted is Overall with inverse-variance averaging at each
-// mutual-consistency step (see VarianceWeights) — identical to Overall
-// when all views have the same size, strictly lower-variance when a
-// design mixes block sizes.
+// OverallWeighted is Overall with each view's coefficients weighted
+// 2^{-|V_i|}, the inverse variance of its projections (a projection onto
+// A sums 2^{|V_i|-|A|} noisy cells). §4.4's sweep with those weights has
+// the same closed form, and the result is the least-squares projection
+// onto consistent views for any mix of view sizes; with one size it
+// equals Overall.
 func OverallWeighted(views []*marginal.Table) {
 	overall(views, true)
 }
 
+// overall works on the views' coefficients in place. Each coefficient is
+// averaged once, from the first view that holds it.
 func overall(views []*marginal.Table, weighted bool) {
 	if len(views) < 2 {
 		return
 	}
-	viewMasks := make([]attrset.Set, len(views))
+	masks := make([]attrset.Set, len(views))
+	weights := make([]float64, len(views))
 	for i, v := range views {
-		viewMasks[i] = v.Mask()
+		masks[i] = v.Mask()
+		weights[i] = 1
+		if weighted {
+			weights[i] = 1 / float64(len(v.Cells))
+		}
+		fourier.WHT(v.Cells)
 	}
-	sets := attrset.IntersectionClosure(viewMasks)
-	group := make([]*marginal.Table, 0, len(views))
-	for _, mask := range sets {
-		group = group[:0]
-		for i, vm := range viewMasks {
-			if mask.Subset(vm) {
-				group = append(group, views[i])
+	for i, v := range views {
+		// t is coefficient p's attribute set: both step in ascending
+		// order, t through the submasks of V_i.
+		mi := masks[i]
+	coefficients:
+		//lint:hot
+		for p, t := 0, attrset.Set(0); p < len(v.Cells); p, t = p+1, (t-mi)&mi {
+			for _, mj := range masks[:i] {
+				if t.Subset(mj) {
+					continue coefficients
+				}
+			}
+			sum, wsum := weights[i]*v.Cells[p], weights[i]
+			for j := i + 1; j < len(views); j++ {
+				if t.Subset(masks[j]) {
+					sum += weights[j] * views[j].Cells[attrset.PosMask(t, masks[j])]
+					wsum += weights[j]
+				}
+			}
+			mean := sum / wsum
+			v.Cells[p] = mean
+			for j := i + 1; j < len(views); j++ {
+				if t.Subset(masks[j]) {
+					views[j].Cells[attrset.PosMask(t, masks[j])] = mean
+				}
 			}
 		}
-		if len(group) >= 2 {
-			if weighted {
-				MutualOnSetWeighted(group, mask.Attrs(), VarianceWeights(group))
-			} else {
-				MutualOnSet(group, mask.Attrs())
-			}
-		}
+	}
+	for _, v := range views {
+		fourier.InverseWHT(v.Cells)
 	}
 }
 

@@ -245,10 +245,38 @@ func TestNonnegRoundsRipple3EquivalentQuality(t *testing.T) {
 	data := synth.Kosarak(30000, 22)
 	dg := kosarakDesign(t)
 	for _, rounds := range []int{1, 3} {
-		s := BuildSynopsis(data, Config{Epsilon: 1, Design: dg, NonnegRounds: rounds}, noise.NewStream(23))
+		cfg := Config{Epsilon: 1, Design: dg, Nonneg: consistency.NonnegRipple, NonnegRounds: rounds}
+		s := BuildSynopsis(data, cfg, noise.NewStream(23))
 		if !consistency.IsPairwiseConsistent(s.Views(), 1e-6) {
 			t.Errorf("rounds=%d: views inconsistent", rounds)
 		}
+	}
+}
+
+// On the same data and noise, a Ripple build publishes fewer cells
+// below -θ, and a higher lowest cell, than a build with no
+// non-negativity step. The final consistency pass runs after Ripple, so
+// some negative cells remain.
+func TestRippleBuildPublishesFewerNegativeCells(t *testing.T) {
+	data := synth.Kosarak(30000, 24)
+	dg := kosarakDesign(t)
+	negatives := func(m consistency.NonnegMethod) (below int, lowest float64) {
+		s := BuildSynopsis(data, Config{Epsilon: 1, Design: dg, Nonneg: m}, noise.NewStream(25))
+		for _, v := range s.Views() {
+			for _, c := range v.Cells {
+				if c < -consistency.DefaultRippleTheta {
+					below++
+				}
+				lowest = math.Min(lowest, c)
+			}
+		}
+		return below, lowest
+	}
+	noneBelow, noneLowest := negatives(consistency.NonnegNone)
+	rippleBelow, rippleLowest := negatives(consistency.NonnegRipple)
+	if rippleBelow >= noneBelow || rippleLowest <= noneLowest {
+		t.Errorf("Ripple: %d cells below -θ, lowest %v; None: %d, lowest %v",
+			rippleBelow, rippleLowest, noneBelow, noneLowest)
 	}
 }
 

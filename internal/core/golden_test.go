@@ -16,8 +16,8 @@ import (
 // reconstruction — bit for bit. It exists so that representation
 // refactors (such as the attrset bitmask unification) can prove they
 // changed no arithmetic: any reordering of float operations in the
-// consistency closure, the constraint preparation or the solvers shows
-// up as an exact-compare failure here.
+// consistency projection, the constraint preparation or the solvers
+// shows up as an exact-compare failure here.
 //
 // Regenerate testdata/golden_synopsis.json by running the test with
 // PRIVIEW_UPDATE_GOLDEN=1 — only legitimate when an intentional

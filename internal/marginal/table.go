@@ -368,10 +368,10 @@ func Subset(a, b []int) bool {
 
 // Key returns a canonical string key for a sorted attribute set, suitable
 // for use as a map key when deduplicating sets. Hot paths (constraint
-// dedupe, the query cache, the consistency closure) key on attrset
-// masks instead — the word itself is the map key, with no per-call
-// allocation; Key remains for cold paths (serialization, experiment
-// labels) where a human-readable string is worth the allocation.
+// dedupe, the query cache) key on attrset masks instead — the word
+// itself is the map key, with no per-call allocation; Key remains for
+// cold paths (serialization, experiment labels) where a human-readable
+// string is worth the allocation.
 func Key(attrs []int) string {
 	b := make([]byte, 0, len(attrs)*3)
 	for _, a := range attrs {

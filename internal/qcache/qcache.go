@@ -39,7 +39,7 @@ import (
 
 // Key identifies one memoizable query: the attribute set as an
 // attrset.Set (the repo-wide d < 64 invariant, also relied on by
-// internal/consistency's closure computation) plus the estimator,
+// internal/consistency) plus the estimator,
 // carried as its integer value so this package does not depend on
 // internal/core.
 type Key struct {

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"priview/internal/core"
@@ -63,7 +62,13 @@ func Write(w io.Writer, s *core.Synopsis) error {
 	// hashed in place and goes into the container as it stands.
 	doc := bytes.TrimSuffix(payload.Bytes(), []byte("\n"))
 	head := `{"format":"` + FormatV2 + `","checksum":"` + checksum(doc) + `","payload":`
-	_, err := w.Write(slices.Concat([]byte(head), doc, []byte("}\n")))
+	if _, err := io.WriteString(w, head); err != nil {
+		return err
+	}
+	if _, err := w.Write(doc); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "}\n")
 	return err
 }
 
