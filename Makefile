@@ -54,8 +54,9 @@ chaos:
 # The multi-tenant isolation suite: registry unit tests (breaker
 # trip/half-open/recover on a fake clock, bulkheads, LRU eviction with
 # cache-warm handoff, reconciler churn), the two-tenant fault-pinning
-# proof (torn snapshots / NaN poison / slow loader against one release
-# while 12 workers stream the other — zero errors, bounded p99), and
+# proof (torn snapshots / audit-failing snapshots / slow loader against
+# one release while 12 workers stream the other — zero errors, bounded
+# p99 and slowest request), and
 # the hot-reload race. Always under -race. See DESIGN.md §12.
 chaos-registry:
 	$(GO) test -race ./internal/registry/

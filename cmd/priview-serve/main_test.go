@@ -19,7 +19,6 @@ import (
 	"priview/internal/core"
 	"priview/internal/registry"
 	"priview/internal/server"
-	"priview/internal/snapshot"
 	"priview/internal/telemetry"
 )
 
@@ -255,16 +254,19 @@ func (g *gatedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest,
 // in-flight marginal query runs to completion rather than being cut,
 // and Serve returns http.ErrServerClosed.
 func TestGracefulShutdownDrains(t *testing.T) {
-	syn, err := snapshot.ReadFileFS(snapshot.OS{}, buildSynopsisFile(t))
+	gated := &gatedQuerier{arrived: make(chan struct{}), release: make(chan struct{})}
+	ropt := quietRegistryOpts()
+	ropt.CacheEntries, ropt.CacheBytes = -1, -1 // the query must reach the gate
+	ropt.Loader = &chaos.TenantLoader{Target: server.DefaultRelease, Wrap: func(q server.Querier) server.Querier {
+		gated.Querier = &chaos.SlowSynopsis{Querier: q, Delay: 10 * time.Millisecond}
+		return gated
+	}}
+	reg, err := openSingle(context.Background(), buildSynopsisFile(t), "", ropt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated := &gatedQuerier{
-		Querier: &chaos.SlowSynopsis{Querier: syn, Delay: 10 * time.Millisecond},
-		arrived: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	handler := server.New(gated, server.Options{MaxK: 8, QueryTimeout: 30 * time.Second})
+	defer reg.Close()
+	handler := server.NewMulti(reg, server.DefaultRelease, server.Options{MaxK: 8, QueryTimeout: 30 * time.Second})
 	srv := &http.Server{Handler: handler}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -66,7 +66,7 @@ func serveSingle(t *testing.T, synPath, storeDir string, opt server.Options) (*r
 }
 
 // TestStoreModeServesNewestSnapshot exercises -store end to end:
-// loading picks the newest snapshot, and the audit gate runs.
+// loading picks the newest snapshot, and the registry's audit runs.
 func TestStoreModeServesNewestSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st, err := snapshot.NewStore(dir, 3)
@@ -276,7 +276,7 @@ func TestSynopsisReloadOnlyWhenRewritten(t *testing.T) {
 	}
 }
 
-// TestLoadSynopsisRefusesAuditFailure proves the startup audit gate: a
+// TestLoadSynopsisRefusesAuditFailure proves the audit at startup: a
 // structurally valid file whose views are mutually inconsistent fails
 // startup before the listener opens.
 func TestLoadSynopsisRefusesAuditFailure(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"priview/internal/chaos"
 	"priview/internal/core"
 	"priview/internal/reconstruct"
 	"priview/internal/server"
@@ -216,7 +217,7 @@ func buildQuerySynopsis(t *testing.T) (string, *core.Synopsis) {
 // batch's timing footer.
 func TestQueryServerMatchesLocal(t *testing.T) {
 	synPath, syn := buildQuerySynopsis(t)
-	ts := httptest.NewServer(server.New(syn, server.Options{}))
+	ts := serveSynopsis(t, syn, nil)
 	defer ts.Close()
 
 	footer := regexp.MustCompile(` in \S+\n$`)
@@ -237,12 +238,24 @@ func TestQueryServerMatchesLocal(t *testing.T) {
 	}
 }
 
+// serveSynopsis serves syn over HTTP as priview-serve -synopsis does
+// (chaos.ServeSynopsis); wrap, when non-nil, builds the served querier
+// from the loaded synopsis.
+func serveSynopsis(t *testing.T, syn *core.Synopsis, wrap func(server.Querier) server.Querier) *httptest.Server {
+	t.Helper()
+	h, err := chaos.ServeSynopsis(t.TempDir(), syn, wrap, server.Options{Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return httptest.NewServer(h)
+}
+
 // degradingQuerier marks every answer as one the numerical fallback
 // chain produced.
-type degradingQuerier struct{ *core.Synopsis }
+type degradingQuerier struct{ server.Querier }
 
 func (q degradingQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
-	res, err := q.Synopsis.QueryBatch(ctx, reqs, opt)
+	res, err := q.Querier.QueryBatch(ctx, reqs, opt)
 	for i := range res {
 		res[i].Err = &reconstruct.NumericalError{Solver: "maxent", Iter: 1, Quantity: "residual", Value: math.NaN()}
 	}
@@ -253,7 +266,7 @@ func (q degradingQuerier) QueryBatch(ctx context.Context, reqs []core.BatchReque
 // table's header as in a batch summary.
 func TestQueryMarksDegraded(t *testing.T) {
 	_, syn := buildQuerySynopsis(t)
-	ts := httptest.NewServer(server.New(degradingQuerier{syn}, server.Options{Logger: log.New(io.Discard, "", 0)}))
+	ts := serveSynopsis(t, syn, func(q server.Querier) server.Querier { return degradingQuerier{q} })
 	defer ts.Close()
 
 	one := captureStdout(t, func() error { return cmdQuery([]string{"-server", ts.URL, "-attrs", "0,3"}) })

@@ -12,6 +12,7 @@ import (
 
 	"priview"
 	"priview/internal/accuracy"
+	"priview/internal/chaos"
 	"priview/internal/core"
 	"priview/internal/dataset/synth"
 	"priview/internal/marginal"
@@ -58,8 +59,12 @@ func TestCuratorWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Step 4: serve and query via HTTP.
-	ts := httptest.NewServer(server.New(loaded, server.Options{}))
+	// Step 4: serve and query via HTTP, as priview-serve -synopsis does.
+	h, err := chaos.ServeSynopsis(t.TempDir(), loaded, nil, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 	client := server.NewClient(ts.URL, nil, server.RetryPolicy{})
 	attrs := []int{2, 9, 18, 27}

@@ -174,10 +174,6 @@ type SlowSynopsis struct {
 	server.Querier
 	// Delay is added per query in a batch.
 	Delay time.Duration
-	// Block, when non-nil, is received from once per batch before
-	// querying (after the delay); tests use it as a gate to hold
-	// requests in flight deterministically.
-	Block <-chan struct{}
 }
 
 // QueryBatch delays, then forwards to the wrapped synopsis.
@@ -187,13 +183,6 @@ func (s *SlowSynopsis) QueryBatch(ctx context.Context, reqs []core.BatchRequest,
 		defer timer.Stop()
 		select {
 		case <-timer.C:
-		case <-ctx.Done():
-			return nil, reconstruct.ContextErr(ctx)
-		}
-	}
-	if s.Block != nil {
-		select {
-		case <-s.Block:
 		case <-ctx.Done():
 			return nil, reconstruct.ContextErr(ctx)
 		}

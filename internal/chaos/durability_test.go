@@ -10,8 +10,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"priview/internal/audit"
 	"priview/internal/core"
 	"priview/internal/covering"
 	"priview/internal/dataset/synth"
@@ -21,6 +23,10 @@ import (
 	"priview/internal/server"
 	"priview/internal/snapshot"
 )
+
+// auditCheck is the release audit as the registry hands it to a
+// store's Load.
+func auditCheck(s *core.Synopsis) error { return audit.Check(s, audit.Options{}).Err() }
 
 func durabilitySyn(seed int64) *core.Synopsis {
 	data := synth.MSNBC(1000, seed)
@@ -70,7 +76,7 @@ func TestTornSnapshotQuarantinedWithFallback(t *testing.T) {
 		t.Fatalf("torn file: %v size=%v, want 100 bytes on disk", err, fi.Size())
 	}
 
-	res, err := st.Load()
+	res, err := st.Load(auditCheck)
 	if err != nil {
 		t.Fatalf("Load failed despite a good older snapshot: %v", err)
 	}
@@ -82,6 +88,52 @@ func TestTornSnapshotQuarantinedWithFallback(t *testing.T) {
 	}
 	if _, err := os.Stat(torn + ".corrupt"); err != nil {
 		t.Fatalf("torn file not quarantined: %v", err)
+	}
+	if !marginal.Equal(good.Query([]int{0, 1}), res.Synopsis.Query([]int{0, 1}), 1e-9) {
+		t.Fatal("fallback synopsis does not match what was saved")
+	}
+}
+
+// TestAuditFailingSnapshotQuarantinedWithFallback: a newest snapshot
+// whose checksum and structure verify, but whose views disagree, is
+// caught by the audit alone. The store quarantines it to *.corrupt like
+// a torn file and falls back to the older good snapshot.
+func TestAuditFailingSnapshotQuarantinedWithFallback(t *testing.T) {
+	st, err := snapshot.NewStore(t.TempDir(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := durabilitySyn(11)
+	if _, err := st.Save(good); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := AuditFailing(durabilitySyn(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPath, err := st.Save(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.ReadFileFS(snapshot.OS{}, badPath); err != nil {
+		t.Fatalf("the poisoned snapshot must read back intact, so only the audit can catch it: %v", err)
+	}
+
+	res, err := st.Load(auditCheck)
+	if err != nil {
+		t.Fatalf("Load failed despite a good older snapshot: %v", err)
+	}
+	if filepath.Base(res.Path) != "snapshot-000001.json" {
+		t.Fatalf("loaded %s, want fallback to the first snapshot", res.Path)
+	}
+	if len(res.Quarantined) != 1 || res.Quarantined[0] != badPath+".corrupt" {
+		t.Fatalf("quarantined = %v, want [%s.corrupt]", res.Quarantined, badPath)
+	}
+	if _, err := os.Stat(badPath + ".corrupt"); err != nil {
+		t.Fatalf("audit-failing file not quarantined: %v", err)
+	}
+	if !strings.Contains(res.Errs[0].Error(), "audit") {
+		t.Errorf("rejection reason = %v, want an audit failure", res.Errs[0])
 	}
 	if !marginal.Equal(good.Query([]int{0, 1}), res.Synopsis.Query([]int{0, 1}), 1e-9) {
 		t.Fatal("fallback synopsis does not match what was saved")
@@ -116,7 +168,7 @@ func TestBitFlippedSnapshotDetected(t *testing.T) {
 	}
 	ffs.FlipBit = false
 
-	res, err := st.Load()
+	res, err := st.Load(auditCheck)
 	if err != nil {
 		t.Fatalf("Load failed despite a good older snapshot: %v", err)
 	}
@@ -156,7 +208,7 @@ func TestFailedRenameLeavesOldSnapshotServing(t *testing.T) {
 	if len(names) != 1 {
 		t.Fatalf("store lists %v, want only the original snapshot", names)
 	}
-	res, err := st.Load()
+	res, err := st.Load(auditCheck)
 	if err != nil || len(res.Quarantined) != 0 {
 		t.Fatalf("old snapshot unusable after failed publish: res=%+v err=%v", res, err)
 	}
@@ -176,15 +228,22 @@ func TestFailedSyncSurfaces(t *testing.T) {
 }
 
 // TestNaNViewNeverServesNaN is the numerical half of the durability
-// contract, proven end to end over HTTP: with a view poisoned by NaN
-// mid-flight, every marginal query still answers 200 with fully finite
-// cells (marked degraded) — zero failed queries, zero NaN cells.
+// contract, proven end to end over HTTP: with a view poisoned by NaN in
+// memory, after its snapshot passed the audit, every marginal query
+// still answers 200 with fully finite cells (marked degraded) — zero
+// failed queries, zero NaN cells.
 func TestNaNViewNeverServesNaN(t *testing.T) {
-	syn := durabilitySyn(9)
-	for i := range syn.Views()[0].Cells {
-		syn.Views()[0].Cells[i] = math.NaN()
+	poison := func(q server.Querier) server.Querier {
+		for i := range q.Views()[0].Cells {
+			q.Views()[0].Cells[i] = math.NaN()
+		}
+		return q
 	}
-	srv := httptest.NewServer(server.New(syn, server.Options{MaxK: 6}))
+	h, err := ServeSynopsis(t.TempDir(), durabilitySyn(9), poison, server.Options{MaxK: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 
 	queries := [][]int{{0, 1}, {0, 5}, {1, 6}, {2, 3}, {0, 1, 5}, {4}}

@@ -51,6 +51,18 @@ func (s *varSlow) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt 
 	return s.Querier.QueryBatch(ctx, reqs, opt)
 }
 
+// serveSlow serves syn as priview-serve -synopsis does, with vs wrapped
+// around the loaded synopsis and the query cache off, so every request
+// reaches the slow solver.
+func serveSlow(t *testing.T, syn *core.Synopsis, vs *varSlow, opt server.Options) *server.Multi {
+	t.Helper()
+	srv, err := ServeSynopsis(t.TempDir(), syn, func(q server.Querier) server.Querier { vs.Querier = q; return vs }, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // loadRec is one request's outcome in a load stream.
 type loadRec struct {
 	code int // 0 = transport error
@@ -208,9 +220,9 @@ func runPhase(name, base, path string, workers int, pace, d time.Duration) phase
 // PRIVIEW_OVERLOAD_REPORT is set (the CI artifact).
 func TestOverloadStorm(t *testing.T) {
 	const baseDelay = 5 * time.Millisecond
-	vs := &varSlow{Querier: durabilitySyn(3)}
+	vs := &varSlow{}
 	vs.SetDelay(baseDelay)
-	srv := server.New(vs, server.Options{
+	srv := serveSlow(t, durabilitySyn(3), vs, server.Options{
 		MaxK:         9,
 		QueryTimeout: 2 * time.Second,
 		Logger:       log.New(io.Discard, "", 0),
@@ -291,9 +303,9 @@ func TestOverloadStorm(t *testing.T) {
 		t.Error("slow storm starved every request — no goodput at all")
 	}
 
-	// The observability contract: /v1/stats must expose the admission
-	// counters the phases above exercised.
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	// The observability contract: /v1/releases must expose the
+	// admission counters the phases above exercised.
+	resp, err := http.Get(ts.URL + "/v1/releases")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +317,7 @@ func TestOverloadStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Admission == nil {
-		t.Fatal("/v1/stats has no admission block with adaptive admission enabled")
+		t.Fatal("/v1/releases has no admission block with adaptive admission enabled")
 	}
 	if stats.Admission.Admitted == 0 {
 		t.Error("admission stats counted nothing admitted")
@@ -365,9 +377,9 @@ func startBatchLoad(base string, workers int) *loadStream {
 // answered are answered completely.
 func TestBatchOverloadStorm(t *testing.T) {
 	const delay = 5 * time.Millisecond
-	vs := &varSlow{Querier: durabilitySyn(7)}
+	vs := &varSlow{}
 	vs.SetDelay(delay)
-	srv := server.New(vs, server.Options{
+	srv := serveSlow(t, durabilitySyn(7), vs, server.Options{
 		MaxK:         9,
 		QueryTimeout: 2 * time.Second,
 		Logger:       log.New(io.Discard, "", 0),
@@ -449,7 +461,7 @@ func TestBatchOverloadStorm(t *testing.T) {
 	}
 
 	// The admission counters must attribute the storm.
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
+	statsResp, err := http.Get(ts.URL + "/v1/releases")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,15 +92,25 @@ func (l *flakyLoader) setFail(v bool) {
 	l.mu.Unlock()
 }
 
-func (l *flakyLoader) Load(_ context.Context, _ string, src snapshot.Source) (*snapshot.LoadResult, error) {
+func (l *flakyLoader) Load(_ context.Context, _ string, src snapshot.Source, check snapshot.Check) (server.Querier, *snapshot.LoadResult, error) {
 	l.mu.Lock()
 	l.calls++
 	fail := l.fail
 	l.mu.Unlock()
 	if fail {
-		return nil, errors.New("injected load failure")
+		return nil, nil, errors.New("injected load failure")
 	}
-	return src.Load()
+	return loadSource(src, check)
+}
+
+// loadSource is what the default loader does: serve the synopsis src
+// reads and check passes.
+func loadSource(src snapshot.Source, check snapshot.Check) (server.Querier, *snapshot.LoadResult, error) {
+	res, err := src.Load(check)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Synopsis, res, nil
 }
 
 func quietOpts() registry.Options {
@@ -189,13 +199,13 @@ func (l *gateLoader) loads() int {
 	return l.calls
 }
 
-func (l *gateLoader) Load(_ context.Context, _ string, src snapshot.Source) (*snapshot.LoadResult, error) {
+func (l *gateLoader) Load(_ context.Context, _ string, src snapshot.Source, check snapshot.Check) (server.Querier, *snapshot.LoadResult, error) {
 	l.mu.Lock()
 	l.calls++
 	l.mu.Unlock()
 	l.once.Do(func() { close(l.started) })
 	<-l.unblock
-	return src.Load()
+	return loadSource(src, check)
 }
 
 func TestUnknownAndInvalidReleaseNames(t *testing.T) {

@@ -3,12 +3,14 @@ package registry
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"priview/internal/admission"
+	"priview/internal/audit"
 	"priview/internal/core"
 	"priview/internal/qcache"
 	"priview/internal/reconstruct"
@@ -290,9 +292,9 @@ func (rl *release) ensure(ctx context.Context) (server.Querier, error) {
 // then install-or-strike.
 func (rl *release) lead(ctx context.Context, ch chan struct{}) (server.Querier, error) {
 	rl.c.LoadAttempts.Add(1)
-	res, err := rl.load(ctx)
+	served, res, err := rl.load(ctx)
 	if err == nil {
-		if q := rl.install(res); q != nil {
+		if q := rl.install(served, res); q != nil {
 			return q, nil
 		}
 		return nil, server.ErrUnknownRelease
@@ -312,55 +314,63 @@ func (rl *release) lead(ctx context.Context, ch chan struct{}) (server.Querier, 
 }
 
 // load is the one verified-load step, shared by first admission and
-// hot reload: a shared load slot, the loader, the quarantine log, then
-// the audit gate. Whatever it returns without error is safe to serve.
-// The loader call and the audit gate are timed as the release.load and
-// release.audit stages, whether they pass or fail.
-func (rl *release) load(ctx context.Context) (*snapshot.LoadResult, error) {
+// hot reload: a shared load slot, the loader with the release audit as
+// its check, then the quarantine log. It is where the registry decides
+// what is servable: whatever it returns without error passed the audit
+// wherever it was read from disk. Each loader call, pass or fail, is
+// one observation of two stages: release.audit, its time in audits
+// (one per candidate snapshot), and release.load, the rest of it.
+func (rl *release) load(ctx context.Context) (server.Querier, *snapshot.LoadResult, error) {
 	reg := rl.reg
+	var served server.Querier
 	var res *snapshot.LoadResult
 	var err error
+	var audited time.Duration
+	check := func(syn *core.Synopsis) error {
+		start := time.Now()
+		aerr := audit.Check(syn, audit.Options{}).Err()
+		audited += time.Since(start)
+		if aerr != nil {
+			return fmt.Errorf("release audit: %w", aerr)
+		}
+		return nil
+	}
 	// Breaker-open tenants return before this point, so a broken
 	// tenant in fast-fail never occupies a shared load slot.
 	select {
 	case reg.loadSem <- struct{}{}:
 		start := time.Now()
-		res, err = reg.opt.Loader.Load(ctx, rl.name, rl.src)
-		reg.opt.Metrics.ObserveStage("release.load", time.Since(start))
+		served, res, err = reg.opt.Loader.Load(ctx, rl.name, rl.src, check)
+		reg.opt.Metrics.ObserveStage("release.load", time.Since(start)-audited)
+		reg.opt.Metrics.ObserveStage("release.audit", audited)
 		<-reg.loadSem
 	case <-ctx.Done():
 		err = reconstruct.ContextErr(ctx)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, q := range res.Quarantined {
 		reg.opt.Logger.Printf("registry: %s: quarantined corrupt snapshot %s: %v", rl.name, q, res.Errs[i])
 	}
-	start := time.Now()
-	err = auditGate(res)
-	reg.opt.Metrics.ObserveStage("release.audit", time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return served, res, nil
 }
 
 // install is the one install step, shared by first admission and hot
 // reload: it makes a verified load the serving state and ends the
-// in-flight load. The synopsis gets a fresh cache (keys carry no
+// in-flight load. The served querier gets a fresh cache (keys carry no
 // synopsis identity, so a cache never outlives the synopsis it
 // memoizes); the breaker closes; residency is enforced; and a
 // background warm replays the hot keys of the cache being replaced, or
 // of the one an eviction saved. It returns nil, installing nothing,
 // when the release was retired while the load ran.
-func (rl *release) install(res *snapshot.LoadResult) server.Querier {
+func (rl *release) install(served server.Querier, res *snapshot.LoadResult) server.Querier {
 	reg := rl.reg
 	var cache *qcache.Cache
-	var q server.Querier = res.Synopsis
+	q := served
 	if reg.opt.CacheEntries > 0 || reg.opt.CacheBytes > 0 { // a cache unless both bounds are disabled
 		cache = qcache.NewShared(reg.opt.CacheEntries, reg.opt.perReleaseBytes(), reg.budget, reg.opt.Metrics.CacheCounters(rl.name))
-		q = server.NewCachedQuerier(res.Synopsis, cache)
+		q = server.NewCachedQuerier(served, cache)
 	}
 	rl.mu.Lock()
 	ch := rl.loading
@@ -396,7 +406,7 @@ func (rl *release) install(res *snapshot.LoadResult) server.Querier {
 		rl.c.Readmits.Add(1)
 	}
 	close(ch)
-	reg.opt.Logger.Printf("registry: %s: %s %s (ε=%g)", rl.name, verb, res.Path, res.Synopsis.Epsilon())
+	reg.opt.Logger.Printf("registry: %s: %s %s (ε=%g)", rl.name, verb, res.Path, served.Epsilon())
 	reg.noteLoaded(rl)
 	if cq, ok := q.(*server.CachedQuerier); ok {
 		rl.warmAsync(cq, handoff)
@@ -577,7 +587,7 @@ func (rl *release) maybeReload(ctx context.Context) {
 	rl.loading = ch
 	rl.mu.Unlock()
 
-	res, err := rl.load(ctx)
+	served, res, err := rl.load(ctx)
 	if err != nil {
 		rl.reg.opt.Logger.Printf("registry: %s: reload failed, keeping last good synopsis: %v", rl.name, err)
 		rl.c.ReloadFailures.Add(1)
@@ -588,7 +598,7 @@ func (rl *release) maybeReload(ctx context.Context) {
 		close(ch)
 		return
 	}
-	if rl.install(res) != nil {
+	if rl.install(served, res) != nil {
 		rl.c.Reloads.Add(1)
 	}
 }

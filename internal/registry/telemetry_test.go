@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"priview/internal/chaos"
+	"priview/internal/core"
 	"priview/internal/registry"
 	"priview/internal/server"
+	"priview/internal/snapshot"
 	"priview/internal/telemetry"
 )
 
@@ -136,36 +140,114 @@ func TestRegistryReleaseSeries(t *testing.T) {
 	}
 }
 
-// TestReleaseLoadStages: a release load records its two steps, the
-// loader call and the audit gate, as priview_stage_seconds stages on
-// the shared scrape surface.
-func TestReleaseLoadStages(t *testing.T) {
-	tel := telemetry.NewRegistry()
-	opt := quietOpts()
-	opt.Metrics = server.NewMetrics(tel)
-	st := saveRelease(t, t.TempDir(), "alpha", 1)
-	reg := registry.Single("alpha", st, opt)
-	defer reg.Close()
-	_, release, err := reg.Acquire(context.Background(), "alpha")
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	release()
+// timingLoader loads through the source as the default loader does,
+// counting the calls of the registry's check and timing them, and
+// timing its own call: the outside view of a load's stage split.
+type timingLoader struct {
+	checks        int
+	inCheck, wall time.Duration
+}
 
-	rec := httptest.NewRecorder()
-	tel.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	fams, err := telemetry.ParseText(rec.Body)
-	if err != nil {
-		t.Fatalf("ParseText: %v", err)
-	}
-	f := fams["priview_stage_seconds"]
-	if f == nil {
-		t.Fatal("family priview_stage_seconds missing")
-	}
-	for _, stage := range []string{"release.load", "release.audit"} {
-		s := f.Sample("priview_stage_seconds_count", map[string]string{"stage": stage})
-		if s == nil || s.Value < 1 {
-			t.Errorf("priview_stage_seconds_count{stage=%q} = %v, want ≥ 1", stage, s)
-		}
+func (l *timingLoader) Load(_ context.Context, _ string, src snapshot.Source, check snapshot.Check) (server.Querier, *snapshot.LoadResult, error) {
+	start := time.Now()
+	defer func() { l.wall = time.Since(start) }()
+	return loadSource(src, func(syn *core.Synopsis) error {
+		l.checks++
+		start := time.Now()
+		defer func() { l.inCheck += time.Since(start) }()
+		return check(syn)
+	})
+}
+
+// TestReleaseLoadStages: a store load runs the registry's audit once
+// per candidate snapshot and records exactly one release.load and one
+// release.audit observation on the shared scrape surface. A one-file
+// store audits once. A store whose newest file fails the audit audits
+// twice, quarantines that file and serves the older one, and its audit
+// time lands in release.audit alone: release.load's share is the
+// loader's call less the time spent in the checks.
+func TestReleaseLoadStages(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		poisonNewest        bool
+		checks, quarantined int
+	}{
+		{"one file", false, 1, 0},
+		{"newest fails the audit", true, 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "alpha")
+			st, err := snapshot.NewStore(dir, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// d = 16 gives six views, whose audits take long enough to
+			// tell apart from the timer's own overhead.
+			if _, err := st.Save(buildSynD(t, 16, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if c.poisonNewest {
+				bad, err := chaos.AuditFailing(buildSynD(t, 16, 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := st.Save(bad); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tel := telemetry.NewRegistry()
+			loader := &timingLoader{}
+			opt := quietOpts()
+			opt.Metrics = server.NewMetrics(tel)
+			opt.Loader = loader
+			reg := registry.Single("alpha", st, opt)
+			defer reg.Close()
+			_, release, err := reg.Acquire(context.Background(), "alpha")
+			if err != nil {
+				t.Fatalf("Acquire: %v", err)
+			}
+			release()
+
+			if loader.checks != c.checks {
+				t.Errorf("the audit ran %d times, want %d (once per candidate)", loader.checks, c.checks)
+			}
+			if got := stats(t, reg, "alpha").Snapshot; got != "snapshot-000001.json" {
+				t.Errorf("serving %s, want snapshot-000001.json", got)
+			}
+			if corrupt, err := filepath.Glob(filepath.Join(dir, "*.corrupt")); err != nil || len(corrupt) != c.quarantined {
+				t.Errorf("quarantined %v (%v), want %d files", corrupt, err, c.quarantined)
+			}
+
+			rec := httptest.NewRecorder()
+			tel.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			fams, err := telemetry.ParseText(rec.Body)
+			if err != nil {
+				t.Fatalf("ParseText: %v", err)
+			}
+			f := fams["priview_stage_seconds"]
+			if f == nil {
+				t.Fatal("family priview_stage_seconds missing")
+			}
+			sum := map[string]time.Duration{}
+			for _, stage := range []string{"release.load", "release.audit"} {
+				labels := map[string]string{"stage": stage}
+				n := f.Sample("priview_stage_seconds_count", labels)
+				s := f.Sample("priview_stage_seconds_sum", labels)
+				if n == nil || s == nil || n.Value != 1 {
+					t.Fatalf("priview_stage_seconds{stage=%q}: count %v, want exactly 1 observation for one load", stage, n)
+				}
+				sum[stage] = time.Duration(s.Value * float64(time.Second))
+			}
+			if a := sum["release.audit"]; a <= 0 || a > loader.inCheck {
+				t.Errorf("release.audit = %v, want the audits inside the %v spent in the checks", a, loader.inCheck)
+			}
+			// Outside the checks the loader spent wall − inCheck. With
+			// the audit time in release.load too, it would read about
+			// inCheck more than that.
+			if l, limit := sum["release.load"], loader.wall-loader.inCheck/2; l > limit {
+				t.Errorf("release.load = %v, over %v: the loader's %v less half its %v in checks; it includes audit time",
+					l, limit, loader.wall, loader.inCheck)
+			}
+		})
 	}
 }

@@ -170,7 +170,7 @@ func TestMarginalsDefaultMethodFromSynopsis(t *testing.T) {
 	data := synth.MSNBC(3000, 21)
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg, Method: core.CLN}, noise.NewStream(22))
-	s := New(syn, Options{})
+	s := serveOne(syn, Options{})
 	rec := postMarginals(t, s, "/v1/marginals", map[string]interface{}{
 		"queries": []map[string]interface{}{{"attrs": []int{0, 4}}},
 	})
@@ -204,7 +204,7 @@ func TestMarginalsDefaultMethodFromSynopsis(t *testing.T) {
 // budget below that one solve is still refused.
 func TestMarginalsDeadlineGateCountsDistinctSolves(t *testing.T) {
 	_, syn := testServer(t)
-	s := New(syn, Options{BatchWorkers: 2, Logger: discardLogger()})
+	s := serveOne(syn, Options{BatchWorkers: 2, Logger: discardLogger()})
 	s.ov.svc.Observe(int(core.CME), 100*time.Millisecond)
 	queries := make([]map[string]interface{}, 64)
 	for i := range queries {
@@ -427,7 +427,7 @@ func TestBrownoutServesCachedBatchesOnly(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
-	s := New(cached, Options{
+	s := serveOne(cached, Options{
 		Logger:    discardLogger(),
 		Admission: admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
 		Brownout:  &admission.BrownoutConfig{Enter: time.Millisecond, Exit: time.Hour},
@@ -519,7 +519,7 @@ func TestBrownoutServesCachedBatchesOnly(t *testing.T) {
 func TestClientMarginalsRoundTrip(t *testing.T) {
 	_, syn := testServer(t)
 	// Queries touching attribute 0 come back degraded.
-	s := New(&partiallyDegradedQuerier{Querier: syn, badAttr: 0}, Options{Logger: discardLogger()})
+	s := serveOne(&partiallyDegradedQuerier{Querier: syn, badAttr: 0}, Options{Logger: discardLogger()})
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)

@@ -39,7 +39,7 @@ func benchMarginal(b *testing.B, handler *Multi) {
 // BenchmarkServerMarginalUncached is the serving path before this
 // change: every request re-runs the solve.
 func BenchmarkServerMarginalUncached(b *testing.B) {
-	handler := New(benchServerSynopsis(b), Options{})
+	handler := serveOne(benchServerSynopsis(b), Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	benchMarginal(b, handler)
@@ -50,7 +50,7 @@ func BenchmarkServerMarginalUncached(b *testing.B) {
 // cost is HTTP + JSON, not reconstruction.
 func BenchmarkServerMarginalCached(b *testing.B) {
 	cq := NewCachedQuerier(benchServerSynopsis(b), qcache.New(1024, 64<<20))
-	handler := New(cq, Options{})
+	handler := serveOne(cq, Options{})
 	// Warm the one hot key.
 	req := httptest.NewRequest(http.MethodGet, benchServerPath, nil)
 	rec := httptest.NewRecorder()
@@ -62,8 +62,7 @@ func BenchmarkServerMarginalCached(b *testing.B) {
 	b.ResetTimer()
 	benchMarginal(b, handler)
 	b.StopTimer()
-	st, _ := cq.CacheStats()
-	if st.Misses != 1 {
+	if st := cq.cache.Stats(); st.Misses != 1 {
 		b.Fatalf("stats = %+v, want exactly the warming miss", st)
 	}
 }

@@ -93,12 +93,6 @@ func (c *CachedQuerier) QueryCached(attrs []int, method core.ReconstructMethod) 
 	return c.cache.Peek(key)
 }
 
-// CacheStats returns the cache's counters and occupancy, and true: the
-// shape of Metrics.WatchCacheGauges' stats function.
-func (c *CachedQuerier) CacheStats() (qcache.Stats, bool) {
-	return c.cache.Stats(), true
-}
-
 // warmChunk bounds how many marginals one Warm batch carries, so a
 // stopped pass reports the progress of completed chunks instead of
 // zero.

@@ -86,11 +86,7 @@ func TestCachedQuerierMemoizes(t *testing.T) {
 	if n := counting.calls.Load(); n != 2 {
 		t.Errorf("%d inner queries after CLN, want 2", n)
 	}
-	st, enabled := cq.CacheStats()
-	if !enabled {
-		t.Fatal("CacheStats reports disabled")
-	}
-	if st.Hits != 1 || st.Misses != 2 {
+	if st := cq.cache.Stats(); st.Hits != 1 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want 1 hit, 2 misses", st)
 	}
 }
@@ -189,8 +185,7 @@ func TestWarmFillsCache(t *testing.T) {
 	if warmed != 45 || skipped != 0 {
 		t.Errorf("warmed = (%d, %d skipped), want (45, 0)", warmed, skipped)
 	}
-	st, _ := cq.CacheStats()
-	if st.Entries != 45 {
+	if st := cq.cache.Stats(); st.Entries != 45 {
 		t.Errorf("entries = %d, want 45", st.Entries)
 	}
 	before := counting.calls.Load()
@@ -239,8 +234,7 @@ func TestWarmSkipsDegradedKeys(t *testing.T) {
 	if warmed != 36 || skipped != 9 {
 		t.Errorf("Warm = (%d warmed, %d skipped), want (36, 9)", warmed, skipped)
 	}
-	st, _ := cq.CacheStats()
-	if st.Entries != 36 {
+	if st := cq.cache.Stats(); st.Entries != 36 {
 		t.Errorf("entries = %d, want 36 (all clean keys cached)", st.Entries)
 	}
 }
@@ -290,7 +284,7 @@ func TestWarmStopsOnceCacheClosed(t *testing.T) {
 	if n := counting.calls.Load(); n != warmChunk {
 		t.Errorf("%d queries reached the solver, want %d (no second chunk)", n, warmChunk)
 	}
-	if st, _ := cq.CacheStats(); st.Entries != 0 {
+	if st := cq.cache.Stats(); st.Entries != 0 {
 		t.Errorf("closed cache holds %d entries, want 0", st.Entries)
 	}
 }
@@ -303,48 +297,27 @@ func (designlessQuerier) Design() *covering.Design { return nil }
 // leaves nil.
 func (designlessQuerier) DefaultMethod() core.ReconstructMethod { return core.CME }
 
+// TestStatsEndpoint: GET /v1/stats answers with the resolver's stats
+// for the release, verbatim, without acquiring it; any other method is
+// refused.
 func TestStatsEndpoint(t *testing.T) {
-	// Without a cache: cache=false, counters zero.
-	s, _ := testServer(t)
+	cq, _, _ := cachedTestSetup(t)
+	res := &fakeResolver{queriers: map[string]Querier{DefaultRelease: cq}, ready: true}
+	s := NewMulti(res, DefaultRelease, Options{})
 	rec := get(t, s, "/v1/stats")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var st struct {
-		Cache  bool   `json:"cache"`
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
+	if got, want := rec.Body.String(), "{\"name\":\"default\"}\n"; got != want {
+		t.Errorf("/v1/stats = %q, want the resolver's stats %q", got, want)
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Cache {
-		t.Error("bare synopsis reports a cache")
+	if n := res.acquired.Load(); n != 0 {
+		t.Errorf("/v1/stats acquired the release %d times, want 0", n)
 	}
 
-	// With a cache.
-	cq, _, _ := cachedTestSetup(t)
-	cs := New(cq, Options{})
-	for i := 0; i < 3; i++ {
-		if rec := get(t, cs, "/v1/marginal?attrs=0,4,8"); rec.Code != http.StatusOK {
-			t.Fatalf("marginal status = %d", rec.Code)
-		}
-	}
-	rec = get(t, cs, "/v1/stats")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Cache || st.Misses != 1 || st.Hits != 2 {
-		t.Errorf("stats = %+v, want cache=true, 1 miss, 2 hits", st)
-	}
-
-	// POST is not allowed.
 	req := httptest.NewRequest(http.MethodPost, "/v1/stats", nil)
 	recPost := httptest.NewRecorder()
-	cs.ServeHTTP(recPost, req)
+	s.ServeHTTP(recPost, req)
 	if recPost.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/stats = %d", recPost.Code)
 	}
@@ -359,7 +332,7 @@ func TestCachedServerRaceStress(t *testing.T) {
 	cq, counting, syn := cachedTestSetup(t)
 	// The admission limit is pinned above the worker count, so every
 	// request is admitted and the test checks the cache alone.
-	s := New(cq, Options{Admission: admission.Config{MinLimit: 16, MaxLimit: 16}})
+	s := serveOne(cq, Options{Admission: admission.Config{MinLimit: 16, MaxLimit: 16}})
 	attrSets := []string{"0,4,8", "1,5", "0,4,8", "2,6,7", "0,4,8", "3"}
 	methods := []string{"CME", "CLN", "CLP", "LP"}
 	const workers = 12
@@ -381,10 +354,7 @@ func TestCachedServerRaceStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st, enabled := cq.CacheStats()
-	if !enabled {
-		t.Fatal("cache disabled")
-	}
+	st := cq.cache.Stats()
 	if got := st.Hits + st.Misses + st.Coalesced; got != workers*perWorker {
 		t.Errorf("hits+misses+coalesced = %d, want %d (stats %+v)", got, workers*perWorker, st)
 	}

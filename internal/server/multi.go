@@ -62,7 +62,7 @@ func (e *RateLimitedError) Error() string {
 }
 
 // Resolver is the registry surface the router serves from.
-// internal/registry implements it; New supplies a one-release resolver.
+// internal/registry implements it.
 type Resolver interface {
 	// Acquire resolves name to a loaded release and takes one bulkhead
 	// permit, lazily loading the release on first hit. It returns the

@@ -58,6 +58,13 @@ func (f *fakeResolver) Releases() []string {
 
 func (f *fakeResolver) Ready() bool { return f.ready }
 
+// serveOne routes q as the one release DefaultRelease, the target of
+// the unprefixed routes: the router half of what priview-serve's
+// single modes serve through registry.Single.
+func serveOne(q Querier, opt Options) *Multi {
+	return NewMulti(&fakeResolver{queriers: map[string]Querier{DefaultRelease: q}, ready: true}, DefaultRelease, opt)
+}
+
 func newMultiFixture(t *testing.T) (*Multi, *fakeResolver) {
 	t.Helper()
 	_, _, syn := cachedTestSetup(t)

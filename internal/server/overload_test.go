@@ -94,6 +94,17 @@ func (h *holdQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest, 
 	return h.Querier.QueryBatch(ctx, reqs, opt)
 }
 
+// releasesAdmission reads the router's admission snapshot from
+// /v1/releases.
+func releasesAdmission(t *testing.T, s *Multi) admission.Stats {
+	t.Helper()
+	var resp releasesResponse
+	if err := json.Unmarshal(get(t, s, "/v1/releases").Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Admission
+}
+
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -114,7 +125,7 @@ func TestAdaptiveAdmissionQueuesThenSheds(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	hq.hold.Store(true)
-	s := New(hq, Options{
+	s := serveOne(hq, Options{
 		Logger:    discardLogger(),
 		Admission: admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
 	})
@@ -181,7 +192,7 @@ func TestAdaptiveAdmissionQueuesThenSheds(t *testing.T) {
 // with ample budget still runs.
 func TestDeadlineGateFastFails504(t *testing.T) {
 	_, syn := testServer(t)
-	s := New(syn, Options{QueryTimeout: 5 * time.Second, Logger: discardLogger()})
+	s := serveOne(syn, Options{QueryTimeout: 5 * time.Second, Logger: discardLogger()})
 	s.ov.svc.Observe(int(core.CME), 200*time.Millisecond)
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs=0,1", nil)
@@ -206,16 +217,10 @@ func TestDeadlineGateFastFails504(t *testing.T) {
 		t.Fatalf("well-budgeted request: status %d; body %q", rec.Code, rec.Body.String())
 	}
 
-	// The deadline gate's rejection is counted on the admission block.
-	stats := get(t, s, "/v1/stats")
-	var resp struct {
-		Admission *admission.Stats `json:"admission"`
-	}
-	if err := json.Unmarshal(stats.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Admission == nil || resp.Admission.DeadlineRejected != 1 {
-		t.Errorf("stats admission = %+v, want deadline_rejected=1", resp.Admission)
+	// The deadline gate's rejection is counted on the router's admission
+	// block, which /v1/releases serves.
+	if a := releasesAdmission(t, s); a.DeadlineRejected != 1 {
+		t.Errorf("admission = %+v, want deadline_rejected=1", a)
 	}
 }
 
@@ -226,7 +231,7 @@ func TestDeadlineHeaderArmsBudget(t *testing.T) {
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 1), release: make(chan struct{})}
 	hq.hold.Store(true)
 	defer close(hq.release)
-	s := New(hq, Options{Logger: discardLogger()})
+	s := serveOne(hq, Options{Logger: discardLogger()})
 
 	start := time.Now()
 	req := httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs=0,1", nil)
@@ -248,7 +253,7 @@ func TestBrownoutServesCacheHitsOnly(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
-	s := New(cached, Options{
+	s := serveOne(cached, Options{
 		Logger:    discardLogger(),
 		Admission: admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
 		Brownout:  &admission.BrownoutConfig{Enter: time.Millisecond, Exit: time.Hour},
@@ -321,13 +326,8 @@ func TestBrownoutServesCacheHitsOnly(t *testing.T) {
 		t.Errorf("priority query: status %d, want 429 (normal admission); body %q", prioRec.Code, prioRec.Body.String())
 	}
 
-	var stats statsResponse
-	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Admission.BrownoutServed < 1 ||
-		stats.Admission.BrownoutRejected < 1 || !stats.Admission.BrownoutActive {
-		t.Errorf("stats admission = %+v, want brownout served/rejected counters and active", stats.Admission)
+	if a := releasesAdmission(t, s); a.BrownoutServed < 1 || a.BrownoutRejected < 1 || !a.BrownoutActive {
+		t.Errorf("admission = %+v, want brownout served/rejected counters and active", a)
 	}
 
 	hq.hold.Store(false)

@@ -37,12 +37,25 @@ func buildSynopsis(t *testing.T) *core.Synopsis {
 // test output.
 func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 
+// serve serves syn as priview-serve -synopsis does (chaos.ServeSynopsis:
+// a snapshot file loaded and audited once through registry.Single, no
+// query cache); wrap, when non-nil, builds the served querier from the
+// loaded synopsis.
+func serve(t *testing.T, syn *core.Synopsis, wrap func(server.Querier) server.Querier, opt server.Options) *server.Multi {
+	t.Helper()
+	s, err := chaos.ServeSynopsis(t.TempDir(), syn, wrap, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestQueryTimeoutReturns504: a synopsis slower than the per-request
 // deadline must surface as 504, within the deadline's order of
 // magnitude — not after the solver's full iteration budget.
 func TestQueryTimeoutReturns504(t *testing.T) {
-	slow := &chaos.SlowSynopsis{Querier: buildSynopsis(t), Delay: 10 * time.Second}
-	s := server.New(slow, server.Options{
+	slow := func(q server.Querier) server.Querier { return &chaos.SlowSynopsis{Querier: q, Delay: 10 * time.Second} }
+	s := serve(t, buildSynopsis(t), slow, server.Options{
 		QueryTimeout: 30 * time.Millisecond,
 		Logger:       quietLogger(),
 	})
@@ -84,12 +97,9 @@ func (p *parkedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest
 // is shed immediately with 429 and a Retry-After hint; once the parked
 // request completes, capacity frees up.
 func TestLoadSheddingReturns429(t *testing.T) {
-	parked := &parkedQuerier{
-		Querier: buildSynopsis(t),
-		arrived: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	s := server.New(parked, server.Options{
+	parked := &parkedQuerier{arrived: make(chan struct{}), release: make(chan struct{})}
+	park := func(q server.Querier) server.Querier { parked.Querier = q; return parked }
+	s := serve(t, buildSynopsis(t), park, server.Options{
 		MaxInflight: 1,
 		Logger:      quietLogger(),
 	})
@@ -158,13 +168,13 @@ func TestLoadSheddingReturns429(t *testing.T) {
 	}
 }
 
-// waitForQueueDepth polls /v1/stats until the admission queue holds
-// depth waiters.
+// waitForQueueDepth polls the router's admission snapshot on
+// /v1/releases until the admission queue holds depth waiters.
 func waitForQueueDepth(t *testing.T, base string, depth int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/stats")
+		resp, err := http.Get(base + "/v1/releases")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +208,8 @@ func (panicQuerier) QueryBatch(context.Context, []core.BatchRequest, core.BatchO
 // TestPanicReturns500: internal panics are server bugs and must report
 // as 500, never as the 400 "query failed" the old handler produced.
 func TestPanicReturns500(t *testing.T) {
-	s := server.New(panicQuerier{buildSynopsis(t)}, server.Options{Logger: quietLogger()})
+	boom := func(q server.Querier) server.Querier { return panicQuerier{q} }
+	s := serve(t, buildSynopsis(t), boom, server.Options{Logger: quietLogger()})
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs=0,1", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -212,7 +223,7 @@ func TestPanicReturns500(t *testing.T) {
 // TestValidationStays400: the 400 path is reserved for input errors and
 // must be unaffected by the failure-model middleware.
 func TestValidationStays400(t *testing.T) {
-	s := server.New(buildSynopsis(t), server.Options{
+	s := serve(t, buildSynopsis(t), nil, server.Options{
 		QueryTimeout: time.Second,
 		MaxInflight:  4,
 		Logger:       quietLogger(),
@@ -234,7 +245,7 @@ func TestValidationStays400(t *testing.T) {
 // TestHealthzDraining: the liveness probe flips to 503 while draining
 // and back once draining is cleared.
 func TestHealthzDraining(t *testing.T) {
-	s := server.New(buildSynopsis(t), server.Options{})
+	s := serve(t, buildSynopsis(t), nil, server.Options{})
 	probe := func() int {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
@@ -258,7 +269,7 @@ func TestHealthzDraining(t *testing.T) {
 // connection level, the retrying client still completes every query,
 // and the transport's counters prove faults were actually injected.
 func TestClientRecoversFromInjectedFaults(t *testing.T) {
-	s := server.New(buildSynopsis(t), server.Options{})
+	s := serve(t, buildSynopsis(t), nil, server.Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -290,7 +301,7 @@ func TestClientRecoversFromInjectedFaults(t *testing.T) {
 func TestClientRecoversFromInjectedStatuses(t *testing.T) {
 	var mu sync.Mutex
 	failures := 2
-	s := server.New(buildSynopsis(t), server.Options{})
+	s := serve(t, buildSynopsis(t), nil, server.Options{})
 	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		shouldFail := failures > 0
@@ -377,10 +388,10 @@ func TestEndToEndResilience(t *testing.T) {
 	syn := buildSynopsis(t)
 	var mu sync.Mutex
 	slowRequests := 2
-	var gate http.Handler = server.New(
-		&flipQuerier{fast: syn, slow: &chaos.SlowSynopsis{Querier: syn, Delay: 10 * time.Second}, slowLeft: &slowRequests, mu: &mu},
-		server.Options{QueryTimeout: 25 * time.Millisecond, Logger: quietLogger()},
-	)
+	flip := func(q server.Querier) server.Querier {
+		return &flipQuerier{fast: q, slow: &chaos.SlowSynopsis{Querier: q, Delay: 10 * time.Second}, slowLeft: &slowRequests, mu: &mu}
+	}
+	gate := serve(t, syn, flip, server.Options{QueryTimeout: 25 * time.Millisecond, Logger: quietLogger()})
 	ts := httptest.NewServer(gate)
 	defer ts.Close()
 

@@ -4,9 +4,10 @@
 // post-processing property) — the server is a pure, stateless query
 // engine suitable for public deployment.
 //
-// There is one router, Multi. NewMulti serves every release a Resolver
-// (internal/registry) resolves; New serves one fixed Querier through the
-// same router as the release named DefaultRelease.
+// There is one router, Multi: NewMulti serves every release a Resolver
+// resolves. internal/registry is the one release host behind it, in
+// priview-serve and in tests alike, serving one fixed release
+// (registry.Single, as DefaultRelease) or a root of many.
 //
 // The serving path has an explicit failure model: per-request deadlines
 // (504 on expiry), load shedding (429 + Retry-After when saturated),
@@ -36,7 +37,6 @@ import (
 	"priview/internal/core"
 	"priview/internal/covering"
 	"priview/internal/marginal"
-	"priview/internal/qcache"
 	"priview/internal/telemetry"
 )
 
@@ -109,65 +109,6 @@ type Options struct {
 // synopsis under: the target of the unprefixed routes, the one entry of
 // /v1/releases, and the release label of its cache series.
 const DefaultRelease = "default"
-
-// New returns the router for one fixed Querier, served as the release
-// DefaultRelease: the harness router tests use to put slow or faulty
-// queriers below HTTP. priview-serve serves its -synopsis and -store
-// releases through internal/registry instead, which adds loading,
-// auditing and hot reload.
-//
-// A CachedQuerier's cache counts into whatever handles it was built
-// with: build it with CacheCounters(DefaultRelease) of a Metrics over
-// opt.Telemetry for GET /metrics to show them.
-func New(q Querier, opt Options) *Multi {
-	one := &oneRelease{q: q}
-	m := NewMulti(one, DefaultRelease, opt)
-	one.admission = m.ov.stats
-	if cq, ok := q.(*CachedQuerier); ok {
-		m.tel.WatchCacheGauges(DefaultRelease, cq.CacheStats)
-	}
-	return m
-}
-
-// oneRelease is the Resolver behind New: one always-ready release with
-// no bulkhead, breaker or quota, so the router's admission controller
-// is the only gate in front of it.
-type oneRelease struct {
-	q         Querier
-	admission func() admission.Stats
-}
-
-func (o *oneRelease) Acquire(_ context.Context, name string) (Querier, func(), error) {
-	if name != DefaultRelease {
-		return nil, nil, ErrUnknownRelease
-	}
-	return o.q, func() {}, nil
-}
-
-// statsResponse is the one-release /v1/stats body: the query cache's
-// counters plus the router's admission snapshot, which in this mode is
-// the release's own gate. Cache is false (and the counters zero) when
-// the served Querier maintains no cache.
-type statsResponse struct {
-	Cache bool `json:"cache"`
-	qcache.Stats
-	Admission admission.Stats `json:"admission"`
-}
-
-func (o *oneRelease) ReleaseStats(name string) (any, error) {
-	if name != DefaultRelease {
-		return nil, ErrUnknownRelease
-	}
-	resp := statsResponse{Admission: o.admission()}
-	if cq, ok := o.q.(*CachedQuerier); ok {
-		resp.Stats, resp.Cache = cq.CacheStats()
-	}
-	return resp, nil
-}
-
-func (o *oneRelease) Releases() []string { return []string{DefaultRelease} }
-
-func (o *oneRelease) Ready() bool { return true }
 
 // retryAfterSeconds renders a duration as the whole-seconds string the
 // Retry-After header requires, rounding up so the hint never undershoots.

@@ -20,7 +20,7 @@ func testServer(t *testing.T) (*Multi, *core.Synopsis) {
 	data := synth.MSNBC(5000, 1)
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(2))
-	return New(syn, Options{}), syn
+	return serveOne(syn, Options{}), syn
 }
 
 func get(t *testing.T, s *Multi, path string) *httptest.ResponseRecorder {
@@ -145,7 +145,7 @@ func TestMarginalMaxK(t *testing.T) {
 	data := synth.MSNBC(2000, 2)
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(3))
-	s := New(syn, Options{MaxK: 2})
+	s := serveOne(syn, Options{MaxK: 2})
 	if rec := get(t, s, "/v1/marginal?attrs=0,1,2"); rec.Code != http.StatusBadRequest {
 		t.Errorf("k=3 accepted with maxK=2: %d", rec.Code)
 	}
@@ -191,10 +191,9 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestOneReleaseRoutes: New serves its synopsis as the release
-// "default" — on the unprefixed routes, on /v1/default/…, and in
-// /v1/releases — and is ready from the start; any other release name
-// is unknown.
+// TestOneReleaseRoutes: a router whose default release is
+// DefaultRelease serves it on the unprefixed routes, on /v1/default/…,
+// and in /v1/releases; any other release name is unknown.
 func TestOneReleaseRoutes(t *testing.T) {
 	s, _ := testServer(t)
 	for path, want := range map[string]int{

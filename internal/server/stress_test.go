@@ -21,7 +21,7 @@ import (
 // Run under -race this doubles as the data-race gate for the whole
 // serving path.
 func TestStressConcurrentMixed(t *testing.T) {
-	s := server.New(buildSynopsis(t), server.Options{
+	s := serve(t, buildSynopsis(t), nil, server.Options{
 		MaxK:         4,
 		QueryTimeout: 10 * time.Second,
 		MaxInflight:  4,

@@ -15,35 +15,19 @@ import (
 	"priview/internal/telemetry"
 )
 
-// The JSON stats surfaces predate the telemetry layer and are scraped
-// by deployed tooling; these goldens pin their exact bytes so the
-// refactor onto telemetry counters stays invisible there. The zero
-// state is pinned (counter values vary with traffic, field order and
-// presence must not).
-const (
-	// No cache: cache is false and its counters zero; the admission
-	// block is always present, since every router runs the controller.
-	bareStatsGolden = "{\"cache\":false,\"hits\":0,\"misses\":0,\"evictions\":0,\"coalesced\":0,\"entries\":0,\"bytes\":0," +
-		"\"admission\":{\"limit\":16,\"inflight\":0,\"queue_depth\":0,\"admitted\":0,\"queued\":0,\"shed\":0," +
-		"\"codel_dropped\":0,\"deadline_rejected\":0,\"brownout_served\":0,\"brownout_rejected\":0," +
-		"\"brownout_active\":false,\"short_latency_ms\":0,\"long_latency_ms\":0}}\n"
-	// Cache + admission: every field, in declaration order.
-	cachedStatsGolden = "{\"cache\":true,\"hits\":0,\"misses\":0,\"evictions\":0,\"coalesced\":0,\"entries\":0,\"bytes\":0," +
-		"\"admission\":{\"limit\":16,\"inflight\":0,\"queue_depth\":0,\"admitted\":0,\"queued\":0,\"shed\":0," +
-		"\"codel_dropped\":0,\"deadline_rejected\":0,\"brownout_served\":0,\"brownout_rejected\":0," +
-		"\"brownout_active\":false,\"short_latency_ms\":0,\"long_latency_ms\":0}}\n"
-)
+// releasesGolden is the /v1/releases body of a router serving the one
+// release DefaultRelease at default Options, before any traffic:
+// deployed tooling scrapes its admission block, so field names and
+// order are pinned, as the zero state of every counter.
+const releasesGolden = "{\"default\":\"default\",\"releases\":[\"default\"]," +
+	"\"admission\":{\"limit\":16,\"inflight\":0,\"queue_depth\":0,\"admitted\":0,\"queued\":0,\"shed\":0," +
+	"\"codel_dropped\":0,\"deadline_rejected\":0,\"brownout_served\":0,\"brownout_rejected\":0," +
+	"\"brownout_active\":false,\"short_latency_ms\":0,\"long_latency_ms\":0}}\n"
 
-func TestStatsJSONGolden(t *testing.T) {
+func TestReleasesJSONGolden(t *testing.T) {
 	s, _ := testServer(t)
-	if got := get(t, s, "/v1/stats").Body.String(); got != bareStatsGolden {
-		t.Errorf("uncached /v1/stats changed:\n got  %q\n want %q", got, bareStatsGolden)
-	}
-
-	cq, _, _ := cachedTestSetup(t)
-	cs := New(cq, Options{})
-	if got := get(t, cs, "/v1/stats").Body.String(); got != cachedStatsGolden {
-		t.Errorf("cached /v1/stats changed:\n got  %q\n want %q", got, cachedStatsGolden)
+	if got := get(t, s, "/v1/releases").Body.String(); got != releasesGolden {
+		t.Errorf("/v1/releases changed:\n got  %q\n want %q", got, releasesGolden)
 	}
 }
 
@@ -105,11 +89,12 @@ func TestMetricsEndpoint(t *testing.T) {
 			tel := telemetry.NewRegistry()
 			cq := NewCachedQuerier(counting, qcache.NewShared(1024, 16<<20, nil, NewMetrics(tel).CacheCounters(DefaultRelease)))
 			var logBuf bytes.Buffer
-			s := New(cq, Options{
+			s := serveOne(cq, Options{
 				Telemetry: tel,
 				SlowQuery: time.Nanosecond, // everything is slow: exercises the counter + log line
 				Logger:    log.New(&logBuf, "", 0),
 			})
+			s.tel.WatchCacheGauges(DefaultRelease, func() (qcache.Stats, bool) { return cq.cache.Stats(), true })
 
 			for i := 0; i < 2; i++ { // one miss, one hit
 				if rec := rt.query(t, s); rec.Code != http.StatusOK {

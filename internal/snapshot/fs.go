@@ -119,9 +119,8 @@ func ReadFileFS(fsys FS, path string) (*core.Synopsis, error) {
 }
 
 // FileSource is a Source over one snapshot file (v1 or v2), named by its
-// path. It reads and decodes only: it never quarantines the file, which
-// belongs to the operator, and runs no audit of its own — the server's
-// audit gate checks whatever it serves.
+// path. Load reads, decodes and checks the file; it never quarantines
+// it, since the file belongs to the operator.
 type FileSource string
 
 // Version implements Source: the file's size and modification time. A
@@ -137,13 +136,16 @@ func (f FileSource) Version() (string, error) {
 
 // Load implements Source. The version is read before the file, so a
 // rewrite racing the load shows up as a new version, never a missed one.
-func (f FileSource) Load() (*LoadResult, error) {
+func (f FileSource) Load(check Check) (*LoadResult, error) {
 	v, err := f.Version()
 	if err != nil {
 		return nil, err
 	}
 	syn, err := ReadFileFS(OS{}, string(f))
 	if err != nil {
+		return nil, err
+	}
+	if err := check(syn); err != nil {
 		return nil, err
 	}
 	return &LoadResult{Synopsis: syn, Path: string(f), Version: v}, nil

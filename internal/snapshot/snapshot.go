@@ -8,7 +8,8 @@
 //
 // Bare v1 files (written by core.Save before the container existed)
 // are still readable; they simply carry no checksum, so only the
-// structural and audit checks protect them.
+// structural validation and the loader's check (the registry's audit)
+// protect them.
 package snapshot
 
 import (

@@ -342,17 +342,22 @@ func TestStoreRotation(t *testing.T) {
 	if names[0] != "snapshot-000005.json" {
 		t.Fatalf("newest = %s", names[0])
 	}
-	res, err := st.Load()
+	checks := 0
+	res, err := st.Load(func(*core.Synopsis) error { checks++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if filepath.Base(res.Path) != "snapshot-000005.json" {
 		t.Fatalf("loaded %s, want newest", res.Path)
 	}
-	if res.Report == nil || !res.Report.OK() {
-		t.Fatalf("audit report: %v", res.Report)
+	if checks != 1 {
+		t.Fatalf("check ran %d times, want once: on the newest snapshot, which passes", checks)
 	}
 }
+
+// accept is the Check of the store tests that are not about the check:
+// every snapshot that decodes passes.
+func accept(*core.Synopsis) error { return nil }
 
 func TestStoreQuarantinesCorruptAndFallsBack(t *testing.T) {
 	dir := t.TempDir()
@@ -377,7 +382,7 @@ func TestStoreQuarantinesCorruptAndFallsBack(t *testing.T) {
 	if err := os.WriteFile(newest, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Load()
+	res, err := st.Load(accept)
 	if err != nil {
 		t.Fatalf("Load failed despite a good older snapshot: %v", err)
 	}
@@ -394,7 +399,7 @@ func TestStoreQuarantinesCorruptAndFallsBack(t *testing.T) {
 		t.Error("fallback synopsis differs from what was saved")
 	}
 	// A second load must not re-trip over the quarantined file.
-	if res2, err := st.Load(); err != nil || len(res2.Quarantined) != 0 {
+	if res2, err := st.Load(accept); err != nil || len(res2.Quarantined) != 0 {
 		t.Fatalf("second load: res=%+v err=%v", res2, err)
 	}
 }
@@ -412,7 +417,7 @@ func TestStoreAllCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Load(); err == nil {
+	if _, err := st.Load(accept); err == nil {
 		t.Fatal("Load succeeded with only a corrupt snapshot")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"priview/internal/audit"
 	"priview/internal/core"
 )
 
@@ -15,9 +14,9 @@ import (
 // directory: snapshot-000001.json, snapshot-000002.json, … Saving
 // rotates out the oldest files beyond the retention count; loading
 // walks the history newest-first, quarantines anything that fails the
-// checksum, structural validation or invariant audit (renaming it to
+// checksum, structural validation or the caller's check (renaming it to
 // <name>.corrupt so it is never retried), and returns the newest
-// snapshot that verifies end to end.
+// snapshot that passes all three.
 type Store struct {
 	fsys FS
 	dir  string
@@ -108,17 +107,14 @@ func (st *Store) Save(s *core.Synopsis) (string, error) {
 	return path, nil
 }
 
-// LoadResult describes a successful Store.Load: which file verified,
-// its audit report (which may carry warnings), and any corrupt files
-// quarantined along the way.
+// LoadResult describes a successful Source.Load: which file passed,
+// and any files a store quarantined along the way.
 type LoadResult struct {
 	Synopsis *core.Synopsis
-	// Path is the snapshot file that verified.
+	// Path is the snapshot file that passed.
 	Path string
-	// Report is the invariant audit of the loaded synopsis.
-	Report *audit.Report
 	// Quarantined lists files (by new, post-rename path) that failed
-	// verification during this load.
+	// during this load.
 	Quarantined []string
 	// Errs records why each quarantined file was rejected, parallel to
 	// Quarantined.
@@ -127,12 +123,17 @@ type LoadResult struct {
 	Version string
 }
 
+// Check decides whether a decoded synopsis may serve: a non-nil error
+// rejects it. The registry passes its release audit, so that it alone
+// decides what is servable.
+type Check func(*core.Synopsis) error
+
 // Source is where a served synopsis comes from: a Store directory or one
-// snapshot file. Load reads and verifies the synopsis to serve; Version
-// cheaply names what Load would read now, so a server reloads only when
-// it changes.
+// snapshot file. Load reads and verifies the synopsis to serve, and
+// calls check on it before accepting it; Version cheaply names what
+// Load would read now, so a server reloads only when it changes.
 type Source interface {
-	Load() (*LoadResult, error)
+	Load(check Check) (*LoadResult, error)
 	Version() (string, error)
 }
 
@@ -150,10 +151,11 @@ func (st *Store) Version() (string, error) {
 }
 
 // Load returns the newest snapshot that passes the checksum, core's
-// structural validation, and the invariant audit. Files that fail are
-// quarantined (renamed to <name>.corrupt) and the next-newest is
-// tried. It fails only when no snapshot verifies.
-func (st *Store) Load() (*LoadResult, error) {
+// structural validation and check. It walks the history newest-first
+// and calls check once on each snapshot that decodes; a file that fails
+// any of the three is quarantined (renamed to <name>.corrupt) and the
+// next-newest is tried. It fails only when no snapshot passes.
+func (st *Store) Load(check Check) (*LoadResult, error) {
 	names, err := st.Snapshots()
 	if err != nil {
 		return nil, err
@@ -163,12 +165,9 @@ func (st *Store) Load() (*LoadResult, error) {
 		path := filepath.Join(st.dir, name)
 		syn, err := ReadFileFS(st.fsys, path)
 		if err == nil {
-			report := audit.Check(syn, audit.Options{})
-			if aerr := report.Err(); aerr == nil {
-				res.Synopsis, res.Path, res.Report, res.Version = syn, path, report, name
+			if err = check(syn); err == nil {
+				res.Synopsis, res.Path, res.Version = syn, path, name
 				return res, nil
-			} else {
-				err = aerr
 			}
 		}
 		quarantined := path + corruptSuffix
