@@ -64,10 +64,11 @@
 // older good one. A -synopsis file is never renamed.
 //
 // Failure model: -query-timeout bounds each reconstruction (504 on
-// expiry); the adaptive admission controller queues bursts and sheds
-// sustained excess globally (429 + Retry-After), with -max-inflight as
-// its concurrency ceiling and -admission-target-delay as its queue-delay
-// target; and SIGINT/SIGTERM drains gracefully —
+// expiry); the admission controller queues bursts and sheds sustained
+// excess globally (429 + Retry-After), with -max-inflight as both its
+// fixed concurrency limit and its queue bound, and
+// -admission-target-delay as its queue-delay target; and SIGINT/SIGTERM
+// drains gracefully —
 // /healthz flips to 503 so load balancers stop routing, in-flight
 // queries run to completion (up to -drain-timeout), then the listener
 // closes.
@@ -102,7 +103,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxK := flag.Int("max-k", 12, "largest marginal size a request may ask for")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-request reconstruction deadline (0 disables; expiry returns 504)")
-	maxInflight := flag.Int("max-inflight", 64, "admission control: concurrency ceiling and queue bound for marginal queries (0 selects the controller defaults)")
+	maxInflight := flag.Int("max-inflight", 64, "admission control: fixed concurrency limit and queue bound for marginal queries (0 selects the controller defaults)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries before closing connections")
 	cacheEntries := flag.Int("cache-entries", 4096, "query-cache entry bound, per release in registry mode (≤0 together with -cache-bytes ≤0 disables the cache)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "query-cache approximate byte bound — the global budget shared by all releases in registry mode (≤0 together with -cache-entries ≤0 disables the cache)")
@@ -142,18 +143,20 @@ func main() {
 	// HTTP layer, admission control, every release's cache and warm
 	// pass, and the solver all register their families here.
 	tel := telemetry.NewRegistry()
-	// Queries queue briefly, CoDel sheds on sustained sojourn, and an
-	// AIMD limit tracks the latency gradient below the -max-inflight
-	// ceiling.
+	// At most -max-inflight queries run at once and as many more queue
+	// briefly; CoDel sheds from the queue on sustained sojourn.
 	opt := server.Options{
 		MaxK:         *maxK,
 		QueryTimeout: *queryTimeout,
-		MaxInflight:  *maxInflight,
 		MaxBatch:     *batchMax,
 		BatchWorkers: *batchWorkers,
-		Admission:    admission.Config{TargetDelay: *admissionTarget},
-		Telemetry:    tel,
-		SlowQuery:    *slowQuery,
+		Admission: admission.Config{
+			TargetDelay: *admissionTarget,
+			Limit:       *maxInflight,
+			MaxQueue:    *maxInflight,
+		},
+		Telemetry: tel,
+		SlowQuery: *slowQuery,
 	}
 	if *brownout > 0 {
 		opt.Brownout = &admission.BrownoutConfig{Enter: *brownout}

@@ -308,7 +308,7 @@ func TestLoadSynopsisAcceptsV2(t *testing.T) {
 
 // TestReloadRaceServesCleanly is the hot-reload race proof behind the
 // SIGHUP contract: 12 query workers hammer the full middleware stack
-// (recovery, an admission controller whose concurrency floor exceeds
+// (recovery, an admission controller whose concurrency limit exceeds
 // the worker count so it never queues or sheds and every answer must
 // be a real 200, per-request deadline) while the main goroutine
 // publishes a new snapshot and reconciles 30 times, so all 30 reload
@@ -327,7 +327,7 @@ func TestReloadRaceServesCleanly(t *testing.T) {
 	reg, srv := serveSingle(t, "", dir, server.Options{
 		MaxK:         6,
 		QueryTimeout: 10 * time.Second,
-		Admission:    admission.Config{MinLimit: 16, MaxLimit: 16},
+		Admission:    admission.Config{Limit: 16},
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())

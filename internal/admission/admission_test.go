@@ -110,8 +110,8 @@ func testCounters() Counters {
 }
 
 func TestControllerAdmitsUnderLimit(t *testing.T) {
-	c := NewController(Config{InitialLimit: 4, MinLimit: 1}, testCounters())
-	var rels []func(time.Duration)
+	c := NewController(Config{Limit: 4}, testCounters())
+	var rels []func()
 	for i := 0; i < 4; i++ {
 		rel, err := c.Acquire(context.Background())
 		if err != nil {
@@ -124,7 +124,7 @@ func TestControllerAdmitsUnderLimit(t *testing.T) {
 		t.Errorf("stats = %+v, want inflight 4 admitted 4", st)
 	}
 	for _, rel := range rels {
-		rel(time.Millisecond)
+		rel()
 	}
 	if st := c.Stats(); st.Inflight != 0 {
 		t.Errorf("inflight after release = %d, want 0", st.Inflight)
@@ -133,7 +133,7 @@ func TestControllerAdmitsUnderLimit(t *testing.T) {
 
 func TestControllerQueueFullSheds(t *testing.T) {
 	clk := newFakeClock()
-	c := NewController(Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 2, Now: clk.Now}, testCounters())
+	c := NewController(Config{Limit: 1, MaxQueue: 2, Now: clk.Now}, testCounters())
 	rel, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestControllerQueueFullSheds(t *testing.T) {
 				return
 			}
 			admitted <- struct{}{}
-			r(time.Millisecond)
+			r()
 		}()
 	}
 	waitForDepth(t, c, 2)
@@ -167,7 +167,7 @@ func TestControllerQueueFullSheds(t *testing.T) {
 	if st := c.Stats(); st.Shed != 1 || st.Queued != 2 {
 		t.Errorf("stats = %+v, want shed 1 queued 2", st)
 	}
-	rel(time.Millisecond) // drain: the queue empties through the slot
+	rel() // drain: the queue empties through the slot
 	wg.Wait()
 	if len(admitted) != 2 {
 		t.Errorf("admitted %d queued waiters, want 2", len(admitted))
@@ -175,7 +175,7 @@ func TestControllerQueueFullSheds(t *testing.T) {
 }
 
 func TestControllerQueuedCallerHonorsContext(t *testing.T) {
-	c := NewController(Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 8}, testCounters())
+	c := NewController(Config{Limit: 1, MaxQueue: 8}, testCounters())
 	rel, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -196,22 +196,69 @@ func TestControllerQueuedCallerHonorsContext(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled waiter never returned")
 	}
-	rel(0)
+	rel()
 	// The canceled waiter must not have leaked a slot.
 	if rel2, err := c.Acquire(context.Background()); err != nil {
 		t.Errorf("acquire after canceled waiter: %v", err)
 	} else {
-		rel2(0)
+		rel2()
 	}
 	if st := c.Stats(); st.Inflight != 0 {
 		t.Errorf("inflight = %d, want 0 (canceled waiter leaked a slot)", st.Inflight)
 	}
 }
 
+// TestControllerAbandonedWaiterLeavesQueue: a queued caller whose
+// context ends leaves the queue at once, not at the next dispatch, so
+// it neither takes the place of a live arrival nor counts toward the
+// queue depth, the Retry-After hint or the brownout signal.
+func TestControllerAbandonedWaiterLeavesQueue(t *testing.T) {
+	c := NewController(Config{Limit: 1, MaxQueue: 2}, testCounters())
+	rel, err := c.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		_, err := c.Acquire(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("queued acquire %d err = %v, want context.DeadlineExceeded", i, err)
+		}
+	}
+	if st := c.Stats(); st.QueueDepth != 0 {
+		t.Errorf("queue depth = %d after both waiters gave up, want 0", st.QueueDepth)
+	}
+	if c.Overloaded() {
+		t.Error("Overloaded() = true with no live waiter")
+	}
+	if ra := c.RetryAfter(); ra != RetryAfter {
+		t.Errorf("RetryAfter() = %v, want the unscaled %v", ra, RetryAfter)
+	}
+	// A live arrival takes a place in the queue and is admitted once the
+	// slot frees.
+	done := make(chan error, 1)
+	go func() {
+		r, err := c.Acquire(context.Background())
+		if err == nil {
+			r()
+		}
+		done <- err
+	}()
+	waitForDepth(t, c, 1)
+	rel()
+	if err := <-done; err != nil {
+		t.Errorf("live arrival after abandoned waiters: %v", err)
+	}
+	if st := c.Stats(); st.Inflight != 0 || st.QueueDepth != 0 || st.Admitted != 2 {
+		t.Errorf("stats = %+v, want inflight 0, queue depth 0, admitted 2", st)
+	}
+}
+
 func TestControllerCoDelShedsStandingQueue(t *testing.T) {
 	clk := newFakeClock()
 	c := NewController(Config{
-		InitialLimit: 1, MinLimit: 1, MaxQueue: 16,
+		Limit: 1, MaxQueue: 16,
 		TargetDelay: 10 * time.Millisecond, Interval: 40 * time.Millisecond,
 		Now: clk.Now,
 	}, testCounters())
@@ -219,7 +266,7 @@ func TestControllerCoDelShedsStandingQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admits := make(chan func(time.Duration), 8)
+	admits := make(chan func(), 8)
 	rejects := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
@@ -236,14 +283,14 @@ func TestControllerCoDelShedsStandingQueue(t *testing.T) {
 	// sees a 200ms+ sojourn. The first above-target dequeue only arms
 	// the interval timer; once it expires, dropping mode sheds.
 	clk.Advance(200 * time.Millisecond)
-	rel(0)
+	rel()
 	deadline := time.After(10 * time.Second)
 	var rejected int
 	for resolved := 0; resolved < 8; resolved++ {
 		select {
 		case r := <-admits:
 			clk.Advance(50 * time.Millisecond)
-			r(0)
+			r()
 		case err := <-rejects:
 			var rej *RejectedError
 			if !errors.As(err, &rej) {
@@ -260,40 +307,6 @@ func TestControllerCoDelShedsStandingQueue(t *testing.T) {
 	}
 	if st.CoDelDropped != uint64(rejected) {
 		t.Errorf("codel_dropped %d != observed rejections %d", st.CoDelDropped, rejected)
-	}
-}
-
-func TestControllerAIMDGradient(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{InitialLimit: 10, MinLimit: 2, MaxLimit: 50, Now: clk.Now, Interval: 100 * time.Millisecond}, testCounters())
-	// Steady latency: limit grows additively.
-	for i := 0; i < 100; i++ {
-		rel, err := c.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel(10 * time.Millisecond)
-	}
-	grown := c.Stats().Limit
-	if grown <= 10 {
-		t.Errorf("limit after steady phase = %v, want > 10", grown)
-	}
-	// Latency explodes: gradient trips, limit shrinks multiplicatively
-	// (one decrease per interval).
-	for i := 0; i < 50; i++ {
-		rel, err := c.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel(500 * time.Millisecond)
-		clk.Advance(110 * time.Millisecond)
-	}
-	shrunk := c.Stats().Limit
-	if shrunk >= grown*decreaseFactor {
-		t.Errorf("limit after latency spike = %v, want < %v", shrunk, grown*decreaseFactor)
-	}
-	if shrunk < float64(2) {
-		t.Errorf("limit fell below MinLimit: %v", shrunk)
 	}
 }
 
@@ -344,12 +357,13 @@ func TestBrownoutBlipDoesNotInheritStreak(t *testing.T) {
 }
 
 // TestControllerConcurrentStress hammers Acquire/release from many
-// goroutines under -race; invariant: inflight returns to zero and no
-// waiter hangs.
+// goroutines under -race; invariants: no more than Limit callers are
+// ever admitted at once, inflight returns to zero and no waiter hangs.
 func TestControllerConcurrentStress(t *testing.T) {
-	c := NewController(Config{InitialLimit: 8, MinLimit: 2, MaxQueue: 32}, testCounters())
+	const limit = 8
+	c := NewController(Config{Limit: limit, MaxQueue: 32}, testCounters())
 	var wg sync.WaitGroup
-	var served, rejected atomic.Int64
+	var served, rejected, running, peak atomic.Int64
 	for w := 0; w < 32; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -367,7 +381,13 @@ func TestControllerConcurrentStress(t *testing.T) {
 					continue
 				}
 				served.Add(1)
-				rel(time.Microsecond * 50)
+				n := running.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				// Hold the slot briefly, so admitted callers overlap.
+				time.Sleep(50 * time.Microsecond)
+				running.Add(-1)
+				rel()
 			}
 		}(w)
 	}
@@ -381,10 +401,13 @@ func TestControllerConcurrentStress(t *testing.T) {
 	if st := c.Stats(); st.Inflight != 0 {
 		t.Errorf("inflight after stress = %d, want 0", st.Inflight)
 	}
+	if p := peak.Load(); p > limit {
+		t.Errorf("%d callers admitted at once, want at most the limit %d", p, limit)
+	}
 	if served.Load() == 0 {
 		t.Error("no request was ever served")
 	}
-	t.Logf("served=%d rejected=%d stats=%+v", served.Load(), rejected.Load(), c.Stats())
+	t.Logf("served=%d rejected=%d peak=%d stats=%+v", served.Load(), rejected.Load(), peak.Load(), c.Stats())
 }
 
 // waitForDepth polls until the controller's queue holds n waiters.

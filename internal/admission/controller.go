@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,18 +20,13 @@ type Config struct {
 	TargetDelay time.Duration
 	// Interval is the CoDel control interval — how long sojourn must
 	// stay above target before the controller starts shedding from the
-	// queue, and the minimum spacing between multiplicative limit
-	// decreases (default max(100ms, 4×TargetDelay)).
+	// queue (default max(100ms, 4×TargetDelay)).
 	Interval time.Duration
 	// MaxQueue bounds the waiting queue; arrivals past it are shed
 	// immediately (default 64).
 	MaxQueue int
-	// InitialLimit is the concurrency limit the AIMD search starts
-	// from (default 16, clamped into [MinLimit, MaxLimit]).
-	InitialLimit int
-	// MinLimit and MaxLimit bound the adaptive concurrency limit
-	// (defaults 2 and 1024).
-	MinLimit, MaxLimit int
+	// Limit is how many admitted requests may run at once (default 16).
+	Limit int
 	// Now is the clock (nil = time.Now); tests inject a fake.
 	Now func() time.Time
 }
@@ -48,23 +44,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
-	if c.MinLimit <= 0 {
-		c.MinLimit = 2
-	}
-	if c.MaxLimit <= 0 {
-		c.MaxLimit = 1024
-	}
-	if c.MaxLimit < c.MinLimit {
-		c.MaxLimit = c.MinLimit
-	}
-	if c.InitialLimit <= 0 {
-		c.InitialLimit = 16
-	}
-	if c.InitialLimit < c.MinLimit {
-		c.InitialLimit = c.MinLimit
-	}
-	if c.InitialLimit > c.MaxLimit {
-		c.InitialLimit = c.MaxLimit
+	if c.Limit <= 0 {
+		c.Limit = 16
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -80,17 +61,6 @@ const RetryAfter = time.Second
 
 // retryAfterMax caps the queue-depth-scaled Retry-After hint.
 const retryAfterMax = 30 * time.Second
-
-// Latency-gradient constants. The short EWMA tracks what latency is
-// doing right now, the long EWMA what it normally is; when the ratio
-// exceeds gradientTolerance the server is falling behind its own
-// baseline and the limit decreases multiplicatively.
-const (
-	shortAlpha        = 0.4
-	longAlpha         = 0.05
-	gradientTolerance = 2.0
-	decreaseFactor    = 0.8
-)
 
 // RejectedError is Acquire's refusal: the bounded queue is full or the
 // CoDel controller shed this request from it. RetryAfter scales with
@@ -118,16 +88,14 @@ type waiter struct {
 	state atomic.Int32
 }
 
-// Controller is the adaptive admission gate: at most limit requests
-// run concurrently, a bounded FIFO absorbs short bursts, CoDel-style
-// sojourn control sheds from the queue when delay stands above target,
-// and the limit itself walks an AIMD search driven by the latency
-// gradient. The zero value is not usable; call NewController.
+// Controller is the admission gate: at most Config.Limit requests run
+// concurrently, a bounded FIFO absorbs short bursts, and CoDel-style
+// sojourn control sheds from the queue when delay stands above target.
+// The zero value is not usable; call NewController.
 type Controller struct {
 	cfg Config
 
 	mu       sync.Mutex
-	limit    float64
 	inflight int
 	queue    []*waiter
 
@@ -136,10 +104,6 @@ type Controller struct {
 	dropping   bool
 	dropNext   time.Time
 	dropCount  int
-
-	// Latency-gradient state (guarded by mu), in float64 nanoseconds.
-	shortLat, longLat float64
-	lastDecrease      time.Time
 
 	ctr Counters
 }
@@ -157,27 +121,17 @@ type Counters struct {
 // NewController returns a controller with cfg's knobs resolved,
 // counting into counters.
 func NewController(cfg Config, counters Counters) *Controller {
-	cfg = cfg.withDefaults()
-	return &Controller{cfg: cfg, limit: float64(cfg.InitialLimit), ctr: counters}
-}
-
-// curLimitLocked is the integer concurrency limit in force.
-func (c *Controller) curLimitLocked() int {
-	l := int(c.limit)
-	if l < c.cfg.MinLimit {
-		l = c.cfg.MinLimit
-	}
-	return l
+	return &Controller{cfg: cfg.withDefaults(), ctr: counters}
 }
 
 // Acquire admits the caller, queues it within the bounded queue, or
 // rejects it. On admission it returns a release function the caller
-// must invoke exactly once with the observed request latency (which
-// feeds the AIMD search; pass 0 to skip the sample). A *RejectedError
-// means shed; a context error means the caller gave up while queued.
-func (c *Controller) Acquire(ctx context.Context) (func(time.Duration), error) {
+// must invoke once the request is done. A *RejectedError means shed; a
+// context error means the caller gave up while queued, and its place
+// in the queue is freed at once.
+func (c *Controller) Acquire(ctx context.Context) (func(), error) {
 	c.mu.Lock()
-	if c.inflight < c.curLimitLocked() && len(c.queue) == 0 {
+	if c.inflight < c.cfg.Limit && len(c.queue) == 0 {
 		c.inflight++
 		c.ctr.Admitted.Inc()
 		c.mu.Unlock()
@@ -201,12 +155,20 @@ func (c *Controller) Acquire(ctx context.Context) (func(time.Duration), error) {
 		}
 		return c.releaseFunc(), nil
 	case <-ctx.Done():
-		if !w.state.CompareAndSwap(waiterWaiting, waiterCanceled) {
+		if w.state.CompareAndSwap(waiterWaiting, waiterCanceled) {
+			// A waiter that gave up must not hold a place a live arrival
+			// could take, nor count toward the depth that scales
+			// Retry-After and signals brownout. Dispatch may have popped
+			// it already, in which case it is not found.
+			c.mu.Lock()
+			if i := slices.Index(c.queue, w); i >= 0 {
+				c.queue = slices.Delete(c.queue, i, i+1)
+			}
+			c.mu.Unlock()
+		} else if err := <-w.ready; err == nil {
 			// The dispatcher resolved us concurrently; honor its verdict
 			// so an already-granted slot is returned, not leaked.
-			if err := <-w.ready; err == nil {
-				c.releaseFunc()(0)
-			}
+			c.releaseFunc()()
 		}
 		return nil, ctx.Err()
 	}
@@ -214,15 +176,12 @@ func (c *Controller) Acquire(ctx context.Context) (func(time.Duration), error) {
 
 // releaseFunc returns the once-only completion callback for one
 // admitted request.
-func (c *Controller) releaseFunc() func(time.Duration) {
+func (c *Controller) releaseFunc() func() {
 	var once sync.Once
-	return func(latency time.Duration) {
+	return func() {
 		once.Do(func() {
 			c.mu.Lock()
 			c.inflight--
-			if latency > 0 {
-				c.updateLimitLocked(latency)
-			}
 			c.dispatchLocked()
 			c.mu.Unlock()
 		})
@@ -234,10 +193,12 @@ func (c *Controller) releaseFunc() func(time.Duration) {
 func (c *Controller) dispatchLocked() {
 	now := c.cfg.Now()
 	//lint:ignore ctxflow runs under c.mu with no request context; the loop drains a MaxQueue-bounded queue, and each waiter's own ctx cancellation is honored via the waiter state CAS
-	for len(c.queue) > 0 && c.inflight < c.curLimitLocked() {
+	for len(c.queue) > 0 && c.inflight < c.cfg.Limit {
 		w := c.queue[0]
 		c.queue = c.queue[1:]
 		if w.state.Load() == waiterCanceled {
+			// Canceled after dispatch took c.mu, before it could remove
+			// itself.
 			continue
 		}
 		sojourn := now.Sub(w.enq)
@@ -284,9 +245,6 @@ func (c *Controller) codelDropLocked(sojourn time.Duration, now time.Time) bool 
 		c.dropping = true
 		c.dropCount = 1
 		c.dropNext = now.Add(c.nextDropInterval())
-		// Standing queue delay is overload by definition; shrink the
-		// concurrency limit along with shedding from the queue.
-		c.decreaseLocked(now)
 		return true
 	}
 	if now.Before(c.dropNext) {
@@ -304,51 +262,11 @@ func (c *Controller) nextDropInterval() time.Duration {
 	return time.Duration(float64(c.cfg.Interval) / math.Sqrt(float64(c.dropCount)))
 }
 
-// updateLimitLocked walks the AIMD search one step using the latency
-// gradient: when the short-term latency EWMA stands more than
-// gradientTolerance above the long-term baseline the limit decreases
-// multiplicatively (at most once per interval), otherwise it increases
-// additively by 1/limit per completion (≈ +1 per round-trip).
-func (c *Controller) updateLimitLocked(latency time.Duration) {
-	l := float64(latency)
-	//lint:ignore floatcmp zero is the unseeded sentinel, assigned exactly and never computed; real latencies are positive
-	if c.shortLat == 0 {
-		c.shortLat, c.longLat = l, l
-	} else {
-		c.shortLat += shortAlpha * (l - c.shortLat)
-		c.longLat += longAlpha * (l - c.longLat)
-	}
-	if c.shortLat > c.longLat*gradientTolerance {
-		c.decreaseLocked(c.cfg.Now())
-		return
-	}
-	c.limit += 1 / c.limit
-	if max := float64(c.cfg.MaxLimit); c.limit > max {
-		c.limit = max
-	}
-}
-
-// decreaseLocked applies one multiplicative decrease, spaced at least
-// an interval apart so a burst of bad samples cannot collapse the
-// limit to the floor in one sweep.
-func (c *Controller) decreaseLocked(now time.Time) {
-	if now.Sub(c.lastDecrease) < c.cfg.Interval {
-		return
-	}
-	c.lastDecrease = now
-	c.limit *= decreaseFactor
-	if min := float64(c.cfg.MinLimit); c.limit < min {
-		c.limit = min
-	}
-}
-
 // retryAfterLocked is the backpressure hint: the base scaled up with
 // how many limit-widths of work are already waiting, so a deep queue
 // tells clients to stay away longer than a graze does.
 func (c *Controller) retryAfterLocked() time.Duration {
-	depth := len(c.queue)
-	limit := c.curLimitLocked()
-	hint := RetryAfter * time.Duration(1+depth/limit)
+	hint := RetryAfter * time.Duration(1+len(c.queue)/c.cfg.Limit)
 	if hint > retryAfterMax {
 		hint = retryAfterMax
 	}
@@ -376,19 +294,17 @@ func (c *Controller) Overloaded() bool {
 // in the middleware-owned counters (deadline rejections, brownout)
 // before publishing it on /v1/stats.
 type Stats struct {
-	Limit            float64 `json:"limit"`
-	Inflight         int     `json:"inflight"`
-	QueueDepth       int     `json:"queue_depth"`
-	Admitted         uint64  `json:"admitted"`
-	Queued           uint64  `json:"queued"`
-	Shed             uint64  `json:"shed"`
-	CoDelDropped     uint64  `json:"codel_dropped"`
-	DeadlineRejected uint64  `json:"deadline_rejected"`
-	BrownoutServed   uint64  `json:"brownout_served"`
-	BrownoutRejected uint64  `json:"brownout_rejected"`
-	BrownoutActive   bool    `json:"brownout_active"`
-	ShortLatencyMs   float64 `json:"short_latency_ms"`
-	LongLatencyMs    float64 `json:"long_latency_ms"`
+	Limit            int    `json:"limit"`
+	Inflight         int    `json:"inflight"`
+	QueueDepth       int    `json:"queue_depth"`
+	Admitted         uint64 `json:"admitted"`
+	Queued           uint64 `json:"queued"`
+	Shed             uint64 `json:"shed"`
+	CoDelDropped     uint64 `json:"codel_dropped"`
+	DeadlineRejected uint64 `json:"deadline_rejected"`
+	BrownoutServed   uint64 `json:"brownout_served"`
+	BrownoutRejected uint64 `json:"brownout_rejected"`
+	BrownoutActive   bool   `json:"brownout_active"`
 }
 
 // Stats snapshots the controller-owned counters and gauges.
@@ -396,14 +312,12 @@ func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Limit:          c.limit,
-		Inflight:       c.inflight,
-		QueueDepth:     len(c.queue),
-		Admitted:       c.ctr.Admitted.Value(),
-		Queued:         c.ctr.Queued.Value(),
-		Shed:           c.ctr.Shed.Value(),
-		CoDelDropped:   c.ctr.CoDelDropped.Value(),
-		ShortLatencyMs: c.shortLat / float64(time.Millisecond),
-		LongLatencyMs:  c.longLat / float64(time.Millisecond),
+		Limit:        c.cfg.Limit,
+		Inflight:     c.inflight,
+		QueueDepth:   len(c.queue),
+		Admitted:     c.ctr.Admitted.Value(),
+		Queued:       c.ctr.Queued.Value(),
+		Shed:         c.ctr.Shed.Value(),
+		CoDelDropped: c.ctr.CoDelDropped.Value(),
 	}
 }

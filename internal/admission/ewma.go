@@ -1,10 +1,10 @@
 // Package admission implements the overload-control primitives the
 // serving stack composes into end-to-end backpressure: an EWMA tracker
 // of per-method service time (deadline-aware rejection), a token
-// bucket (per-tenant rate limits and client retry budgets), an
-// adaptive admission controller (bounded queue + CoDel-style sojourn
-// control + an AIMD concurrency limit driven by the latency gradient),
-// and a brownout detector (sustained-overload degradation to
+// bucket (per-tenant rate limits; server.Client keeps its own retry
+// budget, refilled by successful requests), an admission controller (a
+// fixed concurrency limit + bounded queue + CoDel-style sojourn
+// control), and a brownout detector (sustained-overload degradation to
 // cache-hits-only serving).
 //
 // The package is deliberately mechanism, not policy: it holds no HTTP

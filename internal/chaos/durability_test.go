@@ -2,9 +2,12 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +23,7 @@ import (
 	"priview/internal/marginal"
 	"priview/internal/noise"
 	"priview/internal/reconstruct"
+	"priview/internal/registry"
 	"priview/internal/server"
 	"priview/internal/snapshot"
 )
@@ -137,6 +141,78 @@ func TestAuditFailingSnapshotQuarantinedWithFallback(t *testing.T) {
 	}
 	if !marginal.Equal(good.Query([]int{0, 1}), res.Synopsis.Query([]int{0, 1}), 1e-9) {
 		t.Fatal("fallback synopsis does not match what was saved")
+	}
+}
+
+// TestReconcileKeepsServingPastAuditFailingSnapshot: when a store's
+// newest snapshot fails the audit, the reload's walk quarantines it and
+// falls back to the snapshot already serving. That is a failed reload,
+// not a new install: the querier and its warm cache stay, and the
+// release records the quarantine as its last error.
+func TestReconcileKeepsServingPastAuditFailingSnapshot(t *testing.T) {
+	st, err := snapshot.NewStore(t.TempDir(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save(durabilitySyn(21)); err != nil {
+		t.Fatal(err)
+	}
+	reg := registry.Single(server.DefaultRelease, st, registry.Options{Logger: log.New(io.Discard, "", 0)})
+	defer reg.Close()
+	ctx := context.Background()
+	acquire := func() *server.CachedQuerier {
+		t.Helper()
+		q, release, err := reg.Acquire(ctx, server.DefaultRelease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		cq, ok := q.(*server.CachedQuerier)
+		if !ok {
+			t.Fatalf("Acquire returned %T, want *server.CachedQuerier", q)
+		}
+		return cq
+	}
+	before := acquire()
+	attrs := []int{0, 1}
+	if _, err := before.QueryBatch(ctx, []core.BatchRequest{{Attrs: attrs, Method: core.CME}}, core.BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	bad, err := AuditFailing(durabilitySyn(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPath, err := st.Save(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	v, err := reg.ReleaseStats(server.DefaultRelease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := v.(registry.ReleaseStats)
+	if s.Reloads != 0 || s.ReloadFailures != 1 {
+		t.Errorf("reloads %d, reload failures %d; want 0, 1", s.Reloads, s.ReloadFailures)
+	}
+	if !strings.Contains(s.LastError, "audit") {
+		t.Errorf("last error %q, want the quarantined snapshot's audit failure", s.LastError)
+	}
+	if s.Snapshot != "snapshot-000001.json" {
+		t.Errorf("serving %s, want snapshot-000001.json", s.Snapshot)
+	}
+	if after := acquire(); after != before {
+		t.Error("the reconcile replaced the querier serving the unchanged snapshot")
+	}
+	if _, hit := before.QueryCached(attrs, core.CME); !hit {
+		t.Error("the cached query is no longer a hit")
+	}
+	if _, err := os.Stat(badPath + ".corrupt"); err != nil {
+		t.Errorf("audit-failing snapshot not quarantined: %v", err)
 	}
 }
 

@@ -206,10 +206,10 @@ func runPhase(name, base, path string, workers int, pace, d time.Duration) phase
 }
 
 // TestOverloadStorm is the headline overload proof on a single-tenant
-// server with adaptive admission over a deliberately slow solver:
+// server with admission control over a deliberately slow solver:
 //
 //   - baseline: under-capacity traffic establishes goodput and p99;
-//   - storm: 4× the concurrency ceiling offered — goodput must hold
+//   - storm: 4× the concurrency limit offered — goodput must hold
 //     ≥70% of baseline, and the excess must be shed with fast 429s,
 //     not absorbed as queueing;
 //   - slow solver: the solver gets 4× slower under storm traffic —
@@ -227,12 +227,10 @@ func TestOverloadStorm(t *testing.T) {
 		QueryTimeout: 2 * time.Second,
 		Logger:       log.New(io.Discard, "", 0),
 		Admission: admission.Config{
-			TargetDelay:  10 * time.Millisecond,
-			Interval:     50 * time.Millisecond,
-			MaxQueue:     32,
-			InitialLimit: 8,
-			MinLimit:     2,
-			MaxLimit:     8,
+			TargetDelay: 10 * time.Millisecond,
+			Interval:    50 * time.Millisecond,
+			MaxQueue:    32,
+			Limit:       8,
 		},
 	})
 	ts := httptest.NewServer(srv)
@@ -266,9 +264,8 @@ func TestOverloadStorm(t *testing.T) {
 		t.Fatal("slow baseline produced no successful requests")
 	}
 
-	// Slow solver under storm: let the AIMD limit and CoDel adapt off
-	// the record, then measure. Admitted requests must not inherit the
-	// queue as latency.
+	// Slow solver under storm: let CoDel settle off the record, then
+	// measure. Admitted requests must not inherit the queue as latency.
 	settle := startLoad(ts.URL, "/v1/marginal", 16, 0)
 	time.Sleep(200 * time.Millisecond)
 	// Mid-storm scrape: 16 workers are hammering the admission path
@@ -317,7 +314,7 @@ func TestOverloadStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Admission == nil {
-		t.Fatal("/v1/releases has no admission block with adaptive admission enabled")
+		t.Fatal("/v1/releases has no admission block with admission control enabled")
 	}
 	if stats.Admission.Admitted == 0 {
 		t.Error("admission stats counted nothing admitted")
@@ -384,12 +381,10 @@ func TestBatchOverloadStorm(t *testing.T) {
 		QueryTimeout: 2 * time.Second,
 		Logger:       log.New(io.Discard, "", 0),
 		Admission: admission.Config{
-			TargetDelay:  10 * time.Millisecond,
-			Interval:     50 * time.Millisecond,
-			MaxQueue:     8,
-			InitialLimit: 8,
-			MinLimit:     2,
-			MaxLimit:     8,
+			TargetDelay: 10 * time.Millisecond,
+			Interval:    50 * time.Millisecond,
+			MaxQueue:    8,
+			Limit:       8,
 		},
 	})
 	ts := httptest.NewServer(srv)
@@ -552,9 +547,9 @@ func TestGreedyTenantFairness(t *testing.T) {
 		MaxK:         9,
 		QueryTimeout: 2 * time.Second,
 		Logger:       log.New(io.Discard, "", 0),
-		// Adaptive admission is on, sized so the router itself never
+		// Admission control is on, sized so the router itself never
 		// becomes the bottleneck — fairness must come from the buckets.
-		Admission: admission.Config{InitialLimit: 32, MinLimit: 16, MaxLimit: 64, MaxQueue: 64},
+		Admission: admission.Config{Limit: 32, MaxQueue: 64},
 	})
 	ts := httptest.NewServer(m)
 	defer ts.Close()

@@ -73,7 +73,7 @@ func newRegistryChaosFixture(t *testing.T) *registryChaosFixture {
 		// The admission limit is pinned above the test's concurrency, so
 		// the router itself never queues or sheds — isolation must come
 		// from the registry.
-		Admission: admission.Config{MinLimit: 32, MaxLimit: 32},
+		Admission: admission.Config{Limit: 32},
 	})
 	ts := httptest.NewServer(m)
 	t.Cleanup(ts.Close)

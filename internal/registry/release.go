@@ -571,15 +571,19 @@ func (rl *release) warmAsync(cq *server.CachedQuerier, handoff []qcache.Key) {
 // maybeReload hot-reloads the release when its source's version
 // differs from the one being served, through keep-last-good: the old
 // synopsis serves until the new one has passed checksum + audit, and a
-// failed reload changes nothing but a counter and the last error. Cold
-// releases stay cold (lazy loading is the admission path).
+// failed reload changes nothing but a counter and the last error. A
+// load that falls back to the version already serving, past the newer
+// snapshots it quarantined, is a failed reload too: installing it again
+// would only drop a warm cache. Cold releases stay cold (lazy loading
+// is the admission path).
 func (rl *release) maybeReload(ctx context.Context) {
 	version, err := rl.src.Version()
 	if err != nil {
 		return
 	}
 	rl.mu.Lock()
-	if rl.q == nil || rl.retired || rl.loading != nil || rl.version == version {
+	current := rl.version
+	if rl.q == nil || rl.retired || rl.loading != nil || current == version {
 		rl.mu.Unlock()
 		return
 	}
@@ -588,6 +592,11 @@ func (rl *release) maybeReload(ctx context.Context) {
 	rl.mu.Unlock()
 
 	served, res, err := rl.load(ctx)
+	if err == nil && res.Version == current {
+		if err = errors.Join(res.Errs...); err == nil {
+			err = fmt.Errorf("source fell back to %s, already serving", filepath.Base(res.Path))
+		}
+	}
 	if err != nil {
 		rl.reg.opt.Logger.Printf("registry: %s: reload failed, keeping last good synopsis: %v", rl.name, err)
 		rl.c.ReloadFailures.Add(1)

@@ -365,7 +365,7 @@ func TestMarginalsStressMixedTraffic(t *testing.T) {
 	m := NewMulti(res, "rel", Options{
 		MaxK:      6,
 		Logger:    log.New(io.Discard, "", 0),
-		Admission: admission.Config{MinLimit: 16, MaxLimit: 16},
+		Admission: admission.Config{Limit: 16},
 	})
 
 	want, err := syn.QueryMethodContext(context.Background(), []int{0, 3}, core.CME)
@@ -429,7 +429,7 @@ func TestBrownoutServesCachedBatchesOnly(t *testing.T) {
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
 	s := serveOne(cached, Options{
 		Logger:    discardLogger(),
-		Admission: admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
+		Admission: admission.Config{Limit: 1, MaxQueue: 1},
 		Brownout:  &admission.BrownoutConfig{Enter: time.Millisecond, Exit: time.Hour},
 	})
 

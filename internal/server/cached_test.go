@@ -332,7 +332,7 @@ func TestCachedServerRaceStress(t *testing.T) {
 	cq, counting, syn := cachedTestSetup(t)
 	// The admission limit is pinned above the worker count, so every
 	// request is admitted and the test checks the cache alone.
-	s := serveOne(cq, Options{Admission: admission.Config{MinLimit: 16, MaxLimit: 16}})
+	s := serveOne(cq, Options{Admission: admission.Config{Limit: 16}})
 	attrSets := []string{"0,4,8", "1,5", "0,4,8", "2,6,7", "0,4,8", "3"}
 	methods := []string{"CME", "CLN", "CLP", "LP"}
 	const workers = 12

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"priview/internal/admission"
 	"priview/internal/core"
 )
 
@@ -198,15 +199,15 @@ func TestMultiReleasesEndpoint(t *testing.T) {
 }
 
 // TestMultiGlobalShedding proves the router's admission controller is
-// the backstop above per-release bulkheads: with MaxInflight 1 (a
-// concurrency ceiling of 1 and a queue of 1), the second concurrent
-// request waits in the queue and the third sheds with 429 +
-// Retry-After. Both admitted requests then complete.
+// the backstop above per-release bulkheads: with a limit of 1 and a
+// queue of 1, the second concurrent request waits in the queue and the
+// third sheds with 429 + Retry-After. Both admitted requests then
+// complete.
 func TestMultiGlobalShedding(t *testing.T) {
 	_, _, syn := cachedTestSetup(t)
 	gate := make(chan struct{})
 	res := &fakeResolver{queriers: map[string]Querier{"a": &gatedQuerier{Querier: syn, gate: gate}}, ready: true}
-	m := NewMulti(res, "", Options{MaxK: 6, MaxInflight: 1, Logger: log.New(io.Discard, "", 0)})
+	m := NewMulti(res, "", Options{MaxK: 6, Admission: admission.Config{Limit: 1, MaxQueue: 1}, Logger: log.New(io.Discard, "", 0)})
 	ts := httptest.NewServer(m)
 	defer ts.Close()
 

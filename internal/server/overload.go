@@ -55,11 +55,11 @@ func parseDeadlineMs(v string) (time.Duration, bool) {
 }
 
 // overload bundles the overload-control machinery in front of every
-// marginal request: the adaptive admission controller (the router's
-// only load shedder), the per-method service-time EWMA feeding the
-// deadline gate, and the brownout detector. It and its controller
-// count into tel's series, so /metrics and the JSON stats read one set
-// of numbers.
+// marginal request: the admission controller (the router's only load
+// shedder), the per-method service-time EWMA feeding the deadline
+// gate, and the brownout detector. It and its controller count into
+// tel's series, so /metrics and the JSON stats read one set of
+// numbers.
 type overload struct {
 	opt   Options
 	ctrl  *admission.Controller
@@ -72,24 +72,9 @@ type overload struct {
 // has already filled in, counting into tel and refreshing tel's
 // admission gauges at scrape time.
 func newOverload(opt Options, tel *Metrics) *overload {
-	cfg := opt.Admission
-	// MaxInflight keeps its meaning as the hard concurrency ceiling; the
-	// controller searches below it and queues up to it. The controller's
-	// default floor of 2 would lift a ceiling of 1, so it yields too.
-	if opt.MaxInflight > 0 {
-		if cfg.MinLimit <= 0 {
-			cfg.MinLimit = min(2, opt.MaxInflight)
-		}
-		if cfg.MaxLimit <= 0 {
-			cfg.MaxLimit = opt.MaxInflight
-		}
-		if cfg.MaxQueue <= 0 {
-			cfg.MaxQueue = opt.MaxInflight
-		}
-	}
 	o := &overload{
 		opt: opt,
-		ctrl: admission.NewController(cfg, admission.Counters{
+		ctrl: admission.NewController(opt.Admission, admission.Counters{
 			Admitted:     tel.admAdmitted,
 			Queued:       tel.admQueued,
 			Shed:         tel.admShed,
@@ -104,7 +89,7 @@ func newOverload(opt Options, tel *Metrics) *overload {
 	}
 	tel.Registry.OnScrape(func() {
 		st := o.stats()
-		tel.admLimit.Set(st.Limit)
+		tel.admLimit.Set(float64(st.Limit))
 		tel.admInflight.Set(float64(st.Inflight))
 		tel.admQueue.Set(float64(st.QueueDepth))
 		if st.BrownoutActive {
@@ -116,11 +101,11 @@ func newOverload(opt Options, tel *Metrics) *overload {
 	return o
 }
 
-// admitted gates h behind the adaptive admission controller. Each
-// request first feeds the brownout detector; while a brownout is
-// active, non-priority requests are offered to tryCacheOnly before
-// consuming an admission slot, so cache hits stay cheap exactly when
-// capacity is scarce.
+// admitted gates h behind the admission controller. Each request
+// first feeds the brownout detector; while a brownout is active,
+// non-priority requests are offered to tryCacheOnly before consuming
+// an admission slot, so cache hits stay cheap exactly when capacity is
+// scarce.
 func (o *overload) admitted(h http.Handler, tryCacheOnly func(http.ResponseWriter, *http.Request) bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if o.brown != nil {
@@ -134,8 +119,7 @@ func (o *overload) admitted(h http.Handler, tryCacheOnly func(http.ResponseWrite
 			o.writeAcquireError(w, err)
 			return
 		}
-		start := time.Now()
-		defer func() { rel(time.Since(start)) }()
+		defer rel()
 		h.ServeHTTP(w, r)
 	})
 }

@@ -1,4 +1,4 @@
-// Overload-control tests: the adaptive admission path, the deadline
+// Overload-control tests: the admission path, the deadline
 // gate fed by propagated client budgets, brownout degradation, and the
 // client-side halves (deadline header, backoff fast-fail, retry
 // budget). Internal package so the tests can reach the controller and
@@ -117,17 +117,17 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestAdaptiveAdmissionQueuesThenSheds: with the adaptive controller at
-// limit 1 and a queue of 1, the first request holds the slot, the
-// second waits in the queue, and the third is shed with 429 +
-// Retry-After. Once the slot frees, the queued request is admitted.
+// TestAdaptiveAdmissionQueuesThenSheds: with the controller at limit 1
+// and a queue of 1, the first request holds the slot, the second waits
+// in the queue, and the third is shed with 429 + Retry-After. Once the
+// slot frees, the queued request is admitted.
 func TestAdaptiveAdmissionQueuesThenSheds(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	hq.hold.Store(true)
 	s := serveOne(hq, Options{
 		Logger:    discardLogger(),
-		Admission: admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
+		Admission: admission.Config{Limit: 1, MaxQueue: 1},
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -255,7 +255,7 @@ func TestBrownoutServesCacheHitsOnly(t *testing.T) {
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
 	s := serveOne(cached, Options{
 		Logger:    discardLogger(),
-		Admission: admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
+		Admission: admission.Config{Limit: 1, MaxQueue: 1},
 		Brownout:  &admission.BrownoutConfig{Enter: time.Millisecond, Exit: time.Hour},
 	})
 

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"priview/internal/admission"
 	"priview/internal/chaos"
 	"priview/internal/core"
 	"priview/internal/covering"
@@ -91,17 +92,17 @@ func (p *parkedQuerier) QueryBatch(ctx context.Context, reqs []core.BatchRequest
 	return p.Querier.QueryBatch(ctx, reqs, opt)
 }
 
-// TestLoadSheddingReturns429: with MaxInflight=1 (a concurrency
-// ceiling of 1 and an admission queue of 1), a request parked inside
-// the handler and a second one waiting in the queue, the next request
-// is shed immediately with 429 and a Retry-After hint; once the parked
-// request completes, capacity frees up.
+// TestLoadSheddingReturns429: with an admission limit of 1 and a queue
+// of 1, a request parked inside the handler and a second one waiting in
+// the queue, the next request is shed immediately with 429 and a
+// Retry-After hint; once the parked request completes, capacity frees
+// up.
 func TestLoadSheddingReturns429(t *testing.T) {
 	parked := &parkedQuerier{arrived: make(chan struct{}), release: make(chan struct{})}
 	park := func(q server.Querier) server.Querier { parked.Querier = q; return parked }
 	s := serve(t, buildSynopsis(t), park, server.Options{
-		MaxInflight: 1,
-		Logger:      quietLogger(),
+		Admission: admission.Config{Limit: 1, MaxQueue: 1},
+		Logger:    quietLogger(),
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -225,7 +226,7 @@ func TestPanicReturns500(t *testing.T) {
 func TestValidationStays400(t *testing.T) {
 	s := serve(t, buildSynopsis(t), nil, server.Options{
 		QueryTimeout: time.Second,
-		MaxInflight:  4,
+		Admission:    admission.Config{Limit: 4, MaxQueue: 4},
 		Logger:       quietLogger(),
 	})
 	for _, path := range []string{

@@ -15,14 +15,14 @@
 // flips /healthz and /readyz to 503 so load balancers stop routing to
 // an instance that is shutting down.
 //
-// The adaptive admission controller from internal/admission is the
-// only load shedder: a bounded queue absorbs bursts, CoDel-style
-// sojourn control sheds from the queue when delay stands above target,
-// and an AIMD search adapts the concurrency limit to the latency
-// gradient. Requests arriving with less remaining deadline (propagated
-// via X-Priview-Deadline-Ms) than their expected service time are
-// fast-failed instead of solved. Options.Brownout additionally degrades
-// non-priority traffic to cache-hits-only under sustained overload.
+// The admission controller from internal/admission is the only load
+// shedder: at most a fixed limit of requests run at once, a bounded
+// queue absorbs bursts, and CoDel-style sojourn control sheds from the
+// queue when delay stands above target. Requests arriving with less
+// remaining deadline (propagated via X-Priview-Deadline-Ms) than their
+// expected service time are fast-failed instead of solved.
+// Options.Brownout additionally degrades non-priority traffic to
+// cache-hits-only under sustained overload.
 package server
 
 import (
@@ -72,20 +72,16 @@ type Options struct {
 	// QueryTimeout is the per-request reconstruction deadline; requests
 	// exceeding it fail with 504. ≤ 0 disables the deadline.
 	QueryTimeout time.Duration
-	// MaxInflight is the admission controller's concurrency ceiling: it
-	// fills Admission.MaxLimit and Admission.MaxQueue when those are
-	// unset. ≤ 0 keeps the controller's own defaults.
-	MaxInflight int
 	// MaxBatch bounds the queries one POST /v1/marginals request may
 	// carry (≤ 0 selects the default of 256).
 	MaxBatch int
 	// BatchWorkers bounds the solver goroutines one batch may fan over
 	// (core.BatchOptions.Workers); ≤ 0 selects GOMAXPROCS.
 	BatchWorkers int
-	// Admission configures the adaptive admission controller every
-	// marginal request passes — bounded queue, CoDel sojourn control,
-	// AIMD concurrency limit. Every zero field selects the controller's
-	// default, so the zero value is a working controller.
+	// Admission configures the admission controller every marginal
+	// request passes — concurrency limit, bounded queue, CoDel sojourn
+	// control. Every zero field selects the controller's default, so
+	// the zero value is a working controller.
 	Admission admission.Config
 	// Brownout, when non-nil, serves non-priority traffic from cache
 	// hits only under sustained overload.

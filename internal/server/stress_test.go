@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"priview/internal/admission"
 	"priview/internal/server"
 )
 
@@ -24,7 +25,7 @@ func TestStressConcurrentMixed(t *testing.T) {
 	s := serve(t, buildSynopsis(t), nil, server.Options{
 		MaxK:         4,
 		QueryTimeout: 10 * time.Second,
-		MaxInflight:  4,
+		Admission:    admission.Config{Limit: 4, MaxQueue: 4},
 		Logger:       quietLogger(),
 	})
 	ts := httptest.NewServer(s)

@@ -104,7 +104,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	m.admSojourn = reg.Histogram("priview_admission_sojourn_seconds",
 		"Queue sojourn time of dispatched requests.", nil)
 	m.admLimit = reg.Gauge("priview_admission_limit",
-		"Current AIMD concurrency limit.")
+		"Fixed admission concurrency limit: the most requests admitted at once.")
 	m.admInflight = reg.Gauge("priview_admission_inflight",
 		"Requests currently holding an admission slot.")
 	m.admQueue = reg.Gauge("priview_admission_queue_depth",

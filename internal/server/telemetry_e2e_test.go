@@ -22,7 +22,7 @@ import (
 const releasesGolden = "{\"default\":\"default\",\"releases\":[\"default\"]," +
 	"\"admission\":{\"limit\":16,\"inflight\":0,\"queue_depth\":0,\"admitted\":0,\"queued\":0,\"shed\":0," +
 	"\"codel_dropped\":0,\"deadline_rejected\":0,\"brownout_served\":0,\"brownout_rejected\":0," +
-	"\"brownout_active\":false,\"short_latency_ms\":0,\"long_latency_ms\":0}}\n"
+	"\"brownout_active\":false}}\n"
 
 func TestReleasesJSONGolden(t *testing.T) {
 	s, _ := testServer(t)

@@ -16,7 +16,7 @@ func TestExpositionGolden(t *testing.T) {
 	v := r.CounterVec("priview_qcache_hits_total", "Cache lookups answered from a stored table.", "release")
 	v.With("beta").Add(2)
 	v.With("alpha").Add(9) // rendered before beta: children sort by label value
-	r.Gauge("priview_admission_limit", "Current AIMD concurrency limit.").Set(16)
+	r.Gauge("priview_admission_limit", "Fixed admission concurrency limit.").Set(16)
 	r.Counter("priview_a_first_total", "Sorts first.").Add(1)
 	esc := r.CounterVec("priview_escape_total", "Help with \\ backslash\nand newline.", "path")
 	esc.With("a\\b\"c\nd").Inc()
@@ -33,7 +33,7 @@ func TestExpositionGolden(t *testing.T) {
 	const want = `# HELP priview_a_first_total Sorts first.
 # TYPE priview_a_first_total counter
 priview_a_first_total 1
-# HELP priview_admission_limit Current AIMD concurrency limit.
+# HELP priview_admission_limit Fixed admission concurrency limit.
 # TYPE priview_admission_limit gauge
 priview_admission_limit 16
 # HELP priview_escape_total Help with \\ backslash\nand newline.

@@ -17,9 +17,9 @@
 //     surfaces read the same counters /metrics exposes, so the two can
 //     never disagree.
 //   - Scrape-time gauges. Values that are snapshots of live state
-//     (cache entries/bytes, queue depth, AIMD limit) are refreshed by
-//     OnScrape hooks immediately before rendering rather than pushed
-//     on every mutation.
+//     (cache entries/bytes, queue depth, admitted inflight) are
+//     refreshed by OnScrape hooks immediately before rendering rather
+//     than pushed on every mutation.
 //
 // Everything is safe for concurrent use.
 package telemetry
@@ -128,9 +128,10 @@ func NewRegistry() *Registry {
 
 // OnScrape registers fn to run immediately before every exposition
 // render. Hooks refresh gauges whose truth lives in subsystem state
-// (cache occupancy, queue depth, AIMD limit) so a scrape always sees a
-// current snapshot without per-mutation pushes. Hooks run outside the
-// registry lock, in registration order, and must not block.
+// (cache occupancy, queue depth, admitted inflight) so a scrape always
+// sees a current snapshot without per-mutation pushes. Hooks run
+// outside the registry lock, in registration order, and must not
+// block.
 func (r *Registry) OnScrape(fn func()) {
 	if fn == nil {
 		panic("telemetry: OnScrape called with nil hook")
